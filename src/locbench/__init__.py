@@ -35,6 +35,7 @@ from .rcrt import (
     build_candidate_set,
     make_wavelength_set,
     phase_to_remainder,
+    reconstruct_batch,
     remainders_of,
     robust_crt_reconstruct,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "optimal_weights",
     "phase_noise_std",
     "phase_to_remainder",
+    "reconstruct_batch",
     "remainders_of",
     "residual_and_jacobian",
     "robust_crt_reconstruct",

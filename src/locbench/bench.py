@@ -28,7 +28,7 @@ from .estimators import (
     local_wls,
 )
 from .geometry import NetworkTopology, build_grid_network, deployment_center
-from .rcrt import AmbiguityError, make_wavelength_set, robust_crt_reconstruct
+from .rcrt import make_wavelength_set, reconstruct_batch
 from .signals import MeasurementSet, simulate_phase_remainders, simulate_tdoa_measurements
 
 __all__ = [
@@ -51,7 +51,17 @@ NEIGHBOR_RADIUS = 55.0
 
 ALL_SCHEMES = ("global",) + DIFFUSION_SCHEMES + ("local",)
 
-_SWEEPABLE = ("n_heads", "sensors_per_head", "noise_std", "decay_scale")
+# the sweepable fields, each with the values it admits; every value is
+# checked at construction, before any trial runs
+_SWEEPABLE = {
+    "n_heads": (
+        "a perfect square of at least 1",
+        lambda v: v >= 1 and math.isqrt(int(v)) ** 2 == v,
+    ),
+    "sensors_per_head": ("at least 1", lambda v: v >= 1),
+    "noise_std": ("at least 0", lambda v: v >= 0),
+    "decay_scale": ("above 0", lambda v: v > 0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +145,14 @@ class LocalizationExperiment:
         swept = [name for name in _SWEEPABLE if isinstance(getattr(self, name), tuple)]
         if len(swept) != 1:
             raise ValueError(
-                f"exactly one of {_SWEEPABLE} must be a sweep list, got {swept or 'none'}"
+                f"exactly one of {tuple(_SWEEPABLE)} must be a sweep list, "
+                f"got {swept or 'none'}"
             )
+        for name, (rule, admits) in _SWEEPABLE.items():
+            values = getattr(self, name)
+            for v in values if isinstance(values, tuple) else (values,):
+                if not admits(v):
+                    raise ValueError(f"{name} must be {rule}, got {v}")
 
     @property
     def sweep_field(self) -> str:
@@ -170,35 +186,35 @@ class MetricsRecord:
 def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
     """Sweep reconstruction over the SNR grid.
 
-    Each trial draws a dividend uniformly over the unambiguous range,
-    perturbs its remainders with phase noise, reconstructs, and records
+    Each trial draws a dividend uniformly over the unambiguous range and
+    perturbs its remainders with phase noise; the trials of one grid point
+    are then reconstructed together, and each records
     |estimate - truth| / max_range. Ambiguous trials (no unique quotient)
     are counted separately and excluded from the error mean. Trial streams
     are derived from (seed, grid index, trial index) only, so experiments
     sharing a seed share their random draws point for point.
     """
     ws = make_wavelength_set(cfg.common_factor, cfg.coprime_factors)
+    truths = np.empty(cfg.trials_per_point)
+    noisy = np.empty((cfg.trials_per_point, ws.size))
     records = []
     for p_idx, snr_db in enumerate(cfg.snr_grid_db):
-        errors = []
-        ambiguous = 0
         for t_idx in range(cfg.trials_per_point):
             rng = np.random.default_rng([cfg.seed, p_idx, t_idx])
             r = float(rng.uniform(0.0, ws.max_range))
             if r >= ws.max_range:  # float rounding at the upper edge
                 r = float(np.nextafter(ws.max_range, 0.0))
-            noisy = simulate_phase_remainders(r, ws, snr_db, rng)
-            try:
-                estimate, _, _ = robust_crt_reconstruct(noisy, ws)
-            except AmbiguityError:
-                ambiguous += 1
-                continue
-            errors.append(abs(estimate - r) / ws.max_range)
-        if errors:
-            arr = np.asarray(errors)
-            mean = float(arr.mean())
+            truths[t_idx] = r
+            noisy[t_idx] = simulate_phase_remainders(r, ws, snr_db, rng).remainders
+        estimates, _, ambiguous = reconstruct_batch(noisy, ws)
+        solved = ~ambiguous
+        errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range
+        if errors.size:
+            mean = float(errors.mean())
             stderr = (
-                float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+                float(errors.std(ddof=1) / math.sqrt(errors.size))
+                if errors.size > 1
+                else 0.0
             )
         else:
             mean = math.nan
@@ -208,7 +224,7 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
                 snr_db=snr_db,
                 relative_error=mean,
                 stderr=stderr,
-                ambiguity_rate=ambiguous / cfg.trials_per_point,
+                ambiguity_rate=int(ambiguous.sum()) / cfg.trials_per_point,
             )
         )
     return records
@@ -244,21 +260,21 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
     weights = build_selection_weights(topology)
     opts = WlsOptions(init=deployment_center(topology))
 
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     try:
         global_pos = global_wls(meas, topology, opts)
     except EstimationError:
         global_pos = None
-    global_time = time.perf_counter() - t0
+    global_time = time.process_time() - t0
 
     locals_: list[Optional[LocalEstimate]] = []
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     for k in range(topology.n_heads):
         try:
             locals_.append(local_wls(k, meas, weights, topology, opts))
         except EstimationError:
             locals_.append(None)
-    local_time = time.perf_counter() - t0
+    local_time = time.process_time() - t0
     active = np.array([le is not None for le in locals_])
 
     if sigma > 0:
@@ -308,16 +324,16 @@ def _run_scheme(
         return None
 
     if scheme == "local":
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         points = np.array(
             [le.position for le in trial.local_estimates if le is not None]
         )
         center = points.mean(axis=0)
-        dt = time.perf_counter() - t0
+        dt = time.process_time() - t0
         err = float(np.sum((center - trial.source) ** 2))
         return err, None, trial.local_time + dt
 
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     state = diffuse(
         _initial_state(trial),
         scheme,
@@ -330,7 +346,7 @@ def _run_scheme(
         active=trial.active,
         on_epoch=on_epoch,
     )
-    dt = time.perf_counter() - t0
+    dt = time.process_time() - t0
     offsets = state.estimates[trial.active] - trial.source
     err = float(np.mean(np.sum(offsets**2, axis=1)))
     return err, state.epoch, trial.local_time + dt

@@ -15,6 +15,7 @@ from .bench import (
     run_localization_experiment,
     run_ranging_experiment,
 )
+from .estimators import EstimationError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
 
                     records = run_localization_experiment(cfg, trace_writer)
             emit_csv(records, args.out, record_type=MetricsRecord)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(records)} records to {args.out}")

@@ -5,7 +5,9 @@ common_factor * coprime_factors[k] with pairwise co-prime integer factors.
 A dividend r in [0, max_range) folds into one remainder per wavelength.
 Reconstruction searches the folding integers (quotients) by pairing every
 wavelength with the first one, intersects the per-pair candidate sets, and
-averages the unfolded per-wavelength estimates.
+averages the unfolded per-wavelength estimates. The search is elementwise
+over the first quotient, so reconstruct_batch runs it over many trials at
+once; robust_crt_reconstruct is its batch-of-one form.
 
 Robustness guarantee: if every remainder error stays strictly below one
 quarter of the common factor, the quotient search is exact and the averaged
@@ -28,12 +30,17 @@ __all__ = [
     "build_candidate_set",
     "make_wavelength_set",
     "phase_to_remainder",
+    "reconstruct_batch",
     "remainders_of",
     "robust_crt_reconstruct",
 ]
 
 # groups numerically equal search minima, scaled by the first wavelength
 TIE_TOLERANCE_REL = 1e-9
+
+# elements per (trials, pairings, first quotients) temporary of the batch
+# search; sizes its chunks so that memory stays flat in the trial count
+_CHUNK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -159,39 +166,131 @@ def _quotient_bounds(factors: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(total // g for g in factors)
 
 
-def _candidate_pairs(r_first, r_k, lam_first, lam_k, bound_first, bound_k, tol):
-    """Exact minimizers of |b_k*lam_k + r_k - b_first*lam_first - r_first|.
+@dataclass(frozen=True)
+class _Scan:
+    """Quotient search over a block of c trials, every pairing at once.
 
-    The scan enumerates b_first; for each value the inner minimization over
-    b_k is solved by rounding, because only the two integers bracketing the
-    real-valued optimum can attain the minimum of the V-shaped objective.
-    Equivalent to scanning the full rectangle, at the cost of one row.
+    For pairing k (axis 1 holds k - 1) and first quotient b_0 (axis 2), the
+    only paired quotients that can minimize |b_k*lam_k + r_k - b_0*lam_0 -
+    r_0| are the two integers bracketing the real optimum, each clipped to
+    the quotient range: `low` and `high`, both (c, size - 1, bound_0). A
+    hit mask marks the candidates within TIE_TOLERANCE_REL * lam_0 of the
+    pairing's minimum over the whole rectangle. `survivors` (c, bound_0)
+    marks the first quotients that some candidate of every pairing hits.
     """
-    b_first = np.arange(bound_first, dtype=float)
-    target = b_first * lam_first + r_first - r_k
-    lower = np.floor(target / lam_k)
-    candidates = []
-    best = np.inf
-    for cand in (lower, lower + 1.0):
-        b_k = np.clip(cand, 0.0, float(bound_k - 1))
-        vals = np.abs(b_k * lam_k - target)
-        candidates.append((b_k, vals))
-        best = min(best, float(vals.min()))
-    pairs = set()
-    cut = best + tol
-    for b_k, vals in candidates:
-        for i in np.flatnonzero(vals <= cut):
-            pairs.add((int(b_first[i]), int(b_k[i])))
-    return pairs, best
+
+    low: np.ndarray
+    high: np.ndarray
+    hit_low: np.ndarray
+    hit_high: np.ndarray
+    survivors: np.ndarray
+
+    def pairs(self, trial: int, k: int) -> frozenset[tuple[int, int]]:
+        """Candidate (first, paired) quotient pairs of pairing k in one trial."""
+        found = set()
+        for paired, hit in ((self.low, self.hit_low), (self.high, self.hit_high)):
+            first = np.flatnonzero(hit[trial, k - 1])
+            found.update(zip(first.tolist(), paired[trial, k - 1, first].astype(int).tolist()))
+        return frozenset(found)
 
 
-def _check_remainders(noisy: RemainderVector, ws: WavelengthSet) -> np.ndarray:
-    rem = np.asarray(noisy.remainders, dtype=float)
-    if rem.shape != (ws.size,):
-        raise ValueError(f"expected {ws.size} remainders, got shape {rem.shape}")
-    if np.any(rem < 0.0) or np.any(rem >= ws.wavelengths):
+def _scan(rem: np.ndarray, ws: WavelengthSet) -> _Scan:
+    """Scan every pairing of a (c, size) block of remainders."""
+    lams = ws.wavelengths
+    bounds = _quotient_bounds(ws.coprime_factors)
+    lam_k = lams[1:, None]
+    top = np.array([b - 1 for b in bounds[1:]], dtype=float)[:, None]
+    b_first = np.arange(bounds[0], dtype=float)
+    target = (b_first * lams[0] + rem[:, :1, None]) - rem[:, 1:, None]
+    low = np.floor(target / lam_k)
+    high = low + 1.0
+
+    def clip_and_miss(paired):
+        # in place: these temporaries are the search's whole working set
+        np.maximum(paired, 0.0, out=paired)
+        np.minimum(paired, top, out=paired)
+        miss = np.multiply(paired, lam_k)
+        np.subtract(miss, target, out=miss)
+        return np.abs(miss, out=miss)
+
+    miss_low = clip_and_miss(low)
+    miss_high = clip_and_miss(high)
+    best = np.minimum(miss_low.min(axis=2), miss_high.min(axis=2))
+    cut = (best + TIE_TOLERANCE_REL * float(lams[0]))[:, :, None]
+    hit_low = miss_low <= cut
+    hit_high = miss_high <= cut
+    return _Scan(low, high, hit_low, hit_high, (hit_low | hit_high).all(axis=1))
+
+
+def _resolve(scan: _Scan, rem: np.ndarray, ws: WavelengthSet):
+    """(estimates, quotients, ambiguous) of a scanned (c, size) block.
+
+    A trial is ambiguous unless exactly one first quotient survives. Inside
+    each pairing, ties at the survivor are broken by the smaller objective
+    |b_k*lam_k + r_k - b_0*lam_0 - r_0|, then by the smaller b_k.
+    Ambiguous trials read estimate NaN and quotients -1.
+    """
+    lams = ws.wavelengths
+    ambiguous = np.count_nonzero(scan.survivors, axis=1) != 1
+    first = np.argmax(scan.survivors, axis=1)
+    rows = np.arange(rem.shape[0])
+    low = scan.low[rows, :, first]
+    high = scan.high[rows, :, first]
+    hit_low = scan.hit_low[rows, :, first]
+    hit_high = scan.hit_high[rows, :, first]
+    offset = first.astype(float)[:, None] * lams[0]
+
+    def objective(paired):
+        return np.abs(paired * lams[1:] + rem[:, 1:] - offset - rem[:, :1])
+
+    # low <= high, so an exact tie keeps the smaller quotient
+    take_high = hit_high & (~hit_low | (objective(high) < objective(low)))
+    quotients = np.empty(rem.shape, dtype=int)
+    quotients[:, 0] = first
+    quotients[:, 1:] = np.where(take_high, high, low)
+    estimates = np.mean(quotients * lams + rem, axis=1)
+    estimates[ambiguous] = np.nan
+    quotients[ambiguous] = -1
+    return estimates, quotients, ambiguous
+
+
+def _check_remainders(remainders, ws: WavelengthSet, ndim: int) -> np.ndarray:
+    rem = np.asarray(remainders, dtype=float)
+    if rem.ndim != ndim or rem.shape[-1] != ws.size:
+        raise ValueError(f"expected {ws.size} remainders per trial, got shape {rem.shape}")
+    if not np.all((rem >= 0.0) & (rem < ws.wavelengths)):
         raise ValueError("remainders must lie in [0, wavelength) per wavelength")
     return rem
+
+
+def reconstruct_batch(remainders, ws: WavelengthSet):
+    """Recover the dividends behind a batch of noisy remainder vectors.
+
+    remainders is a (T, size) array, one trial per row, each entry in
+    [0, wavelength_k). Every trial gets the search of
+    robust_crt_reconstruct, bit for bit; the trials are processed in
+    chunks so that the working memory stays flat in T.
+
+    Returns:
+        (estimates, quotients, ambiguous): estimates (T,) floats,
+        quotients (T, size) ints, ambiguous (T,) bools. An ambiguous trial
+        (no unique first quotient) reads estimate NaN and quotients -1.
+
+    Raises:
+        ValueError: malformed remainders.
+    """
+    rem = _check_remainders(remainders, ws, ndim=2)
+    per_trial = (ws.size - 1) * _quotient_bounds(ws.coprime_factors)[0]
+    step = max(1, _CHUNK_ELEMENTS // per_trial)
+    estimates = np.empty(rem.shape[0])
+    quotients = np.empty(rem.shape, dtype=int)
+    ambiguous = np.empty(rem.shape[0], dtype=bool)
+    for start in range(0, rem.shape[0], step):
+        block = slice(start, start + step)
+        estimates[block], quotients[block], ambiguous[block] = _resolve(
+            _scan(rem[block], ws), rem[block], ws
+        )
+    return estimates, quotients, ambiguous
 
 
 def build_candidate_set(pair_index: int, noisy: RemainderVector, ws: WavelengthSet):
@@ -204,28 +303,18 @@ def build_candidate_set(pair_index: int, noisy: RemainderVector, ws: WavelengthS
     """
     if not 1 <= pair_index < ws.size:
         raise ValueError(f"pair_index must be in [1, {ws.size}), got {pair_index}")
-    rem = _check_remainders(noisy, ws)
-    bounds = _quotient_bounds(ws.coprime_factors)
-    tol = TIE_TOLERANCE_REL * float(ws.wavelengths[0])
-    pairs, _ = _candidate_pairs(
-        rem[0],
-        rem[pair_index],
-        float(ws.wavelengths[0]),
-        float(ws.wavelengths[pair_index]),
-        bounds[0],
-        bounds[pair_index],
-        tol,
-    )
-    return pairs
+    rem = _check_remainders(noisy.remainders, ws, ndim=1)
+    return _scan(rem[None], ws).pairs(0, pair_index)
 
 
 def robust_crt_reconstruct(noisy: RemainderVector, ws: WavelengthSet):
     """Recover the dividend behind a vector of noisy remainders.
 
-    Builds one candidate set per wavelength pairing, intersects the
-    first-wavelength quotients, and requires the intersection to be a
-    singleton. The returned estimate is the average of the per-wavelength
-    unfolded estimates b_k*lam_k + r_k.
+    Runs the search of reconstruct_batch on one trial and also reports
+    it: one candidate set per wavelength pairing and the intersection of
+    their first-wavelength quotients, which must be a singleton. The
+    returned estimate is the average of the per-wavelength unfolded
+    estimates b_k*lam_k + r_k.
 
     Returns:
         (estimate, quotients, search) where quotients is the recovered
@@ -236,44 +325,18 @@ def robust_crt_reconstruct(noisy: RemainderVector, ws: WavelengthSet):
             The exception carries the QuotientSearch for inspection.
         ValueError: malformed remainders.
     """
-    rem = _check_remainders(noisy, ws)
-    lams = ws.wavelengths
-    bounds = _quotient_bounds(ws.coprime_factors)
-    tol = TIE_TOLERANCE_REL * float(lams[0])
-
-    candidate_sets: dict[int, frozenset[tuple[int, int]]] = {}
-    first_sets = []
-    for k in range(1, ws.size):
-        pairs, _ = _candidate_pairs(
-            rem[0], rem[k], float(lams[0]), float(lams[k]), bounds[0], bounds[k], tol
-        )
-        candidate_sets[k] = frozenset(pairs)
-        first_sets.append({b for b, _ in pairs})
-
-    intersection = frozenset(set.intersection(*first_sets))
+    rem = _check_remainders(noisy.remainders, ws, ndim=1)[None]
+    scan = _scan(rem, ws)
     search = QuotientSearch(
         coprime_product=math.prod(ws.coprime_factors),
-        quotient_bounds=bounds,
-        candidate_sets=candidate_sets,
-        intersection=intersection,
+        quotient_bounds=_quotient_bounds(ws.coprime_factors),
+        candidate_sets={k: scan.pairs(0, k) for k in range(1, ws.size)},
+        intersection=frozenset(np.flatnonzero(scan.survivors[0]).tolist()),
     )
-    if len(intersection) != 1:
+    estimates, quotients, ambiguous = _resolve(scan, rem, ws)
+    if ambiguous[0]:
         raise AmbiguityError(
-            f"quotient search returned {len(intersection)} candidates, need exactly 1",
+            f"quotient search returned {len(search.intersection)} candidates, need exactly 1",
             search,
         )
-
-    b_first = next(iter(intersection))
-    quotients = np.zeros(ws.size, dtype=int)
-    quotients[0] = b_first
-    for k in range(1, ws.size):
-        matched = [pair for pair in candidate_sets[k] if pair[0] == b_first]
-        # ties inside one pairing are broken by objective, then by index
-        scored = sorted(
-            (abs(bk * lams[k] + rem[k] - b_first * lams[0] - rem[0]), bk)
-            for _, bk in matched
-        )
-        quotients[k] = scored[0][1]
-
-    estimate = float(np.mean(quotients * lams + rem))
-    return estimate, quotients, search
+    return float(estimates[0]), quotients[0], search

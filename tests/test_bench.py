@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from locbench import cli
 from locbench.bench import (
     LocalizationExperiment,
     MetricsRecord,
@@ -106,6 +107,35 @@ class TestExperimentValidation:
                 common_factor=80.0, coprime_factors=(15, 16, 17),
                 snr_grid_db=(20.0, 20.0), trials_per_point=5, seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_heads", (16, 15)),
+            ("n_heads", (0,)),
+            ("sensors_per_head", (10, 0)),
+            ("noise_std", (-0.5,)),
+            ("noise_std", (float("nan"),)),
+            ("decay_scale", (1.0, 0.0)),
+        ],
+    )
+    def test_every_sweep_value_checked_up_front(self, field, value):
+        params = dict(n_heads=16, sensors_per_head=10, noise_std=1.0, decay_scale=1.0)
+        params[field] = value
+        with pytest.raises(ValueError, match=field):
+            LocalizationExperiment(
+                **params, source=(60.0, 70.0), runs=2, schemes=("global",), seed=0
+            )
+
+    def test_bad_sweep_value_fails_at_load(self, tmp_path):
+        path = tmp_path / "heads.cfg"
+        path.write_text(
+            LOCALIZE_CFG.replace("n_heads = 16", "n_heads = 16, 15").replace(
+                "noise_std = 1.0,", "noise_std = 1.0"
+            )
+        )
+        with pytest.raises(ValueError, match="perfect square"):
+            load_localization_experiment(path)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -262,6 +292,16 @@ class TestCli:
         proc = run_cli(["localize", "--config", str(cfg), "--out", str(out)])
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    def test_source_on_node_exits_two(self, tmp_path, capsys):
+        # the bound is singular when the source sits on a cluster head
+        cfg = tmp_path / "node.cfg"
+        cfg.write_text(LOCALIZE_CFG.replace("source = 60, 70", "source = 50, 50"))
+        out = tmp_path / "out.csv"
+        code = cli.main(["localize", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "r.cfg"

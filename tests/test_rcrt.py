@@ -1,8 +1,13 @@
 """Closed-form remainder reconstruction against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from locbench import rcrt
 from locbench.rcrt import (
     AmbiguityError,
     RemainderVector,
@@ -11,6 +16,7 @@ from locbench.rcrt import (
     build_candidate_set,
     make_wavelength_set,
     phase_to_remainder,
+    reconstruct_batch,
     remainders_of,
     robust_crt_reconstruct,
 )
@@ -217,3 +223,175 @@ class TestReconstruct:
         noisy[0] = (noisy[0] + 5.0) % 1200.0  # wraps to 3.0
         estimate, _, _ = robust_crt_reconstruct(RemainderVector(remainders=noisy), WS)
         assert abs(estimate - r) <= 5.0 + 1e-9
+
+
+def reference_reconstruct(rem, ws):
+    """The per-trial scalar search that the batch kernel replaced.
+
+    Kept as a bitwise oracle: returns (estimate, quotients), or None when
+    the first-quotient intersection is not a singleton.
+    """
+    lams = ws.wavelengths
+    bounds = quotient_bounds(ws)
+    b_first = np.arange(bounds[0], dtype=float)
+    pairs = {}
+    survivors = None
+    for k in range(1, ws.size):
+        target = b_first * lams[0] + rem[0] - rem[k]
+        lower = np.floor(target / lams[k])
+        scored = []
+        for cand in (lower, lower + 1.0):
+            b_k = np.clip(cand, 0.0, float(bounds[k] - 1))
+            scored.append((b_k, np.abs(b_k * lams[k] - target)))
+        cut = min(float(vals.min()) for _, vals in scored) + TIE_TOLERANCE_REL * lams[0]
+        pairs[k] = {
+            (int(b_first[i]), int(b_k[i]))
+            for b_k, vals in scored
+            for i in np.flatnonzero(vals <= cut)
+        }
+        firsts = {b for b, _ in pairs[k]}
+        survivors = firsts if survivors is None else survivors & firsts
+    if len(survivors) != 1:
+        return None
+    (b0,) = survivors
+    quotients = [b0]
+    for k in range(1, ws.size):
+        matched = [bk for b, bk in pairs[k] if b == b0]
+        quotients.append(
+            min((abs(bk * lams[k] + rem[k] - b0 * lams[0] - rem[0]), bk) for bk in matched)[1]
+        )
+    quotients = np.array(quotients)
+    return float(np.mean(quotients * lams + rem)), quotients
+
+
+@st.composite
+def wavelength_sets(draw, max_product):
+    """Pairwise co-prime sets of 2-4 factors with a random common factor."""
+    size = draw(st.integers(2, 4))
+    factors = []
+    for _ in range(size):
+        product = math.prod(factors)
+        choices = [
+            g
+            for g in range(2, 14)
+            if product * g <= max_product and all(math.gcd(g, h) == 1 for h in factors)
+        ]
+        if not choices:
+            break
+        factors.append(draw(st.sampled_from(choices)))
+    common = draw(
+        st.one_of(
+            st.sampled_from([0.5, 1.0, 3.0, 80.0]),
+            st.floats(0.01, 1000.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    return make_wavelength_set(common, draw(st.permutations(factors)))
+
+
+def wrap(values, ws):
+    """Fold values into [0, wavelength), as a wrapped phase reading arrives."""
+    folded = np.mod(values, ws.wavelengths)
+    return np.where(folded >= ws.wavelengths, folded - ws.wavelengths, folded)
+
+
+@st.composite
+def remainder_rows(draw, ws):
+    """One remainder vector: pure noise, a tie lattice, or a noisy fold."""
+    kind = draw(st.sampled_from(["uniform", "lattice", "noisy"]))
+    if kind == "uniform":
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=ws.size, max_size=ws.size))
+        return wrap(np.array(fractions) * ws.wavelengths, ws)
+    if kind == "lattice":
+        # multiples of B/2 put several quotient pairs at exactly equal cost
+        steps = [draw(st.integers(0, 2 * g - 1)) for g in ws.coprime_factors]
+        return np.array(steps) * (ws.common_factor / 2.0)
+    truth = draw(st.floats(0.0, ws.max_range, exclude_max=True))
+    scale = draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])) * ws.common_factor
+    noise = [draw(st.floats(-1.0, 1.0)) * scale for _ in range(ws.size)]
+    return wrap(remainders_of(truth, ws).remainders + noise, ws)
+
+
+class TestBatchProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_candidate_sets_match_brute_force(self, data):
+        ws = data.draw(wavelength_sets(max_product=400))
+        vec = RemainderVector(remainders=data.draw(remainder_rows(ws)))
+        for pair_index in range(1, ws.size):
+            assert build_candidate_set(pair_index, vec, ws) == brute_force_candidates(
+                pair_index, vec, ws
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_equal_single_and_reference_reconstruction(self, data):
+        ws = data.draw(wavelength_sets(max_product=5000))
+        rows = data.draw(st.lists(remainder_rows(ws), min_size=1, max_size=20))
+        estimates, quotients, ambiguous = reconstruct_batch(np.array(rows), ws)
+        for row, estimate, quotient, flagged in zip(rows, estimates, quotients, ambiguous):
+            expected = reference_reconstruct(row, ws)
+            assert flagged == (expected is None)
+            if flagged:
+                assert math.isnan(estimate) and np.all(quotient == -1)
+                with pytest.raises(AmbiguityError):
+                    robust_crt_reconstruct(RemainderVector(remainders=row), ws)
+                continue
+            single, single_q, _ = robust_crt_reconstruct(RemainderVector(remainders=row), ws)
+            assert estimate == single == expected[0]
+            assert np.array_equal(quotient, single_q)
+            assert np.array_equal(quotient, expected[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_error_bound_below_quarter_common_factor(self, data):
+        ws = data.draw(wavelength_sets(max_product=5000))
+        upsilon = data.draw(st.floats(0.0, 0.99)) * ws.common_factor / 4.0
+        truth = data.draw(st.floats(upsilon, ws.max_range - upsilon, exclude_max=True))
+        noise = np.array(
+            [data.draw(st.floats(-upsilon, upsilon)) for _ in range(ws.size)]
+        )
+        rows = wrap(remainders_of(truth, ws).remainders + noise, ws)[None]
+        estimates, _, ambiguous = reconstruct_batch(rows, ws)
+        assert not ambiguous[0]
+        assert abs(estimates[0] - truth) <= upsilon + 1e-9 * ws.max_range
+
+
+class TestReconstructBatch:
+    def chunk(self, ws):
+        return rcrt._CHUNK_ELEMENTS // ((ws.size - 1) * quotient_bounds(ws)[0])
+
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    def test_any_trial_count_matches_single_calls(self, extra):
+        # one trial, and counts that leave a partial last chunk
+        rng = np.random.default_rng(extra)
+        step = self.chunk(WS)
+        assert step > 1
+        count = 1 if extra == 0 else 2 * step + extra
+        truths = rng.uniform(0.0, WS.max_range, size=count)
+        rows = np.array(
+            [wrap(remainders_of(r, WS).remainders + rng.normal(0, 12.0, 3), WS) for r in truths]
+        )
+        estimates, quotients, ambiguous = reconstruct_batch(rows, WS)
+        assert estimates.shape == (count,) and quotients.shape == (count, 3)
+        assert not ambiguous.any()
+        for row, estimate, quotient in zip(rows, estimates, quotients):
+            single, single_q, _ = robust_crt_reconstruct(RemainderVector(remainders=row), WS)
+            assert estimate == single
+            assert np.array_equal(quotient, single_q)
+
+    def test_empty_batch(self):
+        estimates, quotients, ambiguous = reconstruct_batch(np.empty((0, 3)), WS)
+        assert estimates.shape == (0,) and quotients.shape == (0, 3) and ambiguous.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros(3),
+            np.zeros((2, 2)),
+            np.array([[1200.0, 0.0, 0.0]]),
+            np.array([[np.nan, 0.0, 0.0]]),
+        ],
+    )
+    def test_rejects_malformed_rows(self, rows):
+        with pytest.raises(ValueError):
+            reconstruct_batch(rows, WS)
