@@ -7,7 +7,14 @@ weighted least-squares estimates and fuse them by diffusion over the
 network graph.
 """
 
-from .diffusion import DiffusionState, build_q_matrix, connectivity_weights, diffuse, median_weights, optimal_weights
+from .diffusion import (
+    DiffusionState,
+    build_q_matrix,
+    connectivity_weights,
+    diffuse,
+    median_weights,
+    optimal_weights,
+)
 from .estimators import (
     EstimationError,
     LocalEstimate,
@@ -24,7 +31,6 @@ from .geometry import (
     build_grid_network,
     deployment_center,
     distance,
-    dump_topology_csv,
     true_range_difference,
 )
 from .rcrt import (
@@ -34,16 +40,12 @@ from .rcrt import (
     WavelengthSet,
     build_candidate_set,
     make_wavelength_set,
-    phase_to_remainder,
     reconstruct_batch,
     remainders_of,
     robust_crt_reconstruct,
 )
 from .signals import (
     MeasurementSet,
-    SinusoidObservation,
-    cross_correlation_phase,
-    dump_measurements_csv,
     phase_noise_std,
     simulate_phase_remainders,
     simulate_tdoa_measurements,
@@ -61,7 +63,6 @@ __all__ = [
     "QuotientSearch",
     "RemainderVector",
     "SelectionWeights",
-    "SinusoidObservation",
     "WavelengthSet",
     "WlsOptions",
     "build_candidate_set",
@@ -70,19 +71,15 @@ __all__ = [
     "build_selection_weights",
     "connectivity_weights",
     "crlb",
-    "cross_correlation_phase",
     "deployment_center",
     "diffuse",
     "distance",
-    "dump_measurements_csv",
-    "dump_topology_csv",
     "global_wls",
     "local_wls",
     "make_wavelength_set",
     "median_weights",
     "optimal_weights",
     "phase_noise_std",
-    "phase_to_remainder",
     "reconstruct_batch",
     "remainders_of",
     "residual_and_jacobian",

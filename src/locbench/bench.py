@@ -131,8 +131,8 @@ class LocalizationExperiment:
             raise ValueError("runs must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
         if not self.schemes:
@@ -241,9 +241,8 @@ class _Trial:
     source: np.ndarray
     global_pos: Optional[np.ndarray]
     global_time: float
-    local_estimates: list[Optional[LocalEstimate]]
+    local_estimates: list[LocalEstimate]  # the heads whose fit succeeded
     local_time: float
-    active: np.ndarray
     crlb_trace: float
 
 
@@ -267,15 +266,14 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
         global_pos = None
     global_time = time.process_time() - t0
 
-    locals_: list[Optional[LocalEstimate]] = []
+    locals_: list[LocalEstimate] = []
     t0 = time.process_time()
     for k in range(topology.n_heads):
         try:
             locals_.append(local_wls(k, meas, weights, topology, opts))
         except EstimationError:
-            locals_.append(None)
+            pass
     local_time = time.process_time() - t0
-    active = np.array([le is not None for le in locals_])
 
     if sigma > 0:
         crlb_trace = float(np.trace(crlb(topology, source, sigma * sigma)))
@@ -289,21 +287,8 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
         global_time=global_time,
         local_estimates=locals_,
         local_time=local_time,
-        active=active,
         crlb_trace=crlb_trace,
     )
-
-
-def _initial_state(trial: _Trial) -> DiffusionState:
-    n = trial.topology.n_heads
-    k = trial.meas.size
-    estimates = np.full((n, 2), np.nan)
-    operators = np.full((n, 2, k), np.nan)
-    for le in trial.local_estimates:
-        if le is not None:
-            estimates[le.head] = le.position
-            operators[le.head] = le.operator
-    return DiffusionState(estimates=estimates, operators=operators)
 
 
 def _run_scheme(
@@ -313,41 +298,49 @@ def _run_scheme(
     decay_scale: float,
     on_epoch=None,
 ):
-    """Returns (squared_error, epochs, seconds) or None when the scheme fails."""
+    """Returns (squared_error, epochs, seconds) or None when the scheme fails.
+
+    Diffusion runs on the heads whose local fit succeeded, over the
+    sub-network they induce; on_epoch sees their rows in head order.
+    """
     if scheme == "global":
         if trial.global_pos is None:
             return None
         err = float(np.sum((trial.global_pos - trial.source) ** 2))
         return err, None, trial.global_time
 
-    if not trial.active.any():
+    if not trial.local_estimates:
         return None
 
+    t0 = time.process_time()
+    points = np.array([le.position for le in trial.local_estimates])
     if scheme == "local":
-        t0 = time.process_time()
-        points = np.array(
-            [le.position for le in trial.local_estimates if le is not None]
-        )
         center = points.mean(axis=0)
         dt = time.process_time() - t0
         err = float(np.sum((center - trial.source) ** 2))
         return err, None, trial.local_time + dt
 
-    t0 = time.process_time()
+    fitted = [le.head for le in trial.local_estimates]
+    full = trial.topology
+    topology = NetworkTopology(
+        heads=full.heads[fitted],
+        sensors=full.sensors[fitted],
+        adjacency=full.adjacency[np.ix_(fitted, fitted)],
+    )
+    operators = np.array([le.operator for le in trial.local_estimates])
     state = diffuse(
-        _initial_state(trial),
+        DiffusionState(estimates=points, operators=operators),
         scheme,
         cfg.epsilon,
         cfg.max_epochs,
-        trial.topology,
+        topology,
         variances=trial.meas.variances,
         decay_scale=decay_scale,
         optimize_once=cfg.optimize_once,
-        active=trial.active,
         on_epoch=on_epoch,
     )
     dt = time.process_time() - t0
-    offsets = state.estimates[trial.active] - trial.source
+    offsets = state.estimates - trial.source
     err = float(np.mean(np.sum(offsets**2, axis=1)))
     return err, state.epoch, trial.local_time + dt
 
@@ -364,7 +357,8 @@ def run_localization_experiment(
     so the combination-weight scale is compared on frozen noise.
 
     trace_writer, when given, receives (trial, epoch, head, x1, x2,
-    max_step) rows for the first diffusion scheme listed in cfg.schemes.
+    max_step) rows for the first diffusion scheme listed in cfg.schemes,
+    one per head whose local fit succeeded.
     """
     sweep_name = cfg.sweep_field
     source = np.asarray(cfg.source, dtype=float)
@@ -417,16 +411,16 @@ def run_localization_experiment(
                 if scheme == trace_scheme:
                     trial_idx = trace_count
                     trace_count += 1
-                    heads = np.flatnonzero(trial.active)
+                    heads = [le.head for le in trial.local_estimates]
 
                     def on_epoch(epoch, estimates, _coeffs, max_step, _t=trial_idx, _h=heads):
-                        for h in _h:
+                        for row, head in enumerate(_h):
                             trace_writer(
                                 _t,
                                 epoch,
-                                int(h),
-                                float(estimates[h, 0]),
-                                float(estimates[h, 1]),
+                                head,
+                                float(estimates[row, 0]),
+                                float(estimates[row, 1]),
                                 max_step,
                             )
 

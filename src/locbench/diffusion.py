@@ -1,13 +1,16 @@
 """Diffusion of per-head estimates over the cluster-head graph.
 
 Every epoch each head replaces its estimate with a convex combination of
-its neighborhood's estimates. Three coefficient rules are provided:
+its neighborhood's estimates. Each of the three coefficient rules takes
+the network's state and returns the whole column-stochastic (N, N)
+matrix, column k holding head k's weights over its self-inclusive
+neighborhood:
 
 * ``con``: static weights proportional to neighbor degrees.
 * ``wei``: weights shrink exponentially with squared distance from the
   network-wide per-dimension median, recomputed every epoch.
 * ``opt``: weights minimize the fused estimator's variance through a
-  simplex-constrained quadratic program over the neighborhood, using the
+  simplex-constrained quadratic program over each neighborhood, using the
   heads' linear estimation operators.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -57,60 +61,47 @@ class DiffusionState:
     converged: bool = False
 
 
-def _active_neighborhood(topology: NetworkTopology, k: int, active) -> np.ndarray:
-    nbhd = topology.neighborhood(k)
-    if active is None:
-        return nbhd
-    return nbhd[active[nbhd]]
+def connectivity_weights(topology: NetworkTopology) -> np.ndarray:
+    """Degree-proportional combination matrix of the network.
 
-
-def connectivity_weights(topology: NetworkTopology, k: int, active=None) -> np.ndarray:
-    """Degree-proportional combination weights over head k's neighborhood."""
-    nbhd = _active_neighborhood(topology, k, active)
-    if nbhd.size == 0:
-        raise ValueError(f"head {k} has an empty active neighborhood")
-    weights = np.zeros(topology.n_heads)
-    degrees = topology.degrees
-    weights[nbhd] = degrees[nbhd]
-    return weights / weights.sum()
+    Column k holds head k's weights: each member l of its self-inclusive
+    neighborhood gets degree_l, normalized over the neighborhood.
+    """
+    weights = topology.neighborhoods * topology.degrees[:, None]
+    return weights / weights.sum(axis=0)
 
 
 def median_weights(
-    estimates: np.ndarray,
-    k: int,
-    topology: NetworkTopology,
-    decay_scale: float,
-    active=None,
+    estimates: np.ndarray, topology: NetworkTopology, decay_scale: float
 ) -> np.ndarray:
-    """Distance-from-median combination weights over head k's neighborhood.
+    """Distance-from-median combination matrix of the network.
 
-    The reference point is the per-dimension median over every active
-    head's estimate; each neighbor's weight is exp(-d^2 / decay_scale) of
-    its squared distance from that median, normalized over the
+    The reference point is the per-dimension median over every head's
+    estimate; head l's weight in column k is exp(-d_l^2 / decay_scale) of
+    its squared distance from that median, normalized over k's
     neighborhood. A network-wide reference keeps far-off estimates
     down-weighted everywhere, so stray heads are pulled toward the
-    consensus instead of anchoring their own cluster. When every weight
-    underflows to zero the combination falls back to uniform weights
-    (logged).
+    consensus instead of anchoring their own cluster. A column whose
+    weights all underflow to zero falls back to uniform weights over the
+    neighborhood; each call logs how many heads fell back.
     """
-    if decay_scale <= 0:
+    if not decay_scale > 0:
         raise ValueError("decay_scale must be positive")
-    nbhd = _active_neighborhood(topology, k, active)
-    if nbhd.size == 0:
-        raise ValueError(f"head {k} has an empty active neighborhood")
-    points = estimates[nbhd]
-    pool = estimates if active is None else estimates[np.asarray(active)]
-    median = np.median(pool, axis=0)
-    sq_dist = np.sum((points - median) ** 2, axis=1)
-    raw = np.exp(-sq_dist / decay_scale)
-    total = raw.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        logger.warning("median weights underflowed for head %d; using uniform", k)
-        raw = np.ones(nbhd.size)
-        total = float(nbhd.size)
-    weights = np.zeros(topology.n_heads)
-    weights[nbhd] = raw / total
-    return weights
+    mask = topology.neighborhoods
+    median = np.median(estimates, axis=0)
+    raw = np.exp(-np.sum((estimates - median) ** 2, axis=1) / decay_scale)
+    weights = np.where(mask, raw[:, None], 0.0)
+    totals = weights.sum(axis=0)
+    fallback = (totals <= 0.0) | ~np.isfinite(totals)
+    if fallback.any():
+        logger.warning(
+            "median weights underflowed for %d of %d heads; using uniform",
+            int(fallback.sum()),
+            topology.n_heads,
+        )
+        weights[:, fallback] = mask[:, fallback]
+        totals[fallback] = topology.degrees[fallback]
+    return weights / totals
 
 
 def build_q_matrix(operators: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -190,64 +181,35 @@ def _simplex_qp(q_sub: np.ndarray) -> np.ndarray:
     return best_vec
 
 
-def optimal_weights(
-    q: np.ndarray, k: int, topology: NetworkTopology, active=None
-) -> np.ndarray:
-    """Variance-minimizing simplex weights over head k's neighborhood.
+def optimal_weights(q: np.ndarray, topology: NetworkTopology) -> np.ndarray:
+    """Variance-minimizing combination matrix of the network.
 
-    Minimizes a' Q a subject to the weights being a probability vector
-    supported on the neighborhood. An indefinite restriction (possible
-    through rounding) is regularized by adding a small multiple of the
-    identity before solving; the event is logged.
+    Column k minimizes a' Q a subject to the weights being a probability
+    vector supported on head k's neighborhood, one simplex QP per head. An
+    indefinite restriction (possible through rounding) is regularized by
+    adding a small multiple of the identity before solving; the event is
+    logged.
     """
-    nbhd = _active_neighborhood(topology, k, active)
-    if nbhd.size == 0:
-        raise ValueError(f"head {k} has an empty active neighborhood")
-    q_sub = np.asarray(q, dtype=float)[np.ix_(nbhd, nbhd)]
-    solution = _simplex_qp(q_sub)
-    obj = float(solution @ q_sub @ solution)
-    if obj < -_KKT_TOL:
-        epsilon = 1e-9 * np.trace(np.asarray(q, dtype=float)) / q.shape[0]
-        logger.warning(
-            "indefinite neighborhood matrix for head %d; regularizing with %g",
-            k,
-            epsilon,
-        )
-        solution = _simplex_qp(q_sub + epsilon * np.eye(nbhd.size))
-    grad = 2.0 * (q_sub @ solution)
-    level = float(grad @ solution)
-    if np.any(grad < level - _KKT_TOL * max(1.0, abs(level))):
-        logger.warning("optimality conditions loose for head %d", k)
-    weights = np.zeros(topology.n_heads)
-    weights[nbhd] = solution
+    q = np.asarray(q, dtype=float)
+    ridge = 1e-9 * np.trace(q) / q.shape[0]
+    weights = np.zeros((topology.n_heads, topology.n_heads))
+    for k in range(topology.n_heads):
+        nbhd = topology.neighborhood(k)
+        q_sub = q[np.ix_(nbhd, nbhd)]
+        solution = _simplex_qp(q_sub)
+        if float(solution @ q_sub @ solution) < -_KKT_TOL:
+            logger.warning(
+                "indefinite neighborhood matrix for head %d; regularizing with %g",
+                k,
+                ridge,
+            )
+            solution = _simplex_qp(q_sub + ridge * np.eye(nbhd.size))
+        grad = 2.0 * (q_sub @ solution)
+        level = float(grad @ solution)
+        if np.any(grad < level - _KKT_TOL * max(1.0, abs(level))):
+            logger.warning("optimality conditions loose for head %d", k)
+        weights[nbhd, k] = solution
     return weights
-
-
-def _coefficient_matrix(
-    scheme: str,
-    topology: NetworkTopology,
-    estimates: np.ndarray,
-    operators: Optional[np.ndarray],
-    variances: Optional[np.ndarray],
-    decay_scale: float,
-    active: np.ndarray,
-) -> np.ndarray:
-    n = topology.n_heads
-    coeffs = np.zeros((n, n))
-    q = None
-    if scheme == "opt":
-        q = build_q_matrix(operators, variances)
-    for k in range(n):
-        if not active[k]:
-            coeffs[k, k] = 1.0  # frozen head keeps its estimate
-            continue
-        if scheme == "con":
-            coeffs[:, k] = connectivity_weights(topology, k, active)
-        elif scheme == "wei":
-            coeffs[:, k] = median_weights(estimates, k, topology, decay_scale, active)
-        else:
-            coeffs[:, k] = optimal_weights(q, k, topology, active)
-    return coeffs
 
 
 def diffuse(
@@ -259,74 +221,55 @@ def diffuse(
     variances: Optional[np.ndarray] = None,
     decay_scale: float = 1.0,
     optimize_once: bool = False,
-    active=None,
     on_epoch: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
 ) -> DiffusionState:
     """Iterate neighborhood combinations until the estimates settle.
 
-    Stops when the largest per-head displacement in one epoch is at most
-    epsilon, or after max_epochs epochs (logged as non-convergence). For
-    the ``opt`` scheme the estimation operators are combined with the same
-    coefficients each epoch and the variance matrix rebuilt from them;
-    optimize_once solves the quadratic programs only in the first epoch and
-    reuses those coefficients afterwards.
+    Every head of topology takes part; a caller that leaves heads out
+    passes the sub-network of the rest. Each epoch the scheme's rule gives
+    the column-stochastic (N, N) coefficient matrix A and the estimates
+    become A.T @ estimates. Stops when the largest per-head displacement
+    in one epoch is at most epsilon, or after max_epochs epochs (logged as
+    non-convergence). For the ``opt`` scheme the estimation operators are
+    combined with the same coefficients each epoch and the variance matrix
+    rebuilt from them; optimize_once solves the quadratic programs only in
+    the first epoch and reuses those coefficients afterwards.
 
-    active marks heads that participate; inactive heads keep their state
-    and are excluded from every neighborhood. on_epoch, when given, is
-    called after each epoch with (epoch, estimates, coefficients,
-    max_step).
+    on_epoch, when given, is called after each epoch with (epoch,
+    estimates, coefficients, max_step).
 
     Returns the final DiffusionState; convex combination keeps every
     estimate inside the per-dimension envelope of the previous epoch.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError("epsilon must be positive and finite")
     if max_epochs < 1:
         raise ValueError("max_epochs must be positive")
-    n = topology.n_heads
-    act = np.ones(n, dtype=bool) if active is None else np.asarray(active, dtype=bool)
-    if not act.any():
-        raise ValueError("at least one head must be active")
+    estimates = np.array(initial.estimates, dtype=float)
+    if estimates.shape != (topology.n_heads, 2):
+        raise ValueError("estimates must have shape (n_heads, 2)")
     if scheme == "opt":
         if initial.operators is None:
             raise ValueError("opt scheme needs estimation operators")
         if variances is None:
             raise ValueError("opt scheme needs measurement variances")
-
-    estimates = np.array(initial.estimates, dtype=float)
     operators = None if initial.operators is None else np.array(initial.operators)
-    # zero out frozen rows so non-finite placeholders cannot leak through
-    # the 0-coefficient matrix products; restored before returning
-    frozen_estimates = estimates[~act].copy()
-    estimates[~act] = 0.0
-    frozen_operators = None
-    if operators is not None:
-        frozen_operators = operators[~act].copy()
-        operators[~act] = 0.0
-    static_coeffs = None
-    if scheme == "con":
-        static_coeffs = _coefficient_matrix(
-            "con", topology, estimates, None, None, decay_scale, act
-        )
 
+    if scheme == "con":
+        coeffs = connectivity_weights(topology)
     epoch = 0
     converged = False
     for epoch in range(1, max_epochs + 1):
-        if static_coeffs is not None:
-            coeffs = static_coeffs
-        else:
-            coeffs = _coefficient_matrix(
-                scheme, topology, estimates, operators, variances, decay_scale, act
-            )
-            if scheme == "opt" and optimize_once:
-                static_coeffs = coeffs
+        if scheme == "wei":
+            coeffs = median_weights(estimates, topology, decay_scale)
+        elif scheme == "opt" and (epoch == 1 or not optimize_once):
+            coeffs = optimal_weights(build_q_matrix(operators, variances), topology)
         new_estimates = coeffs.T @ estimates
         if scheme == "opt":
             operators = np.einsum("lk,ldi->kdi", coeffs, operators)
-        steps = np.linalg.norm(new_estimates - estimates, axis=1)
-        max_step = float(steps[act].max())
+        max_step = float(np.linalg.norm(new_estimates - estimates, axis=1).max())
         estimates = new_estimates
         if on_epoch is not None:
             on_epoch(epoch, estimates, coeffs, max_step)
@@ -335,9 +278,6 @@ def diffuse(
             break
     if not converged:
         logger.warning("diffusion (%s) did not settle in %d epochs", scheme, max_epochs)
-    estimates[~act] = frozen_estimates
-    if operators is not None:
-        operators[~act] = frozen_operators
     return DiffusionState(
         estimates=estimates, operators=operators, epoch=epoch, converged=converged
     )

@@ -148,14 +148,19 @@ def global_wls(meas: MeasurementSet, topology: NetworkTopology, opts: WlsOptions
 
 @dataclass(frozen=True)
 class SelectionWeights:
-    """Selection weights: head-level (N, N) and measurement-level (K, N)."""
+    """Head-level (N, N) selection weights and the sensors behind each head."""
 
     head_matrix: np.ndarray
-    matrix: np.ndarray
+    sensors_per_head: int
 
     def column(self, k: int) -> np.ndarray:
-        """Per-measurement weights head k applies (diagonal of its selector)."""
-        return self.matrix[:, k]
+        """Per-measurement weights head k applies (diagonal of its selector).
+
+        A measurement owned by head l gets head_matrix[l, k] divided by the
+        per-head measurement count, so the column still sums to one.
+        """
+        m = self.sensors_per_head
+        return np.repeat(self.head_matrix[:, k] / m, m)
 
 
 def build_selection_weights(topology: NetworkTopology) -> SelectionWeights:
@@ -163,10 +168,8 @@ def build_selection_weights(topology: NetworkTopology) -> SelectionWeights:
 
     Head-level entries: for l adjacent to k the weight is
     1 / max(degree_l, degree_k) with self-inclusive degrees; the diagonal
-    absorbs the remainder so every column sums to one. Each head's column
-    then spreads over measurements: a measurement owned by head l gets the
-    head-level entry divided by the per-head measurement count, so the
-    measurement-level columns still sum to one.
+    absorbs the remainder so every column sums to one. SelectionWeights.column
+    spreads a head's column over the measurements.
     """
     n = topology.n_heads
     degrees = topology.degrees
@@ -176,9 +179,9 @@ def build_selection_weights(topology: NetworkTopology) -> SelectionWeights:
             if l != k:
                 head_matrix[l, k] = 1.0 / max(degrees[l], degrees[k])
         head_matrix[k, k] = 1.0 - head_matrix[:, k].sum()
-    head_idx, _ = topology.measurement_pairs()
-    matrix = head_matrix[head_idx, :] / topology.sensors_per_head
-    return SelectionWeights(head_matrix=head_matrix, matrix=matrix)
+    return SelectionWeights(
+        head_matrix=head_matrix, sensors_per_head=topology.sensors_per_head
+    )
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,6 @@ class LocalEstimate:
     head: int
     position: np.ndarray
     operator: np.ndarray
-    epoch: int = 0
 
 
 def local_wls(
@@ -233,7 +235,7 @@ def local_wls(
         raise EstimationError(f"head {k}: rank-deficient local geometry") from exc
     if not np.all(np.isfinite(operator)):
         raise EstimationError(f"head {k}: rank-deficient local geometry")
-    return LocalEstimate(head=k, position=x, operator=operator, epoch=0)
+    return LocalEstimate(head=k, position=x, operator=operator)
 
 
 def crlb(topology: NetworkTopology, source, variances) -> np.ndarray:

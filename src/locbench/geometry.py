@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -14,7 +13,6 @@ __all__ = [
     "build_grid_network",
     "deployment_center",
     "distance",
-    "dump_topology_csv",
     "true_range_difference",
 ]
 
@@ -97,6 +95,14 @@ class NetworkTopology:
         return np.flatnonzero(mask)
 
     @property
+    def neighborhoods(self) -> np.ndarray:
+        """(N, N) boolean mask of every self-inclusive neighborhood.
+
+        Symmetric: column k, like row k, marks the members of N_k.
+        """
+        return self.adjacency | np.eye(self.n_heads, dtype=bool)
+
+    @property
     def degrees(self) -> np.ndarray:
         """Self-inclusive neighborhood size of every head."""
         return self.adjacency.sum(axis=1).astype(int) + 1
@@ -164,17 +170,3 @@ def deployment_center(topology: NetworkTopology) -> np.ndarray:
     lo = topology.heads.min(axis=0)
     hi = topology.heads.max(axis=0)
     return 0.5 * (lo + hi)
-
-
-def dump_topology_csv(topology: NetworkTopology, path) -> None:
-    """Write the layout as rows of kind,head_id,sensor_id,x1,x2."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "head_id", "sensor_id", "x1", "x2"])
-        for l in range(topology.n_heads):
-            x1, x2 = topology.heads[l]
-            writer.writerow(["head", l, "", f"{x1:.9g}", f"{x2:.9g}"])
-        for l in range(topology.n_heads):
-            for m in range(topology.sensors_per_head):
-                x1, x2 = topology.sensors[l, m]
-                writer.writerow(["sensor", l, m, f"{x1:.9g}", f"{x2:.9g}"])

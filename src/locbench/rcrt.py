@@ -29,7 +29,6 @@ __all__ = [
     "WavelengthSet",
     "build_candidate_set",
     "make_wavelength_set",
-    "phase_to_remainder",
     "reconstruct_batch",
     "remainders_of",
     "robust_crt_reconstruct",
@@ -150,15 +149,6 @@ def remainders_of(dividend: float, ws: WavelengthSet) -> RemainderVector:
     quotients[high] += 1.0
     remainders[high] -= ws.wavelengths[high]
     return RemainderVector(remainders=remainders, quotients=quotients.astype(int))
-
-
-def phase_to_remainder(phase: float, wavelength: float) -> float:
-    """Map a wrapped phase in [0, 2*pi) to a remainder in [0, wavelength)."""
-    if not 0.0 <= phase < 2.0 * math.pi:
-        raise ValueError(f"phase {phase} outside [0, 2*pi)")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    return phase / (2.0 * math.pi) * wavelength
 
 
 def _quotient_bounds(factors: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -13,37 +12,12 @@ from .rcrt import RemainderVector, WavelengthSet, remainders_of
 
 __all__ = [
     "MeasurementSet",
-    "SinusoidObservation",
-    "cross_correlation_phase",
-    "dump_measurements_csv",
     "phase_noise_std",
     "simulate_phase_remainders",
     "simulate_tdoa_measurements",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SinusoidObservation:
-    """One node's record of a propagated unit-amplitude complex sinusoid.
-
-    frequency: angular frequency, rad/s.
-    delay: propagation delay to the node, seconds.
-    duration: observation window length, seconds.
-    snr_db: per-sample signal-to-noise ratio in dB; math.inf disables noise.
-    """
-
-    frequency: float
-    delay: float
-    duration: float
-    snr_db: float
-
-    def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
 
 
 def phase_noise_std(snr_db: float) -> float:
@@ -54,42 +28,6 @@ def phase_noise_std(snr_db: float) -> float:
     if math.isinf(snr_db) and snr_db > 0:
         return 0.0
     return 1.0 / math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
-
-
-def _observed_samples(obs: SinusoidObservation, t: np.ndarray, rng) -> np.ndarray:
-    clean = np.exp(1j * obs.frequency * (t - obs.delay))
-    if math.isinf(obs.snr_db) and obs.snr_db > 0:
-        return clean
-    noise_power = 10.0 ** (-obs.snr_db / 10.0)
-    scale = math.sqrt(noise_power / 2.0)
-    noise = scale * (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size))
-    return clean + noise
-
-
-def cross_correlation_phase(
-    obs_i: SinusoidObservation,
-    obs_j: SinusoidObservation,
-    rng,
-    n_samples: int = 4096,
-) -> float:
-    """Phase of the time-averaged cross-correlation of two noisy records.
-
-    Simulates both records over the shared window and returns the argument
-    of mean(conj(s_i) * s_j), wrapped to [0, 2*pi). Without noise this is
-    exactly (frequency * (delay_i - delay_j)) mod 2*pi; with noise it is
-    asymptotically unbiased as the window grows.
-    """
-    if obs_i.frequency != obs_j.frequency:
-        raise ValueError("records must share one frequency")
-    if obs_i.duration != obs_j.duration:
-        raise ValueError("records must share one observation window")
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    t = np.arange(n_samples) * (obs_i.duration / n_samples)
-    s_i = _observed_samples(obs_i, t, rng)
-    s_j = _observed_samples(obs_j, t, rng)
-    corr = np.mean(np.conj(s_i) * s_j)
-    return float(np.angle(corr) % TWO_PI)
 
 
 def simulate_phase_remainders(
@@ -170,23 +108,3 @@ def simulate_tdoa_measurements(
         values=np.asarray(values, dtype=float),
         variances=np.full(clean.size, var),
     )
-
-
-def dump_measurements_csv(
-    meas: MeasurementSet, topology: NetworkTopology, path, trial: int = 0
-) -> None:
-    """Write measurements as rows of trial,i,j,value,sigma.
-
-    i is the global sensor id head_idx * sensors_per_head + sensor_idx,
-    j the reference head id.
-    """
-    m = topology.sensors_per_head
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "i", "j", "value", "sigma"])
-        for h, s, value, var in zip(
-            meas.head_idx, meas.sensor_idx, meas.values, meas.variances
-        ):
-            writer.writerow(
-                [trial, h * m + s, h, f"{value:.9g}", f"{math.sqrt(var):.9g}"]
-            )

@@ -88,26 +88,25 @@ def diffusion_audit(operating_point):
         meas = simulate_tdoa_measurements(topo, src, 1.0, rng)
         weights = build_selection_weights(topo)
         opts = WlsOptions(init=deployment_center(topo))
-        estimates = np.full((n, 2), np.nan)
-        operators = np.full((n, 2, meas.size), np.nan)
-        active = np.zeros(n, dtype=bool)
+        fits = []
         for k in range(n):
             try:
-                est = local_wls(k, meas, weights, topo, opts)
+                fits.append(local_wls(k, meas, weights, topo, opts))
             except EstimationError:
                 continue
-            estimates[k] = est.position
-            operators[k] = est.operator
-            active[k] = True
-        assert active.any()
-        outside = np.ones((n, n), dtype=bool)
-        for k in range(n):
-            outside[topo.neighborhood(k), k] = False
+        assert fits
+        # diffuse over the fitted heads' sub-network, as the benchmark does
+        keep = [est.head for est in fits]
+        sub = NetworkTopology(
+            heads=topo.heads[keep],
+            sensors=topo.sensors[keep],
+            adjacency=topo.adjacency[np.ix_(keep, keep)],
+        )
+        estimates = np.array([est.position for est in fits])
+        operators = np.array([est.operator for est in fits])
+        outside = ~sub.neighborhoods
         for scheme in ("con", "wei", "opt"):
-            envelope = {
-                "lo": estimates[active].min(axis=0),
-                "hi": estimates[active].max(axis=0),
-            }
+            envelope = {"lo": estimates.min(axis=0), "hi": estimates.max(axis=0)}
 
             def watch(epoch, est, coeffs, max_step):
                 sums = coeffs.sum(axis=0)
@@ -116,8 +115,8 @@ def diffusion_audit(operating_point):
                 )
                 audit["coeff_min"] = min(audit["coeff_min"], float(coeffs.min()))
                 audit["support_leaks"] += int(np.count_nonzero(coeffs[outside]))
-                new_lo = est[active].min(axis=0)
-                new_hi = est[active].max(axis=0)
+                new_lo = est.min(axis=0)
+                new_hi = est.max(axis=0)
                 audit["envelope_growth"] = max(
                     audit["envelope_growth"],
                     float((envelope["lo"] - new_lo).max()),
@@ -130,13 +129,12 @@ def diffusion_audit(operating_point):
                 scheme,
                 1e-4,
                 500,
-                topo,
+                sub,
                 variances=meas.variances,
                 decay_scale=1.0,
-                active=active,
                 on_epoch=watch,
             )
-            offsets = final.estimates[active] - src
+            offsets = final.estimates - src
             audit["sq_errors"][scheme].append(
                 float(np.mean(np.sum(offsets**2, axis=1)))
             )
@@ -358,11 +356,11 @@ def test_criterion_07_qp_against_grid_search():
     for _ in range(50):
         root = rng.normal(size=(3, 3))
         q = root @ root.T + 0.1 * np.eye(3)
-        w = optimal_weights(q, 0, topo)
+        w = optimal_weights(q, topo)[:, 0]
         values = np.einsum("si,ij,sj->s", lattice, q, lattice)
         best = lattice[np.argmin(values)]
         worst_gap = max(worst_gap, float(np.abs(w - best).max()))
-        w_con = connectivity_weights(topo, 0)
+        w_con = connectivity_weights(topo)[:, 0]
         all_better &= bool(w @ q @ w <= w_con @ q @ w_con + 1e-12)
     elapsed = time.perf_counter() - start
     passed = worst_gap <= 1e-3 and all_better and elapsed < 10.0

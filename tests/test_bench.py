@@ -1,12 +1,14 @@
 """Experiment harness: configs, sweeps, CSV artifacts, CLI."""
 
+import hashlib
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from locbench import cli
+from locbench import bench, cli
 from locbench.bench import (
     LocalizationExperiment,
     MetricsRecord,
@@ -19,6 +21,7 @@ from locbench.bench import (
     run_localization_experiment,
     run_ranging_experiment,
 )
+from locbench.estimators import EstimationError
 
 RANGING_CFG = """\
 # reconstruction sweep
@@ -225,6 +228,28 @@ class TestLocalizationRuns:
         (rec,) = run_localization_experiment(cfg)
         assert rec.cpu_time is not None and rec.cpu_time > 0.0
 
+    @pytest.mark.parametrize("scheme", ["con", "wei", "opt"])
+    def test_failed_local_fit_is_left_out(self, monkeypatch, scheme):
+        # diffusion runs on the sub-network of the heads whose fit succeeded
+        failed_head = 5
+        real_local_wls = bench.local_wls
+
+        def local_wls(k, *args):
+            if k == failed_head:
+                raise EstimationError(f"head {k}: forced failure")
+            return real_local_wls(k, *args)
+
+        monkeypatch.setattr(bench, "local_wls", local_wls)
+        cfg = LocalizationExperiment(
+            n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
+            source=(60.0, 70.0), runs=2, schemes=(scheme,), seed=10,
+        )
+        rows = []
+        (rec,) = run_localization_experiment(cfg, lambda *row: rows.append(row))
+        assert np.isfinite(rec.rmse)
+        assert rec.fail_count == 0
+        assert {row[2] for row in rows} == set(range(16)) - {failed_head}
+
 
 class TestEmitCsv:
     def test_empty_records_write_header_only(self, tmp_path):
@@ -303,6 +328,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_epsilon_exits_two(self, tmp_path, capsys, value):
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(LOCALIZE_CFG + f"epsilon = {value}\n")
+        out = tmp_path / "out.csv"
+        code = cli.main(["localize", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "epsilon" in err
+        assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "r.cfg"
         cfg.write_text(RANGING_CFG)
@@ -318,3 +355,44 @@ class TestCli:
         ).returncode == 0
         assert out_a.read_bytes() == out_b.read_bytes()  # config seed is 3
         assert out_a.read_bytes() != out_c.read_bytes()
+
+
+def csv_digest(records, tmp_path):
+    out = tmp_path / "out.csv"
+    emit_csv(records, out)
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestReplayDigests:
+    """Small sweeps pinned to the bytes of their CSVs.
+
+    A change that moves any byte of these files changes behaviour and has
+    to say so; the digests are updated only together with such a note.
+    """
+
+    def test_decay_scale_sweep(self, tmp_path, caplog):
+        # decay_scale 0.01 strands far-off heads and takes the median-weight
+        # underflow fallback
+        cfg = LocalizationExperiment(
+            n_heads=16, sensors_per_head=10, noise_std=1.0,
+            decay_scale=(0.01, 1.0, 100.0), source=(60.0, 70.0), runs=3,
+            schemes=("global", "con", "wei", "opt", "local"), seed=1,
+        )
+        with caplog.at_level(logging.WARNING, logger="locbench"):
+            records = run_localization_experiment(cfg)
+        assert any(
+            r.getMessage().startswith("median weights underflowed")
+            for r in caplog.records
+        )
+        assert csv_digest(records, tmp_path) == (
+            "819091d83dff58df3ef2de4a1aedd211c6c028f9defb1b832aba2aa5665b32fd"
+        )
+
+    def test_ranging_sweep(self, tmp_path):
+        cfg = RangingExperiment(
+            common_factor=80.0, coprime_factors=(15, 16, 17),
+            snr_grid_db=(10.0, 20.0), trials_per_point=200, seed=1,
+        )
+        assert csv_digest(run_ranging_experiment(cfg), tmp_path) == (
+            "57cb1c5067de93e654053041f288b9ae8c9c3e6accf6320a7e1f5b9b81c171b9"
+        )

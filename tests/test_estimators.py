@@ -118,7 +118,13 @@ class TestSelectionWeights:
         topo = build_grid_network(16, seed=3)
         weights = build_selection_weights(topo)
         assert np.allclose(weights.head_matrix.sum(axis=0), 1.0)
-        assert np.allclose(weights.matrix.sum(axis=0), 1.0)
+        head_idx, _ = topo.measurement_pairs()
+        for k in range(16):
+            column = weights.column(k)
+            assert column.sum() == pytest.approx(1.0)
+            # a measurement carries its owning head's entry split over the
+            # head's sensors
+            assert np.array_equal(column, weights.head_matrix[head_idx, k] / 10)
 
     def test_metropolis_values_on_grid(self):
         # corner head 0 (degree 3) with edge neighbors 1 and 4 (degree 4):
@@ -161,11 +167,10 @@ class TestLocalWls:
     def test_starved_neighborhood_is_an_error(self):
         topo = build_grid_network(4, sensors_per_head=2, seed=1)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
-        matrix = np.zeros((8, 4))
-        matrix[0, 0] = 1.0  # a single usable measurement for head 0
         head_matrix = np.zeros((4, 4))
-        head_matrix[0, 0] = 1.0
-        starved = SelectionWeights(head_matrix=head_matrix, matrix=matrix)
+        head_matrix[0, 0] = 1.0  # head 0 may use only its own 2 measurements
+        starved = SelectionWeights(head_matrix=head_matrix, sensors_per_head=2)
+        assert np.count_nonzero(starved.column(0)) == 2
         with pytest.raises(EstimationError):
             local_wls(0, meas, starved, topo, WlsOptions(init=deployment_center(topo)))
 

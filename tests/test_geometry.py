@@ -9,7 +9,6 @@ from locbench.geometry import (
     build_grid_network,
     deployment_center,
     distance,
-    dump_topology_csv,
     true_range_difference,
 )
 
@@ -121,14 +120,3 @@ def test_topology_validation_rejects_asymmetric_adjacency():
     adj = np.array([[False, True], [False, False]])
     with pytest.raises(ValueError):
         NetworkTopology(heads=heads, sensors=sensors, adjacency=adj)
-
-
-def test_dump_topology_csv_layout(tmp_path):
-    topo = build_grid_network(4, sensors_per_head=2, seed=0)
-    out = tmp_path / "topo.csv"
-    dump_topology_csv(topo, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "kind,head_id,sensor_id,x1,x2"
-    # 4 head rows + 8 sensor rows
-    assert len(lines) == 1 + 4 + 8
-    assert lines[1].startswith("head,0,,")

@@ -15,7 +15,6 @@ from locbench.rcrt import (
     WavelengthSet,
     build_candidate_set,
     make_wavelength_set,
-    phase_to_remainder,
     reconstruct_batch,
     remainders_of,
     robust_crt_reconstruct,
@@ -77,14 +76,6 @@ class TestRemaindersOf:
             assert np.all(rem.remainders < WS.wavelengths)
             # fold is exact: quotient * wavelength + remainder == dividend
             assert np.allclose(rem.quotients * WS.wavelengths + rem.remainders, r)
-
-
-def test_phase_to_remainder_scales_by_wavelength():
-    assert phase_to_remainder(1.5 * np.pi, 1360.0) == pytest.approx(1020.0)
-    with pytest.raises(ValueError):
-        phase_to_remainder(2.0 * np.pi, 1360.0)
-    with pytest.raises(ValueError):
-        phase_to_remainder(1.0, 0.0)
 
 
 def quotient_bounds(ws):

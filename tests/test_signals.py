@@ -9,9 +9,6 @@ from locbench.geometry import build_grid_network, true_range_difference
 from locbench.rcrt import make_wavelength_set, remainders_of, robust_crt_reconstruct
 from locbench.signals import (
     MeasurementSet,
-    SinusoidObservation,
-    cross_correlation_phase,
-    dump_measurements_csv,
     phase_noise_std,
     simulate_phase_remainders,
     simulate_tdoa_measurements,
@@ -29,43 +26,6 @@ class TestPhaseNoiseStd:
     def test_monotone_decreasing_in_snr(self):
         grid = [phase_noise_std(s) for s in (-10.0, 0.0, 10.0, 20.0, 30.0)]
         assert all(a > b for a, b in zip(grid, grid[1:]))
-
-
-class TestCrossCorrelationPhase:
-    def test_noiseless_phase_is_delay_difference(self):
-        rng = np.random.default_rng(0)
-        obs_i = SinusoidObservation(
-            frequency=2.0 * math.pi * 5.0, delay=0.30, duration=8.0, snr_db=math.inf
-        )
-        obs_j = SinusoidObservation(
-            frequency=2.0 * math.pi * 5.0, delay=0.05, duration=8.0, snr_db=math.inf
-        )
-        phase = cross_correlation_phase(obs_i, obs_j, rng)
-        expected = (obs_i.frequency * (obs_i.delay - obs_j.delay)) % (2.0 * math.pi)
-        assert phase == pytest.approx(expected, abs=1e-9)
-
-    def test_noisy_phase_concentrates_with_samples(self):
-        rng = np.random.default_rng(3)
-        obs_i = SinusoidObservation(
-            frequency=2.0 * math.pi * 3.0, delay=0.20, duration=4.0, snr_db=10.0
-        )
-        obs_j = SinusoidObservation(
-            frequency=2.0 * math.pi * 3.0, delay=0.02, duration=4.0, snr_db=10.0
-        )
-        expected = (obs_i.frequency * 0.18) % (2.0 * math.pi)
-        errors = []
-        for _ in range(50):
-            phase = cross_correlation_phase(obs_i, obs_j, rng, n_samples=8192)
-            diff = (phase - expected + math.pi) % (2.0 * math.pi) - math.pi
-            errors.append(diff)
-        # averaging 8192 samples shrinks the phase error well below sigma_phi
-        assert np.abs(errors).max() < phase_noise_std(10.0)
-
-    def test_mismatched_records_rejected(self):
-        a = SinusoidObservation(frequency=1.0, delay=0.0, duration=1.0, snr_db=10.0)
-        b = SinusoidObservation(frequency=2.0, delay=0.0, duration=1.0, snr_db=10.0)
-        with pytest.raises(ValueError):
-            cross_correlation_phase(a, b, np.random.default_rng(0))
 
 
 class TestSimulatePhaseRemainders:
@@ -141,14 +101,3 @@ class TestTdoaMeasurements:
                 values=np.array([1.0]),
                 variances=np.array([0.0]),
             )
-
-
-def test_dump_measurements_csv(tmp_path):
-    topo = build_grid_network(4, sensors_per_head=2, seed=1)
-    meas = simulate_tdoa_measurements(topo, (10.0, 20.0), 1.0, np.random.default_rng(3))
-    out = tmp_path / "meas.csv"
-    dump_measurements_csv(meas, topo, out, trial=7)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 8
-    assert lines[0].startswith("trial,")
-    assert lines[1].startswith("7,")
