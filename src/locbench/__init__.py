@@ -19,7 +19,6 @@ from .estimators import (
     EstimationError,
     LocalEstimate,
     SelectionWeights,
-    WlsOptions,
     build_selection_weights,
     crlb,
     global_wls,
@@ -34,15 +33,10 @@ from .geometry import (
     true_range_difference,
 )
 from .rcrt import (
-    AmbiguityError,
-    QuotientSearch,
-    RemainderVector,
     WavelengthSet,
-    build_candidate_set,
     make_wavelength_set,
     reconstruct_batch,
     remainders_of,
-    robust_crt_reconstruct,
 )
 from .signals import (
     MeasurementSet,
@@ -54,18 +48,13 @@ from .signals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError",
     "DiffusionState",
     "EstimationError",
     "LocalEstimate",
     "MeasurementSet",
     "NetworkTopology",
-    "QuotientSearch",
-    "RemainderVector",
     "SelectionWeights",
     "WavelengthSet",
-    "WlsOptions",
-    "build_candidate_set",
     "build_grid_network",
     "build_q_matrix",
     "build_selection_weights",
@@ -83,7 +72,6 @@ __all__ = [
     "reconstruct_batch",
     "remainders_of",
     "residual_and_jacobian",
-    "robust_crt_reconstruct",
     "simulate_phase_remainders",
     "simulate_tdoa_measurements",
     "true_range_difference",

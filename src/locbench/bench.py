@@ -21,7 +21,6 @@ from .diffusion import DiffusionState, diffuse
 from .estimators import (
     EstimationError,
     LocalEstimate,
-    WlsOptions,
     build_selection_weights,
     crlb,
     global_wls,
@@ -153,6 +152,18 @@ class LocalizationExperiment:
             for v in values if isinstance(values, tuple) else (values,):
                 if not admits(v):
                     raise ValueError(f"{name} must be {rule}, got {v}")
+        if not all(math.isfinite(c) for c in self.source):
+            raise ValueError(f"source must be finite, got {self.source}")
+        # squared distances to every node must stay finite: sensors lie
+        # within PLACEMENT_RADIUS of the largest grid's box
+        heads = self.n_heads if isinstance(self.n_heads, tuple) else (self.n_heads,)
+        hi = GRID_SPACING * (math.isqrt(max(heads)) - 1) + PLACEMENT_RADIUS
+        reach = [max(c + PLACEMENT_RADIUS, hi - c) for c in self.source]
+        if not math.isfinite(sum(d * d for d in reach)):
+            raise ValueError(
+                f"source {self.source} is too far from the deployment: "
+                "its squared distance overflows"
+            )
 
     @property
     def sweep_field(self) -> str:
@@ -205,7 +216,7 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
             if r >= ws.max_range:  # float rounding at the upper edge
                 r = float(np.nextafter(ws.max_range, 0.0))
             truths[t_idx] = r
-            noisy[t_idx] = simulate_phase_remainders(r, ws, snr_db, rng).remainders
+            noisy[t_idx] = simulate_phase_remainders(r, ws, snr_db, rng)
         estimates, _, ambiguous = reconstruct_batch(noisy, ws)
         solved = ~ambiguous
         errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range
@@ -257,11 +268,11 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
     )
     meas = simulate_tdoa_measurements(topology, source, sigma, rng)
     weights = build_selection_weights(topology)
-    opts = WlsOptions(init=deployment_center(topology))
+    init = deployment_center(topology)
 
     t0 = time.process_time()
     try:
-        global_pos = global_wls(meas, topology, opts)
+        global_pos = global_wls(meas, topology, init)
     except EstimationError:
         global_pos = None
     global_time = time.process_time() - t0
@@ -270,7 +281,7 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
     t0 = time.process_time()
     for k in range(topology.n_heads):
         try:
-            locals_.append(local_wls(k, meas, weights, topology, opts))
+            locals_.append(local_wls(k, meas, weights, topology, init))
         except EstimationError:
             pass
     local_time = time.process_time() - t0
@@ -374,6 +385,8 @@ def run_localization_experiment(
         "decay_scale": cfg.decay_scale,
     }
     records = []
+    # a decay_scale sweep reuses each run's trial at every sweep value
+    frozen = sweep_name == "decay_scale"
     cache: dict[int, _Trial] = {}
     for s_idx, value in enumerate(cfg.sweep_values):
         params = dict(base)
@@ -384,27 +397,18 @@ def run_localization_experiment(
         fails: dict[str, int] = {s: 0 for s in cfg.schemes}
         crlb_traces = []
         for run in range(cfg.runs):
-            if sweep_name == "decay_scale":
-                trial = cache.get(run)
-                if trial is None:
-                    rng = np.random.default_rng([cfg.seed, run])
-                    trial = _prepare_trial(
-                        params["n_heads"],
-                        params["sensors_per_head"],
-                        params["noise_std"],
-                        source,
-                        rng,
-                    )
-                    cache[run] = trial
-            else:
-                rng = np.random.default_rng([cfg.seed, s_idx, run])
+            trial = cache.get(run)
+            if trial is None:
+                stream = [cfg.seed, run] if frozen else [cfg.seed, s_idx, run]
                 trial = _prepare_trial(
                     params["n_heads"],
                     params["sensors_per_head"],
                     params["noise_std"],
                     source,
-                    rng,
+                    np.random.default_rng(stream),
                 )
+                if frozen:
+                    cache[run] = trial
             crlb_traces.append(trial.crlb_trace)
             for scheme in cfg.schemes:
                 on_epoch = None

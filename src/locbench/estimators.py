@@ -20,7 +20,6 @@ __all__ = [
     "EstimationError",
     "LocalEstimate",
     "SelectionWeights",
-    "WlsOptions",
     "build_selection_weights",
     "crlb",
     "global_wls",
@@ -30,37 +29,19 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# damped Gauss-Newton controls: iteration cap, step length that counts as
+# converged, and the initial additive damping on the normal equations,
+# which grows by 10x whenever a step would increase the weighted cost and
+# shrinks by 10x after every accepted step
+_MAX_ITERS = 50
+_STEP_TOL = 1e-8
+_INITIAL_DAMPING = 1e-6
 # damping growth past this level means the cost cannot be reduced further
 _MAX_DAMPING = 1e12
 
 
 class EstimationError(RuntimeError):
     """Estimation failed: degenerate geometry or singular normal equations."""
-
-
-@dataclass(frozen=True)
-class WlsOptions:
-    """Iteration controls for the damped Gauss-Newton solver.
-
-    init: starting position, usually the deployment-area center.
-    damping: initial additive damping on the normal equations; grows by 10x
-        whenever a step would increase the weighted cost and shrinks by 10x
-        after every accepted step.
-    """
-
-    init: np.ndarray
-    max_iters: int = 50
-    step_tol: float = 1e-8
-    damping: float = 1e-6
-
-    def __post_init__(self):
-        object.__setattr__(self, "init", as_position(self.init))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.step_tol <= 0:
-            raise ValueError("step_tol must be positive")
-        if self.damping < 0:
-            raise ValueError("damping must be non-negative")
 
 
 def _pair_positions(meas: MeasurementSet, topology: NetworkTopology):
@@ -92,7 +73,7 @@ def residual_and_jacobian(x, meas: MeasurementSet, topology: NetworkTopology):
     return meas.values - predicted, jac
 
 
-def _damped_gauss_newton(evaluate, x0: np.ndarray, weights: np.ndarray, opts: WlsOptions):
+def _damped_gauss_newton(evaluate, x0: np.ndarray, weights: np.ndarray):
     """Minimize sum(weights * residual^2); evaluate(x) -> (residuals, jacobian).
 
     Returns (x, converged, cost). Accepted iterations never increase the
@@ -101,9 +82,9 @@ def _damped_gauss_newton(evaluate, x0: np.ndarray, weights: np.ndarray, opts: Wl
     x = np.array(x0, dtype=float)
     res, jac = evaluate(x)
     cost = float(np.dot(weights * res, res))
-    mu = float(opts.damping)
+    mu = _INITIAL_DAMPING
     converged = False
-    for _ in range(opts.max_iters):
+    for _ in range(_MAX_ITERS):
         grad = jac.T @ (weights * res)
         hess = (jac * weights[:, None]).T @ jac
         accepted = False
@@ -125,14 +106,18 @@ def _damped_gauss_newton(evaluate, x0: np.ndarray, weights: np.ndarray, opts: Wl
             break
         x, res, jac, cost = x_new, res_new, jac_new, cost_new
         mu *= 0.1
-        if float(np.linalg.norm(step)) < opts.step_tol:
+        if float(np.linalg.norm(step)) < _STEP_TOL:
             converged = True
             break
     return x, converged, cost
 
 
-def global_wls(meas: MeasurementSet, topology: NetworkTopology, opts: WlsOptions) -> np.ndarray:
-    """Centralized weighted least-squares fit over every measurement."""
+def global_wls(meas: MeasurementSet, topology: NetworkTopology, init) -> np.ndarray:
+    """Centralized weighted least-squares fit over every measurement.
+
+    init is the Gauss-Newton start point, usually the deployment center.
+    """
+    x0 = as_position(init)
     xi, xj = _pair_positions(meas, topology)
 
     def evaluate(x):
@@ -140,7 +125,7 @@ def global_wls(meas: MeasurementSet, topology: NetworkTopology, opts: WlsOptions
         return meas.values - predicted, jac
 
     weights = 1.0 / meas.variances
-    x, converged, _ = _damped_gauss_newton(evaluate, opts.init, weights, opts)
+    x, converged, _ = _damped_gauss_newton(evaluate, x0, weights)
     if not converged:
         logger.warning("global WLS stopped before the step tolerance was met")
     return x
@@ -203,16 +188,18 @@ def local_wls(
     meas: MeasurementSet,
     weights: SelectionWeights,
     topology: NetworkTopology,
-    opts: WlsOptions,
+    init,
 ) -> LocalEstimate:
     """Per-head weighted fit using only the measurements head k can access.
 
     The measurement weights are the selection column scaled by the inverse
     noise variances; measurements outside the neighborhood carry weight
-    zero and do not influence the fit.
+    zero and do not influence the fit. init is the Gauss-Newton start
+    point, as for global_wls.
     """
     if not 0 <= k < topology.n_heads:
         raise ValueError(f"head index {k} out of range")
+    x0 = as_position(init)
     column = weights.column(k)
     combined = column / meas.variances
     if np.count_nonzero(combined) < 3:
@@ -223,7 +210,7 @@ def local_wls(
         predicted, jac = _range_difference_jacobian(x, xi, xj)
         return meas.values - predicted, jac
 
-    x, converged, _ = _damped_gauss_newton(evaluate, opts.init, combined, opts)
+    x, converged, _ = _damped_gauss_newton(evaluate, x0, combined)
     if not converged:
         logger.debug("local WLS for head %d stopped before step tolerance", k)
     _, jac = _range_difference_jacobian(x, xi, xj)

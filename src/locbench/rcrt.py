@@ -7,7 +7,7 @@ Reconstruction searches the folding integers (quotients) by pairing every
 wavelength with the first one, intersects the per-pair candidate sets, and
 averages the unfolded per-wavelength estimates. The search is elementwise
 over the first quotient, so reconstruct_batch runs it over many trials at
-once; robust_crt_reconstruct is its batch-of-one form.
+once; a single trial is a batch of one row.
 
 Robustness guarantee: if every remainder error stays strictly below one
 quarter of the common factor, the quotient search is exact and the averaged
@@ -18,20 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "AmbiguityError",
-    "QuotientSearch",
-    "RemainderVector",
     "WavelengthSet",
-    "build_candidate_set",
     "make_wavelength_set",
     "reconstruct_batch",
     "remainders_of",
-    "robust_crt_reconstruct",
 ]
 
 # groups numerically equal search minima, scaled by the first wavelength
@@ -59,44 +53,6 @@ class WavelengthSet:
     @property
     def size(self) -> int:
         return len(self.coprime_factors)
-
-
-@dataclass(frozen=True)
-class RemainderVector:
-    """Per-wavelength remainders, each in [0, wavelength_k).
-
-    quotients holds the folding integers when they are known (noise-free
-    folding of a known dividend); measured remainders carry None.
-    """
-
-    remainders: np.ndarray
-    quotients: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class QuotientSearch:
-    """Bookkeeping of one quotient search.
-
-    coprime_product: product of all co-prime factors.
-    quotient_bounds: exclusive upper bound for each wavelength's quotient
-        (product of the other factors).
-    candidate_sets: pair index -> set of (first quotient, paired quotient)
-        minimizer pairs.
-    intersection: first-wavelength quotients shared by every candidate set.
-    """
-
-    coprime_product: int
-    quotient_bounds: tuple[int, ...]
-    candidate_sets: dict[int, frozenset[tuple[int, int]]]
-    intersection: frozenset[int]
-
-
-class AmbiguityError(ValueError):
-    """The candidate-set intersection did not isolate a unique quotient."""
-
-    def __init__(self, message: str, search: QuotientSearch):
-        super().__init__(message)
-        self.search = search
 
 
 def make_wavelength_set(common_factor: float, coprime_factors) -> WavelengthSet:
@@ -131,10 +87,13 @@ def make_wavelength_set(common_factor: float, coprime_factors) -> WavelengthSet:
     )
 
 
-def remainders_of(dividend: float, ws: WavelengthSet) -> RemainderVector:
+def remainders_of(dividend: float, ws: WavelengthSet):
     """Fold a known dividend into exact remainders and quotients.
 
-    dividend must lie in [0, max_range); anything else raises ValueError.
+    Returns (remainders, quotients): per-wavelength floats in
+    [0, wavelength_k) and the folding integers, with
+    quotients * wavelengths + remainders == dividend. dividend must lie in
+    [0, max_range); anything else raises ValueError.
     """
     r = float(dividend)
     if not 0.0 <= r < ws.max_range:
@@ -148,7 +107,7 @@ def remainders_of(dividend: float, ws: WavelengthSet) -> RemainderVector:
     high = remainders >= ws.wavelengths
     quotients[high] += 1.0
     remainders[high] -= ws.wavelengths[high]
-    return RemainderVector(remainders=remainders, quotients=quotients.astype(int))
+    return remainders, quotients.astype(int)
 
 
 def _quotient_bounds(factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -174,14 +133,6 @@ class _Scan:
     hit_low: np.ndarray
     hit_high: np.ndarray
     survivors: np.ndarray
-
-    def pairs(self, trial: int, k: int) -> frozenset[tuple[int, int]]:
-        """Candidate (first, paired) quotient pairs of pairing k in one trial."""
-        found = set()
-        for paired, hit in ((self.low, self.hit_low), (self.high, self.hit_high)):
-            first = np.flatnonzero(hit[trial, k - 1])
-            found.update(zip(first.tolist(), paired[trial, k - 1, first].astype(int).tolist()))
-        return frozenset(found)
 
 
 def _scan(rem: np.ndarray, ws: WavelengthSet) -> _Scan:
@@ -244,9 +195,9 @@ def _resolve(scan: _Scan, rem: np.ndarray, ws: WavelengthSet):
     return estimates, quotients, ambiguous
 
 
-def _check_remainders(remainders, ws: WavelengthSet, ndim: int) -> np.ndarray:
+def _check_remainders(remainders, ws: WavelengthSet) -> np.ndarray:
     rem = np.asarray(remainders, dtype=float)
-    if rem.ndim != ndim or rem.shape[-1] != ws.size:
+    if rem.ndim != 2 or rem.shape[1] != ws.size:
         raise ValueError(f"expected {ws.size} remainders per trial, got shape {rem.shape}")
     if not np.all((rem >= 0.0) & (rem < ws.wavelengths)):
         raise ValueError("remainders must lie in [0, wavelength) per wavelength")
@@ -257,9 +208,9 @@ def reconstruct_batch(remainders, ws: WavelengthSet):
     """Recover the dividends behind a batch of noisy remainder vectors.
 
     remainders is a (T, size) array, one trial per row, each entry in
-    [0, wavelength_k). Every trial gets the search of
-    robust_crt_reconstruct, bit for bit; the trials are processed in
-    chunks so that the working memory stays flat in T.
+    [0, wavelength_k); a single trial is a (1, size) batch. Every row gets
+    the same search, bit for bit, whatever T is; the trials are processed
+    in chunks so that the working memory stays flat in T.
 
     Returns:
         (estimates, quotients, ambiguous): estimates (T,) floats,
@@ -269,7 +220,7 @@ def reconstruct_batch(remainders, ws: WavelengthSet):
     Raises:
         ValueError: malformed remainders.
     """
-    rem = _check_remainders(remainders, ws, ndim=2)
+    rem = _check_remainders(remainders, ws)
     per_trial = (ws.size - 1) * _quotient_bounds(ws.coprime_factors)[0]
     step = max(1, _CHUNK_ELEMENTS // per_trial)
     estimates = np.empty(rem.shape[0])
@@ -282,51 +233,3 @@ def reconstruct_batch(remainders, ws: WavelengthSet):
         )
     return estimates, quotients, ambiguous
 
-
-def build_candidate_set(pair_index: int, noisy: RemainderVector, ws: WavelengthSet):
-    """Candidate (first, paired) quotient pairs for one wavelength pairing.
-
-    pair_index selects the wavelength paired with wavelength 0; valid range
-    is 1 .. size-1. Returns the set of minimizer pairs of
-    |b_k*lam_k + r_k - b_0*lam_0 - r_0| over the quotient rectangle, with
-    ties grouped by an absolute tolerance of TIE_TOLERANCE_REL * lam_0.
-    """
-    if not 1 <= pair_index < ws.size:
-        raise ValueError(f"pair_index must be in [1, {ws.size}), got {pair_index}")
-    rem = _check_remainders(noisy.remainders, ws, ndim=1)
-    return _scan(rem[None], ws).pairs(0, pair_index)
-
-
-def robust_crt_reconstruct(noisy: RemainderVector, ws: WavelengthSet):
-    """Recover the dividend behind a vector of noisy remainders.
-
-    Runs the search of reconstruct_batch on one trial and also reports
-    it: one candidate set per wavelength pairing and the intersection of
-    their first-wavelength quotients, which must be a singleton. The
-    returned estimate is the average of the per-wavelength unfolded
-    estimates b_k*lam_k + r_k.
-
-    Returns:
-        (estimate, quotients, search) where quotients is the recovered
-        folding-integer vector and search records the candidate sets.
-
-    Raises:
-        AmbiguityError: the intersection is empty or has several quotients.
-            The exception carries the QuotientSearch for inspection.
-        ValueError: malformed remainders.
-    """
-    rem = _check_remainders(noisy.remainders, ws, ndim=1)[None]
-    scan = _scan(rem, ws)
-    search = QuotientSearch(
-        coprime_product=math.prod(ws.coprime_factors),
-        quotient_bounds=_quotient_bounds(ws.coprime_factors),
-        candidate_sets={k: scan.pairs(0, k) for k in range(1, ws.size)},
-        intersection=frozenset(np.flatnonzero(scan.survivors[0]).tolist()),
-    )
-    estimates, quotients, ambiguous = _resolve(scan, rem, ws)
-    if ambiguous[0]:
-        raise AmbiguityError(
-            f"quotient search returned {len(search.intersection)} candidates, need exactly 1",
-            search,
-        )
-    return float(estimates[0]), quotients[0], search

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import NetworkTopology, as_position
-from .rcrt import RemainderVector, WavelengthSet, remainders_of
+from .rcrt import WavelengthSet, remainders_of
 
 __all__ = [
     "MeasurementSet",
@@ -32,24 +32,25 @@ def phase_noise_std(snr_db: float) -> float:
 
 def simulate_phase_remainders(
     r_true: float, ws: WavelengthSet, snr_db: float, rng
-) -> RemainderVector:
+) -> np.ndarray:
     """Fold a dividend and perturb each remainder with phase noise.
 
     Each wavelength contributes Gaussian phase noise of standard deviation
     phase_noise_std(snr_db); the remainder error is the phase error scaled
     by wavelength / (2*pi). Noisy remainders are wrapped back into
-    [0, wavelength), the way a wrapped phase reading would arrive.
+    [0, wavelength), the way a wrapped phase reading would arrive. Returns
+    the (size,) remainder array.
     """
-    exact = remainders_of(r_true, ws)
+    exact, _ = remainders_of(r_true, ws)
     sigma_phi = phase_noise_std(snr_db)
     if sigma_phi == 0.0:
-        return RemainderVector(remainders=exact.remainders.copy())
+        return exact
     shift = ws.wavelengths / TWO_PI * rng.normal(0.0, sigma_phi, size=ws.size)
-    noisy = np.mod(exact.remainders + shift, ws.wavelengths)
+    noisy = np.mod(exact + shift, ws.wavelengths)
     # mod can round a tiny negative input up to the modulus itself
     hit = noisy >= ws.wavelengths
     noisy[hit] -= ws.wavelengths[hit]
-    return RemainderVector(remainders=noisy)
+    return noisy
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,12 @@ from locbench.bench import (
 from locbench.diffusion import DiffusionState, connectivity_weights, diffuse, optimal_weights
 from locbench.estimators import (
     EstimationError,
-    WlsOptions,
     build_selection_weights,
     local_wls,
     residual_and_jacobian,
 )
 from locbench.geometry import NetworkTopology, build_grid_network, deployment_center
-from locbench.rcrt import (
-    RemainderVector,
-    make_wavelength_set,
-    remainders_of,
-    robust_crt_reconstruct,
-)
+from locbench.rcrt import make_wavelength_set, reconstruct_batch, remainders_of
 from locbench.signals import simulate_tdoa_measurements
 
 from conftest import record_criterion
@@ -87,11 +81,11 @@ def diffusion_audit(operating_point):
         topo = build_grid_network(n, 50.0, 10, 10.0, 55.0, seed=rng)
         meas = simulate_tdoa_measurements(topo, src, 1.0, rng)
         weights = build_selection_weights(topo)
-        opts = WlsOptions(init=deployment_center(topo))
+        init = deployment_center(topo)
         fits = []
         for k in range(n):
             try:
-                fits.append(local_wls(k, meas, weights, topo, opts))
+                fits.append(local_wls(k, meas, weights, topo, init))
             except EstimationError:
                 continue
         assert fits
@@ -151,21 +145,20 @@ def test_criterion_01_reconstruction_robustness():
     upsilon = 19.9  # strictly below common_factor / 4 = 20
     n = 1000
     start = time.perf_counter()
-    exact_quotients = 0
-    worst = 0.0
-    for _ in range(n):
-        r = rng.uniform(0.0, ws.max_range)
-        noise = rng.uniform(-upsilon, upsilon, size=3)
-        folded = remainders_of(r, ws)
-        wrapped = np.mod(folded.remainders + noise, ws.wavelengths)
-        estimate, quotients, _ = robust_crt_reconstruct(
-            RemainderVector(remainders=wrapped), ws
-        )
-        # recovered quotients must unfold every remainder back to r + e_k
-        unfolded = quotients * ws.wavelengths + wrapped
-        if np.allclose(unfolded, r + noise, atol=1e-6):
-            exact_quotients += 1
-        worst = max(worst, abs(estimate - r))
+    truths = np.empty(n)
+    noises = np.empty((n, 3))
+    wrapped = np.empty((n, 3))
+    for i in range(n):
+        truths[i] = rng.uniform(0.0, ws.max_range)
+        noises[i] = rng.uniform(-upsilon, upsilon, size=3)
+        folded, _ = remainders_of(truths[i], ws)
+        wrapped[i] = np.mod(folded + noises[i], ws.wavelengths)
+    estimates, quotients, _ = reconstruct_batch(wrapped, ws)
+    # recovered quotients must unfold every remainder back to r + e_k
+    unfolded = quotients * ws.wavelengths + wrapped
+    exact = np.isclose(unfolded, truths[:, None] + noises, atol=1e-6)
+    exact_quotients = int(np.count_nonzero(exact.all(axis=1)))
+    worst = float(np.max(np.abs(estimates - truths)))
     elapsed = time.perf_counter() - start
     passed = exact_quotients == n and worst <= upsilon and elapsed < 30.0
     record_criterion(
@@ -184,11 +177,13 @@ def test_criterion_02_noiseless_round_trip():
     rng = np.random.default_rng(102)
     n = 10_000
     start = time.perf_counter()
-    worst_rel = 0.0
-    for _ in range(n):
-        r = rng.uniform(1e-6, ws.max_range)
-        estimate, _, _ = robust_crt_reconstruct(remainders_of(r, ws), ws)
-        worst_rel = max(worst_rel, abs(estimate - r) / r)
+    truths = np.empty(n)
+    rows = np.empty((n, 3))
+    for i in range(n):
+        truths[i] = rng.uniform(1e-6, ws.max_range)
+        rows[i], _ = remainders_of(truths[i], ws)
+    estimates, _, _ = reconstruct_batch(rows, ws)
+    worst_rel = float(np.max(np.abs(estimates - truths) / truths))
     elapsed = time.perf_counter() - start
     passed = worst_rel < 1e-9 and elapsed < 10.0
     record_criterion(

@@ -328,6 +328,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["1e300, 70", "1e200, 70"])
+    def test_far_source_exits_two_at_load(self, tmp_path, source):
+        # squared distances to the nodes would overflow; numpy must not get
+        # to print its overflow warnings before the error line
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(LOCALIZE_CFG.replace("source = 60, 70", f"source = {source}"))
+        out = tmp_path / "out.csv"
+        proc = run_cli(["localize", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "too far" in proc.stderr
+        assert not out.exists()
+
+    def test_distant_source_still_runs(self, tmp_path):
+        cfg = tmp_path / "distant.cfg"
+        cfg.write_text(LOCALIZE_CFG.replace("source = 60, 70", "source = 1e9, 70"))
+        out = tmp_path / "out.csv"
+        assert cli.main(["localize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_epsilon_exits_two(self, tmp_path, capsys, value):
         cfg = tmp_path / "eps.cfg"

@@ -6,7 +6,6 @@ import pytest
 from locbench.estimators import (
     EstimationError,
     SelectionWeights,
-    WlsOptions,
     build_selection_weights,
     crlb,
     global_wls,
@@ -65,8 +64,8 @@ class TestGlobalWls:
     def test_exact_recovery_without_noise(self):
         topo = build_grid_network(16, seed=4)
         meas = simulate_tdoa_measurements(topo, SOURCE, 0.0, np.random.default_rng(0))
-        opts = WlsOptions(init=deployment_center(topo))
-        est = global_wls(meas, topo, opts)
+        init = deployment_center(topo)
+        est = global_wls(meas, topo, init)
         assert np.linalg.norm(est - SOURCE) < 1e-8
 
     def test_noisy_estimate_beats_grid_refinement(self):
@@ -74,8 +73,8 @@ class TestGlobalWls:
         # the best point of a fine grid centered on the solution
         topo = build_grid_network(16, seed=6)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(6))
-        opts = WlsOptions(init=deployment_center(topo))
-        est = global_wls(meas, topo, opts)
+        init = deployment_center(topo)
+        est = global_wls(meas, topo, init)
 
         def cost(p):
             res, _ = residual_and_jacobian(p, meas, topo)
@@ -94,7 +93,7 @@ class TestGlobalWls:
         for _ in range(30):
             topo = build_grid_network(16, seed=rng)
             meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-            est = global_wls(meas, topo, WlsOptions(init=deployment_center(topo)))
+            est = global_wls(meas, topo, deployment_center(topo))
             errors.append(np.linalg.norm(est - SOURCE))
         # CRLB-level accuracy is about 1.8 m at this operating point
         assert np.mean(errors) < 3.0
@@ -107,7 +106,7 @@ class TestGlobalWls:
         sq = []
         for _ in range(400):
             meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-            est = global_wls(meas, topo, WlsOptions(init=deployment_center(topo)))
+            est = global_wls(meas, topo, deployment_center(topo))
             sq.append(np.sum((est - SOURCE) ** 2))
         bound = np.trace(crlb(topo, SOURCE, meas.variances))
         assert np.mean(sq) == pytest.approx(bound, rel=0.15)
@@ -150,9 +149,9 @@ class TestLocalWls:
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         weights = build_selection_weights(topo)
-        opts = WlsOptions(init=deployment_center(topo))
+        init = deployment_center(topo)
         for k in (0, 5, 15):
-            est = local_wls(k, meas, weights, topo, opts)
+            est = local_wls(k, meas, weights, topo, init)
             _, jac = residual_and_jacobian(est.position, meas, topo)
             assert np.allclose(est.operator @ jac, np.eye(2), atol=1e-8)
 
@@ -160,7 +159,7 @@ class TestLocalWls:
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         weights = build_selection_weights(topo)
-        est = local_wls(0, meas, weights, topo, WlsOptions(init=deployment_center(topo)))
+        est = local_wls(0, meas, weights, topo, deployment_center(topo))
         outside = np.isin(meas.head_idx, topo.neighborhood(0), invert=True)
         assert np.all(est.operator[:, outside] == 0.0)
 
@@ -172,7 +171,16 @@ class TestLocalWls:
         starved = SelectionWeights(head_matrix=head_matrix, sensors_per_head=2)
         assert np.count_nonzero(starved.column(0)) == 2
         with pytest.raises(EstimationError):
-            local_wls(0, meas, starved, topo, WlsOptions(init=deployment_center(topo)))
+            local_wls(0, meas, starved, topo, deployment_center(topo))
+
+    @pytest.mark.parametrize("init", [(np.nan, 0.0), (0.0, np.inf), (1.0, 2.0, 3.0)])
+    def test_start_point_must_be_a_finite_position(self, init):
+        topo = build_grid_network(16, seed=5)
+        meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
+        with pytest.raises(ValueError):
+            global_wls(meas, topo, init)
+        with pytest.raises(ValueError):
+            local_wls(0, meas, build_selection_weights(topo), topo, init)
 
 
 class TestCrlb:

@@ -9,15 +9,10 @@ from hypothesis import strategies as st
 
 from locbench import rcrt
 from locbench.rcrt import (
-    AmbiguityError,
-    RemainderVector,
     TIE_TOLERANCE_REL,
-    WavelengthSet,
-    build_candidate_set,
     make_wavelength_set,
     reconstruct_batch,
     remainders_of,
-    robust_crt_reconstruct,
 )
 
 WS = make_wavelength_set(80.0, (15, 16, 17))
@@ -52,14 +47,14 @@ class TestWavelengthSet:
 
 class TestRemaindersOf:
     def test_hand_worked_fold(self):
-        rem = remainders_of(5000.0, WS)
-        assert rem.quotients.tolist() == [4, 3, 3]
-        assert np.allclose(rem.remainders, (200.0, 1160.0, 920.0))
+        rem, quotients = remainders_of(5000.0, WS)
+        assert quotients.tolist() == [4, 3, 3]
+        assert np.allclose(rem, (200.0, 1160.0, 920.0))
 
     def test_near_top_of_range(self):
-        rem = remainders_of(325200.0, WS)
-        assert rem.quotients.tolist() == [271, 254, 239]
-        assert np.allclose(rem.remainders, (0.0, 80.0, 160.0))
+        rem, quotients = remainders_of(325200.0, WS)
+        assert quotients.tolist() == [271, 254, 239]
+        assert np.allclose(rem, (0.0, 80.0, 160.0))
 
     def test_rejects_out_of_range_dividend(self):
         with pytest.raises(ValueError):
@@ -71,11 +66,11 @@ class TestRemaindersOf:
         rng = np.random.default_rng(0)
         for _ in range(200):
             r = rng.uniform(0.0, WS.max_range)
-            rem = remainders_of(r, WS)
-            assert np.all(rem.remainders >= 0.0)
-            assert np.all(rem.remainders < WS.wavelengths)
+            rem, quotients = remainders_of(r, WS)
+            assert np.all(rem >= 0.0)
+            assert np.all(rem < WS.wavelengths)
             # fold is exact: quotient * wavelength + remainder == dividend
-            assert np.allclose(rem.quotients * WS.wavelengths + rem.remainders, r)
+            assert np.allclose(quotients * WS.wavelengths + rem, r)
 
 
 def quotient_bounds(ws):
@@ -83,20 +78,45 @@ def quotient_bounds(ws):
     return [total // f for f in ws.coprime_factors]
 
 
-def brute_force_candidates(pair_index, noisy, ws):
+def brute_force_candidates(pair_index, rem, ws):
     """Literal scan of the full quotient rectangle for one pairing."""
-    r = noisy.remainders
     lam = ws.wavelengths
     bounds = quotient_bounds(ws)
     best = np.inf
     cells = {}
     for b0 in range(bounds[0]):
         for bk in range(bounds[pair_index]):
-            val = abs(bk * lam[pair_index] + r[pair_index] - b0 * lam[0] - r[0])
+            val = abs(bk * lam[pair_index] + rem[pair_index] - b0 * lam[0] - rem[0])
             cells[(b0, bk)] = val
             best = min(best, val)
     tol = TIE_TOLERANCE_REL * lam[0]
     return {pair for pair, val in cells.items() if val <= best + tol}
+
+
+def scan_one(rem, ws):
+    """The batch kernel's scan of a single remainder vector."""
+    return rcrt._scan(np.asarray(rem, dtype=float)[None], ws)
+
+
+def kernel_candidates(pair_index, rem, ws):
+    """(first, paired) quotient pairs the kernel's hit masks mark for one pairing."""
+    scan = scan_one(rem, ws)
+    found = set()
+    for paired, hit in ((scan.low, scan.hit_low), (scan.high, scan.hit_high)):
+        first = np.flatnonzero(hit[0, pair_index - 1])
+        found.update(zip(first.tolist(), paired[0, pair_index - 1, first].astype(int).tolist()))
+    return found
+
+
+def surviving_quotients(rem, ws):
+    """First quotients that every pairing's candidate set shares."""
+    return set(np.flatnonzero(scan_one(rem, ws).survivors[0]).tolist())
+
+
+def reconstruct_one(rem, ws):
+    """(estimate, quotients, ambiguous) of one remainder vector, a batch of one."""
+    (estimate,), (quotients,), (ambiguous,) = reconstruct_batch(np.asarray(rem)[None], ws)
+    return estimate, quotients, ambiguous
 
 
 class TestCandidateSets:
@@ -106,11 +126,10 @@ class TestCandidateSets:
         for _ in range(60):
             r = rng.uniform(0.0, ws.max_range)
             noise = rng.uniform(-1.7, 1.7, size=3)  # inside B/4 = 1.75
-            noisy = np.mod(remainders_of(r, ws).remainders + noise, ws.wavelengths)
-            vec = RemainderVector(remainders=noisy)
+            noisy = np.mod(remainders_of(r, ws)[0] + noise, ws.wavelengths)
             for pair_index in (1, 2):
-                fast = build_candidate_set(pair_index, vec, ws)
-                assert fast == brute_force_candidates(pair_index, vec, ws)
+                fast = kernel_candidates(pair_index, noisy, ws)
+                assert fast == brute_force_candidates(pair_index, noisy, ws)
 
     def test_matches_brute_force_under_heavy_noise(self):
         # ambiguous regimes must agree too, ties included
@@ -118,43 +137,42 @@ class TestCandidateSets:
         rng = np.random.default_rng(7)
         for _ in range(40):
             noisy = rng.uniform(0.0, ws.wavelengths)
-            vec = RemainderVector(remainders=noisy)
             for pair_index in (1, 2):
-                fast = build_candidate_set(pair_index, vec, ws)
-                assert fast == brute_force_candidates(pair_index, vec, ws)
+                fast = kernel_candidates(pair_index, noisy, ws)
+                assert fast == brute_force_candidates(pair_index, noisy, ws)
 
     def test_tie_family_is_kept(self):
         # the second pairing alone leaves a 17-way ambiguity that the
         # third pairing later prunes to a singleton
-        vec = RemainderVector(remainders=np.array([205.0, 1155.0, 918.0]))
-        s2 = build_candidate_set(1, vec, WS)
+        noisy = np.array([205.0, 1155.0, 918.0])
+        s2 = kernel_candidates(1, noisy, WS)
         assert len(s2) == 17
         assert (4, 3) in s2
-
-    def test_rejects_bad_pair_index(self):
-        vec = RemainderVector(remainders=np.array([0.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            build_candidate_set(0, vec, WS)
-        with pytest.raises(ValueError):
-            build_candidate_set(3, vec, WS)
+        assert s2 == brute_force_candidates(1, noisy, WS)
+        assert surviving_quotients(noisy, WS) == {4}
 
 
 class TestReconstruct:
     def test_hand_worked_noisy_vector(self):
-        vec = RemainderVector(remainders=np.array([205.0, 1155.0, 918.0]))
-        estimate, quotients, search = robust_crt_reconstruct(vec, WS)
+        noisy = np.array([205.0, 1155.0, 918.0])
+        estimate, quotients, ambiguous = reconstruct_one(noisy, WS)
+        assert not ambiguous
         assert estimate == pytest.approx(4999.3333333333, abs=1e-9)
         assert quotients.tolist() == [4, 3, 3]
-        assert search.intersection == {4}
-        assert search.quotient_bounds == (272, 255, 240)
+        assert surviving_quotients(noisy, WS) == {4}
+        assert rcrt._quotient_bounds(WS.coprime_factors) == (272, 255, 240)
 
     def test_noiseless_round_trip_is_exact(self):
         rng = np.random.default_rng(1)
-        for _ in range(300):
-            r = rng.uniform(0.0, WS.max_range)
-            estimate, quotients, _ = robust_crt_reconstruct(remainders_of(r, WS), WS)
+        truths = rng.uniform(0.0, WS.max_range, size=300)
+        folds = [remainders_of(r, WS) for r in truths]
+        estimates, quotients, ambiguous = reconstruct_batch(
+            np.array([rem for rem, _ in folds]), WS
+        )
+        assert not ambiguous.any()
+        for r, estimate, found, (_, exact) in zip(truths, estimates, quotients, folds):
             assert estimate == pytest.approx(r, rel=1e-12)
-            assert np.array_equal(quotients, remainders_of(r, WS).quotients)
+            assert np.array_equal(found, exact)
 
     def test_error_bound_holds_under_quarter_threshold(self):
         # noise strictly below B/4 leaves the unfolded per-wavelength values
@@ -162,16 +180,18 @@ class TestReconstruct:
         # within the worst per-remainder error
         rng = np.random.default_rng(2)
         upsilon = 19.5  # < 80 / 4
-        for _ in range(300):
-            r = rng.uniform(40.0, WS.max_range - 40.0)
-            noise = rng.uniform(-upsilon, upsilon, size=3)
-            exact = remainders_of(r, WS)
-            wrapped = np.mod(exact.remainders + noise, WS.wavelengths)
-            vec = RemainderVector(remainders=wrapped)
-            estimate, quotients, _ = robust_crt_reconstruct(vec, WS)
-            unfolded = quotients * WS.wavelengths + wrapped
-            assert np.allclose(unfolded, r + noise, atol=1e-6)
-            assert abs(estimate - r) <= upsilon + 1e-9
+        truths = np.empty(300)
+        noises = np.empty((300, 3))
+        wrapped = np.empty((300, 3))
+        for i in range(300):
+            truths[i] = rng.uniform(40.0, WS.max_range - 40.0)
+            noises[i] = rng.uniform(-upsilon, upsilon, size=3)
+            wrapped[i] = np.mod(remainders_of(truths[i], WS)[0] + noises[i], WS.wavelengths)
+        estimates, quotients, ambiguous = reconstruct_batch(wrapped, WS)
+        assert not ambiguous.any()
+        unfolded = quotients * WS.wavelengths + wrapped
+        assert np.allclose(unfolded, truths[:, None] + noises, atol=1e-6)
+        assert np.all(np.abs(estimates - truths) <= upsilon + 1e-9)
 
     def test_exhaustive_quotient_tuples_on_tiny_set(self):
         # every feasible quotient tuple of a 3-4-5 set reconstructs exactly
@@ -181,38 +201,36 @@ class TestReconstruct:
             r = b1 * ws.wavelengths[0] + offsets[0]
             if r >= ws.max_range:
                 continue
-            exact = remainders_of(r, ws)
-            estimate, quotients, _ = robust_crt_reconstruct(exact, ws)
+            rem, exact = remainders_of(r, ws)
+            estimate, quotients, ambiguous = reconstruct_one(rem, ws)
+            assert not ambiguous
             assert estimate == pytest.approx(r, abs=1e-9)
-            assert np.array_equal(quotients, exact.quotients)
+            assert np.array_equal(quotients, exact)
 
-    def test_inconsistent_remainders_raise_ambiguity(self):
+    def test_inconsistent_remainders_are_flagged_ambiguous(self):
         # remainders folded from different dividends leave no common quotient
-        a = remainders_of(5000.0, WS).remainders
-        b = remainders_of(200000.0, WS).remainders
-        vec = RemainderVector(remainders=np.array([a[0], b[1], b[2]]))
-        with pytest.raises(AmbiguityError) as exc:
-            robust_crt_reconstruct(vec, WS)
-        assert exc.value.search.intersection != {4}
+        a, _ = remainders_of(5000.0, WS)
+        b, _ = remainders_of(200000.0, WS)
+        noisy = np.array([a[0], b[1], b[2]])
+        estimate, quotients, ambiguous = reconstruct_one(noisy, WS)
+        assert ambiguous
+        assert math.isnan(estimate) and np.all(quotients == -1)
+        assert len(surviving_quotients(noisy, WS)) != 1
 
     def test_rejects_out_of_range_remainders(self):
         with pytest.raises(ValueError):
-            robust_crt_reconstruct(
-                RemainderVector(remainders=np.array([1300.0, 0.0, 0.0])), WS
-            )
+            reconstruct_batch(np.array([[1300.0, 0.0, 0.0]]), WS)
         with pytest.raises(ValueError):
-            robust_crt_reconstruct(
-                RemainderVector(remainders=np.array([-1.0, 0.0, 0.0])), WS
-            )
+            reconstruct_batch(np.array([[-1.0, 0.0, 0.0]]), WS)
 
     def test_wrapped_remainder_keeps_estimate_near_truth(self):
         # positive noise pushes the first remainder past its wavelength;
         # the folded quotient changes but the unfolded estimate does not
         r = 5.0 * 1200.0 - 2.0  # remainder 1198 on the first wavelength
-        exact = remainders_of(r, WS)
-        noisy = exact.remainders.copy()
+        noisy, _ = remainders_of(r, WS)
         noisy[0] = (noisy[0] + 5.0) % 1200.0  # wraps to 3.0
-        estimate, _, _ = robust_crt_reconstruct(RemainderVector(remainders=noisy), WS)
+        estimate, _, ambiguous = reconstruct_one(noisy, WS)
+        assert not ambiguous
         assert abs(estimate - r) <= 5.0 + 1e-9
 
 
@@ -299,7 +317,7 @@ def remainder_rows(draw, ws):
     truth = draw(st.floats(0.0, ws.max_range, exclude_max=True))
     scale = draw(st.sampled_from([0.0, 0.1, 0.5, 2.0])) * ws.common_factor
     noise = [draw(st.floats(-1.0, 1.0)) * scale for _ in range(ws.size)]
-    return wrap(remainders_of(truth, ws).remainders + noise, ws)
+    return wrap(remainders_of(truth, ws)[0] + noise, ws)
 
 
 class TestBatchProperties:
@@ -307,10 +325,10 @@ class TestBatchProperties:
     @given(st.data())
     def test_candidate_sets_match_brute_force(self, data):
         ws = data.draw(wavelength_sets(max_product=400))
-        vec = RemainderVector(remainders=data.draw(remainder_rows(ws)))
+        row = data.draw(remainder_rows(ws))
         for pair_index in range(1, ws.size):
-            assert build_candidate_set(pair_index, vec, ws) == brute_force_candidates(
-                pair_index, vec, ws
+            assert kernel_candidates(pair_index, row, ws) == brute_force_candidates(
+                pair_index, row, ws
             )
 
     @settings(max_examples=100, deadline=None)
@@ -322,12 +340,12 @@ class TestBatchProperties:
         for row, estimate, quotient, flagged in zip(rows, estimates, quotients, ambiguous):
             expected = reference_reconstruct(row, ws)
             assert flagged == (expected is None)
+            single, single_q, single_flag = reconstruct_one(row, ws)
+            assert single_flag == flagged
             if flagged:
                 assert math.isnan(estimate) and np.all(quotient == -1)
-                with pytest.raises(AmbiguityError):
-                    robust_crt_reconstruct(RemainderVector(remainders=row), ws)
+                assert math.isnan(single) and np.all(single_q == -1)
                 continue
-            single, single_q, _ = robust_crt_reconstruct(RemainderVector(remainders=row), ws)
             assert estimate == single == expected[0]
             assert np.array_equal(quotient, single_q)
             assert np.array_equal(quotient, expected[1])
@@ -341,7 +359,7 @@ class TestBatchProperties:
         noise = np.array(
             [data.draw(st.floats(-upsilon, upsilon)) for _ in range(ws.size)]
         )
-        rows = wrap(remainders_of(truth, ws).remainders + noise, ws)[None]
+        rows = wrap(remainders_of(truth, ws)[0] + noise, ws)[None]
         estimates, _, ambiguous = reconstruct_batch(rows, ws)
         assert not ambiguous[0]
         assert abs(estimates[0] - truth) <= upsilon + 1e-9 * ws.max_range
@@ -360,13 +378,13 @@ class TestReconstructBatch:
         count = 1 if extra == 0 else 2 * step + extra
         truths = rng.uniform(0.0, WS.max_range, size=count)
         rows = np.array(
-            [wrap(remainders_of(r, WS).remainders + rng.normal(0, 12.0, 3), WS) for r in truths]
+            [wrap(remainders_of(r, WS)[0] + rng.normal(0, 12.0, 3), WS) for r in truths]
         )
         estimates, quotients, ambiguous = reconstruct_batch(rows, WS)
         assert estimates.shape == (count,) and quotients.shape == (count, 3)
         assert not ambiguous.any()
         for row, estimate, quotient in zip(rows, estimates, quotients):
-            single, single_q, _ = robust_crt_reconstruct(RemainderVector(remainders=row), WS)
+            single, single_q, _ = reconstruct_one(row, WS)
             assert estimate == single
             assert np.array_equal(quotient, single_q)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from locbench.geometry import build_grid_network, true_range_difference
-from locbench.rcrt import make_wavelength_set, remainders_of, robust_crt_reconstruct
+from locbench.rcrt import make_wavelength_set, reconstruct_batch, remainders_of
 from locbench.signals import (
     MeasurementSet,
     phase_noise_std,
@@ -31,15 +31,17 @@ class TestPhaseNoiseStd:
 class TestSimulatePhaseRemainders:
     def test_noiseless_matches_exact_fold(self):
         noisy = simulate_phase_remainders(5000.0, WS, math.inf, np.random.default_rng(0))
-        assert np.allclose(noisy.remainders, (200.0, 1160.0, 920.0))
-        assert noisy.quotients is None or np.array_equal(noisy.quotients, (4, 3, 3))
+        assert isinstance(noisy, np.ndarray) and noisy.shape == (3,)
+        assert np.array_equal(noisy, remainders_of(5000.0, WS)[0])
+        assert np.allclose(noisy, (200.0, 1160.0, 920.0))
 
     def test_golden_vector_at_20_db(self):
         # frozen from a seeded draw; guards the noise scaling and wrapping
         noisy = simulate_phase_remainders(5000.0, WS, 20.0, np.random.default_rng(123))
         golden = (186.6421686443372, 1154.7020108290988, 939.7121821544034)
-        assert np.allclose(noisy.remainders, golden, atol=1e-9)
-        estimate, quotients, _ = robust_crt_reconstruct(noisy, WS)
+        assert np.allclose(noisy, golden, atol=1e-9)
+        (estimate,), (quotients,), (ambiguous,) = reconstruct_batch(noisy[None], WS)
+        assert not ambiguous
         assert estimate == pytest.approx(5000.352120542612, abs=1e-6)
         assert quotients.tolist() == [4, 3, 3]
 
@@ -48,19 +50,17 @@ class TestSimulatePhaseRemainders:
         for _ in range(300):
             r = rng.uniform(0.0, WS.max_range)
             noisy = simulate_phase_remainders(r, WS, 0.0, rng)
-            assert np.all(noisy.remainders >= 0.0)
-            assert np.all(noisy.remainders < WS.wavelengths)
+            assert np.all(noisy >= 0.0)
+            assert np.all(noisy < WS.wavelengths)
 
     def test_error_scale_tracks_wavelength(self):
         # remainder error std is wavelength / (2*pi) times the phase std;
         # the dividend is chosen so every remainder sits far from a wrap
         rng = np.random.default_rng(8)
         r = 150500.0
-        exact = remainders_of(r, WS)
-        draws = np.array(
-            [simulate_phase_remainders(r, WS, 25.0, rng).remainders for _ in range(4000)]
-        )
-        errors = draws - exact.remainders
+        exact, _ = remainders_of(r, WS)
+        draws = np.array([simulate_phase_remainders(r, WS, 25.0, rng) for _ in range(4000)])
+        errors = draws - exact
         expected = WS.wavelengths / (2.0 * math.pi) * phase_noise_std(25.0)
         assert np.allclose(errors.std(axis=0), expected, rtol=0.08)
         assert np.allclose(errors.mean(axis=0), 0.0, atol=4.0 * expected.max() / 63.0)
