@@ -22,7 +22,7 @@ from .estimators import (
     build_selection_weights,
     crlb,
     global_wls,
-    local_wls,
+    local_wls_batch,
     residual_and_jacobian,
 )
 from .geometry import (
@@ -64,7 +64,7 @@ __all__ = [
     "diffuse",
     "distance",
     "global_wls",
-    "local_wls",
+    "local_wls_batch",
     "make_wavelength_set",
     "median_weights",
     "optimal_weights",

@@ -24,7 +24,7 @@ from .estimators import (
     build_selection_weights,
     crlb,
     global_wls,
-    local_wls,
+    local_wls_batch,
 )
 from .geometry import NetworkTopology, build_grid_network, deployment_center
 from .rcrt import make_wavelength_set, reconstruct_batch
@@ -277,13 +277,8 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
         global_pos = None
     global_time = time.process_time() - t0
 
-    locals_: list[LocalEstimate] = []
     t0 = time.process_time()
-    for k in range(topology.n_heads):
-        try:
-            locals_.append(local_wls(k, meas, weights, topology, init))
-        except EstimationError:
-            pass
+    locals_ = local_wls_batch(meas, weights, topology, init)
     local_time = time.process_time() - t0
 
     if sigma > 0:

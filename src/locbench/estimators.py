@@ -1,9 +1,10 @@
 """Weighted least-squares source estimation from range differences.
 
 Covers the centralized estimator over all measurements, the per-head local
-estimator that sees only its neighborhood's measurements through selection
+estimators that see only their neighborhood's measurements through selection
 weights, and the trace benchmark (inverse Fisher information) both are
-judged against.
+judged against. Both estimators run the same damped Gauss-Newton loop, the
+local one over every head at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "build_selection_weights",
     "crlb",
     "global_wls",
-    "local_wls",
+    "local_wls_batch",
     "residual_and_jacobian",
 ]
 
@@ -39,6 +40,23 @@ _INITIAL_DAMPING = 1e-6
 # damping growth past this level means the cost cannot be reduced further
 _MAX_DAMPING = 1e12
 
+# elements per (fits, K) buffer of the batched sums; sizes the chunks of
+# fits so that memory stays flat in the head count
+_CHUNK_ELEMENTS = 8192
+# a point is on a node only if both coordinate gaps square to zero, which
+# needs gaps below 1.6e-162; nodes outside a strip this wide around the
+# point's first coordinate are never on it
+_NODE_WINDOW = 1e-150
+
+# how a fit ends: the first two leave an estimate, _LIVE is still running
+_CONVERGED, _STOPPED, _FEW_ROWS, _ON_NODE, _SINGULAR, _RANK_DEFICIENT, _LIVE = range(7)
+_FAILURES = {
+    _FEW_ROWS: "too few rows",
+    _ON_NODE: "on a node",
+    _SINGULAR: "singular step",
+    _RANK_DEFICIENT: "rank-deficient operator",
+}
+
 
 class EstimationError(RuntimeError):
     """Estimation failed: degenerate geometry or singular normal equations."""
@@ -50,19 +68,29 @@ def _pair_positions(meas: MeasurementSet, topology: NetworkTopology):
     return xi, xj
 
 
-def _range_difference_jacobian(x: np.ndarray, xi: np.ndarray, xj: np.ndarray):
-    """Predicted differences and their derivative rows at x.
+def _range_differences(x0, x1, xi0, xi1, xj0, xj1):
+    """The range-difference model one coordinate array at a time.
 
-    Row l of the jacobian is the unit-vector difference
-    (x - xi_l)/||x - xi_l|| - (x - xj_l)/||x - xj_l||.
+    Returns (predicted, jac0, jac1, di, dj): ||x - xi|| - ||x - xj||, the
+    two jacobian columns of (x - xi)/||x - xi|| - (x - xj)/||x - xj||, and
+    both distances. A distance is sqrt(dx*dx + dy*dy), the same bits as
+    np.linalg.norm along an axis of two.
     """
-    di = np.linalg.norm(x - xi, axis=1)
-    dj = np.linalg.norm(x - xj, axis=1)
+    a0, a1, b0, b1 = x0 - xi0, x1 - xi1, x0 - xj0, x1 - xj1
+    di = np.sqrt(a0 * a0 + a1 * a1)
+    dj = np.sqrt(b0 * b0 + b1 * b1)
+    return di - dj, a0 / di - b0 / dj, a1 / di - b1 / dj, di, dj
+
+
+def _range_difference_jacobian(x: np.ndarray, xi: np.ndarray, xj: np.ndarray):
+    """Predicted differences and their (K, 2) derivative rows at x."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # raised on below
+        predicted, jac0, jac1, di, dj = _range_differences(
+            x[..., 0], x[..., 1], xi[:, 0], xi[:, 1], xj[:, 0], xj[:, 1]
+        )
     if np.any(di == 0.0) or np.any(dj == 0.0):
         raise EstimationError("evaluation point coincides with a network node")
-    predicted = di - dj
-    jac = (x - xi) / di[:, None] - (x - xj) / dj[:, None]
-    return predicted, jac
+    return predicted, np.column_stack((jac0, jac1))
 
 
 def residual_and_jacobian(x, meas: MeasurementSet, topology: NetworkTopology):
@@ -73,43 +101,208 @@ def residual_and_jacobian(x, meas: MeasurementSet, topology: NetworkTopology):
     return meas.values - predicted, jac
 
 
-def _damped_gauss_newton(evaluate, x0: np.ndarray, weights: np.ndarray):
-    """Minimize sum(weights * residual^2); evaluate(x) -> (residuals, jacobian).
+class _NodeIndex:
+    """Every network node, sorted by first coordinate.
 
-    Returns (x, converged, cost). Accepted iterations never increase the
-    cost; a rejected step only grows the damping.
+    hit(points) tells which points lie on a node: a computed distance of
+    exactly zero, where the range-difference model is undefined.
     """
-    x = np.array(x0, dtype=float)
-    res, jac = evaluate(x)
-    cost = float(np.dot(weights * res, res))
-    mu = _INITIAL_DAMPING
-    converged = False
-    for _ in range(_MAX_ITERS):
-        grad = jac.T @ (weights * res)
-        hess = (jac * weights[:, None]).T @ jac
-        accepted = False
-        while mu <= _MAX_DAMPING:
+
+    def __init__(self, nodes: np.ndarray):
+        self.nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
+
+    def hit(self, points: np.ndarray) -> np.ndarray:
+        first = self.nodes[:, 0]
+        lo = np.searchsorted(first, points[:, 0] - _NODE_WINDOW, side="left")
+        hi = np.searchsorted(first, points[:, 0] + _NODE_WINDOW, side="right")
+        hit = np.zeros(len(points), dtype=bool)
+        for i in np.flatnonzero(hi > lo):
+            gaps = np.linalg.norm(points[i] - self.nodes[lo[i] : hi[i]], axis=1)
+            hit[i] = np.any(gaps == 0.0)
+        return hit
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray):
+    """np.linalg.solve over a stack of systems.
+
+    Returns (solutions, solved): solved[i] is False where a[i] is singular,
+    and that solution is NaN. Every system goes through the same LAPACK
+    call whether or not another one in the stack is singular.
+    """
+    try:
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        solved = np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
             try:
-                step = np.linalg.solve(hess + mu * np.eye(2), grad)
-            except np.linalg.LinAlgError as exc:
-                raise EstimationError("normal equations are singular") from exc
-            if not np.all(np.isfinite(step)):
-                raise EstimationError("normal equations produced a non-finite step")
-            x_new = x + step
-            res_new, jac_new = evaluate(x_new)
-            cost_new = float(np.dot(weights * res_new, res_new))
-            if cost_new <= cost:
-                accepted = True
-                break
-            mu = mu * 10.0 if mu > 0 else 1e-8
-        if not accepted:
-            break
-        x, res, jac, cost = x_new, res_new, jac_new, cost_new
-        mu *= 0.1
-        if float(np.linalg.norm(step)) < _STEP_TOL:
-            converged = True
-            break
-    return x, converged, cost
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return out, solved
+
+
+def _rows_of(members: np.ndarray, fit: np.ndarray):
+    """Select the rows of some fits.
+
+    members is a boolean mask over the fits and fit[r] the fit of row r.
+    Returns (on, slot): the mask of the members' rows, and for each such
+    row its fit's rank among the members.
+    """
+    on = members[fit]
+    return on, np.cumsum(members)[fit[on]] - 1
+
+
+def _chunks(slot: np.ndarray, rows: np.ndarray, n: int, k: int):
+    """Split n fits into chunks of at most _CHUNK_ELEMENTS // k fits.
+
+    Row r belongs to the fit of rank slot[r] (nondecreasing) and is
+    measurement rows[r]. Yields (lo, hi, a, b, at): fits [lo, hi) own the
+    rows [a, b), whose flat positions in a (hi - lo, k) layout are at.
+    """
+    size = max(1, _CHUNK_ELEMENTS // k)
+    starts = list(range(0, n, size))
+    cuts = np.searchsorted(slot, starts + [n]).tolist()
+    for lo, a, b in zip(starts, cuts[:-1], cuts[1:]):
+        yield lo, min(lo + size, n), a, b, (slot[a:b] - lo) * k + rows[a:b]
+
+
+def _padded(columns, at: np.ndarray, n: int, k: int):
+    """An (n, k) zero buffer with one row column, or an (n, k, 2) one with
+    two, scattered to the flat row positions at.
+
+    Summing a fit's padded row is the same BLAS reduction, bit for bit,
+    as summing its K-row vector in which the unweighted rows contribute
+    zero.
+    """
+    if len(columns) == 1:
+        buf = np.zeros(n * k)
+        buf[at] = columns[0]
+        return buf.reshape(n, k)
+    buf = np.zeros(n * k * 2)
+    buf[2 * at] = columns[0]
+    buf[2 * at + 1] = columns[1]
+    return buf.reshape(n, k, 2)
+
+
+def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopology):
+    """Damped Gauss-Newton over a batch of weighted fits, run in lockstep.
+
+    Fit f minimizes sum(w * residual^2) over its rows, the measurements
+    rows[r] with fit[r] == f; fit is nondecreasing. Each fit keeps its own
+    point, cost, damping and count of accepted steps, and in every round
+    each live fit makes one trial step. A step that does not increase the
+    cost is accepted and shrinks the damping 10x; any other grows it 10x.
+    A fit converges when an accepted step is shorter than _STEP_TOL. It
+    stops after _MAX_ITERS accepted steps or once its damping passes
+    _MAX_DAMPING. It fails when a point it evaluates lies on any node of
+    the network, or on a singular or non-finite step.
+
+    Residuals and jacobians are evaluated on each fit's rows only. The sums
+    over them run on the K-row layout, zero-padded, so each fit's iterates
+    are those of a fit over all K measurements with zero weight elsewhere,
+    whatever else is in the batch.
+
+    Returns (x, outcome, hess): (F, 2) final points, (F,) outcome codes
+    and the (F, 2, 2) normal matrices at the final points.
+    """
+    n, k = len(x0), meas.size
+    xi, xj = _pair_positions(meas, topology)
+    nodes = _NodeIndex(np.concatenate((xi, xj)))
+    # per row: both nodes' coordinates and the measurement
+    row_data = np.stack((*xi[rows].T, *xj[rows].T, meas.values[rows]))
+    eye = np.eye(2)
+
+    def select(idx):
+        """The rows of the fits idx (ascending): each row's fit rank
+        (slot), measurement, weight and row_data, and their chunks."""
+        members = np.zeros(n, dtype=bool)
+        members[idx] = True
+        on, slot = _rows_of(members, fit)
+        chunks = list(_chunks(slot, rows[on], len(idx), k))
+        return len(idx), slot, rows[on], w[on], row_data[:, on], chunks
+
+    def evaluate(points, idx):
+        """Cost of the fits idx at points, one point per fit, and the rows
+        (slot, rows, w, wres, jac0, jac1, chunks) that their normal
+        equations need."""
+        nonlocal live
+        # the evaluated set only shrinks, so an equal size means the same fits
+        if live[0] != len(idx):
+            live = select(idx)
+        _, slot, rows_on, w_on, (xi0, xi1, xj0, xj1, values), chunks = live
+        predicted, jac0, jac1, _, _ = _range_differences(
+            points[slot, 0], points[slot, 1], xi0, xi1, xj0, xj1
+        )
+        res = values - predicted
+        wres = w_on * res
+        cost = np.empty(len(idx))
+        for lo, hi, a, b, at in chunks:
+            wres_k = _padded((wres[a:b],), at, hi - lo, k)
+            res_k = _padded((res[a:b],), at, hi - lo, k)
+            cost[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
+        return cost, (slot, rows_on, w_on, wres, jac0, jac1, chunks)
+
+    def normal_equations(evaluated, keep):
+        """Gradient and normal matrix of the evaluated fits where keep is
+        True: jac^T (w * res) and jac^T W jac."""
+        slot, rows_on, w_on, wres, jac0, jac1, chunks = evaluated
+        count = np.count_nonzero(keep)
+        if count < len(keep):
+            on, slot = _rows_of(keep, slot)
+            rows_on, w_on, wres, jac0, jac1 = (v[on] for v in evaluated[1:6])
+            chunks = _chunks(slot, rows_on, count, k)
+        grad = np.empty((count, 2))
+        hess = np.empty((count, 2, 2))
+        for lo, hi, a, b, at in chunks:
+            jac = (jac0[a:b], jac1[a:b])
+            jac_k = _padded(jac, at, hi - lo, k)
+            wjac_k = _padded([c * w_on[a:b] for c in jac], at, hi - lo, k)
+            wres_k = _padded((wres[a:b],), at, hi - lo, k)
+            grad[lo:hi] = np.matmul(jac_k.transpose(0, 2, 1), wres_k[:, :, None])[..., 0]
+            hess[lo:hi] = np.matmul(wjac_k.transpose(0, 2, 1), jac_k)
+        return grad, hess
+
+    x = np.array(x0, dtype=float)
+    outcome = np.full(n, _LIVE)
+    outcome[nodes.hit(x)] = _ON_NODE
+    idx = np.flatnonzero(outcome == _LIVE)
+    live = select(idx)
+    cost, grad, hess = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2))
+    cost[idx], evaluated = evaluate(x[idx], idx)
+    grad[idx], hess[idx] = normal_equations(evaluated, np.ones(len(idx), dtype=bool))
+    mu = np.full(n, _INITIAL_DAMPING)
+    accepted = np.zeros(n, dtype=int)
+    while idx.size:
+        step, solved = _solve_stack(
+            hess[idx] + mu[idx, None, None] * eye, grad[idx, :, None]
+        )
+        step = step[..., 0]
+        solved &= np.isfinite(step).all(axis=1)
+        if not solved.all():
+            outcome[idx[~solved]] = _SINGULAR
+            idx, step = idx[solved], step[solved]
+        trial = x[idx] + step
+        on_node = nodes.hit(trial)
+        if on_node.any():
+            outcome[idx[on_node]] = _ON_NODE
+            idx, step, trial = idx[~on_node], step[~on_node], trial[~on_node]
+
+        cost_new, evaluated = evaluate(trial, idx)
+        better = cost_new <= cost[idx]
+        up, down = idx[better], idx[~better]
+        x[up], cost[up] = trial[better], cost_new[better]
+        grad[up], hess[up] = normal_equations(evaluated, better)
+        mu[up] *= 0.1
+        accepted[up] += 1
+        # the step length as np.linalg.norm takes it, from a BLAS dot
+        length = np.sqrt(np.matmul(step[better, None, :], step[better, :, None]))
+        outcome[up[length[:, 0, 0] < _STEP_TOL]] = _CONVERGED
+        outcome[up[(outcome[up] == _LIVE) & (accepted[up] >= _MAX_ITERS)]] = _STOPPED
+        mu[down] = np.where(mu[down] > 0, mu[down] * 10.0, 1e-8)
+        outcome[down[mu[down] > _MAX_DAMPING]] = _STOPPED
+        idx = idx[outcome[idx] == _LIVE]
+    return x, outcome, hess
 
 
 def global_wls(meas: MeasurementSet, topology: NetworkTopology, init) -> np.ndarray:
@@ -118,17 +311,19 @@ def global_wls(meas: MeasurementSet, topology: NetworkTopology, init) -> np.ndar
     init is the Gauss-Newton start point, usually the deployment center.
     """
     x0 = as_position(init)
-    xi, xj = _pair_positions(meas, topology)
-
-    def evaluate(x):
-        predicted, jac = _range_difference_jacobian(x, xi, xj)
-        return meas.values - predicted, jac
-
-    weights = 1.0 / meas.variances
-    x, converged, _ = _damped_gauss_newton(evaluate, x0, weights)
-    if not converged:
+    x, (outcome,), _ = _gauss_newton(
+        x0[None],
+        np.zeros(meas.size, dtype=int),
+        np.arange(meas.size),
+        1.0 / meas.variances,
+        meas,
+        topology,
+    )
+    if outcome in _FAILURES:
+        raise EstimationError(f"global WLS failed: {_FAILURES[outcome]}")
+    if outcome == _STOPPED:
         logger.warning("global WLS stopped before the step tolerance was met")
-    return x
+    return x[0]
 
 
 @dataclass(frozen=True)
@@ -183,46 +378,86 @@ class LocalEstimate:
     operator: np.ndarray
 
 
-def local_wls(
-    k: int,
+def local_wls_batch(
     meas: MeasurementSet,
     weights: SelectionWeights,
     topology: NetworkTopology,
     init,
-) -> LocalEstimate:
-    """Per-head weighted fit using only the measurements head k can access.
+) -> list[LocalEstimate]:
+    """Every head's weighted fit on the measurements its neighborhood can access.
 
-    The measurement weights are the selection column scaled by the inverse
-    noise variances; measurements outside the neighborhood carry weight
-    zero and do not influence the fit. init is the Gauss-Newton start
-    point, as for global_wls.
+    Head k weights measurement r by weights.column(k)[r] over the noise
+    variance of r; the measurements outside its neighborhood carry weight
+    zero and are never evaluated. Every head starts from init, as for
+    global_wls, and all heads are fitted in one lockstep batch. A head
+    fails, and is left out, when it has fewer than 3 weighted
+    measurements, when its fit fails, or when the normal matrix at its
+    final point is singular or gives a non-finite operator.
+
+    Returns the estimates of the heads that succeeded, in head order.
     """
-    if not 0 <= k < topology.n_heads:
-        raise ValueError(f"head index {k} out of range")
     x0 = as_position(init)
-    column = weights.column(k)
-    combined = column / meas.variances
-    if np.count_nonzero(combined) < 3:
-        raise EstimationError(f"head {k} has fewer than 3 accessible measurements")
+    n, m, k = topology.n_heads, weights.sensors_per_head, meas.size
+    # head k's rows: the measurements of every head l with a nonzero
+    # head_matrix[l, k], in measurement order
+    fit, owners = np.nonzero(weights.head_matrix.T)
+    rows = (owners[:, None] * m + np.arange(m)).ravel()
+    w = np.repeat(weights.head_matrix[owners, fit] / m, m) / meas.variances[rows]
+    weighted = w != 0
+    fit, rows, w = np.repeat(fit, m)[weighted], rows[weighted], w[weighted]
+    solvable = np.bincount(fit, minlength=n) >= 3
+    on, fit = _rows_of(solvable, fit)
+    rows, w = rows[on], w[on]
+    heads = np.flatnonzero(solvable)
+    x, status, normal = _gauss_newton(
+        np.repeat(x0[None], len(heads), axis=0), fit, rows, w, meas, topology
+    )
+
+    # each fitted head's operator (J^T W J)^-1 J^T W at its final point
+    done = status <= _STOPPED
+    fitted = np.flatnonzero(done)
+    on, slot = _rows_of(done, fit)
+    rows, w = rows[on], w[on]
     xi, xj = _pair_positions(meas, topology)
+    operators = []
+    for lo, hi, a, b, at in _chunks(slot, rows, len(fitted), k):
+        points = x[fitted[slot[a:b]]]
+        _, jac = _range_difference_jacobian(points, xi[rows[a:b]], xj[rows[a:b]])
+        wjac_k = _padded((jac * w[a:b, None]).T, at, hi - lo, k)
+        ops, solved = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
+        solved &= np.all(np.isfinite(ops), axis=(1, 2))
+        status[fitted[lo:hi][~solved]] = _RANK_DEFICIENT
+        # a block per head: views would pin each chunk's buffer to the
+        # heads' lifetime, which raised the peak memory
+        operators.extend(op.copy() for op in ops)
 
-    def evaluate(x):
-        predicted, jac = _range_difference_jacobian(x, xi, xj)
-        return meas.values - predicted, jac
+    outcome = np.full(n, _FEW_ROWS)
+    outcome[heads] = status
+    _log_local_batch(outcome)
+    return [
+        LocalEstimate(head=int(heads[f]), position=x[f], operator=operators[j])
+        for j, f in enumerate(fitted)
+        if status[f] <= _STOPPED
+    ]
 
-    x, converged, _ = _damped_gauss_newton(evaluate, x0, combined)
-    if not converged:
-        logger.debug("local WLS for head %d stopped before step tolerance", k)
-    _, jac = _range_difference_jacobian(x, xi, xj)
-    weighted_jac = jac * combined[:, None]
-    normal = weighted_jac.T @ jac
-    try:
-        operator = np.linalg.solve(normal, weighted_jac.T)
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"head {k}: rank-deficient local geometry") from exc
-    if not np.all(np.isfinite(operator)):
-        raise EstimationError(f"head {k}: rank-deficient local geometry")
-    return LocalEstimate(head=k, position=x, operator=operator)
+
+def _log_local_batch(outcome: np.ndarray) -> None:
+    """One debug line per batch: fitted heads, early stops, failures by reason."""
+    if not logger.isEnabledFor(logging.DEBUG):
+        return
+    failed = [
+        f"{reason} {np.flatnonzero(outcome == code).tolist()}"
+        for code, reason in _FAILURES.items()
+        if np.any(outcome == code)
+    ]
+    logger.debug(
+        "local WLS fitted %d of %d heads; stopped before the step tolerance: %s; "
+        "failed: %s",
+        int(np.sum(outcome <= _STOPPED)),
+        len(outcome),
+        np.flatnonzero(outcome == _STOPPED).tolist(),
+        ", ".join(failed) or "none",
+    )
 
 
 def crlb(topology: NetworkTopology, source, variances) -> np.ndarray:

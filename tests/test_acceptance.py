@@ -21,9 +21,8 @@ from locbench.bench import (
 )
 from locbench.diffusion import DiffusionState, connectivity_weights, diffuse, optimal_weights
 from locbench.estimators import (
-    EstimationError,
     build_selection_weights,
-    local_wls,
+    local_wls_batch,
     residual_and_jacobian,
 )
 from locbench.geometry import NetworkTopology, build_grid_network, deployment_center
@@ -82,12 +81,7 @@ def diffusion_audit(operating_point):
         meas = simulate_tdoa_measurements(topo, src, 1.0, rng)
         weights = build_selection_weights(topo)
         init = deployment_center(topo)
-        fits = []
-        for k in range(n):
-            try:
-                fits.append(local_wls(k, meas, weights, topo, init))
-            except EstimationError:
-                continue
+        fits = local_wls_batch(meas, weights, topo, init)
         assert fits
         # diffuse over the fitted heads' sub-network, as the benchmark does
         keep = [est.head for est in fits]

@@ -21,7 +21,6 @@ from locbench.bench import (
     run_localization_experiment,
     run_ranging_experiment,
 )
-from locbench.estimators import EstimationError
 
 RANGING_CFG = """\
 # reconstruction sweep
@@ -232,14 +231,12 @@ class TestLocalizationRuns:
     def test_failed_local_fit_is_left_out(self, monkeypatch, scheme):
         # diffusion runs on the sub-network of the heads whose fit succeeded
         failed_head = 5
-        real_local_wls = bench.local_wls
+        real_local_wls_batch = bench.local_wls_batch
 
-        def local_wls(k, *args):
-            if k == failed_head:
-                raise EstimationError(f"head {k}: forced failure")
-            return real_local_wls(k, *args)
+        def local_wls_batch(*args):
+            return [e for e in real_local_wls_batch(*args) if e.head != failed_head]
 
-        monkeypatch.setattr(bench, "local_wls", local_wls)
+        monkeypatch.setattr(bench, "local_wls_batch", local_wls_batch)
         cfg = LocalizationExperiment(
             n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
             source=(60.0, 70.0), runs=2, schemes=(scheme,), seed=10,
@@ -406,6 +403,32 @@ class TestReplayDigests:
         )
         assert csv_digest(records, tmp_path) == (
             "819091d83dff58df3ef2de4a1aedd211c6c028f9defb1b832aba2aa5665b32fd"
+        )
+
+    def test_sixty_four_head_sweep(self, tmp_path):
+        # at 64 heads some far-field local fits walk out along a bearing,
+        # which moves the con and local rmse far above the bound
+        cfg = LocalizationExperiment(
+            n_heads=(64,), sensors_per_head=10, noise_std=1.0, decay_scale=1.0,
+            source=(60.0, 70.0), runs=1, schemes=("global", "con", "local"),
+            seed=3,
+        )
+        assert csv_digest(run_localization_experiment(cfg), tmp_path) == (
+            "9a1d1e75efc8f55bd39475a9ba8ebee8731155de4483eb992a501e29e0cc1814"
+        )
+
+    def test_nine_head_sweep_fails_every_fit(self, tmp_path):
+        # the deployment center of an odd-sided grid is a cluster head, so
+        # every Gauss-Newton start lands on a node and every scheme fails
+        cfg = LocalizationExperiment(
+            n_heads=9, sensors_per_head=10, noise_std=(0.5, 1.0),
+            decay_scale=1.0, source=(60.0, 70.0), runs=2,
+            schemes=("global", "con", "wei", "opt", "local"), seed=3,
+        )
+        records = run_localization_experiment(cfg)
+        assert all(r.fail_count == cfg.runs for r in records)
+        assert csv_digest(records, tmp_path) == (
+            "2ff3c0dc24f9b973d722be1cf47c55166ac19816c609b074936fc6ef7a768c41"
         )
 
     def test_ranging_sweep(self, tmp_path):

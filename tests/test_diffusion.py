@@ -17,7 +17,7 @@ from locbench.diffusion import (
     median_weights,
     optimal_weights,
 )
-from locbench.estimators import build_selection_weights, local_wls
+from locbench.estimators import build_selection_weights, local_wls_batch
 from locbench.geometry import NetworkTopology, build_grid_network, deployment_center
 from locbench.signals import simulate_tdoa_measurements
 
@@ -57,7 +57,8 @@ def prepared_trial(seed):
     meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
     weights = build_selection_weights(topo)
     init = deployment_center(topo)
-    locals_ = [local_wls(k, meas, weights, topo, init) for k in range(16)]
+    locals_ = local_wls_batch(meas, weights, topo, init)
+    assert [e.head for e in locals_] == list(range(16))
     state = DiffusionState(
         estimates=np.array([e.position for e in locals_]),
         operators=np.array([e.operator for e in locals_]),

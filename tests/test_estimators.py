@@ -1,21 +1,101 @@
 """WLS estimators: Jacobians, solver behavior, selection weights, CRLB."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locbench.estimators import (
+    _INITIAL_DAMPING,
+    _MAX_DAMPING,
+    _MAX_ITERS,
+    _STEP_TOL,
     EstimationError,
     SelectionWeights,
     build_selection_weights,
     crlb,
     global_wls,
-    local_wls,
+    local_wls_batch,
     residual_and_jacobian,
 )
 from locbench.geometry import build_grid_network, deployment_center
 from locbench.signals import simulate_tdoa_measurements
 
 SOURCE = (60.0, 70.0)
+
+
+# ---------------------------------------------------------------------------
+# the earlier one-fit-at-a-time solver over all K rows, kept as a bitwise
+# oracle for the lockstep batch
+
+
+def oracle_evaluate(x, meas, topo):
+    xi = topo.sensors[meas.head_idx, meas.sensor_idx]
+    xj = topo.heads[meas.head_idx]
+    di = np.linalg.norm(x - xi, axis=1)
+    dj = np.linalg.norm(x - xj, axis=1)
+    if np.any(di == 0.0) or np.any(dj == 0.0):
+        raise EstimationError("evaluation point coincides with a network node")
+    jac = (x - xi) / di[:, None] - (x - xj) / dj[:, None]
+    return meas.values - (di - dj), jac
+
+
+def oracle_gauss_newton(meas, topo, x0, weights):
+    """Returns (x, converged)."""
+    x = np.array(x0, dtype=float)
+    res, jac = oracle_evaluate(x, meas, topo)
+    cost = float(np.dot(weights * res, res))
+    mu = _INITIAL_DAMPING
+    for _ in range(_MAX_ITERS):
+        grad = jac.T @ (weights * res)
+        hess = (jac * weights[:, None]).T @ jac
+        accepted = False
+        while mu <= _MAX_DAMPING:
+            try:
+                step = np.linalg.solve(hess + mu * np.eye(2), grad)
+            except np.linalg.LinAlgError as exc:
+                raise EstimationError("normal equations are singular") from exc
+            if not np.all(np.isfinite(step)):
+                raise EstimationError("normal equations produced a non-finite step")
+            x_new = x + step
+            res_new, jac_new = oracle_evaluate(x_new, meas, topo)
+            cost_new = float(np.dot(weights * res_new, res_new))
+            if cost_new <= cost:
+                accepted = True
+                break
+            mu = mu * 10.0 if mu > 0 else 1e-8
+        if not accepted:
+            return x, False
+        x, res, jac, cost = x_new, res_new, jac_new, cost_new
+        mu *= 0.1
+        if float(np.linalg.norm(step)) < _STEP_TOL:
+            return x, True
+    return x, False
+
+
+def oracle_global_wls(meas, topo, init):
+    return oracle_gauss_newton(meas, topo, init, 1.0 / meas.variances)[0]
+
+
+def oracle_local_wls(k, meas, weights, topo, init):
+    """Head k's fit over all K rows, zero weight outside its neighborhood;
+    raises EstimationError where the batch leaves head k out."""
+    combined = weights.column(k) / meas.variances
+    if np.count_nonzero(combined) < 3:
+        raise EstimationError(f"head {k} has fewer than 3 accessible measurements")
+    x, _ = oracle_gauss_newton(meas, topo, init, combined)
+    _, jac = oracle_evaluate(x, meas, topo)
+    weighted_jac = jac * combined[:, None]
+    normal = weighted_jac.T @ jac
+    try:
+        operator = np.linalg.solve(normal, weighted_jac.T)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(f"head {k}: rank-deficient local geometry") from exc
+    if not np.all(np.isfinite(operator)):
+        raise EstimationError(f"head {k}: rank-deficient local geometry")
+    return x, operator
 
 
 def finite_difference_rows(x, meas, topo, h=1e-5):
@@ -144,14 +224,18 @@ class TestSelectionWeights:
         assert np.allclose(col[10:20], 0.025)
 
 
+def fitted_heads(meas, weights, topo, init):
+    return {e.head: e for e in local_wls_batch(meas, weights, topo, init)}
+
+
 class TestLocalWls:
     def test_operator_is_left_inverse_of_jacobian(self):
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         weights = build_selection_weights(topo)
-        init = deployment_center(topo)
+        fits = fitted_heads(meas, weights, topo, deployment_center(topo))
         for k in (0, 5, 15):
-            est = local_wls(k, meas, weights, topo, init)
+            est = fits[k]
             _, jac = residual_and_jacobian(est.position, meas, topo)
             assert np.allclose(est.operator @ jac, np.eye(2), atol=1e-8)
 
@@ -159,19 +243,20 @@ class TestLocalWls:
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         weights = build_selection_weights(topo)
-        est = local_wls(0, meas, weights, topo, deployment_center(topo))
+        est = fitted_heads(meas, weights, topo, deployment_center(topo))[0]
         outside = np.isin(meas.head_idx, topo.neighborhood(0), invert=True)
         assert np.all(est.operator[:, outside] == 0.0)
 
-    def test_starved_neighborhood_is_an_error(self):
+    def test_starved_neighborhood_is_left_out(self):
         topo = build_grid_network(4, sensors_per_head=2, seed=1)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
         head_matrix = np.zeros((4, 4))
         head_matrix[0, 0] = 1.0  # head 0 may use only its own 2 measurements
+        head_matrix[:, 1] = 0.25  # head 1 sees all 8
         starved = SelectionWeights(head_matrix=head_matrix, sensors_per_head=2)
         assert np.count_nonzero(starved.column(0)) == 2
-        with pytest.raises(EstimationError):
-            local_wls(0, meas, starved, topo, deployment_center(topo))
+        fits = local_wls_batch(meas, starved, topo, deployment_center(topo))
+        assert [e.head for e in fits] == [1]
 
     @pytest.mark.parametrize("init", [(np.nan, 0.0), (0.0, np.inf), (1.0, 2.0, 3.0)])
     def test_start_point_must_be_a_finite_position(self, init):
@@ -180,7 +265,81 @@ class TestLocalWls:
         with pytest.raises(ValueError):
             global_wls(meas, topo, init)
         with pytest.raises(ValueError):
-            local_wls(0, meas, build_selection_weights(topo), topo, init)
+            local_wls_batch(meas, build_selection_weights(topo), topo, init)
+
+    def test_one_debug_line_per_batch(self, caplog):
+        # 9 heads: the deployment center is head 4, so every fit starts on
+        # a node; a starved column leaves head 0 too few rows
+        topo = build_grid_network(9, sensors_per_head=2, seed=1)
+        meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
+        weights = build_selection_weights(topo)
+        head_matrix = weights.head_matrix.copy()
+        head_matrix[:, 0] = 0.0
+        head_matrix[0, 0] = 1.0
+        starved = SelectionWeights(head_matrix=head_matrix, sensors_per_head=2)
+        with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
+            assert local_wls_batch(meas, starved, topo, deployment_center(topo)) == []
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line == (
+            "local WLS fitted 0 of 9 heads; stopped before the step tolerance: []; "
+            "failed: too few rows [0], on a node [1, 2, 3, 4, 5, 6, 7, 8]"
+        )
+
+
+def starved(weights, rng):
+    """Selection weights with a random share of head-level entries zeroed,
+    so that some heads keep fewer than 3 measurements."""
+    head_matrix = weights.head_matrix * (rng.random(weights.head_matrix.shape) < 0.6)
+    return SelectionWeights(head_matrix=head_matrix, sensors_per_head=weights.sensors_per_head)
+
+
+class TestBatchMatchesPerHeadOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fits_equal_the_oracle_bit_for_bit(self, data):
+        n_heads = data.draw(st.sampled_from([1, 4, 9, 16, 25, 36]), label="n_heads")
+        m = data.draw(st.integers(1, 12), label="sensors_per_head")
+        # a noise_std whose square underflows is rejected by
+        # simulate_tdoa_measurements, so draw zero or at least 1e-3
+        noise = data.draw(st.just(0.0) | st.floats(1e-3, 5.0), label="noise_std")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        topo = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
+        nodes = np.concatenate((topo.heads, topo.sensors.reshape(-1, 2)))
+        span = 50.0 * (np.sqrt(n_heads) - 1)
+
+        def point(label):
+            kind = data.draw(st.sampled_from(["random", "node", "center"]), label=label)
+            if kind == "node":
+                return nodes[data.draw(st.integers(0, len(nodes) - 1), label=f"{label} node")]
+            if kind == "center":
+                return deployment_center(topo)
+            return rng.uniform(-40.0, span + 40.0, size=2)
+
+        source, init = point("source"), point("init")
+        meas = simulate_tdoa_measurements(topo, source, noise, rng)
+        weights = build_selection_weights(topo)
+        if data.draw(st.booleans(), label="starved"):
+            weights = starved(weights, rng)
+
+        expected = {}
+        for k in range(n_heads):
+            try:
+                expected[k] = oracle_local_wls(k, meas, weights, topo, init)
+            except EstimationError:
+                pass
+        got = fitted_heads(meas, weights, topo, init)
+        assert sorted(got) == sorted(expected)
+        for k, (position, operator) in expected.items():
+            assert np.array_equal(got[k].position, position)
+            assert np.array_equal(got[k].operator, operator)
+
+        try:
+            global_expected = oracle_global_wls(meas, topo, init)
+        except EstimationError:
+            with pytest.raises(EstimationError):
+                global_wls(meas, topo, init)
+        else:
+            assert np.array_equal(global_wls(meas, topo, init), global_expected)
 
 
 class TestCrlb:
