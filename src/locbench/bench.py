@@ -58,7 +58,12 @@ _SWEEPABLE = {
         lambda v: v >= 1 and math.isqrt(int(v)) ** 2 == v,
     ),
     "sensors_per_head": ("at least 1", lambda v: v >= 1),
-    "noise_std": ("at least 0", lambda v: v >= 0),
+    # the fits sum the reciprocal of the variance noise_std**2 over every
+    # measurement, so a nonzero one must stay far inside the float range
+    "noise_std": (
+        "0 or between 1e-150 and 1e150",
+        lambda v: v == 0 or 1e-150 <= v <= 1e150,
+    ),
     "decay_scale": ("above 0", lambda v: v > 0),
 }
 

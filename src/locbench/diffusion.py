@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import NetworkTopology
 
@@ -120,95 +121,114 @@ def build_q_matrix(operators: np.ndarray, variances: np.ndarray) -> np.ndarray:
     return 0.5 * (q + q.T)
 
 
-def _equality_solution(q_sub: np.ndarray) -> Optional[np.ndarray]:
-    """Minimize a'Qa subject to sum(a) = 1 on a fixed support.
+def _equality_solutions(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize a'Qa subject to sum(a) = 1 for each stacked (m, m) Q.
 
-    Solves the stationarity system; returns None when it is singular.
+    Returns the (H, m) minimizers and a mask of those inside the simplex;
+    a singular or non-finite system counts as outside.
     """
-    m = q_sub.shape[0]
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * q_sub
-    kkt[:m, m] = -1.0
-    kkt[m, :m] = 1.0
+    h, m, _ = qs.shape
+    if m == 1:
+        return np.ones((h, 1)), np.ones(h, dtype=bool)
+    kkt = np.zeros((h, m + 1, m + 1))
+    kkt[:, :m, :m] = 2.0 * qs
+    kkt[:, :m, m] = -1.0
+    kkt[:, m, :m] = 1.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    return sol[:m]
+    # np.linalg.solve raises for the whole stack when one matrix is
+    # singular; its (private) gufunc gives NaN rows for that matrix alone
+    with np.errstate(all="ignore"):
+        sol = _umath_linalg.solve1(kkt, rhs, signature="dd->d")
+    inside = np.isfinite(sol).all(axis=1) & (sol[:, :m] >= -1e-12).all(axis=1)
+    return sol[:, :m], inside
 
 
-def _simplex_qp(q_sub: np.ndarray) -> np.ndarray:
-    """Exact minimizer of a'Qa over the probability simplex.
+def _normalized(vecs: np.ndarray) -> np.ndarray:
+    vecs = np.clip(vecs, 0.0, None)
+    return vecs / vecs.sum(axis=-1, keepdims=True)
 
-    Tries the full support first; when that solution leaves the simplex,
-    every support subset is solved and the feasible minimizer kept. The
-    supports here are neighborhood-sized, so the enumeration stays tiny.
-    """
-    m = q_sub.shape[0]
-    if m == 1:
-        return np.ones(1)
 
-    def feasible(vec):
-        return vec is not None and np.all(vec >= -1e-12)
+def _quadratic_forms(vecs: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """vecs[i] @ qs[i] @ vecs[i] over the leading axes. Stacked matmul makes
+    the BLAS calls of a single product only on C-contiguous operands."""
+    vecs = np.ascontiguousarray(vecs)
+    rows = vecs[..., None, :] @ np.ascontiguousarray(qs)
+    return (rows @ vecs[..., :, None])[..., 0, 0]
 
-    full = _equality_solution(q_sub)
-    if feasible(full):
-        best = np.clip(full, 0.0, None)
-        return best / best.sum()
 
-    best_vec = None
-    best_obj = np.inf
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            idx = np.array(subset)
-            if size == 1:
-                cand = np.ones(1)
-            else:
-                cand = _equality_solution(q_sub[np.ix_(idx, idx)])
-                if not feasible(cand):
-                    continue
-                cand = np.clip(cand, 0.0, None)
-                cand = cand / cand.sum()
-            obj = float(cand @ q_sub[np.ix_(idx, idx)] @ cand)
-            if obj < best_obj - 1e-15:
-                best_obj = obj
-                best_vec = np.zeros(m)
-                best_vec[idx] = cand
-    return best_vec
+def _simplex_qps(qs: np.ndarray) -> np.ndarray:
+    """Exact minimizers of a'Qa over the probability simplex, one per
+    stacked Q, by the support rule of optimal_weights."""
+    h, m, _ = qs.shape
+    full, inside = _equality_solutions(qs)
+    out = np.zeros((h, m))
+    out[inside] = _normalized(full[inside])
+    if inside.all():
+        return out
+    rest = qs[~inside]
+    best = np.zeros((len(rest), m))
+    best_obj = np.full(len(rest), np.inf)
+    for size in range(1, m):
+        supports = np.array(list(itertools.combinations(range(m), size)))
+        subs = rest[:, supports[:, :, None], supports[:, None, :]]
+        sol, ok = _equality_solutions(subs.reshape(-1, size, size))
+        cands = np.ones_like(sol)  # a finite stand-in where ok is False
+        cands[ok] = _normalized(sol[ok])
+        cands = cands.reshape(subs.shape[:3])
+        ok = ok.reshape(subs.shape[:2])
+        objs = _quadratic_forms(cands, subs)
+        for s, support in enumerate(supports):
+            take = ok[:, s] & (objs[:, s] < best_obj - 1e-15)
+            best_obj[take] = objs[take, s]
+            best[take] = 0.0
+            best[np.ix_(take, support)] = cands[take, s]
+    out[~inside] = best
+    return out
 
 
 def optimal_weights(q: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     """Variance-minimizing combination matrix of the network.
 
     Column k minimizes a' Q a subject to the weights being a probability
-    vector supported on head k's neighborhood, one simplex QP per head. An
-    indefinite restriction (possible through rounding) is regularized by
-    adding a small multiple of the identity before solving; the event is
-    logged.
+    vector supported on head k's neighborhood. The heads are solved in one
+    stack per neighborhood size: every full support at once, then, for the
+    heads whose minimizer leaves the simplex, every smaller support, one
+    stacked solve per support size. Those supports are walked in
+    itertools.combinations order; a feasible candidate replaces the best
+    so far only when its objective is lower by more than 1e-15, so a tie
+    keeps the earlier support. Each head gets the bits a QP of its own
+    would. An indefinite restriction (possible through rounding) is
+    regularized by adding a small multiple of the identity and solved
+    again. Each call logs one line counting the regularized heads and one
+    counting the heads whose optimality conditions hold only loosely.
     """
     q = np.asarray(q, dtype=float)
     ridge = 1e-9 * np.trace(q) / q.shape[0]
-    weights = np.zeros((topology.n_heads, topology.n_heads))
-    for k in range(topology.n_heads):
-        nbhd = topology.neighborhood(k)
-        q_sub = q[np.ix_(nbhd, nbhd)]
-        solution = _simplex_qp(q_sub)
-        if float(solution @ q_sub @ solution) < -_KKT_TOL:
-            logger.warning(
-                "indefinite neighborhood matrix for head %d; regularizing with %g",
-                k,
-                ridge,
-            )
-            solution = _simplex_qp(q_sub + ridge * np.eye(nbhd.size))
-        grad = 2.0 * (q_sub @ solution)
-        level = float(grad @ solution)
-        if np.any(grad < level - _KKT_TOL * max(1.0, abs(level))):
-            logger.warning("optimality conditions loose for head %d", k)
-        weights[nbhd, k] = solution
+    n = topology.n_heads
+    weights = np.zeros((n, n))
+    indefinite = loose = 0
+    for m in np.unique(topology.degrees):
+        heads = np.flatnonzero(topology.degrees == m)
+        nbhds = np.nonzero(topology.neighborhoods[heads])[1].reshape(-1, m)
+        qs = np.ascontiguousarray(q[nbhds[:, :, None], nbhds[:, None, :]])
+        solution = _simplex_qps(qs)
+        bad = _quadratic_forms(solution, qs) < -_KKT_TOL
+        if bad.any():
+            solution[bad] = _simplex_qps(qs[bad] + ridge * np.eye(m))
+        grad = 2.0 * (qs @ solution[:, :, None])[:, :, 0]
+        level = (grad[:, None, :] @ solution[:, :, None])[:, 0, 0]
+        slack = level - _KKT_TOL * np.maximum(1.0, np.abs(level))
+        indefinite += int(bad.sum())
+        loose += int((grad < slack[:, None]).any(axis=1).sum())
+        weights[nbhds, heads[:, None]] = solution
+    if indefinite:
+        logger.warning(
+            "indefinite neighborhood matrix for %d of %d heads; regularizing with %g",
+            indefinite, n, ridge,
+        )
+    if loose:
+        logger.warning("optimality conditions loose for %d of %d heads", loose, n)
     return weights
 
 

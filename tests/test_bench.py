@@ -338,6 +338,19 @@ class TestCli:
         assert "too far" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["1e-200,", "1e-160,", "1e160,"])
+    def test_noise_outside_the_float_range_exits_two_at_load(self, tmp_path, noise):
+        # 1e-200 squares to a zero variance; 1e-160 and 1e160 used to end in
+        # an all-NaN CSV and a singular-Fisher error
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(LOCALIZE_CFG.replace("noise_std = 1.0,", f"noise_std = {noise}"))
+        out = tmp_path / "out.csv"
+        proc = run_cli(["localize", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "noise_std" in proc.stderr
+        assert not out.exists()
+
     def test_distant_source_still_runs(self, tmp_path):
         cfg = tmp_path / "distant.cfg"
         cfg.write_text(LOCALIZE_CFG.replace("source = 60, 70", "source = 1e9, 70"))
@@ -415,6 +428,17 @@ class TestReplayDigests:
         )
         assert csv_digest(run_localization_experiment(cfg), tmp_path) == (
             "9a1d1e75efc8f55bd39475a9ba8ebee8731155de4483eb992a501e29e0cc1814"
+        )
+
+    def test_thirty_six_head_opt_sweep(self, tmp_path):
+        # a 6x6 grid stacks 16 edge and 16 inner heads in the weight QPs;
+        # recorded before the QPs were solved in stacks
+        cfg = LocalizationExperiment(
+            n_heads=(36,), sensors_per_head=10, noise_std=1.0, decay_scale=1.0,
+            source=(60.0, 70.0), runs=2, schemes=("opt",), seed=3,
+        )
+        assert csv_digest(run_localization_experiment(cfg), tmp_path) == (
+            "122b89eba500fefa73ed9919fb56cf617e1ce9e3cd806c08a168deef61637b6d"
         )
 
     def test_nine_head_sweep_fails_every_fit(self, tmp_path):
