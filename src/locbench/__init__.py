@@ -23,14 +23,11 @@ from .estimators import (
     crlb,
     global_wls,
     local_wls_batch,
-    residual_and_jacobian,
 )
 from .geometry import (
     NetworkTopology,
     build_grid_network,
     deployment_center,
-    distance,
-    true_range_difference,
 )
 from .rcrt import (
     WavelengthSet,
@@ -62,7 +59,6 @@ __all__ = [
     "crlb",
     "deployment_center",
     "diffuse",
-    "distance",
     "global_wls",
     "local_wls_batch",
     "make_wavelength_set",
@@ -71,8 +67,6 @@ __all__ = [
     "phase_noise_std",
     "reconstruct_batch",
     "remainders_of",
-    "residual_and_jacobian",
     "simulate_phase_remainders",
     "simulate_tdoa_measurements",
-    "true_range_difference",
 ]

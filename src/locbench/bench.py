@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -27,8 +27,9 @@ from .estimators import (
     local_wls_batch,
 )
 from .geometry import NetworkTopology, build_grid_network, deployment_center
-from .rcrt import make_wavelength_set, reconstruct_batch
-from .signals import MeasurementSet, simulate_phase_remainders, simulate_tdoa_measurements
+from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
+from .signals import MeasurementSet, phase_noise_std, simulate_phase_remainders
+from .signals import simulate_tdoa_measurements
 
 __all__ = [
     "ALL_SCHEMES",
@@ -67,6 +68,10 @@ _SWEEPABLE = {
     "decay_scale": ("above 0", lambda v: v > 0),
 }
 
+# a finite SNR point must keep its linear SNR 10**(s/10), and twice that,
+# inside the float range (up to about 3080 dB each way); inf is noiseless
+_SNR_LIMIT_DB = 3000.0
+
 
 # ---------------------------------------------------------------------------
 # experiment descriptions
@@ -74,21 +79,31 @@ _SWEEPABLE = {
 
 @dataclass(frozen=True)
 class RangingExperiment:
-    """Reconstruction error sweep over signal-to-noise ratios."""
+    """Reconstruction error sweep over signal-to-noise ratios; the
+    wavelength set is built at construction, so bad factors fail there."""
 
     common_factor: float
     coprime_factors: tuple[int, ...]
     snr_grid_db: tuple[float, ...]
     trials_per_point: int
     seed: int
+    wavelength_set: WavelengthSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coprime_factors", tuple(self.coprime_factors))
         object.__setattr__(
             self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db)
         )
+        ws = make_wavelength_set(self.common_factor, self.coprime_factors)
+        object.__setattr__(self, "wavelength_set", ws)
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
+        for s in self.snr_grid_db:
+            if not (-_SNR_LIMIT_DB <= s <= _SNR_LIMIT_DB or s == math.inf):
+                raise ValueError(
+                    f"snr_grid_db points must lie in [-{_SNR_LIMIT_DB:g}, "
+                    f"{_SNR_LIMIT_DB:g}] dB or be inf, got {s}"
+                )
         if any(a >= b for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         if self.trials_per_point < 1:
@@ -203,25 +218,30 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
     """Sweep reconstruction over the SNR grid.
 
     Each trial draws a dividend uniformly over the unambiguous range and
-    perturbs its remainders with phase noise; the trials of one grid point
-    are then reconstructed together, and each records
+    then its phase errors; the trials of one grid point are then folded,
+    perturbed and reconstructed together, and each records
     |estimate - truth| / max_range. Ambiguous trials (no unique quotient)
     are counted separately and excluded from the error mean. Trial streams
     are derived from (seed, grid index, trial index) only, so experiments
     sharing a seed share their random draws point for point.
     """
-    ws = make_wavelength_set(cfg.common_factor, cfg.coprime_factors)
+    ws = cfg.wavelength_set
     truths = np.empty(cfg.trials_per_point)
-    noisy = np.empty((cfg.trials_per_point, ws.size))
+    phase_errors = np.empty((cfg.trials_per_point, ws.size))
     records = []
     for p_idx, snr_db in enumerate(cfg.snr_grid_db):
+        sigma_phi = phase_noise_std(snr_db)
         for t_idx in range(cfg.trials_per_point):
             rng = np.random.default_rng([cfg.seed, p_idx, t_idx])
             r = float(rng.uniform(0.0, ws.max_range))
             if r >= ws.max_range:  # float rounding at the upper edge
                 r = float(np.nextafter(ws.max_range, 0.0))
             truths[t_idx] = r
-            noisy[t_idx] = simulate_phase_remainders(r, ws, snr_db, rng)
+            if sigma_phi > 0.0:
+                phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
+        noisy = simulate_phase_remainders(
+            truths, ws, phase_errors if sigma_phi > 0.0 else None
+        )
         estimates, _, ambiguous = reconstruct_batch(noisy, ws)
         solved = ~ambiguous
         errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range

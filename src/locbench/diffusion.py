@@ -199,12 +199,12 @@ def optimal_weights(q: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     so far only when its objective is lower by more than 1e-15, so a tie
     keeps the earlier support. Each head gets the bits a QP of its own
     would. An indefinite restriction (possible through rounding) is
-    regularized by adding a small multiple of the identity and solved
+    regularized by adding 1e-9 |trace Q| / N times the identity and solved
     again. Each call logs one line counting the regularized heads and one
     counting the heads whose optimality conditions hold only loosely.
     """
     q = np.asarray(q, dtype=float)
-    ridge = 1e-9 * np.trace(q) / q.shape[0]
+    ridge = 1e-9 * abs(np.trace(q)) / q.shape[0]
     n = topology.n_heads
     weights = np.zeros((n, n))
     indefinite = loose = 0

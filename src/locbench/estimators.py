@@ -25,7 +25,6 @@ __all__ = [
     "crlb",
     "global_wls",
     "local_wls_batch",
-    "residual_and_jacobian",
 ]
 
 logger = logging.getLogger(__name__)
@@ -91,14 +90,6 @@ def _range_difference_jacobian(x: np.ndarray, xi: np.ndarray, xj: np.ndarray):
     if np.any(di == 0.0) or np.any(dj == 0.0):
         raise EstimationError("evaluation point coincides with a network node")
     return predicted, np.column_stack((jac0, jac1))
-
-
-def residual_and_jacobian(x, meas: MeasurementSet, topology: NetworkTopology):
-    """Residuals (measured minus predicted) and jacobian of the prediction."""
-    pos = as_position(x)
-    xi, xj = _pair_positions(meas, topology)
-    predicted, jac = _range_difference_jacobian(pos, xi, xj)
-    return meas.values - predicted, jac
 
 
 class _NodeIndex:

@@ -12,8 +12,6 @@ __all__ = [
     "as_position",
     "build_grid_network",
     "deployment_center",
-    "distance",
-    "true_range_difference",
 ]
 
 
@@ -25,23 +23,6 @@ def as_position(point) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinates must be finite")
     return arr
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two points."""
-    return float(np.linalg.norm(as_position(a) - as_position(b)))
-
-
-def true_range_difference(source, node_i, node_j) -> float:
-    """Noise-free range difference ||source - node_i|| - ||source - node_j||.
-
-    Antisymmetric in (node_i, node_j); magnitude never exceeds the distance
-    between the two nodes.
-    """
-    src = as_position(source)
-    d_i = float(np.linalg.norm(src - as_position(node_i)))
-    d_j = float(np.linalg.norm(src - as_position(node_j)))
-    return d_i - d_j
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,9 @@ def make_wavelength_set(common_factor: float, coprime_factors) -> WavelengthSet:
     """Validate the factor list and derive wavelengths and unambiguous range.
 
     Raises ValueError when common_factor is not positive, fewer than two
-    factors are given, a factor is below 2 or fractional, or a factor pair
-    shares a divisor (the offending pair is named).
+    factors are given, a factor is below 2 or fractional, a factor pair
+    shares a divisor (the offending pair is named), or max_range leaves the
+    float range.
     """
     if not math.isfinite(common_factor) or common_factor <= 0:
         raise ValueError("common_factor must be positive and finite")
@@ -77,8 +78,13 @@ def make_wavelength_set(common_factor: float, coprime_factors) -> WavelengthSet:
                 raise ValueError(
                     f"factors {factors[a]} and {factors[b]} share divisor {shared}"
                 )
+    try:
+        max_range = common_factor * float(math.prod(factors))
+    except OverflowError:  # the product alone leaves the float range
+        max_range = math.inf
+    if not math.isfinite(max_range):
+        raise ValueError(f"common_factor * prod(factors) must be finite, got {max_range}")
     wavelengths = common_factor * np.array(factors, dtype=float)
-    max_range = common_factor * float(math.prod(factors))
     return WavelengthSet(
         common_factor=float(common_factor),
         coprime_factors=factors,
@@ -87,26 +93,30 @@ def make_wavelength_set(common_factor: float, coprime_factors) -> WavelengthSet:
     )
 
 
-def remainders_of(dividend: float, ws: WavelengthSet):
-    """Fold a known dividend into exact remainders and quotients.
+def remainders_of(dividends, ws: WavelengthSet):
+    """Fold known dividends into exact remainders and quotients.
 
-    Returns (remainders, quotients): per-wavelength floats in
-    [0, wavelength_k) and the folding integers, with
-    quotients * wavelengths + remainders == dividend. dividend must lie in
-    [0, max_range); anything else raises ValueError.
+    dividends is a scalar or any array of them; the result gains a last
+    axis of one entry per wavelength, so a scalar gives one (size,) row.
+    Returns (remainders, quotients): floats in [0, wavelength_k) and the
+    folding integers, with quotients * wavelengths + remainders ==
+    dividend. Every dividend must lie in [0, max_range); anything else
+    raises ValueError.
     """
-    r = float(dividend)
-    if not 0.0 <= r < ws.max_range:
-        raise ValueError(f"dividend {r} outside [0, {ws.max_range})")
+    r = np.asarray(dividends, dtype=float)[..., None]
+    inside = (0.0 <= r) & (r < ws.max_range)
+    if not inside.all():
+        raise ValueError(f"dividend {r[~inside][0]} outside [0, {ws.max_range})")
     quotients = np.floor(r / ws.wavelengths)
-    remainders = r - quotients * ws.wavelengths
+    lams = np.broadcast_to(ws.wavelengths, quotients.shape)
+    remainders = r - quotients * lams
     # guard the float boundaries so remainders stay inside [0, wavelength)
     low = remainders < 0.0
     quotients[low] -= 1.0
-    remainders[low] += ws.wavelengths[low]
-    high = remainders >= ws.wavelengths
+    remainders[low] += lams[low]
+    high = remainders >= lams
     quotients[high] += 1.0
-    remainders[high] -= ws.wavelengths[high]
+    remainders[high] -= lams[high]
     return remainders, quotients.astype(int)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,25 +32,26 @@ def phase_noise_std(snr_db: float) -> float:
 
 
 def simulate_phase_remainders(
-    r_true: float, ws: WavelengthSet, snr_db: float, rng
+    dividends: np.ndarray, ws: WavelengthSet, phase_errors: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Fold a dividend and perturb each remainder with phase noise.
+    """Fold a block of dividends and perturb each remainder by its phase error.
 
-    Each wavelength contributes Gaussian phase noise of standard deviation
-    phase_noise_std(snr_db); the remainder error is the phase error scaled
-    by wavelength / (2*pi). Noisy remainders are wrapped back into
-    [0, wavelength), the way a wrapped phase reading would arrive. Returns
-    the (size,) remainder array.
+    dividends is a (T,) array, one trial per entry, and phase_errors the
+    (T, size) phase errors in radians, drawn with standard deviation
+    phase_noise_std(snr_db); None means a noiseless reading. The remainder
+    error is the phase error scaled by wavelength / (2*pi). Noisy
+    remainders are wrapped back into [0, wavelength), the way a wrapped
+    phase reading would arrive. Returns the (T, size) remainder block;
+    row t depends on trial t alone.
     """
-    exact, _ = remainders_of(r_true, ws)
-    sigma_phi = phase_noise_std(snr_db)
-    if sigma_phi == 0.0:
+    exact, _ = remainders_of(dividends, ws)
+    if phase_errors is None:
         return exact
-    shift = ws.wavelengths / TWO_PI * rng.normal(0.0, sigma_phi, size=ws.size)
+    shift = ws.wavelengths / TWO_PI * phase_errors
     noisy = np.mod(exact + shift, ws.wavelengths)
     # mod can round a tiny negative input up to the modulus itself
     hit = noisy >= ws.wavelengths
-    noisy[hit] -= ws.wavelengths[hit]
+    noisy[hit] -= np.broadcast_to(ws.wavelengths, noisy.shape)[hit]
     return noisy
 
 

@@ -1,12 +1,17 @@
 """Experiment harness: configs, sweeps, CSV artifacts, CLI."""
 
+import dataclasses
 import hashlib
 import logging
+import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from locbench import bench, cli
 from locbench.bench import (
@@ -21,6 +26,8 @@ from locbench.bench import (
     run_localization_experiment,
     run_ranging_experiment,
 )
+from locbench.rcrt import make_wavelength_set, reconstruct_batch
+from locbench.signals import TWO_PI, phase_noise_std
 
 RANGING_CFG = """\
 # reconstruction sweep
@@ -109,6 +116,19 @@ class TestExperimentValidation:
                 common_factor=80.0, coprime_factors=(15, 16, 17),
                 snr_grid_db=(20.0, 20.0), trials_per_point=5, seed=0,
             )
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf, -3001.0, 3001.0])
+    def test_snr_point_must_lie_in_the_float_range(self, snr):
+        # the linear SNR of +-3080 dB leaves the float range; inf is noiseless
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            RangingExperiment(
+                common_factor=80.0, coprime_factors=(15, 16, 17),
+                snr_grid_db=(snr,), trials_per_point=5, seed=0,
+            )
+        RangingExperiment(
+            common_factor=80.0, coprime_factors=(15, 16, 17),
+            snr_grid_db=(-3000.0, 3000.0, math.inf), trials_per_point=5, seed=0,
+        )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -370,6 +390,30 @@ class TestCli:
         assert "epsilon" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("snr_grid_db", "-inf, 0", "snr_grid_db"),
+            ("snr_grid_db", "nan", "snr_grid_db"),
+            ("common_factor", "1e306", "finite"),
+        ],
+    )
+    def test_bad_ranging_config_exits_two_at_load(self, tmp_path, key, value, named):
+        # these ended in a ZeroDivisionError traceback, a misleading
+        # remainder error and an OverflowError traceback
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in RANGING_CFG.splitlines()
+        ]
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        proc = run_cli(["ranging", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert named in proc.stderr
+        assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "r.cfg"
         cfg.write_text(RANGING_CFG)
@@ -463,3 +507,160 @@ class TestReplayDigests:
         assert csv_digest(run_ranging_experiment(cfg), tmp_path) == (
             "57cb1c5067de93e654053041f288b9ae8c9c3e6accf6320a7e1f5b9b81c171b9"
         )
+
+    def test_four_factor_single_trial_sweep(self, tmp_path):
+        # one trial per point, heavy wrapping at -40 dB and a noiseless
+        # point; recorded before each point's trials were folded as a block
+        cfg = RangingExperiment(
+            common_factor=20.0, coprime_factors=(11, 13, 15, 16),
+            snr_grid_db=(-40.0, 0.0, math.inf), trials_per_point=1, seed=7,
+        )
+        assert csv_digest(run_ranging_experiment(cfg), tmp_path) == (
+            "26a9a45c817ebe171d84a35c51287da5806fcd3189ab8c3ea135b6660dee2049"
+        )
+
+
+# ---------------------------------------------------------------------------
+# the earlier per-trial fold and perturbation, kept as a bitwise oracle for
+# the (T, size) block that each SNR point now folds and perturbs at once
+
+
+def oracle_remainders_of(dividend, ws):
+    r = float(dividend)
+    if not 0.0 <= r < ws.max_range:
+        raise ValueError(f"dividend {r} outside [0, {ws.max_range})")
+    quotients = np.floor(r / ws.wavelengths)
+    remainders = r - quotients * ws.wavelengths
+    low = remainders < 0.0
+    quotients[low] -= 1.0
+    remainders[low] += ws.wavelengths[low]
+    high = remainders >= ws.wavelengths
+    quotients[high] += 1.0
+    remainders[high] -= ws.wavelengths[high]
+    return remainders, quotients.astype(int)
+
+
+def oracle_simulate_phase_remainders(r_true, ws, snr_db, rng):
+    exact, _ = oracle_remainders_of(r_true, ws)
+    sigma_phi = phase_noise_std(snr_db)
+    if sigma_phi == 0.0:
+        return exact
+    shift = ws.wavelengths / TWO_PI * rng.normal(0.0, sigma_phi, size=ws.size)
+    noisy = np.mod(exact + shift, ws.wavelengths)
+    hit = noisy >= ws.wavelengths
+    noisy[hit] -= ws.wavelengths[hit]
+    return noisy
+
+
+def oracle_ranging(cfg):
+    """(noisy block per SNR point, records) of the per-trial sweep."""
+    ws = make_wavelength_set(cfg.common_factor, cfg.coprime_factors)
+    blocks, records = [], []
+    for p_idx, snr_db in enumerate(cfg.snr_grid_db):
+        truths = np.empty(cfg.trials_per_point)
+        noisy = np.empty((cfg.trials_per_point, ws.size))
+        for t_idx in range(cfg.trials_per_point):
+            rng = np.random.default_rng([cfg.seed, p_idx, t_idx])
+            r = float(rng.uniform(0.0, ws.max_range))
+            if r >= ws.max_range:
+                r = float(np.nextafter(ws.max_range, 0.0))
+            truths[t_idx] = r
+            noisy[t_idx] = oracle_simulate_phase_remainders(r, ws, snr_db, rng)
+        blocks.append(noisy)
+        estimates, _, ambiguous = reconstruct_batch(noisy, ws)
+        solved = ~ambiguous
+        errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range
+        if errors.size:
+            mean = float(errors.mean())
+            stderr = (
+                float(errors.std(ddof=1) / math.sqrt(errors.size))
+                if errors.size > 1
+                else 0.0
+            )
+        else:
+            mean = math.nan
+            stderr = math.nan
+        records.append(
+            RangingRecord(
+                snr_db=snr_db,
+                relative_error=mean,
+                stderr=stderr,
+                ambiguity_rate=int(ambiguous.sum()) / cfg.trials_per_point,
+            )
+        )
+    return blocks, records
+
+
+def run_capturing_blocks(cfg):
+    """(noisy block per SNR point, records) of run_ranging_experiment."""
+    blocks = []
+    simulate = bench.simulate_phase_remainders
+
+    def capture(*args):
+        blocks.append(simulate(*args))
+        return blocks[-1]
+
+    with mock.patch.object(bench, "simulate_phase_remainders", capture):
+        records = run_ranging_experiment(cfg)
+    return blocks, records
+
+
+def record_rows(records):
+    return np.array([dataclasses.astuple(r) for r in records], dtype=float)
+
+
+@st.composite
+def coprime_factor_sets(draw):
+    """2-4 pairwise co-prime factors: each is a prime, its square or the
+    product of two primes, no prime used twice; the product stays small
+    enough for a quick quotient search."""
+    primes = list(draw(st.permutations((2, 3, 5, 7, 11, 13, 17, 19))))
+    shapes = draw(st.lists(st.sampled_from(["p", "pp", "pq"]), min_size=2, max_size=4))
+    factors = []
+    for shape in shapes:
+        p = primes.pop()
+        factors.append({"p": p, "pp": p * p, "pq": p * primes.pop() if shape == "pq" else p}[shape])
+    assume(math.prod(factors) <= 20000)
+    return tuple(factors)
+
+
+class TestRangingBlockMatchesPerTrialOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        factors=coprime_factor_sets(),
+        common_factor=st.floats(0.01, 1000.0),
+        inner=st.lists(st.floats(-39.0, 60.0), max_size=3, unique=True),
+        trials=st.sampled_from([1, 2, 17, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_and_records_equal_the_oracle(
+        self, factors, common_factor, inner, trials, seed
+    ):
+        # -40 dB wraps most remainders; inf takes the noiseless path
+        cfg = RangingExperiment(
+            common_factor=common_factor, coprime_factors=factors,
+            snr_grid_db=(-40.0, *sorted(inner), math.inf),
+            trials_per_point=trials, seed=seed,
+        )
+        blocks, records = run_capturing_blocks(cfg)
+        expected_blocks, expected_records = oracle_ranging(cfg)
+        assert len(blocks) == len(expected_blocks)
+        for block, expected in zip(blocks, expected_blocks):
+            assert np.array_equal(block, expected)
+        assert np.array_equal(
+            record_rows(records), record_rows(expected_records), equal_nan=True
+        )
+
+    def test_trial_rows_do_not_depend_on_the_trial_count(self):
+        def blocks(trials):
+            cfg = RangingExperiment(
+                common_factor=80.0, coprime_factors=(15, 16, 17),
+                snr_grid_db=(-40.0, 0.0, 20.0, math.inf),
+                trials_per_point=trials, seed=11,
+            )
+            return run_capturing_blocks(cfg)[0]
+
+        full = blocks(100)
+        for trials in (1, 2, 17):
+            for short, long in zip(blocks(trials), full, strict=True):
+                assert np.array_equal(short, long[:trials])

@@ -161,7 +161,7 @@ def oracle_optimal(q, k, topology, events=None):
     events = [] if events is None else events
     if float(solution @ q_sub @ solution) < -_KKT_TOL:
         events.append("indefinite")
-        epsilon = 1e-9 * np.trace(q) / q.shape[0]
+        epsilon = 1e-9 * abs(np.trace(q)) / q.shape[0]
         solution = _simplex_qp(q_sub + epsilon * np.eye(nbhd.size))
     grad = 2.0 * (q_sub @ solution)
     level = float(grad @ solution)
@@ -318,7 +318,7 @@ class TestMatrixRulesMatchPerHeadOracle:
         assert np.array_equal(weights, expected)
         lines = []
         if "indefinite" in events:
-            ridge = 1e-9 * np.trace(q) / n
+            ridge = 1e-9 * abs(np.trace(q)) / n
             lines.append(
                 f"indefinite neighborhood matrix for {events.count('indefinite')} "
                 f"of {n} heads; regularizing with {ridge:g}"
@@ -497,9 +497,16 @@ class TestOptimalWeights:
         with caplog.at_level(logging.WARNING):
             optimal_weights(q, clique_topology(2))
         assert [r.getMessage() for r in caplog.records] == [
-            "indefinite neighborhood matrix for 4 of 4 heads; regularizing with -1e-09",
+            "indefinite neighborhood matrix for 4 of 4 heads; regularizing with 1e-09",
             "optimality conditions loose for 2 of 2 heads",
         ]
+
+    def test_ridge_is_positive_for_a_negative_trace(self, caplog):
+        # the retry must add to the diagonal, whatever the sign of trace(Q)
+        with caplog.at_level(logging.WARNING):
+            optimal_weights(-np.eye(4), path_topology(4))
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert float(line.rsplit(" ", 1)[1]) > 0.0
 
     def test_never_worse_than_connectivity(self):
         topo, meas, state = prepared_trial(3)

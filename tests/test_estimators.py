@@ -14,16 +14,24 @@ from locbench.estimators import (
     _STEP_TOL,
     EstimationError,
     SelectionWeights,
+    _pair_positions,
+    _range_difference_jacobian,
     build_selection_weights,
     crlb,
     global_wls,
     local_wls_batch,
-    residual_and_jacobian,
 )
-from locbench.geometry import build_grid_network, deployment_center
+from locbench.geometry import as_position, build_grid_network, deployment_center
 from locbench.signals import simulate_tdoa_measurements
 
 SOURCE = (60.0, 70.0)
+
+
+def residual_and_jacobian(x, meas, topo):
+    """Residuals (measured minus predicted) and the model's jacobian at x."""
+    xi, xj = _pair_positions(meas, topo)
+    predicted, jac = _range_difference_jacobian(as_position(x), xi, xj)
+    return meas.values - predicted, jac
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Topology construction and geometric primitives."""
 
+import math
+
 import numpy as np
 import pytest
 
+from locbench.estimators import _range_differences
 from locbench.geometry import (
     NetworkTopology,
     as_position,
     build_grid_network,
     deployment_center,
-    distance,
-    true_range_difference,
 )
 
 
@@ -25,15 +26,16 @@ def test_as_position_rejects_bad_shapes():
 
 
 def test_distance_matches_hypot():
-    assert distance((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
+    # the range-difference model's distances, one coordinate array at a time
+    *_, di, dj = _range_differences(0.0, 0.0, 3.0, 4.0, -1.0, 2.0)
+    assert di == pytest.approx(5.0)
+    assert dj == pytest.approx(math.hypot(1.0, 2.0))
 
 
 def test_true_range_difference_sign_convention():
     # measurement is ||x - x_i|| - ||x - x_j||: sensor minus its head
-    src = (0.0, 0.0)
-    xi = (3.0, 4.0)
-    xj = (6.0, 8.0)
-    assert true_range_difference(src, xi, xj) == pytest.approx(5.0 - 10.0)
+    predicted, *_ = _range_differences(0.0, 0.0, 3.0, 4.0, 6.0, 8.0)
+    assert predicted == pytest.approx(5.0 - 10.0)
 
 
 class TestGridNetwork:

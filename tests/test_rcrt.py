@@ -40,6 +40,13 @@ class TestWavelengthSet:
         with pytest.raises(ValueError):
             make_wavelength_set(0.0, (15, 16))
 
+    def test_rejects_max_range_outside_the_float_range(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_wavelength_set(1e306, (15, 16, 17))
+        # a product that leaves the float range before common_factor applies
+        with pytest.raises(ValueError, match="finite"):
+            make_wavelength_set(1e-300, (2**1024 + 1, 3))
+
     def test_rejects_single_factor(self):
         with pytest.raises(ValueError):
             make_wavelength_set(80.0, (15,))
@@ -61,6 +68,27 @@ class TestRemaindersOf:
             remainders_of(WS.max_range, WS)
         with pytest.raises(ValueError):
             remainders_of(-1.0, WS)
+
+    def test_float_boundary_guard(self):
+        # 3.3000000000000003 / 0.30000000000000004 rounds up to 11, so the
+        # raw fold leaves a tiny negative remainder that the guard lifts
+        ws = make_wavelength_set(0.1, (3, 5, 7))
+        for dividends in (3.3000000000000003, np.array([3.3000000000000003, 1.0])):
+            rem, quotients = remainders_of(dividends, ws)
+            assert np.all((rem >= 0.0) & (rem < ws.wavelengths))
+            assert np.allclose(quotients * ws.wavelengths + rem, np.reshape(dividends, (-1, 1)))
+
+    def test_array_of_dividends_folds_entry_by_entry(self):
+        # a block gains a last axis; each entry has the bits of its own fold
+        dividends = np.array([[0.0, 5000.0, 325200.0], [1.5, 99999.25, 1e-9]])
+        rem, quotients = remainders_of(dividends, WS)
+        assert rem.shape == quotients.shape == (2, 3, WS.size)
+        for idx in np.ndindex(dividends.shape):
+            one_rem, one_q = remainders_of(dividends[idx], WS)
+            assert np.array_equal(rem[idx], one_rem)
+            assert np.array_equal(quotients[idx], one_q)
+        with pytest.raises(ValueError, match="outside"):
+            remainders_of(np.array([5000.0, WS.max_range]), WS)
 
     def test_remainders_always_inside_wavelength(self):
         rng = np.random.default_rng(0)
