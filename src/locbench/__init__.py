@@ -17,8 +17,6 @@ from .diffusion import (
 )
 from .estimators import (
     EstimationError,
-    LocalEstimate,
-    SelectionWeights,
     build_selection_weights,
     crlb,
     global_wls,
@@ -47,10 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DiffusionState",
     "EstimationError",
-    "LocalEstimate",
     "MeasurementSet",
     "NetworkTopology",
-    "SelectionWeights",
     "WavelengthSet",
     "build_grid_network",
     "build_q_matrix",

@@ -20,7 +20,6 @@ from .diffusion import SCHEMES as DIFFUSION_SCHEMES
 from .diffusion import DiffusionState, diffuse
 from .estimators import (
     EstimationError,
-    LocalEstimate,
     build_selection_weights,
     crlb,
     global_wls,
@@ -28,7 +27,7 @@ from .estimators import (
 )
 from .geometry import NetworkTopology, build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
-from .signals import MeasurementSet, phase_noise_std, simulate_phase_remainders
+from .signals import TWO_PI, MeasurementSet, phase_noise_std, simulate_phase_remainders
 from .signals import simulate_tdoa_measurements
 
 __all__ = [
@@ -71,6 +70,9 @@ _SWEEPABLE = {
 # a finite SNR point must keep its linear SNR 10**(s/10), and twice that,
 # inside the float range (up to about 3080 dB each way); inf is noiseless
 _SNR_LIMIT_DB = 3000.0
+# the remainder errors, wavelength / 2pi times a phase error, must stay far
+# inside the float range at the noisiest point of the grid
+_PHASE_SPAN_LIMIT = 1e300
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,14 @@ class RangingExperiment:
                 )
         if any(a >= b for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
+        longest = float(ws.wavelengths.max())
+        span = longest / TWO_PI * phase_noise_std(self.snr_grid_db[0])
+        if span > _PHASE_SPAN_LIMIT:
+            raise ValueError(
+                f"the largest wavelength {longest:g} / 2pi times the phase noise "
+                f"std at the lowest snr_grid_db point {self.snr_grid_db[0]:g} dB "
+                f"is {span:g}, above {_PHASE_SPAN_LIMIT:g}"
+            )
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
         if self.seed < 0:
@@ -277,7 +287,11 @@ class _Trial:
     source: np.ndarray
     global_pos: Optional[np.ndarray]
     global_time: float
-    local_estimates: list[LocalEstimate]  # the heads whose fit succeeded
+    # the heads whose local fit succeeded: (F,) ids, (F, 2) positions and
+    # (F, 2, K) operators, as local_wls_batch returns them
+    heads: np.ndarray
+    positions: np.ndarray
+    operators: np.ndarray
     local_time: float
     crlb_trace: float
 
@@ -292,7 +306,7 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
         seed=rng,
     )
     meas = simulate_tdoa_measurements(topology, source, sigma, rng)
-    weights = build_selection_weights(topology)
+    selection = build_selection_weights(topology)
     init = deployment_center(topology)
 
     t0 = time.process_time()
@@ -303,7 +317,7 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
     global_time = time.process_time() - t0
 
     t0 = time.process_time()
-    locals_ = local_wls_batch(meas, weights, topology, init)
+    heads, positions, operators = local_wls_batch(meas, selection, topology, init)
     local_time = time.process_time() - t0
 
     if sigma > 0:
@@ -316,7 +330,9 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
         source=np.asarray(source, dtype=float),
         global_pos=global_pos,
         global_time=global_time,
-        local_estimates=locals_,
+        heads=heads,
+        positions=positions,
+        operators=operators,
         local_time=local_time,
         crlb_trace=crlb_trace,
     )
@@ -340,27 +356,25 @@ def _run_scheme(
         err = float(np.sum((trial.global_pos - trial.source) ** 2))
         return err, None, trial.global_time
 
-    if not trial.local_estimates:
+    if not trial.heads.size:
         return None
 
     t0 = time.process_time()
-    points = np.array([le.position for le in trial.local_estimates])
     if scheme == "local":
-        center = points.mean(axis=0)
+        center = trial.positions.mean(axis=0)
         dt = time.process_time() - t0
         err = float(np.sum((center - trial.source) ** 2))
         return err, None, trial.local_time + dt
 
-    fitted = [le.head for le in trial.local_estimates]
+    fitted = trial.heads
     full = trial.topology
     topology = NetworkTopology(
         heads=full.heads[fitted],
         sensors=full.sensors[fitted],
         adjacency=full.adjacency[np.ix_(fitted, fitted)],
     )
-    operators = np.array([le.operator for le in trial.local_estimates])
     state = diffuse(
-        DiffusionState(estimates=points, operators=operators),
+        DiffusionState(estimates=trial.positions, operators=trial.operators),
         scheme,
         cfg.epsilon,
         cfg.max_epochs,
@@ -435,7 +449,7 @@ def run_localization_experiment(
                 if scheme == trace_scheme:
                     trial_idx = trace_count
                     trace_count += 1
-                    heads = [le.head for le in trial.local_estimates]
+                    heads = trial.heads.tolist()
 
                     def on_epoch(epoch, estimates, _coeffs, max_step, _t=trial_idx, _h=heads):
                         for row, head in enumerate(_h):

@@ -10,17 +10,15 @@ local one over every head at once.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import NetworkTopology, as_position
 from .signals import MeasurementSet
 
 __all__ = [
     "EstimationError",
-    "LocalEstimate",
-    "SelectionWeights",
     "build_selection_weights",
     "crlb",
     "global_wls",
@@ -59,12 +57,6 @@ _FAILURES = {
 
 class EstimationError(RuntimeError):
     """Estimation failed: degenerate geometry or singular normal equations."""
-
-
-def _pair_positions(meas: MeasurementSet, topology: NetworkTopology):
-    xi = topology.sensors[meas.head_idx, meas.sensor_idx]
-    xj = topology.heads[meas.head_idx]
-    return xi, xj
 
 
 def _range_differences(x0, x1, xi0, xi1, xj0, xj1):
@@ -113,24 +105,15 @@ class _NodeIndex:
         return hit
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray):
-    """np.linalg.solve over a stack of systems.
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack of (2, 2) systems with (2, c) sides.
 
-    Returns (solutions, solved): solved[i] is False where a[i] is singular,
-    and that solution is NaN. Every system goes through the same LAPACK
-    call whether or not another one in the stack is singular.
+    Calls the gufunc behind np.linalg.solve, which fills the solution of a
+    singular a[i] with NaN instead of raising for the whole stack; every
+    other system gets the LAPACK call, and the bits, of a solve of its own.
     """
-    try:
-        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        solved = np.ones(len(a), dtype=bool)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return out, solved
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def _rows_of(members: np.ndarray, fit: np.ndarray):
@@ -198,7 +181,7 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
     and the (F, 2, 2) normal matrices at the final points.
     """
     n, k = len(x0), meas.size
-    xi, xj = _pair_positions(meas, topology)
+    xi, xj = topology.measurement_nodes()
     nodes = _NodeIndex(np.concatenate((xi, xj)))
     # per row: both nodes' coordinates and the measurement
     row_data = np.stack((*xi[rows].T, *xj[rows].T, meas.values[rows]))
@@ -265,11 +248,9 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
     mu = np.full(n, _INITIAL_DAMPING)
     accepted = np.zeros(n, dtype=int)
     while idx.size:
-        step, solved = _solve_stack(
-            hess[idx] + mu[idx, None, None] * eye, grad[idx, :, None]
-        )
+        step = _solve_stack(hess[idx] + mu[idx, None, None] * eye, grad[idx, :, None])
         step = step[..., 0]
-        solved &= np.isfinite(step).all(axis=1)
+        solved = np.isfinite(step).all(axis=1)
         if not solved.all():
             outcome[idx[~solved]] = _SINGULAR
             idx, step = idx[solved], step[solved]
@@ -317,83 +298,51 @@ def global_wls(meas: MeasurementSet, topology: NetworkTopology, init) -> np.ndar
     return x[0]
 
 
-@dataclass(frozen=True)
-class SelectionWeights:
-    """Head-level (N, N) selection weights and the sensors behind each head."""
+def build_selection_weights(topology: NetworkTopology) -> np.ndarray:
+    """Metropolis-style (N, N) measurement selection weights.
 
-    head_matrix: np.ndarray
-    sensors_per_head: int
-
-    def column(self, k: int) -> np.ndarray:
-        """Per-measurement weights head k applies (diagonal of its selector).
-
-        A measurement owned by head l gets head_matrix[l, k] divided by the
-        per-head measurement count, so the column still sums to one.
-        """
-        m = self.sensors_per_head
-        return np.repeat(self.head_matrix[:, k] / m, m)
-
-
-def build_selection_weights(topology: NetworkTopology) -> SelectionWeights:
-    """Metropolis-style measurement selection weights for every head.
-
-    Head-level entries: for l adjacent to k the weight is
-    1 / max(degree_l, degree_k) with self-inclusive degrees; the diagonal
-    absorbs the remainder so every column sums to one. SelectionWeights.column
-    spreads a head's column over the measurements.
+    For l adjacent to k the entry [l, k] is 1 / max(degree_l, degree_k)
+    with self-inclusive degrees; the diagonal absorbs the remainder so
+    every column sums to one. Head k gives each of head l's M measurements
+    the weight [l, k] / M.
     """
-    n = topology.n_heads
     degrees = topology.degrees
-    head_matrix = np.zeros((n, n))
-    for k in range(n):
-        for l in topology.neighborhood(k):
-            if l != k:
-                head_matrix[l, k] = 1.0 / max(degrees[l], degrees[k])
-        head_matrix[k, k] = 1.0 - head_matrix[:, k].sum()
-    return SelectionWeights(
-        head_matrix=head_matrix, sensors_per_head=topology.sensors_per_head
-    )
-
-
-@dataclass(frozen=True)
-class LocalEstimate:
-    """One head's estimate with the linear operator that produced it.
-
-    operator maps the stacked linearized measurement vector to the position
-    estimate (2 x K); it is evaluated at the converged point and satisfies
-    operator @ jacobian = identity there.
-    """
-
-    head: int
-    position: np.ndarray
-    operator: np.ndarray
+    weights = topology.adjacency / np.maximum.outer(degrees, degrees)
+    # the matrix is symmetric, and a row sum adds a column's entries in the
+    # pairwise order that summing the column itself would (axis=0 does not)
+    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
+    return weights
 
 
 def local_wls_batch(
     meas: MeasurementSet,
-    weights: SelectionWeights,
+    selection: np.ndarray,
     topology: NetworkTopology,
     init,
-) -> list[LocalEstimate]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every head's weighted fit on the measurements its neighborhood can access.
 
-    Head k weights measurement r by weights.column(k)[r] over the noise
-    variance of r; the measurements outside its neighborhood carry weight
-    zero and are never evaluated. Every head starts from init, as for
-    global_wls, and all heads are fitted in one lockstep batch. A head
-    fails, and is left out, when it has fewer than 3 weighted
-    measurements, when its fit fails, or when the normal matrix at its
-    final point is singular or gives a non-finite operator.
+    Head k weights measurement r = l * M + s by selection[l, k] / M over
+    the noise variance of r; the measurements outside its neighborhood
+    carry weight zero and are never evaluated. Every head starts from
+    init, as for global_wls, and all heads are fitted in one lockstep
+    batch. A head fails, and is left out, when it has fewer than 3
+    weighted measurements, when its fit fails, or when the normal matrix
+    at its final point is singular or gives a non-finite operator.
 
-    Returns the estimates of the heads that succeeded, in head order.
+    Returns (heads, positions, operators) of the heads that succeeded, in
+    head order: (F,) head ids, (F, 2) positions and (F, 2, K) operators.
+    A head's operator (J^T W J)^-1 J^T W maps the stacked linearized
+    measurement vector to its position; it is evaluated at the converged
+    point and satisfies operator @ jacobian = identity there.
     """
     x0 = as_position(init)
-    n, m, k = topology.n_heads, weights.sensors_per_head, meas.size
+    n, m, k = topology.n_heads, topology.sensors_per_head, meas.size
     # head k's rows: the measurements of every head l with a nonzero
-    # head_matrix[l, k], in measurement order
-    fit, owners = np.nonzero(weights.head_matrix.T)
+    # selection[l, k], in measurement order
+    fit, owners = np.nonzero(selection.T)
     rows = (owners[:, None] * m + np.arange(m)).ravel()
-    w = np.repeat(weights.head_matrix[owners, fit] / m, m) / meas.variances[rows]
+    w = np.repeat(selection[owners, fit] / m, m) / meas.variances[rows]
     weighted = w != 0
     fit, rows, w = np.repeat(fit, m)[weighted], rows[weighted], w[weighted]
     solvable = np.bincount(fit, minlength=n) >= 3
@@ -409,27 +358,20 @@ def local_wls_batch(
     fitted = np.flatnonzero(done)
     on, slot = _rows_of(done, fit)
     rows, w = rows[on], w[on]
-    xi, xj = _pair_positions(meas, topology)
-    operators = []
+    xi, xj = topology.measurement_nodes()
+    operators = np.empty((len(fitted), 2, k))
     for lo, hi, a, b, at in _chunks(slot, rows, len(fitted), k):
         points = x[fitted[slot[a:b]]]
         _, jac = _range_difference_jacobian(points, xi[rows[a:b]], xj[rows[a:b]])
         wjac_k = _padded((jac * w[a:b, None]).T, at, hi - lo, k)
-        ops, solved = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
-        solved &= np.all(np.isfinite(ops), axis=(1, 2))
-        status[fitted[lo:hi][~solved]] = _RANK_DEFICIENT
-        # a block per head: views would pin each chunk's buffer to the
-        # heads' lifetime, which raised the peak memory
-        operators.extend(op.copy() for op in ops)
+        operators[lo:hi] = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
+    solved = np.isfinite(operators).all(axis=(1, 2))
+    status[fitted[~solved]] = _RANK_DEFICIENT
 
     outcome = np.full(n, _FEW_ROWS)
     outcome[heads] = status
     _log_local_batch(outcome)
-    return [
-        LocalEstimate(head=int(heads[f]), position=x[f], operator=operators[j])
-        for j, f in enumerate(fitted)
-        if status[f] <= _STOPPED
-    ]
+    return heads[fitted[solved]], x[fitted[solved]], operators[solved]
 
 
 def _log_local_batch(outcome: np.ndarray) -> None:
@@ -459,9 +401,7 @@ def crlb(topology: NetworkTopology, source, variances) -> np.ndarray:
     estimator; sqrt(trace) benchmarks the RMSE curves.
     """
     src = as_position(source)
-    head_idx, sensor_idx = topology.measurement_pairs()
-    xi = topology.sensors[head_idx, sensor_idx]
-    xj = topology.heads[head_idx]
+    xi, xj = topology.measurement_nodes()
     _, jac = _range_difference_jacobian(src, xi, xj)
     var = np.broadcast_to(np.asarray(variances, dtype=float), (jac.shape[0],))
     if np.any(var <= 0):

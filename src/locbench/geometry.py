@@ -65,17 +65,6 @@ class NetworkTopology:
         return self.sensors.shape[1]
 
     @property
-    def n_measurements(self) -> int:
-        """One range difference per sensor, referenced to its own head."""
-        return self.n_heads * self.sensors_per_head
-
-    def neighborhood(self, k: int) -> np.ndarray:
-        """Sorted indices of head k's self-inclusive neighborhood."""
-        mask = self.adjacency[k].copy()
-        mask[k] = True
-        return np.flatnonzero(mask)
-
-    @property
     def neighborhoods(self) -> np.ndarray:
         """(N, N) boolean mask of every self-inclusive neighborhood.
 
@@ -88,11 +77,14 @@ class NetworkTopology:
         """Self-inclusive neighborhood size of every head."""
         return self.adjacency.sum(axis=1).astype(int) + 1
 
-    def measurement_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(head_idx, sensor_idx) arrays in canonical head-major order."""
-        head_idx = np.repeat(np.arange(self.n_heads), self.sensors_per_head)
-        sensor_idx = np.tile(np.arange(self.sensors_per_head), self.n_heads)
-        return head_idx, sensor_idx
+    def measurement_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, 2) sensor and reference-head coordinates of every measurement.
+
+        One range difference per sensor, referenced to its own head, in
+        head-major order: measurement l * M + s is sensor s of head l.
+        """
+        m = self.sensors_per_head
+        return self.sensors.reshape(-1, 2), np.repeat(self.heads, m, axis=0)
 
 
 def build_grid_network(

@@ -59,26 +59,19 @@ def simulate_phase_remainders(
 class MeasurementSet:
     """Range-difference measurements, one per sensor against its own head.
 
-    head_idx / sensor_idx identify each measurement's sensor node; the
-    reference node is always the sensor's cluster head. values holds the
+    Entry r belongs to the r-th pair of NetworkTopology.measurement_nodes()
+    (head-major: r = l * M + s is sensor s of head l). values holds the
     noisy range differences, variances the per-measurement noise variance
     (the diagonal of the measurement covariance).
     """
 
-    head_idx: np.ndarray
-    sensor_idx: np.ndarray
     values: np.ndarray
     variances: np.ndarray
 
     def __post_init__(self):
         k = self.values.shape[0]
-        for name, arr in (
-            ("head_idx", self.head_idx),
-            ("sensor_idx", self.sensor_idx),
-            ("variances", self.variances),
-        ):
-            if arr.shape != (k,):
-                raise ValueError(f"{name} must match values, shape ({k},)")
+        if self.variances.shape != (k,):
+            raise ValueError(f"variances must match values, shape ({k},)")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
 
@@ -99,15 +92,10 @@ def simulate_tdoa_measurements(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     src = as_position(source)
-    head_idx, sensor_idx = topology.measurement_pairs()
-    xi = topology.sensors[head_idx, sensor_idx]
-    xj = topology.heads[head_idx]
+    xi, xj = topology.measurement_nodes()
     clean = np.linalg.norm(src - xi, axis=1) - np.linalg.norm(src - xj, axis=1)
     values = clean if sigma == 0 else clean + sigma * rng.standard_normal(clean.size)
     var = 1.0 if sigma == 0 else sigma * sigma
     return MeasurementSet(
-        head_idx=head_idx,
-        sensor_idx=sensor_idx,
-        values=np.asarray(values, dtype=float),
-        variances=np.full(clean.size, var),
+        values=np.asarray(values, dtype=float), variances=np.full(clean.size, var)
     )

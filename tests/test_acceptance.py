@@ -79,19 +79,16 @@ def diffusion_audit(operating_point):
         rng = np.random.default_rng([OPERATING_SEED, 0, run])
         topo = build_grid_network(n, 50.0, 10, 10.0, 55.0, seed=rng)
         meas = simulate_tdoa_measurements(topo, src, 1.0, rng)
-        weights = build_selection_weights(topo)
+        selection = build_selection_weights(topo)
         init = deployment_center(topo)
-        fits = local_wls_batch(meas, weights, topo, init)
-        assert fits
+        keep, estimates, operators = local_wls_batch(meas, selection, topo, init)
+        assert keep.size
         # diffuse over the fitted heads' sub-network, as the benchmark does
-        keep = [est.head for est in fits]
         sub = NetworkTopology(
             heads=topo.heads[keep],
             sensors=topo.sensors[keep],
             adjacency=topo.adjacency[np.ix_(keep, keep)],
         )
-        estimates = np.array([est.position for est in fits])
-        operators = np.array([est.operator for est in fits])
         outside = ~sub.neighborhoods
         for scheme in ("con", "wei", "opt"):
             envelope = {"lo": estimates.min(axis=0), "hi": estimates.max(axis=0)}
@@ -272,8 +269,7 @@ def test_criterion_04_jacobian_against_finite_differences():
         topo = build_grid_network(16, seed=rng)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
         x = rng.uniform(10.0, 140.0, size=2)
-        xi = topo.sensors[meas.head_idx, meas.sensor_idx]
-        xj = topo.heads[meas.head_idx]
+        xi, xj = topo.measurement_nodes()
         _, jac = _range_difference_jacobian(x, xi, xj)
 
         def predicted(p):

@@ -254,7 +254,9 @@ class TestLocalizationRuns:
         real_local_wls_batch = bench.local_wls_batch
 
         def local_wls_batch(*args):
-            return [e for e in real_local_wls_batch(*args) if e.head != failed_head]
+            heads, positions, operators = real_local_wls_batch(*args)
+            keep = heads != failed_head
+            return heads[keep], positions[keep], operators[keep]
 
         monkeypatch.setattr(bench, "local_wls_batch", local_wls_batch)
         cfg = LocalizationExperiment(
@@ -413,6 +415,28 @@ class TestCli:
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert named in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("common_factor, runs", [("1e200", False), ("1e140", True)])
+    def test_phase_error_scale_is_checked_at_load(self, tmp_path, common_factor, runs):
+        # at 1e200 the remainder errors used to overflow to inf, with two
+        # numpy warnings and a misleading remainder error; 1e140 keeps the
+        # largest scale near 5.6e289, inside the bound
+        cfg = tmp_path / "span.cfg"
+        cfg.write_text(
+            f"common_factor = {common_factor}\ncoprime_factors = 3, 5\n"
+            "snr_grid_db = -3000, 0\ntrials_per_point = 2\nseed = 3\n"
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli(["ranging", "--config", str(cfg), "--out", str(out)])
+        assert "RuntimeWarning" not in proc.stderr
+        if runs:
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert len(out.read_text().splitlines()) == 3
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+            assert "wavelength" in proc.stderr and "snr_grid_db" in proc.stderr
+            assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "r.cfg"

@@ -55,15 +55,11 @@ def prepared_trial(seed):
     rng = np.random.default_rng(seed)
     topo = build_grid_network(16, seed=rng)
     meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-    weights = build_selection_weights(topo)
+    selection = build_selection_weights(topo)
     init = deployment_center(topo)
-    locals_ = local_wls_batch(meas, weights, topo, init)
-    assert [e.head for e in locals_] == list(range(16))
-    state = DiffusionState(
-        estimates=np.array([e.position for e in locals_]),
-        operators=np.array([e.operator for e in locals_]),
-    )
-    return topo, meas, state
+    heads, positions, operators = local_wls_batch(meas, selection, topo, init)
+    assert heads.tolist() == list(range(16))
+    return topo, meas, DiffusionState(estimates=positions, operators=operators)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +68,14 @@ def prepared_trial(seed):
 
 
 def oracle_connectivity(topology, k):
-    nbhd = topology.neighborhood(k)
+    nbhd = np.flatnonzero(topology.neighborhoods[k])
     weights = np.zeros(topology.n_heads)
     weights[nbhd] = topology.degrees[nbhd]
     return weights / weights.sum()
 
 
 def oracle_median(estimates, k, topology, decay_scale):
-    nbhd = topology.neighborhood(k)
+    nbhd = np.flatnonzero(topology.neighborhoods[k])
     median = np.median(estimates, axis=0)
     sq_dist = np.sum((estimates[nbhd] - median) ** 2, axis=1)
     raw = np.exp(-sq_dist / decay_scale)
@@ -155,7 +151,7 @@ def _simplex_qp(q_sub):
 def oracle_optimal(q, k, topology, events=None):
     """Head k's column, one simplex QP at a time; events, when given,
     collects "indefinite" and "loose" for each warning the head raises."""
-    nbhd = topology.neighborhood(k)
+    nbhd = np.flatnonzero(topology.neighborhoods[k])
     q_sub = q[np.ix_(nbhd, nbhd)]
     solution = _simplex_qp(q_sub)
     events = [] if events is None else events
@@ -393,7 +389,7 @@ class TestMedianWeights:
             estimates = rng.normal(60.0, 3.0, size=(16, 2))
             k = int(rng.integers(16))
             w = median_weights(estimates, topo, 2.0)[:, k]
-            nbhd = topo.neighborhood(k)
+            nbhd = np.flatnonzero(topo.neighborhoods[k])
             ref = np.median(estimates, axis=0)
             dist = np.linalg.norm(estimates[nbhd] - ref, axis=1)
             order = np.argsort(dist)

@@ -13,15 +13,19 @@ from locbench.estimators import (
     _MAX_ITERS,
     _STEP_TOL,
     EstimationError,
-    SelectionWeights,
-    _pair_positions,
     _range_difference_jacobian,
+    _solve_stack,
     build_selection_weights,
     crlb,
     global_wls,
     local_wls_batch,
 )
-from locbench.geometry import as_position, build_grid_network, deployment_center
+from locbench.geometry import (
+    NetworkTopology,
+    as_position,
+    build_grid_network,
+    deployment_center,
+)
 from locbench.signals import simulate_tdoa_measurements
 
 SOURCE = (60.0, 70.0)
@@ -29,7 +33,7 @@ SOURCE = (60.0, 70.0)
 
 def residual_and_jacobian(x, meas, topo):
     """Residuals (measured minus predicted) and the model's jacobian at x."""
-    xi, xj = _pair_positions(meas, topo)
+    xi, xj = topo.measurement_nodes()
     predicted, jac = _range_difference_jacobian(as_position(x), xi, xj)
     return meas.values - predicted, jac
 
@@ -40,8 +44,7 @@ def residual_and_jacobian(x, meas, topo):
 
 
 def oracle_evaluate(x, meas, topo):
-    xi = topo.sensors[meas.head_idx, meas.sensor_idx]
-    xj = topo.heads[meas.head_idx]
+    xi, xj = topo.measurement_nodes()
     di = np.linalg.norm(x - xi, axis=1)
     dj = np.linalg.norm(x - xj, axis=1)
     if np.any(di == 0.0) or np.any(dj == 0.0):
@@ -87,10 +90,11 @@ def oracle_global_wls(meas, topo, init):
     return oracle_gauss_newton(meas, topo, init, 1.0 / meas.variances)[0]
 
 
-def oracle_local_wls(k, meas, weights, topo, init):
+def oracle_local_wls(k, meas, selection, topo, init):
     """Head k's fit over all K rows, zero weight outside its neighborhood;
     raises EstimationError where the batch leaves head k out."""
-    combined = weights.column(k) / meas.variances
+    m = topo.sensors_per_head
+    combined = np.repeat(selection[:, k] / m, m) / meas.variances
     if np.count_nonzero(combined) < 3:
         raise EstimationError(f"head {k} has fewer than 3 accessible measurements")
     x, _ = oracle_gauss_newton(meas, topo, init, combined)
@@ -109,8 +113,7 @@ def oracle_local_wls(k, meas, weights, topo, init):
 def finite_difference_rows(x, meas, topo, h=1e-5):
     """Central differences of the range-difference model, one row per pair."""
     def model(p):
-        sensors = topo.sensors[meas.head_idx, meas.sensor_idx]
-        heads = topo.heads[meas.head_idx]
+        sensors, heads = topo.measurement_nodes()
         return np.linalg.norm(p - sensors, axis=1) - np.linalg.norm(p - heads, axis=1)
 
     rows = np.empty((meas.values.size, 2))
@@ -200,24 +203,55 @@ class TestGlobalWls:
         assert np.mean(sq) == pytest.approx(bound, rel=0.15)
 
 
+def oracle_selection_weights(topology):
+    """The earlier per-head double loop: an oracle for the one-expression
+    matrix, which must give the same bits."""
+    n = topology.n_heads
+    degrees = topology.degrees
+    head_matrix = np.zeros((n, n))
+    for k in range(n):
+        for l in np.flatnonzero(topology.neighborhoods[k]):
+            if l != k:
+                head_matrix[l, k] = 1.0 / max(degrees[l], degrees[k])
+        head_matrix[k, k] = 1.0 - head_matrix[:, k].sum()
+    return head_matrix
+
+
+@st.composite
+def networks(draw):
+    """A random symmetric topology of up to 40 heads; a high density gives
+    neighborhoods of 8 heads and more. Heads sit on a line, one sensor each."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    heads = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    return NetworkTopology(
+        heads=heads,
+        sensors=heads[:, None, :] + np.array([0.0, 1.0]),
+        adjacency=upper | upper.T,
+    )
+
+
 class TestSelectionWeights:
     def test_columns_sum_to_one(self):
         topo = build_grid_network(16, seed=3)
-        weights = build_selection_weights(topo)
-        assert np.allclose(weights.head_matrix.sum(axis=0), 1.0)
-        head_idx, _ = topo.measurement_pairs()
+        selection = build_selection_weights(topo)
+        assert np.allclose(selection.sum(axis=0), 1.0)
+        m = topo.sensors_per_head
         for k in range(16):
-            column = weights.column(k)
+            # head k's weight on each measurement, as local_wls_batch applies it
+            column = np.repeat(selection[:, k] / m, m)
             assert column.sum() == pytest.approx(1.0)
             # a measurement carries its owning head's entry split over the
-            # head's sensors
-            assert np.array_equal(column, weights.head_matrix[head_idx, k] / 10)
+            # head's sensors; measurement r belongs to head r // M
+            assert np.array_equal(column, selection[np.arange(16 * m) // m, k] / m)
 
     def test_metropolis_values_on_grid(self):
         # corner head 0 (degree 3) with edge neighbors 1 and 4 (degree 4):
         # off-diagonal 1/4 each, diagonal absorbs the remainder
         topo = build_grid_network(16, seed=3)
-        hm = build_selection_weights(topo).head_matrix
+        hm = build_selection_weights(topo)
         assert hm[1, 0] == pytest.approx(0.25)
         assert hm[4, 0] == pytest.approx(0.25)
         assert hm[0, 0] == pytest.approx(0.5)
@@ -225,46 +259,78 @@ class TestSelectionWeights:
 
     def test_measurement_weights_split_head_mass(self):
         topo = build_grid_network(16, sensors_per_head=10, seed=3)
-        weights = build_selection_weights(topo)
-        col = weights.column(0)
-        assert col.shape == (160,)
+        # head 0's weight on each measurement, as local_wls_batch applies it
+        column = np.repeat(build_selection_weights(topo)[:, 0] / 10, 10)
+        assert column.shape == (160,)
         # head 1's ten sensors share its 1/4 mass
-        assert np.allclose(col[10:20], 0.025)
+        assert np.allclose(column[10:20], 0.025)
+
+    @settings(max_examples=300, deadline=None)
+    @given(topo=networks())
+    def test_matrix_equals_the_loop_bit_for_bit(self, topo):
+        assert np.array_equal(build_selection_weights(topo), oracle_selection_weights(topo))
 
 
-def fitted_heads(meas, weights, topo, init):
-    return {e.head: e for e in local_wls_batch(meas, weights, topo, init)}
+class TestSolveStack:
+    def test_equals_per_matrix_solve_with_nan_at_singular_members(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(200, 2, 2))
+        members = np.flatnonzero(rng.random(200) < 0.3)
+        a[members[0::4], :, 0] = 0.0  # a zero column
+        a[members[1::4], 1] = 0.0  # a zero row
+        a[members[2::4]] = 0.0
+        a[members[3::4], 1] = 2.0 * a[members[3::4], 0]  # rank one, up to rounding
+        exact = np.concatenate((members[0::4], members[1::4], members[2::4]))
+        for width in (1, 640):
+            b = rng.normal(size=(200, 2, width))
+            got = _solve_stack(a, b)
+            singular = np.zeros(200, dtype=bool)
+            for i in range(200):
+                try:
+                    expected = np.linalg.solve(a[i], b[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+                    assert np.all(np.isnan(got[i]))
+                else:
+                    assert np.array_equal(got[i], expected)
+            assert singular[exact].all()
+
+
+def fitted_heads(meas, selection, topo, init):
+    """{head: (position, operator)} of the heads whose fit succeeded."""
+    heads, positions, operators = local_wls_batch(meas, selection, topo, init)
+    return {int(k): (x, op) for k, x, op in zip(heads, positions, operators)}
 
 
 class TestLocalWls:
     def test_operator_is_left_inverse_of_jacobian(self):
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
-        weights = build_selection_weights(topo)
-        fits = fitted_heads(meas, weights, topo, deployment_center(topo))
+        selection = build_selection_weights(topo)
+        fits = fitted_heads(meas, selection, topo, deployment_center(topo))
         for k in (0, 5, 15):
-            est = fits[k]
-            _, jac = residual_and_jacobian(est.position, meas, topo)
-            assert np.allclose(est.operator @ jac, np.eye(2), atol=1e-8)
+            position, operator = fits[k]
+            _, jac = residual_and_jacobian(position, meas, topo)
+            assert np.allclose(operator @ jac, np.eye(2), atol=1e-8)
 
     def test_operator_support_is_local(self):
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
-        weights = build_selection_weights(topo)
-        est = fitted_heads(meas, weights, topo, deployment_center(topo))[0]
-        outside = np.isin(meas.head_idx, topo.neighborhood(0), invert=True)
-        assert np.all(est.operator[:, outside] == 0.0)
+        selection = build_selection_weights(topo)
+        _, operator = fitted_heads(meas, selection, topo, deployment_center(topo))[0]
+        # measurement l * M + s belongs to head l
+        outside = np.repeat(~topo.neighborhoods[0], topo.sensors_per_head)
+        assert np.all(operator[:, outside] == 0.0)
 
     def test_starved_neighborhood_is_left_out(self):
         topo = build_grid_network(4, sensors_per_head=2, seed=1)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
-        head_matrix = np.zeros((4, 4))
-        head_matrix[0, 0] = 1.0  # head 0 may use only its own 2 measurements
-        head_matrix[:, 1] = 0.25  # head 1 sees all 8
-        starved = SelectionWeights(head_matrix=head_matrix, sensors_per_head=2)
-        assert np.count_nonzero(starved.column(0)) == 2
-        fits = local_wls_batch(meas, starved, topo, deployment_center(topo))
-        assert [e.head for e in fits] == [1]
+        starved = np.zeros((4, 4))
+        starved[0, 0] = 1.0  # head 0 may use only its own 2 measurements
+        starved[:, 1] = 0.25  # head 1 sees all 8
+        assert np.count_nonzero(np.repeat(starved[:, 0] / 2, 2)) == 2
+        heads, _, _ = local_wls_batch(meas, starved, topo, deployment_center(topo))
+        assert heads.tolist() == [1]
 
     @pytest.mark.parametrize("init", [(np.nan, 0.0), (0.0, np.inf), (1.0, 2.0, 3.0)])
     def test_start_point_must_be_a_finite_position(self, init):
@@ -280,13 +346,15 @@ class TestLocalWls:
         # a node; a starved column leaves head 0 too few rows
         topo = build_grid_network(9, sensors_per_head=2, seed=1)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
-        weights = build_selection_weights(topo)
-        head_matrix = weights.head_matrix.copy()
-        head_matrix[:, 0] = 0.0
-        head_matrix[0, 0] = 1.0
-        starved = SelectionWeights(head_matrix=head_matrix, sensors_per_head=2)
+        starved = build_selection_weights(topo)
+        starved[:, 0] = 0.0
+        starved[0, 0] = 1.0
         with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
-            assert local_wls_batch(meas, starved, topo, deployment_center(topo)) == []
+            heads, positions, operators = local_wls_batch(
+                meas, starved, topo, deployment_center(topo)
+            )
+        assert heads.size == 0
+        assert positions.shape == (0, 2) and operators.shape == (0, 2, 18)
         (line,) = [r.getMessage() for r in caplog.records]
         assert line == (
             "local WLS fitted 0 of 9 heads; stopped before the step tolerance: []; "
@@ -294,11 +362,10 @@ class TestLocalWls:
         )
 
 
-def starved(weights, rng):
+def starved(selection, rng):
     """Selection weights with a random share of head-level entries zeroed,
     so that some heads keep fewer than 3 measurements."""
-    head_matrix = weights.head_matrix * (rng.random(weights.head_matrix.shape) < 0.6)
-    return SelectionWeights(head_matrix=head_matrix, sensors_per_head=weights.sensors_per_head)
+    return selection * (rng.random(selection.shape) < 0.6)
 
 
 class TestBatchMatchesPerHeadOracle:
@@ -325,21 +392,21 @@ class TestBatchMatchesPerHeadOracle:
 
         source, init = point("source"), point("init")
         meas = simulate_tdoa_measurements(topo, source, noise, rng)
-        weights = build_selection_weights(topo)
+        selection = build_selection_weights(topo)
         if data.draw(st.booleans(), label="starved"):
-            weights = starved(weights, rng)
+            selection = starved(selection, rng)
 
         expected = {}
         for k in range(n_heads):
             try:
-                expected[k] = oracle_local_wls(k, meas, weights, topo, init)
+                expected[k] = oracle_local_wls(k, meas, selection, topo, init)
             except EstimationError:
                 pass
-        got = fitted_heads(meas, weights, topo, init)
+        got = fitted_heads(meas, selection, topo, init)
         assert sorted(got) == sorted(expected)
         for k, (position, operator) in expected.items():
-            assert np.array_equal(got[k].position, position)
-            assert np.array_equal(got[k].operator, operator)
+            assert np.array_equal(got[k][0], position)
+            assert np.array_equal(got[k][1], operator)
 
         try:
             global_expected = oracle_global_wls(meas, topo, init)
@@ -360,14 +427,15 @@ class TestCrlb:
     def test_more_sensors_tighten_the_bound(self):
         small = build_grid_network(16, sensors_per_head=5, seed=9)
         large = build_grid_network(16, sensors_per_head=20, seed=9)
-        var_small = np.ones(small.n_measurements)
-        var_large = np.ones(large.n_measurements)
+        var_small = np.ones(small.n_heads * small.sensors_per_head)
+        var_large = np.ones(large.n_heads * large.sensors_per_head)
         assert np.trace(crlb(large, SOURCE, var_large)) < np.trace(
             crlb(small, SOURCE, var_small)
         )
 
     def test_noise_scales_the_bound(self):
         topo = build_grid_network(16, seed=9)
-        base = np.trace(crlb(topo, SOURCE, np.ones(topo.n_measurements)))
-        scaled = np.trace(crlb(topo, SOURCE, 4.0 * np.ones(topo.n_measurements)))
+        k = topo.n_heads * topo.sensors_per_head
+        base = np.trace(crlb(topo, SOURCE, np.ones(k)))
+        scaled = np.trace(crlb(topo, SOURCE, 4.0 * np.ones(k)))
         assert scaled == pytest.approx(4.0 * base)

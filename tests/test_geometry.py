@@ -88,15 +88,17 @@ class TestGridNetwork:
 
     def test_neighborhood_is_sorted_and_self_inclusive(self):
         topo = build_grid_network(16, seed=2)
-        assert topo.neighborhood(5).tolist() == [1, 4, 5, 6, 9]
-        assert topo.neighborhood(0).tolist() == [0, 1, 4]
+        assert np.flatnonzero(topo.neighborhoods[5]).tolist() == [1, 4, 5, 6, 9]
+        assert np.flatnonzero(topo.neighborhoods[0]).tolist() == [0, 1, 4]
 
     def test_measurement_pairs_are_head_major(self):
         topo = build_grid_network(4, sensors_per_head=3, seed=4)
-        head_idx, sensor_idx = topo.measurement_pairs()
-        assert head_idx.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert sensor_idx.tolist() == [0, 1, 2] * 4
-        assert topo.n_measurements == 12
+        xi, xj = topo.measurement_nodes()
+        assert xi.shape == xj.shape == (12, 2)
+        for r in range(12):
+            head, sensor = divmod(r, 3)
+            assert np.array_equal(xi[r], topo.sensors[head, sensor])
+            assert np.array_equal(xj[r], topo.heads[head])
 
     def test_same_seed_reproduces_layout(self):
         a = build_grid_network(9, seed=11)

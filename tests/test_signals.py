@@ -88,9 +88,8 @@ class TestTdoaMeasurements:
         src = np.array([60.0, 70.0])
         meas = simulate_tdoa_measurements(topo, src, 0.0, np.random.default_rng(0))
         assert np.all(meas.variances == 1.0)
-        for i in range(meas.values.size):
-            h = meas.head_idx[i]
-            s = meas.sensor_idx[i]
+        for i in range(meas.size):
+            h, s = divmod(i, topo.sensors_per_head)
             xi, xj = topo.sensors[h, s], topo.heads[h]
             expected = np.linalg.norm(src - xi) - np.linalg.norm(src - xj)
             assert meas.values[i] == pytest.approx(expected, abs=1e-12)
@@ -106,15 +105,17 @@ class TestTdoaMeasurements:
 
     def test_head_major_measurement_order(self):
         topo = build_grid_network(4, sensors_per_head=3, seed=2)
-        meas = simulate_tdoa_measurements(topo, (0.0, 0.0), 1.0, np.random.default_rng(0))
-        assert meas.head_idx.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert meas.sensor_idx.tolist() == [0, 1, 2] * 4
+        src = np.array([0.0, 0.0])
+        meas = simulate_tdoa_measurements(topo, src, 1.0, np.random.default_rng(0))
+        noise = np.random.default_rng(0).standard_normal(12)
+        assert meas.size == 12
+        for r in range(12):
+            # measurement r is sensor r % M of head r // M, against that head
+            h, s = divmod(r, 3)
+            xi, xj = topo.sensors[h, s], topo.heads[h]
+            clean = np.linalg.norm(src - xi) - np.linalg.norm(src - xj)
+            assert meas.values[r] == pytest.approx(clean + noise[r], abs=1e-12)
 
     def test_variance_invariant(self):
         with pytest.raises(ValueError):
-            MeasurementSet(
-                head_idx=np.array([0]),
-                sensor_idx=np.array([0]),
-                values=np.array([1.0]),
-                variances=np.array([0.0]),
-            )
+            MeasurementSet(values=np.array([1.0]), variances=np.array([0.0]))
