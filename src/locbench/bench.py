@@ -53,9 +53,11 @@ ALL_SCHEMES = ("global",) + DIFFUSION_SCHEMES + ("local",)
 # the sweepable fields, each with the values it admits; every value is
 # checked at construction, before any trial runs
 _SWEEPABLE = {
+    # one head's only start point, the deployment center, is that head, a
+    # node of its own rows: every scheme would fail every run
     "n_heads": (
-        "a perfect square of at least 1",
-        lambda v: v >= 1 and math.isqrt(int(v)) ** 2 == v,
+        "a perfect square of at least 4",
+        lambda v: v >= 4 and math.isqrt(int(v)) ** 2 == v,
     ),
     "sensors_per_head": ("at least 1", lambda v: v >= 1),
     # the fits sum the reciprocal of the variance noise_std**2 over every
@@ -71,8 +73,11 @@ _SWEEPABLE = {
 # inside the float range (up to about 3080 dB each way); inf is noiseless
 _SNR_LIMIT_DB = 3000.0
 # the remainder errors, wavelength / 2pi times a phase error, must stay far
-# inside the float range at the noisiest point of the grid
+# inside the float range: below the limit at the noisiest point of the
+# grid, and above the floor at its quietest finite point, where a subnormal
+# scale would round the errors or flush them to zero
 _PHASE_SPAN_LIMIT = 1e300
+_PHASE_SPAN_FLOOR = 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,16 @@ class RangingExperiment:
                 f"std at the lowest snr_grid_db point {self.snr_grid_db[0]:g} dB "
                 f"is {span:g}, above {_PHASE_SPAN_LIMIT:g}"
             )
+        finite = [s for s in self.snr_grid_db if s != math.inf]
+        if finite:
+            shortest = float(ws.wavelengths.min())
+            span = shortest / TWO_PI * phase_noise_std(finite[-1])
+            if span < _PHASE_SPAN_FLOOR:
+                raise ValueError(
+                    f"the smallest wavelength {shortest:g} / 2pi times the phase "
+                    f"noise std at the highest finite snr_grid_db point "
+                    f"{finite[-1]:g} dB is {span:g}, below {_PHASE_SPAN_FLOOR:g}"
+                )
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
         if self.seed < 0:
@@ -247,11 +262,9 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
             if r >= ws.max_range:  # float rounding at the upper edge
                 r = float(np.nextafter(ws.max_range, 0.0))
             truths[t_idx] = r
-            if sigma_phi > 0.0:
-                phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
-        noisy = simulate_phase_remainders(
-            truths, ws, phase_errors if sigma_phi > 0.0 else None
-        )
+            # a noiseless point draws zeros: 0 * z + 0 is +0
+            phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
+        noisy = simulate_phase_remainders(truths, ws, phase_errors)
         estimates, _, ambiguous = reconstruct_batch(noisy, ws)
         solved = ~ambiguous
         errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range

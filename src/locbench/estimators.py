@@ -40,10 +40,6 @@ _MAX_DAMPING = 1e12
 # elements per (fits, K) buffer of the batched sums; sizes the chunks of
 # fits so that memory stays flat in the head count
 _CHUNK_ELEMENTS = 8192
-# a point is on a node only if both coordinate gaps square to zero, which
-# needs gaps below 1.6e-162; nodes outside a strip this wide around the
-# point's first coordinate are never on it
-_NODE_WINDOW = 1e-150
 
 # how a fit ends: the first two leave an estimate, _LIVE is still running
 _CONVERGED, _STOPPED, _FEW_ROWS, _ON_NODE, _SINGULAR, _RANK_DEFICIENT, _LIVE = range(7)
@@ -82,27 +78,6 @@ def _range_difference_jacobian(x: np.ndarray, xi: np.ndarray, xj: np.ndarray):
     if np.any(di == 0.0) or np.any(dj == 0.0):
         raise EstimationError("evaluation point coincides with a network node")
     return predicted, np.column_stack((jac0, jac1))
-
-
-class _NodeIndex:
-    """Every network node, sorted by first coordinate.
-
-    hit(points) tells which points lie on a node: a computed distance of
-    exactly zero, where the range-difference model is undefined.
-    """
-
-    def __init__(self, nodes: np.ndarray):
-        self.nodes = nodes[np.argsort(nodes[:, 0], kind="stable")]
-
-    def hit(self, points: np.ndarray) -> np.ndarray:
-        first = self.nodes[:, 0]
-        lo = np.searchsorted(first, points[:, 0] - _NODE_WINDOW, side="left")
-        hi = np.searchsorted(first, points[:, 0] + _NODE_WINDOW, side="right")
-        hit = np.zeros(len(points), dtype=bool)
-        for i in np.flatnonzero(hi > lo):
-            gaps = np.linalg.norm(points[i] - self.nodes[lo[i] : hi[i]], axis=1)
-            hit[i] = np.any(gaps == 0.0)
-        return hit
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,8 +144,9 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
     cost is accepted and shrinks the damping 10x; any other grows it 10x.
     A fit converges when an accepted step is shorter than _STEP_TOL. It
     stops after _MAX_ITERS accepted steps or once its damping passes
-    _MAX_DAMPING. It fails when a point it evaluates lies on any node of
-    the network, or on a singular or non-finite step.
+    _MAX_DAMPING. It fails on a singular or non-finite step, and when a
+    point it evaluates lies on a node of one of its own rows: a distance
+    of exactly zero, where its range-difference model is undefined.
 
     Residuals and jacobians are evaluated on each fit's rows only. The sums
     over them run on the K-row layout, zero-padded, so each fit's iterates
@@ -182,7 +158,6 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
     """
     n, k = len(x0), meas.size
     xi, xj = topology.measurement_nodes()
-    nodes = _NodeIndex(np.concatenate((xi, xj)))
     # per row: both nodes' coordinates and the measurement
     row_data = np.stack((*xi[rows].T, *xj[rows].T, meas.values[rows]))
     eye = np.eye(2)
@@ -197,17 +172,20 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
         return len(idx), slot, rows[on], w[on], row_data[:, on], chunks
 
     def evaluate(points, idx):
-        """Cost of the fits idx at points, one point per fit, and the rows
-        (slot, rows, w, wres, jac0, jac1, chunks) that their normal
-        equations need."""
+        """Cost of the fits idx at points, one point per fit, which of them
+        lie on a node of their rows, and the rows (slot, rows, w, wres,
+        jac0, jac1, chunks) that their normal equations need."""
         nonlocal live
         # the evaluated set only shrinks, so an equal size means the same fits
         if live[0] != len(idx):
             live = select(idx)
         _, slot, rows_on, w_on, (xi0, xi1, xj0, xj1, values), chunks = live
-        predicted, jac0, jac1, _, _ = _range_differences(
-            points[slot, 0], points[slot, 1], xi0, xi1, xj0, xj1
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):  # on a node
+            predicted, jac0, jac1, di, dj = _range_differences(
+                points[slot, 0], points[slot, 1], xi0, xi1, xj0, xj1
+            )
+        on_node = np.zeros(len(idx), dtype=bool)
+        on_node[slot[(di == 0.0) | (dj == 0.0)]] = True
         res = values - predicted
         wres = w_on * res
         cost = np.empty(len(idx))
@@ -215,7 +193,7 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
             wres_k = _padded((wres[a:b],), at, hi - lo, k)
             res_k = _padded((res[a:b],), at, hi - lo, k)
             cost[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
-        return cost, (slot, rows_on, w_on, wres, jac0, jac1, chunks)
+        return cost, on_node, (slot, rows_on, w_on, wres, jac0, jac1, chunks)
 
     def normal_equations(evaluated, keep):
         """Gradient and normal matrix of the evaluated fits where keep is
@@ -238,13 +216,13 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
         return grad, hess
 
     x = np.array(x0, dtype=float)
-    outcome = np.full(n, _LIVE)
-    outcome[nodes.hit(x)] = _ON_NODE
-    idx = np.flatnonzero(outcome == _LIVE)
+    idx = np.arange(n)
     live = select(idx)
-    cost, grad, hess = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2))
-    cost[idx], evaluated = evaluate(x[idx], idx)
-    grad[idx], hess[idx] = normal_equations(evaluated, np.ones(len(idx), dtype=bool))
+    cost, on_node, evaluated = evaluate(x, idx)
+    outcome = np.where(on_node, _ON_NODE, _LIVE)
+    idx = idx[~on_node]
+    grad, hess = np.empty((n, 2)), np.empty((n, 2, 2))
+    grad[idx], hess[idx] = normal_equations(evaluated, ~on_node)
     mu = np.full(n, _INITIAL_DAMPING)
     accepted = np.zeros(n, dtype=int)
     while idx.size:
@@ -255,14 +233,10 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
             outcome[idx[~solved]] = _SINGULAR
             idx, step = idx[solved], step[solved]
         trial = x[idx] + step
-        on_node = nodes.hit(trial)
-        if on_node.any():
-            outcome[idx[on_node]] = _ON_NODE
-            idx, step, trial = idx[~on_node], step[~on_node], trial[~on_node]
-
-        cost_new, evaluated = evaluate(trial, idx)
-        better = cost_new <= cost[idx]
-        up, down = idx[better], idx[~better]
+        cost_new, on_node, evaluated = evaluate(trial, idx)
+        outcome[idx[on_node]] = _ON_NODE
+        better = (cost_new <= cost[idx]) & ~on_node
+        up, down = idx[better], idx[~better & ~on_node]
         x[up], cost[up] = trial[better], cost_new[better]
         grad[up], hess[up] = normal_equations(evaluated, better)
         mu[up] *= 0.1

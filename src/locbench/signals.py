@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,21 +31,19 @@ def phase_noise_std(snr_db: float) -> float:
 
 
 def simulate_phase_remainders(
-    dividends: np.ndarray, ws: WavelengthSet, phase_errors: Optional[np.ndarray]
+    dividends: np.ndarray, ws: WavelengthSet, phase_errors: np.ndarray
 ) -> np.ndarray:
     """Fold a block of dividends and perturb each remainder by its phase error.
 
     dividends is a (T,) array, one trial per entry, and phase_errors the
     (T, size) phase errors in radians, drawn with standard deviation
-    phase_noise_std(snr_db); None means a noiseless reading. The remainder
-    error is the phase error scaled by wavelength / (2*pi). Noisy
-    remainders are wrapped back into [0, wavelength), the way a wrapped
-    phase reading would arrive. Returns the (T, size) remainder block;
-    row t depends on trial t alone.
+    phase_noise_std(snr_db); zeros give a noiseless reading, the exact
+    remainders. The remainder error is the phase error scaled by
+    wavelength / (2*pi). Noisy remainders are wrapped back into
+    [0, wavelength), the way a wrapped phase reading would arrive. Returns
+    the (T, size) remainder block; row t depends on trial t alone.
     """
     exact, _ = remainders_of(dividends, ws)
-    if phase_errors is None:
-        return exact
     shift = ws.wavelengths / TWO_PI * phase_errors
     noisy = np.mod(exact + shift, ws.wavelengths)
     # mod can round a tiny negative input up to the modulus itself

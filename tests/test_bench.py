@@ -131,6 +131,30 @@ class TestExperimentValidation:
         )
 
     @pytest.mark.parametrize(
+        "common_factor, grid, accepted",
+        [
+            (80.0, (0.0, 10.0, 30.0), True),
+            (1e-150, (0.0, 10.0, 30.0), True),
+            (1e-320, (0.0, 10.0, 30.0), False),
+            (5e-324, (0.0, 10.0, 30.0), False),
+            # a noiseless grid has no remainder error to underflow
+            (5e-324, (math.inf,), True),
+        ],
+    )
+    def test_remainder_error_scale_must_not_underflow(self, common_factor, grid, accepted):
+        def build():
+            return RangingExperiment(
+                common_factor=common_factor, coprime_factors=(3, 5),
+                snr_grid_db=grid, trials_per_point=5, seed=0,
+            )
+
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError, match="smallest wavelength"):
+                build()
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("n_heads", (16, 15)),
@@ -139,6 +163,7 @@ class TestExperimentValidation:
             ("noise_std", (-0.5,)),
             ("noise_std", (float("nan"),)),
             ("decay_scale", (1.0, 0.0)),
+            ("n_heads", (4, 1)),
         ],
     )
     def test_every_sweep_value_checked_up_front(self, field, value):
@@ -373,6 +398,18 @@ class TestCli:
         assert "noise_std" in proc.stderr
         assert not out.exists()
 
+    def test_single_head_exits_two_at_load(self, tmp_path):
+        # the only start point is the one head, a node of its own rows, so
+        # every scheme used to fail every run of an all-NaN CSV
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(LOCALIZE_CFG.replace("n_heads = 16", "n_heads = 1"))
+        out = tmp_path / "out.csv"
+        proc = run_cli(["localize", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "n_heads" in proc.stderr
+        assert not out.exists()
+
     def test_distant_source_still_runs(self, tmp_path):
         cfg = tmp_path / "distant.cfg"
         cfg.write_text(LOCALIZE_CFG.replace("source = 60, 70", "source = 1e9, 70"))
@@ -436,6 +473,31 @@ class TestCli:
             assert proc.returncode == 2
             assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
             assert "wavelength" in proc.stderr and "snr_grid_db" in proc.stderr
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "common_factor, runs", [("5e-324", False), ("1e-320", False), ("80", True), ("1e-150", True)]
+    )
+    def test_underflowing_remainder_error_exits_two_at_load(
+        self, tmp_path, common_factor, runs
+    ):
+        # at 5e-324 the remainder errors flushed to zero and read a
+        # relative_error of 0 at 30 dB; at 1e-320 they were subnormal and
+        # moved the 4th digit
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(
+            f"common_factor = {common_factor}\ncoprime_factors = 3, 5\n"
+            "snr_grid_db = 0, 10, 30\ntrials_per_point = 200\nseed = 1\n"
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli(["ranging", "--config", str(cfg), "--out", str(out)])
+        if runs:
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert len(out.read_text().splitlines()) == 4
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+            assert "smallest wavelength" in proc.stderr and "snr_grid_db" in proc.stderr
             assert not out.exists()
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -509,18 +571,22 @@ class TestReplayDigests:
             "122b89eba500fefa73ed9919fb56cf617e1ce9e3cd806c08a168deef61637b6d"
         )
 
-    def test_nine_head_sweep_fails_every_fit(self, tmp_path):
-        # the deployment center of an odd-sided grid is a cluster head, so
-        # every Gauss-Newton start lands on a node and every scheme fails
+    def test_nine_head_sweep_fits_the_corner_heads(self, tmp_path):
+        # the deployment center of an odd-sided grid is its middle head:
+        # the global fit, and the local fits of that head and its
+        # neighbours, start on one of their own nodes and fail; the four
+        # corner heads fit, and share no edge, so diffusion stops at once
         cfg = LocalizationExperiment(
             n_heads=9, sensors_per_head=10, noise_std=(0.5, 1.0),
             decay_scale=1.0, source=(60.0, 70.0), runs=2,
             schemes=("global", "con", "wei", "opt", "local"), seed=3,
         )
         records = run_localization_experiment(cfg)
-        assert all(r.fail_count == cfg.runs for r in records)
+        assert all(
+            r.fail_count == (cfg.runs if r.scheme == "global" else 0) for r in records
+        )
         assert csv_digest(records, tmp_path) == (
-            "2ff3c0dc24f9b973d722be1cf47c55166ac19816c609b074936fc6ef7a768c41"
+            "7c95c3a87d1e1ce9eea72957ffda3151676e2cd530f7b61dcd7d746fa45f5324"
         )
 
     def test_ranging_sweep(self, tmp_path):

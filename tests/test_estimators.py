@@ -43,20 +43,25 @@ def residual_and_jacobian(x, meas, topo):
 # oracle for the lockstep batch
 
 
-def oracle_evaluate(x, meas, topo):
-    xi, xj = topo.measurement_nodes()
+def oracle_evaluate(x, meas, topo, weights):
+    """Residuals and jacobian at x on the rows of nonzero weight, zero on
+    the others; raises where x lies on a node of a weighted row."""
+    on = weights != 0
+    xi, xj = (nodes[on] for nodes in topo.measurement_nodes())
     di = np.linalg.norm(x - xi, axis=1)
     dj = np.linalg.norm(x - xj, axis=1)
     if np.any(di == 0.0) or np.any(dj == 0.0):
-        raise EstimationError("evaluation point coincides with a network node")
-    jac = (x - xi) / di[:, None] - (x - xj) / dj[:, None]
-    return meas.values - (di - dj), jac
+        raise EstimationError("evaluation point coincides with a node of a weighted row")
+    res, jac = np.zeros(meas.size), np.zeros((meas.size, 2))
+    res[on] = meas.values[on] - (di - dj)
+    jac[on] = (x - xi) / di[:, None] - (x - xj) / dj[:, None]
+    return res, jac
 
 
 def oracle_gauss_newton(meas, topo, x0, weights):
     """Returns (x, converged)."""
     x = np.array(x0, dtype=float)
-    res, jac = oracle_evaluate(x, meas, topo)
+    res, jac = oracle_evaluate(x, meas, topo, weights)
     cost = float(np.dot(weights * res, res))
     mu = _INITIAL_DAMPING
     for _ in range(_MAX_ITERS):
@@ -71,7 +76,7 @@ def oracle_gauss_newton(meas, topo, x0, weights):
             if not np.all(np.isfinite(step)):
                 raise EstimationError("normal equations produced a non-finite step")
             x_new = x + step
-            res_new, jac_new = oracle_evaluate(x_new, meas, topo)
+            res_new, jac_new = oracle_evaluate(x_new, meas, topo, weights)
             cost_new = float(np.dot(weights * res_new, res_new))
             if cost_new <= cost:
                 accepted = True
@@ -98,7 +103,7 @@ def oracle_local_wls(k, meas, selection, topo, init):
     if np.count_nonzero(combined) < 3:
         raise EstimationError(f"head {k} has fewer than 3 accessible measurements")
     x, _ = oracle_gauss_newton(meas, topo, init, combined)
-    _, jac = oracle_evaluate(x, meas, topo)
+    _, jac = oracle_evaluate(x, meas, topo, combined)
     weighted_jac = jac * combined[:, None]
     normal = weighted_jac.T @ jac
     try:
@@ -342,8 +347,9 @@ class TestLocalWls:
             local_wls_batch(meas, build_selection_weights(topo), topo, init)
 
     def test_one_debug_line_per_batch(self, caplog):
-        # 9 heads: the deployment center is head 4, so every fit starts on
-        # a node; a starved column leaves head 0 too few rows
+        # 9 heads: the deployment center is head 4, so the fits of head 4
+        # and its neighbours start on a node of their own rows; a starved
+        # column leaves head 0 too few rows
         topo = build_grid_network(9, sensors_per_head=2, seed=1)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
         starved = build_selection_weights(topo)
@@ -353,13 +359,33 @@ class TestLocalWls:
             heads, positions, operators = local_wls_batch(
                 meas, starved, topo, deployment_center(topo)
             )
-        assert heads.size == 0
-        assert positions.shape == (0, 2) and operators.shape == (0, 2, 18)
+        assert heads.tolist() == [2, 6, 8]
+        assert positions.shape == (3, 2) and operators.shape == (3, 2, 18)
         (line,) = [r.getMessage() for r in caplog.records]
         assert line == (
-            "local WLS fitted 0 of 9 heads; stopped before the step tolerance: []; "
-            "failed: too few rows [0], on a node [1, 2, 3, 4, 5, 6, 7, 8]"
+            "local WLS fitted 3 of 9 heads; stopped before the step tolerance: []; "
+            "failed: too few rows [0], on a node [1, 3, 4, 5, 7]"
         )
+
+    @pytest.mark.parametrize("n_heads", [9, 25])
+    def test_only_the_center_neighbourhood_starts_on_its_own_nodes(self, n_heads, caplog):
+        # an odd-sided grid's deployment center is its middle head; a fit
+        # fails there only if that head is one of its own rows' nodes
+        rng = np.random.default_rng(3)
+        topo = build_grid_network(n_heads, seed=rng)
+        meas = simulate_tdoa_measurements(topo, SOURCE, 0.5, rng)
+        init = deployment_center(topo)
+        (center,) = np.flatnonzero((topo.heads == init).all(axis=1))
+        on_node = np.flatnonzero(topo.neighborhoods[center])
+        with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
+            heads, _, _ = local_wls_batch(meas, build_selection_weights(topo), topo, init)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line.endswith(f"failed: on a node {on_node.tolist()}")
+        assert heads.tolist() == np.setdiff1d(np.arange(n_heads), on_node).tolist()
+        if n_heads == 9:
+            assert on_node.tolist() == [1, 3, 4, 5, 7]
+        with pytest.raises(EstimationError, match="on a node"):
+            global_wls(meas, topo, init)
 
 
 def starved(selection, rng):

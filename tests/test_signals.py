@@ -35,7 +35,7 @@ def phase_errors(rng, snr_db, trials):
 
 class TestSimulatePhaseRemainders:
     def test_noiseless_matches_exact_fold(self):
-        noisy = simulate_phase_remainders(np.array([5000.0]), WS, None)
+        noisy = simulate_phase_remainders(np.array([5000.0]), WS, np.zeros((1, WS.size)))
         assert isinstance(noisy, np.ndarray) and noisy.shape == (1, 3)
         assert np.array_equal(noisy[0], remainders_of(5000.0, WS)[0])
         assert np.allclose(noisy, [(200.0, 1160.0, 920.0)])
