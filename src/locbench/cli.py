@@ -78,8 +78,8 @@ def main(argv=None) -> int:
 
                     records = run_localization_experiment(cfg, trace_writer)
             emit_csv(records, args.out, record_type=MetricsRecord)
-    except (ValueError, OSError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, EstimationError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
     print(f"wrote {len(records)} records to {args.out}")
     return 0

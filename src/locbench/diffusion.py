@@ -16,10 +16,10 @@ neighborhood:
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -144,11 +144,6 @@ def _equality_solutions(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sol[:, :m], inside
 
 
-def _normalized(vecs: np.ndarray) -> np.ndarray:
-    vecs = np.clip(vecs, 0.0, None)
-    return vecs / vecs.sum(axis=-1, keepdims=True)
-
-
 def _quadratic_forms(vecs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """vecs[i] @ qs[i] @ vecs[i] over the leading axes. Stacked matmul makes
     the BLAS calls of a single product only on C-contiguous operands."""
@@ -157,78 +152,110 @@ def _quadratic_forms(vecs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return (rows @ vecs[..., :, None])[..., 0, 0]
 
 
-def _simplex_qps(qs: np.ndarray) -> np.ndarray:
-    """Exact minimizers of a'Qa over the probability simplex, one per
-    stacked Q, by the support rule of optimal_weights."""
-    h, m, _ = qs.shape
-    full, inside = _equality_solutions(qs)
-    out = np.zeros((h, m))
-    out[inside] = _normalized(full[inside])
-    if inside.all():
-        return out
-    rest = qs[~inside]
-    best = np.zeros((len(rest), m))
-    best_obj = np.full(len(rest), np.inf)
-    for size in range(1, m):
-        supports = np.array(list(itertools.combinations(range(m), size)))
-        subs = rest[:, supports[:, :, None], supports[:, None, :]]
-        sol, ok = _equality_solutions(subs.reshape(-1, size, size))
-        cands = np.ones_like(sol)  # a finite stand-in where ok is False
-        cands[ok] = _normalized(sol[ok])
-        cands = cands.reshape(subs.shape[:3])
-        ok = ok.reshape(subs.shape[:2])
-        objs = _quadratic_forms(cands, subs)
-        for s, support in enumerate(supports):
-            take = ok[:, s] & (objs[:, s] < best_obj - 1e-15)
-            best_obj[take] = objs[take, s]
-            best[take] = 0.0
-            best[np.ix_(take, support)] = cands[take, s]
-    out[~inside] = best
-    return out
-
-
-def optimal_weights(q: np.ndarray, topology: NetworkTopology) -> np.ndarray:
-    """Variance-minimizing combination matrix of the network.
-
-    Column k minimizes a' Q a subject to the weights being a probability
-    vector supported on head k's neighborhood. The heads are solved in one
-    stack per neighborhood size: every full support at once, then, for the
-    heads whose minimizer leaves the simplex, every smaller support, one
-    stacked solve per support size. Those supports are walked in
-    itertools.combinations order; a feasible candidate replaces the best
-    so far only when its objective is lower by more than 1e-15, so a tie
-    keeps the earlier support. Each head gets the bits a QP of its own
-    would. An indefinite restriction (possible through rounding) is
-    regularized by adding 1e-9 |trace Q| / N times the identity and solved
-    again. Each call logs one line counting the regularized heads and one
-    counting the heads whose optimality conditions hold only loosely.
-    """
-    q = np.asarray(q, dtype=float)
-    ridge = 1e-9 * abs(np.trace(q)) / q.shape[0]
-    n = topology.n_heads
-    weights = np.zeros((n, n))
-    indefinite = loose = 0
+def _support_table(topology: NetworkTopology) -> tuple:
+    """(stacks, entries, hoods) of every candidate support of every head's
+    simplex QP, in flat indices into the (N, N) Q and weights. stacks holds
+    (heads, pairs, cols) per support size s: each support's head, the (s, s)
+    block of Q over its members (ascending), and its column in the head's
+    walk: 0 for the whole neighborhood, then the proper subsets in
+    itertools.combinations order, smallest first. entries holds (head,
+    slot, col) per member in stack order, hoods (heads, pairs, slots) of
+    the whole neighborhoods of each size."""
+    n, by_size, hoods = topology.n_heads, {}, []
     for m in np.unique(topology.degrees):
-        heads = np.flatnonzero(topology.degrees == m)
-        nbhds = np.nonzero(topology.neighborhoods[heads])[1].reshape(-1, m)
-        qs = np.ascontiguousarray(q[nbhds[:, :, None], nbhds[:, None, :]])
-        solution = _simplex_qps(qs)
-        bad = _quadratic_forms(solution, qs) < -_KKT_TOL
-        if bad.any():
-            solution[bad] = _simplex_qps(qs[bad] + ridge * np.eye(m))
+        h = np.flatnonzero(topology.degrees == m)
+        nb = np.nonzero(topology.neighborhoods[h])[1].reshape(-1, m)
+        hoods.append((h, nb[:, :, None] * n + nb[:, None, :], nb * n + h[:, None]))
+        walk = [range(m)] + [c for s in range(1, m) for c in combinations(range(m), s)]
+        for s in range(1, m + 1):
+            cols = [col for col, c in enumerate(walk) if len(c) == s]
+            members = nb[:, [walk[c] for c in cols]].reshape(-1, s)
+            owners = h.repeat(len(cols))
+            by_size.setdefault(s, []).append((owners, members, cols * len(h)))
+    stacks = [[np.concatenate(p) for p in zip(*by_size[s])] for s in sorted(by_size)]
+    flat = [(h.repeat(s), (m * n + h[:, None]).ravel(), c.repeat(s))
+            for s, (h, m, c) in enumerate(stacks, start=1)]
+    stacks = [(h, m[:, :, None] * n + m[:, None, :], c) for h, m, c in stacks]
+    return stacks, [np.concatenate(p) for p in zip(*flat)], hoods
+
+
+def _record_walk(objs: np.ndarray) -> np.ndarray:
+    """Column each row's left-to-right walk keeps (-1 if none is below inf):
+    an entry replaces the best only when lower by more than 1e-15, so a tie
+    keeps the earlier one and NaN never wins. A row's next record is its
+    first entry below best - 1e-15; no earlier entry can be."""
+    best, winner = np.full(len(objs), np.inf), np.full(len(objs), -1)
+    while (below := objs < best[:, None] - 1e-15).any():
+        moved = below.any(axis=1)
+        winner[moved] = below[moved].argmax(axis=1)
+        best[moved] = objs[moved, winner[moved]]
+    return winner
+
+
+def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
+    """(weights, bad, loose): column k of the (N, N) weights minimizes a'Qa
+    over head k's neighborhood simplex; per head, is a' base a < -_KKT_TOL,
+    and do its optimality conditions under base hold only loosely."""
+    stacks, (heads, slots, cols), hoods = supports
+    objs, values = np.full((len(q), cols.max() + 1), np.inf), []
+    for stack_heads, pairs, stack_cols in stacks:
+        qs = q.take(pairs)
+        sol, ok = _equality_solutions(qs)
+        cands = np.clip(np.where(ok[:, None], sol, 1.0), 0.0, None)
+        cands /= cands.sum(axis=1, keepdims=True)
+        # a feasible whole neighborhood ends the walk where it starts
+        forms = np.where(stack_cols == 0, -np.inf, _quadratic_forms(cands, qs))
+        objs[stack_heads, stack_cols] = np.where(ok, forms, np.inf)
+        values.append(cands.ravel())
+    take = _record_walk(objs)[heads] == cols
+    weights = np.zeros(q.shape)
+    weights.flat[slots[take]] = np.concatenate(values)[take]
+    bad, loose = np.zeros((2, len(q)), dtype=bool)
+    for owners, pairs, nbhd_slots in hoods:
+        qs = base.take(pairs)
+        solution = weights.take(nbhd_slots)
+        bad[owners] = _quadratic_forms(solution, qs) < -_KKT_TOL
         grad = 2.0 * (qs @ solution[:, :, None])[:, :, 0]
         level = (grad[:, None, :] @ solution[:, :, None])[:, 0, 0]
         slack = level - _KKT_TOL * np.maximum(1.0, np.abs(level))
-        indefinite += int(bad.sum())
-        loose += int((grad < slack[:, None]).any(axis=1).sum())
-        weights[nbhds, heads[:, None]] = solution
-    if indefinite:
+        loose[owners] = (grad < slack[:, None]).any(axis=1)
+    return weights, bad, loose
+
+
+def optimal_weights(
+    q: np.ndarray, topology: NetworkTopology, *, supports: Optional[tuple] = None
+) -> np.ndarray:
+    """Variance-minimizing combination matrix of the network.
+
+    Column k minimizes a' Q a subject to the weights being a probability
+    vector supported on head k's neighborhood. Every candidate support of
+    every head is solved in one stack per support size. A head keeps its
+    whole-neighborhood minimizer when that lies inside the simplex; else
+    its proper supports are walked in itertools.combinations order, and a
+    feasible candidate replaces the best so far only when its objective is
+    lower by more than 1e-15, so a tie keeps the earlier support. Each head
+    gets the bits a QP of its own would. An indefinite restriction (possible
+    through rounding) is regularized by adding 1e-9 |trace Q| / N times the
+    identity and solved again. Each call logs one line counting the
+    regularized heads and one counting the heads whose optimality conditions
+    hold only loosely. diffuse builds supports, the topology's support
+    table, once per run; a direct call leaves it out.
+    """
+    q, n = np.asarray(q, dtype=float), topology.n_heads
+    if q.shape != (n, n):
+        raise ValueError(f"q must have shape ({n}, {n}) for {n} heads, got {q.shape}")
+    ridge = 1e-9 * abs(np.trace(q)) / n
+    supports = _support_table(topology) if supports is None else supports
+    weights, bad, loose = _simplex_weights(q, supports, q)
+    if bad.any():
+        retry, _, retry_loose = _simplex_weights(q + ridge * np.eye(n), supports, q)
+        weights[:, bad], loose[bad] = retry[:, bad], retry_loose[bad]
         logger.warning(
             "indefinite neighborhood matrix for %d of %d heads; regularizing with %g",
-            indefinite, n, ridge,
+            bad.sum(), n, ridge,
         )
-    if loose:
-        logger.warning("optimality conditions loose for %d of %d heads", loose, n)
+    if loose.any():
+        logger.warning("optimality conditions loose for %d of %d heads", loose.sum(), n)
     return weights
 
 
@@ -253,7 +280,8 @@ def diffuse(
     non-convergence). For the ``opt`` scheme the estimation operators are
     combined with the same coefficients each epoch and the variance matrix
     rebuilt from them; optimize_once solves the quadratic programs only in
-    the first epoch and reuses those coefficients afterwards.
+    the first epoch and reuses those coefficients afterwards. The programs'
+    support table is built once per call.
 
     on_epoch, when given, is called after each epoch with (epoch,
     estimates, coefficients, max_step).
@@ -279,13 +307,15 @@ def diffuse(
 
     if scheme == "con":
         coeffs = connectivity_weights(topology)
+    supports = _support_table(topology) if scheme == "opt" else None
     epoch = 0
     converged = False
     for epoch in range(1, max_epochs + 1):
         if scheme == "wei":
             coeffs = median_weights(estimates, topology, decay_scale)
         elif scheme == "opt" and (epoch == 1 or not optimize_once):
-            coeffs = optimal_weights(build_q_matrix(operators, variances), topology)
+            q = build_q_matrix(operators, variances)
+            coeffs = optimal_weights(q, topology, supports=supports)
         new_estimates = coeffs.T @ estimates
         if scheme == "opt":
             operators = np.einsum("lk,ldi->kdi", coeffs, operators)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import json
 import logging
 import math
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from locbench.bench import (
 )
 from locbench.rcrt import make_wavelength_set, reconstruct_batch
 from locbench.signals import TWO_PI, phase_noise_std
+from pinned_digests import DIGESTS, REFERENCE_KERNEL, assert_pinned, pinned
 
 RANGING_CFG = """\
 # reconstruction sweep
@@ -410,6 +413,32 @@ class TestCli:
         assert "n_heads" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, config",
+        [
+            ("ranging", RANGING_CFG.replace("point = 50", f"point = {10**15}")),
+            (
+                "localize",
+                LOCALIZE_CFG.replace("n_heads = 16", f"n_heads = 4, {10**16}")
+                .replace("noise_std = 1.0,", "noise_std = 1.0"),
+            ),
+        ],
+        ids=["trials_per_point", "n_heads"],
+    )
+    def test_sizes_beyond_the_address_space_exit_two(self, tmp_path, kind, config):
+        # a (10**15,) float array or a (10**16,) index array needs more than
+        # a 48-bit address space, so numpy's allocation fails at once and
+        # takes no memory; the 4-head cell of the sweep runs before it
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out.csv"
+        proc = run_cli([kind, "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("error:") == 1
+        assert proc.stderr.splitlines()[-1].startswith("error: Unable to allocate")
+        assert not out.exists()
+
     def test_distant_source_still_runs(self, tmp_path):
         cfg = tmp_path / "distant.cfg"
         cfg.write_text(LOCALIZE_CFG.replace("source = 60, 70", "source = 1e9, 70"))
@@ -528,7 +557,23 @@ class TestReplayDigests:
 
     A change that moves any byte of these files changes behaviour and has
     to say so; the digests are updated only together with such a note.
+    They live in pinned_digests.json, one set per OpenBLAS kernel.
     """
+
+    def test_reference_kernel_configs_match_the_benchmark(self):
+        # the CI digest step reads the configs' digests from the same file
+        reference = json.loads(
+            (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+        )
+        for name in ("configs/localize.cfg", "configs/ranging.cfg"):
+            assert DIGESTS[REFERENCE_KERNEL][name] == reference[name]
+
+    def test_a_kernel_without_digests_is_held_to_the_reference(self):
+        for name, digest in DIGESTS[REFERENCE_KERNEL].items():
+            assert pinned(name, "Sandybridge") == digest
+            assert pinned(name, None) == digest
+        for kernel, recorded in DIGESTS.items():
+            assert set(recorded) == set(DIGESTS[REFERENCE_KERNEL]), kernel
 
     def test_decay_scale_sweep(self, tmp_path, caplog):
         # decay_scale 0.01 strands far-off heads and takes the median-weight
@@ -544,9 +589,7 @@ class TestReplayDigests:
             r.getMessage().startswith("median weights underflowed")
             for r in caplog.records
         )
-        assert csv_digest(records, tmp_path) == (
-            "819091d83dff58df3ef2de4a1aedd211c6c028f9defb1b832aba2aa5665b32fd"
-        )
+        assert_pinned("test_decay_scale_sweep", csv_digest(records, tmp_path))
 
     def test_sixty_four_head_sweep(self, tmp_path):
         # at 64 heads some far-field local fits walk out along a bearing,
@@ -556,9 +599,8 @@ class TestReplayDigests:
             source=(60.0, 70.0), runs=1, schemes=("global", "con", "local"),
             seed=3,
         )
-        assert csv_digest(run_localization_experiment(cfg), tmp_path) == (
-            "9a1d1e75efc8f55bd39475a9ba8ebee8731155de4483eb992a501e29e0cc1814"
-        )
+        digest = csv_digest(run_localization_experiment(cfg), tmp_path)
+        assert_pinned("test_sixty_four_head_sweep", digest)
 
     def test_thirty_six_head_opt_sweep(self, tmp_path):
         # a 6x6 grid stacks 16 edge and 16 inner heads in the weight QPs;
@@ -567,9 +609,8 @@ class TestReplayDigests:
             n_heads=(36,), sensors_per_head=10, noise_std=1.0, decay_scale=1.0,
             source=(60.0, 70.0), runs=2, schemes=("opt",), seed=3,
         )
-        assert csv_digest(run_localization_experiment(cfg), tmp_path) == (
-            "122b89eba500fefa73ed9919fb56cf617e1ce9e3cd806c08a168deef61637b6d"
-        )
+        digest = csv_digest(run_localization_experiment(cfg), tmp_path)
+        assert_pinned("test_thirty_six_head_opt_sweep", digest)
 
     def test_nine_head_sweep_fits_the_corner_heads(self, tmp_path):
         # the deployment center of an odd-sided grid is its middle head:
@@ -585,18 +626,16 @@ class TestReplayDigests:
         assert all(
             r.fail_count == (cfg.runs if r.scheme == "global" else 0) for r in records
         )
-        assert csv_digest(records, tmp_path) == (
-            "7c95c3a87d1e1ce9eea72957ffda3151676e2cd530f7b61dcd7d746fa45f5324"
-        )
+        digest = csv_digest(records, tmp_path)
+        assert_pinned("test_nine_head_sweep_fits_the_corner_heads", digest)
 
     def test_ranging_sweep(self, tmp_path):
         cfg = RangingExperiment(
             common_factor=80.0, coprime_factors=(15, 16, 17),
             snr_grid_db=(10.0, 20.0), trials_per_point=200, seed=1,
         )
-        assert csv_digest(run_ranging_experiment(cfg), tmp_path) == (
-            "57cb1c5067de93e654053041f288b9ae8c9c3e6accf6320a7e1f5b9b81c171b9"
-        )
+        digest = csv_digest(run_ranging_experiment(cfg), tmp_path)
+        assert_pinned("test_ranging_sweep", digest)
 
     def test_four_factor_single_trial_sweep(self, tmp_path):
         # one trial per point, heavy wrapping at -40 dB and a noiseless
@@ -605,9 +644,8 @@ class TestReplayDigests:
             common_factor=20.0, coprime_factors=(11, 13, 15, 16),
             snr_grid_db=(-40.0, 0.0, math.inf), trials_per_point=1, seed=7,
         )
-        assert csv_digest(run_ranging_experiment(cfg), tmp_path) == (
-            "26a9a45c817ebe171d84a35c51287da5806fcd3189ab8c3ea135b6660dee2049"
-        )
+        digest = csv_digest(run_ranging_experiment(cfg), tmp_path)
+        assert_pinned("test_four_factor_single_trial_sweep", digest)
 
 
 # ---------------------------------------------------------------------------

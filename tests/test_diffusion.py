@@ -5,12 +5,14 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from locbench.diffusion import (
     _KKT_TOL,
     DiffusionState,
+    _record_walk,
+    _support_table,
     build_q_matrix,
     connectivity_weights,
     diffuse,
@@ -172,6 +174,40 @@ def oracle_matrix(rule, topology):
     return np.column_stack([rule(k) for k in range(topology.n_heads)])
 
 
+def assert_optimal_matches_the_oracle(q, topology, caplog):
+    """optimal_weights, with its support table built inside or passed in,
+    equals the per-head oracle bit for bit and logs the oracle's lines."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="locbench"):
+        weights = optimal_weights(q, topology)
+    events = []
+    expected = oracle_matrix(lambda h: oracle_optimal(q, h, topology, events), topology)
+    assert np.array_equal(weights, expected)
+    n = topology.n_heads
+    lines = []
+    if "indefinite" in events:
+        ridge = 1e-9 * abs(np.trace(q)) / n
+        lines.append(
+            f"indefinite neighborhood matrix for {events.count('indefinite')} "
+            f"of {n} heads; regularizing with {ridge:g}"
+        )
+    if "loose" in events:
+        lines.append(f"optimality conditions loose for {events.count('loose')} of {n} heads")
+    assert [r.getMessage() for r in caplog.records] == lines
+    supports = _support_table(topology)
+    assert np.array_equal(optimal_weights(q, topology, supports=supports), weights)
+
+
+def sequential_walk(row):
+    """The record walk as a loop: a later objective replaces the best only
+    when it is lower by more than 1e-15."""
+    best, winner = np.inf, -1
+    for col, obj in enumerate(row):
+        if obj < best - 1e-15:
+            best, winner = obj, col
+    return winner
+
+
 @st.composite
 def networks(draw, max_heads):
     """A random symmetric topology; heads sit on a line, one sensor each."""
@@ -227,6 +263,33 @@ def stacked_networks(draw):
         sensors=heads[:, None, :] + np.array([0.0, 1.0]),
         adjacency=adjacency,
     )
+
+
+@st.composite
+def objective_matrices(draw):
+    """Walk objectives: runs of ties and near-ties a few ulp to 1e-15
+    apart, -inf, and infeasible inf or NaN entries; some rows hold no
+    feasible entry at all."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 31))
+    base = draw(st.sampled_from([1.0, 0.0, -2.5, 1e-3, 40.0]))
+    step = draw(st.sampled_from([2.0**-52, 2.5e-16, 5e-16, 1e-15, 1.5e-15]))
+    entry = st.one_of(
+        st.integers(-8, 8).map(lambda k: base + k * step),
+        st.sampled_from([np.inf, np.nan, -np.inf]),
+        st.floats(-1e3, 1e3),
+    )
+    cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    objs = np.array(cells).reshape(rows, cols)
+    blank = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    objs[blank] = draw(st.sampled_from([np.inf, np.nan]))
+    return objs
+
+
+def degree_mixed_grid(n_heads, drop):
+    """A grid with the heads in drop left out, the way the bench leaves out
+    failed fits: neighborhoods of 1 to 5 heads."""
+    grid = build_grid_network(n_heads, seed=0)
+    return induced(grid, np.setdiff1d(np.arange(n_heads), drop))
 
 
 def assert_combination_matrix(weights, topology):
@@ -334,6 +397,63 @@ class TestMatrixRulesMatchPerHeadOracle:
             optimal_weights(q, topo),
             oracle_matrix(lambda h: oracle_optimal(q, h, topo), topo),
         )
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_optimal_mixed_degrees_match_the_oracle(self, caplog, data):
+        # one support-size stack holds the whole neighborhoods of some heads
+        # and proper subsets of larger ones
+        n_heads = data.draw(st.sampled_from([16, 25]), label="heads")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        share = data.draw(st.sampled_from([0.1, 0.3, 0.5]), label="dropped")
+        topo = degree_mixed_grid(n_heads, np.flatnonzero(rng.random(n_heads) < share))
+        assume(topo.n_heads > 0)
+        operators = rng.normal(size=(topo.n_heads, 2, 8))
+        if data.draw(st.booleans(), label="rounded"):
+            operators = np.round(operators)
+        # heads sharing one operator tie supports, and the walk order decides
+        shared = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shared")
+        operators[rng.random(topo.n_heads) < shared] = operators[0]
+        shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
+        q = build_q_matrix(operators, rng.uniform(0.5, 2.0, size=8))
+        assert_optimal_matches_the_oracle(q - shift * np.eye(topo.n_heads), topo, caplog)
+
+    @pytest.mark.parametrize("shift", [0.0, 40.0])
+    def test_optimal_on_a_grid_with_every_degree(self, caplog, shift):
+        # without heads 1, 3 and 5 of a 5x5 grid, head 0 stands alone,
+        # heads 2 and 4 have one neighbour and head 12 all four; the shift
+        # makes every neighborhood indefinite and takes the ridge retry
+        topo = degree_mixed_grid(25, [1, 3, 5])
+        assert set(topo.degrees) == {1, 2, 3, 4, 5}
+        rng = np.random.default_rng(17)
+        q = build_q_matrix(rng.normal(size=(22, 2, 8)), rng.uniform(0.5, 2.0, size=8))
+        assert_optimal_matches_the_oracle(q - shift * np.eye(22), topo, caplog)
+        if shift:
+            assert caplog.records[0].getMessage().startswith(
+                "indefinite neighborhood matrix for 22 of 22 heads"
+            )
+
+
+class TestRecordWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(objective_matrices())
+    def test_matches_the_sequential_walk(self, objs):
+        assert _record_walk(objs).tolist() == [sequential_walk(row) for row in objs]
+
+    def test_a_near_tie_keeps_the_earlier_record_not_the_minimum(self):
+        # 1 - 1.5e-15 beats 1 by more than 1e-15; 1 - 2e-15 does not beat it
+        objs = np.array([[1.0, 1.0 - 1.5e-15, 1.0 - 2e-15]])
+        assert objs[0].argmin() == 2
+        assert sequential_walk(objs[0]) == 1
+        assert _record_walk(objs).tolist() == [1]
+
+    def test_a_row_without_a_feasible_entry_keeps_none(self):
+        objs = np.array([[np.inf, np.nan, np.inf], [np.nan, 3.0, 3.0], [2.0, np.nan, -np.inf]])
+        assert _record_walk(objs).tolist() == [-1, 1, 2]
 
 
 class TestConnectivityWeights:
@@ -496,6 +616,11 @@ class TestOptimalWeights:
             "indefinite neighborhood matrix for 4 of 4 heads; regularizing with 1e-09",
             "optimality conditions loose for 2 of 2 heads",
         ]
+
+    def test_rejects_a_q_of_another_size(self):
+        for q in (np.eye(3), np.eye(5), np.ones((4, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                optimal_weights(q, path_topology(4))
 
     def test_ridge_is_positive_for_a_negative_trace(self, caplog):
         # the retry must add to the diagonal, whatever the sign of trace(Q)
