@@ -1,17 +1,19 @@
 """Robust reconstruction of a real dividend from modulo-wavelength remainders.
 
-The measuring wavelengths share a real common factor: wavelength k is
-common_factor * coprime_factors[k] with pairwise co-prime integer factors.
-A dividend r in [0, max_range) folds into one remainder per wavelength.
-Reconstruction searches the folding integers (quotients) by pairing every
-wavelength with the first one, intersects the per-pair candidate sets, and
-averages the unfolded per-wavelength estimates. The search is elementwise
-over the first quotient, so reconstruct_batch runs it over many trials at
-once; a single trial is a batch of one row.
+The measuring wavelengths share a real common factor M: wavelength k is
+M * Gamma_k with pairwise co-prime integer factors. A dividend r in
+[0, max_range) folds into one remainder r_k and quotient n_k per wavelength.
+reconstruct_batch recovers the quotients of a (T, size) block of trials by
+the closed-form robust CRT (Wang & Xia, IEEE TSP 58(11), 2010) in O(size)
+integer steps per trial, and matches a scan of every first quotient bit for
+bit, ties and ambiguity flags included. Each pairing of wavelength k with
+the first takes the difference q_k = n_k * Gamma_k - n_0 * Gamma_0 nearest
+x_k = (r_0 - r_k) / M that quotients in range can form; the ordinary CRT
+gives n_0 from n_0 * Gamma_0 = -q_k (mod Gamma_k), and n_0 every n_k.
 
-Robustness guarantee: if every remainder error stays strictly below one
-quarter of the common factor, the quotient search is exact and the averaged
-estimate carries the same error bound as the worst remainder.
+Robustness guarantee: if every remainder error stays strictly below M / 4,
+the quotients are exact and the averaged estimate carries the same error
+bound as the worst remainder.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ __all__ = [
     "remainders_of",
 ]
 
-# groups numerically equal search minima, scaled by the first wavelength
+# the tie cut, scaled by the first wavelength: every quotient difference
+# within TIE_TOLERANCE_REL * Gamma_0 (in units of M) of the nearest one
+# stays a candidate
 TIE_TOLERANCE_REL = 1e-9
-
-# elements per (trials, pairings, first quotients) temporary of the batch
-# search; sizes its chunks so that memory stays flat in the trial count
-_CHUNK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,9 @@ def make_wavelength_set(common_factor: float, coprime_factors) -> WavelengthSet:
 
     Raises ValueError when common_factor is not positive, fewer than two
     factors are given, a factor is below 2 or fractional, a factor pair
-    shares a divisor (the offending pair is named), or max_range leaves the
-    float range.
+    shares a divisor (the offending pair is named), max_range leaves the
+    float range, or a quotient or an integer step of the reconstruction
+    leaves int64.
     """
     if not math.isfinite(common_factor) or common_factor <= 0:
         raise ValueError("common_factor must be positive and finite")
@@ -84,6 +85,15 @@ def make_wavelength_set(common_factor: float, coprime_factors) -> WavelengthSet:
         max_range = math.inf
     if not math.isfinite(max_range):
         raise ValueError(f"common_factor * prod(factors) must be finite, got {max_range}")
+    total, rest = math.prod(factors), factors[1:]
+    # every integer step of reconstruct_batch stays exact in int64: the CRT
+    # products below prod(rest) * max(rest), each n_k below total / Gamma_k
+    largest = max(math.prod(rest) * max(rest), (total + 1) // min(rest) + 1)
+    if largest > 2**63 - 1:
+        raise ValueError(
+            f"prod(factors) = {total} needs integers up to {largest} to reconstruct, "
+            f"beyond 2**63 - 1"
+        )
     wavelengths = common_factor * np.array(factors, dtype=float)
     return WavelengthSet(
         common_factor=float(common_factor),
@@ -120,91 +130,6 @@ def remainders_of(dividends, ws: WavelengthSet):
     return remainders, quotients.astype(int)
 
 
-def _quotient_bounds(factors: tuple[int, ...]) -> tuple[int, ...]:
-    total = math.prod(factors)
-    return tuple(total // g for g in factors)
-
-
-@dataclass(frozen=True)
-class _Scan:
-    """Quotient search over a block of c trials, every pairing at once.
-
-    For pairing k (axis 1 holds k - 1) and first quotient b_0 (axis 2), the
-    only paired quotients that can minimize |b_k*lam_k + r_k - b_0*lam_0 -
-    r_0| are the two integers bracketing the real optimum, each clipped to
-    the quotient range: `low` and `high`, both (c, size - 1, bound_0). A
-    hit mask marks the candidates within TIE_TOLERANCE_REL * lam_0 of the
-    pairing's minimum over the whole rectangle. `survivors` (c, bound_0)
-    marks the first quotients that some candidate of every pairing hits.
-    """
-
-    low: np.ndarray
-    high: np.ndarray
-    hit_low: np.ndarray
-    hit_high: np.ndarray
-    survivors: np.ndarray
-
-
-def _scan(rem: np.ndarray, ws: WavelengthSet) -> _Scan:
-    """Scan every pairing of a (c, size) block of remainders."""
-    lams = ws.wavelengths
-    bounds = _quotient_bounds(ws.coprime_factors)
-    lam_k = lams[1:, None]
-    top = np.array([b - 1 for b in bounds[1:]], dtype=float)[:, None]
-    b_first = np.arange(bounds[0], dtype=float)
-    target = (b_first * lams[0] + rem[:, :1, None]) - rem[:, 1:, None]
-    low = np.floor(target / lam_k)
-    high = low + 1.0
-
-    def clip_and_miss(paired):
-        # in place: these temporaries are the search's whole working set
-        np.maximum(paired, 0.0, out=paired)
-        np.minimum(paired, top, out=paired)
-        miss = np.multiply(paired, lam_k)
-        np.subtract(miss, target, out=miss)
-        return np.abs(miss, out=miss)
-
-    miss_low = clip_and_miss(low)
-    miss_high = clip_and_miss(high)
-    best = np.minimum(miss_low.min(axis=2), miss_high.min(axis=2))
-    cut = (best + TIE_TOLERANCE_REL * float(lams[0]))[:, :, None]
-    hit_low = miss_low <= cut
-    hit_high = miss_high <= cut
-    return _Scan(low, high, hit_low, hit_high, (hit_low | hit_high).all(axis=1))
-
-
-def _resolve(scan: _Scan, rem: np.ndarray, ws: WavelengthSet):
-    """(estimates, quotients, ambiguous) of a scanned (c, size) block.
-
-    A trial is ambiguous unless exactly one first quotient survives. Inside
-    each pairing, ties at the survivor are broken by the smaller objective
-    |b_k*lam_k + r_k - b_0*lam_0 - r_0|, then by the smaller b_k.
-    Ambiguous trials read estimate NaN and quotients -1.
-    """
-    lams = ws.wavelengths
-    ambiguous = np.count_nonzero(scan.survivors, axis=1) != 1
-    first = np.argmax(scan.survivors, axis=1)
-    rows = np.arange(rem.shape[0])
-    low = scan.low[rows, :, first]
-    high = scan.high[rows, :, first]
-    hit_low = scan.hit_low[rows, :, first]
-    hit_high = scan.hit_high[rows, :, first]
-    offset = first.astype(float)[:, None] * lams[0]
-
-    def objective(paired):
-        return np.abs(paired * lams[1:] + rem[:, 1:] - offset - rem[:, :1])
-
-    # low <= high, so an exact tie keeps the smaller quotient
-    take_high = hit_high & (~hit_low | (objective(high) < objective(low)))
-    quotients = np.empty(rem.shape, dtype=int)
-    quotients[:, 0] = first
-    quotients[:, 1:] = np.where(take_high, high, low)
-    estimates = np.mean(quotients * lams + rem, axis=1)
-    estimates[ambiguous] = np.nan
-    quotients[ambiguous] = -1
-    return estimates, quotients, ambiguous
-
-
 def _check_remainders(remainders, ws: WavelengthSet) -> np.ndarray:
     rem = np.asarray(remainders, dtype=float)
     if rem.ndim != 2 or rem.shape[1] != ws.size:
@@ -219,8 +144,7 @@ def reconstruct_batch(remainders, ws: WavelengthSet):
 
     remainders is a (T, size) array, one trial per row, each entry in
     [0, wavelength_k); a single trial is a (1, size) batch. Every row gets
-    the same search, bit for bit, whatever T is; the trials are processed
-    in chunks so that the working memory stays flat in T.
+    the same steps, bit for bit, whatever T is.
 
     Returns:
         (estimates, quotients, ambiguous): estimates (T,) floats,
@@ -231,15 +155,61 @@ def reconstruct_batch(remainders, ws: WavelengthSet):
         ValueError: malformed remainders.
     """
     rem = _check_remainders(remainders, ws)
-    per_trial = (ws.size - 1) * _quotient_bounds(ws.coprime_factors)[0]
-    step = max(1, _CHUNK_ELEMENTS // per_trial)
-    estimates = np.empty(rem.shape[0])
-    quotients = np.empty(rem.shape, dtype=int)
-    ambiguous = np.empty(rem.shape[0], dtype=bool)
-    for start in range(0, rem.shape[0], step):
-        block = slice(start, start + step)
-        estimates[block], quotients[block], ambiguous[block] = _resolve(
-            _scan(rem[block], ws), rem[block], ws
-        )
-    return estimates, quotients, ambiguous
+    g0, rest = ws.coprime_factors[0], ws.coprime_factors[1:]
+    span = math.prod(rest)  # n_0 lies in [0, span)
+    factors = np.array(rest, dtype=np.int64)
+    # sum_k ((-q_k) mod Gamma_k) * basis_k mod span solves every
+    # n_0 * Gamma_0 = -q_k (mod Gamma_k) at once
+    basis = np.array([span // g * pow(span // g * g0, -1, g) for g in rest], dtype=np.int64)
 
+    # the nearest differences below and above x_k that quotients can form
+    x = (rem[:, :1] - rem[:, 1:]) / ws.common_factor
+    below = np.floor(x).astype(np.int64)
+    above = below + 1
+    if ws.size == 2:
+        # two quotients in range never differ by -Gamma_1 or Gamma_0; with
+        # more wavelengths they form all of [-Gamma_k - 1, Gamma_0 + 1]
+        below -= (below == -factors) | (below == g0)
+        above += (above == -factors) | (above == g0)
+    q = np.stack([below, above], axis=2)
+    miss = np.abs(q - x[..., None])
+    cut = TIE_TOLERANCE_REL * g0
+    kept = miss <= miss.min(axis=2, keepdims=True) + cut
+    residue = (-q) % factors[:, None] * basis[:, None] % span
+    # n_k is in range iff n_0 + shift_k lies in [0, span)
+    shift = q // g0
+
+    # every choice of one candidate per pairing: (T, choices, size - 1)
+    columns = np.arange(ws.size - 1)
+    choice = (np.arange(2**columns.size)[:, None] >> columns) & 1
+    first = residue[:, columns, choice].sum(axis=2) % span
+    shifts = shift[:, columns, choice]
+    inside = (first + shifts.min(axis=2) >= 0) & (first + shifts.max(axis=2) < span)
+    first[~(kept[:, columns, choice].all(axis=2) & inside)] = -1
+    found = first.max(axis=1)
+    # unique when the smallest valid n_0 is the largest; a cut of a whole
+    # difference also keeps q_k +- 1, another n_0, in every pairing
+    ambiguous = (cut >= 1.0) | (first.min(axis=1, initial=span, where=first >= 0) != found)
+
+    # the first choice that names n_0 takes the lower candidate wherever
+    # both candidates of a pairing meet there; they then differ by Gamma_k,
+    # their quotients by one, and the smaller objective wins
+    meets = first == found[:, None]
+    named = np.argmax(meets, axis=1)
+    both = meets[np.arange(rem.shape[0])[:, None], named[:, None] ^ (1 << columns)]
+    diff = np.where(choice[named] == 1, above, below)
+    # n_k = (n_0 * Gamma_0 + q_k) / Gamma_k, never forming n_0 * Gamma_0
+    paired = found[:, None] * (g0 // factors) + diff // factors
+    paired += (found[:, None] * (g0 % factors) + diff % factors) // factors
+    lams = ws.wavelengths
+    if both.any():
+        # the objective |n_k * lambda_k + r_k - n_0 * lambda_0 - r_0| of both
+        pair = paired[..., None] + np.arange(2)
+        offset = found.astype(float)[:, None, None] * lams[0]
+        cost = np.abs(pair * lams[1:, None] + rem[:, 1:, None] - offset - rem[:, :1, None])
+        paired += both & (cost[..., 1] < cost[..., 0])
+    quotients = np.column_stack([found, paired])
+    estimates = (quotients * lams + rem).sum(axis=1) / ws.size
+    estimates[ambiguous] = np.nan
+    quotients[ambiguous] = -1
+    return estimates, quotients, ambiguous

@@ -529,6 +529,28 @@ class TestCli:
             assert "smallest wavelength" in proc.stderr and "snr_grid_db" in proc.stderr
             assert not out.exists()
 
+    @pytest.mark.parametrize("factors, runs", [("1099511627776, 3", True), ("3, 1099511627776", False)])
+    def test_factor_sets_beyond_int64_exit_two_at_load(self, tmp_path, factors, runs):
+        # a huge first factor leaves 3 first quotients and quotients up to
+        # 2**40, and its tie cut of 1e-9 * lambda_0 flags every trial; a huge
+        # second factor would need CRT products near 2**80
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            f"common_factor = 1\ncoprime_factors = {factors}\n"
+            "snr_grid_db = 0, 30\ntrials_per_point = 20\nseed = 1\n"
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli(["ranging", "--config", str(cfg), "--out", str(out)])
+        if runs:
+            assert proc.returncode == 0 and proc.stderr == ""
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == 2 and all(row.endswith(",1") for row in rows)
+        else:
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+            assert "prod(factors) = 3298534883328" in proc.stderr and "2**63 - 1" in proc.stderr
+            assert not out.exists()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "r.cfg"
         cfg.write_text(RANGING_CFG)
@@ -636,6 +658,18 @@ class TestReplayDigests:
         )
         digest = csv_digest(run_ranging_experiment(cfg), tmp_path)
         assert_pinned("test_ranging_sweep", digest)
+
+    def test_two_factor_wrapping_sweep(self, tmp_path):
+        # with two wavelengths a noisy difference can round to -Gamma_1 or
+        # Gamma_0, which no pair of quotients in range forms (22 of these
+        # 6,000 trials); recorded with the quotient search that the closed
+        # form replaced
+        cfg = RangingExperiment(
+            common_factor=100.0, coprime_factors=(7, 9),
+            snr_grid_db=(-5.0, 0.0, 10.0), trials_per_point=2000, seed=5,
+        )
+        digest = csv_digest(run_ranging_experiment(cfg), tmp_path)
+        assert_pinned("test_two_factor_wrapping_sweep", digest)
 
     def test_four_factor_single_trial_sweep(self, tmp_path):
         # one trial per point, heavy wrapping at -40 dB and a noiseless

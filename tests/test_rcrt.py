@@ -1,13 +1,13 @@
 """Closed-form remainder reconstruction against brute-force oracles."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locbench import rcrt
 from locbench.rcrt import (
     TIE_TOLERANCE_REL,
     make_wavelength_set,
@@ -50,6 +50,18 @@ class TestWavelengthSet:
     def test_rejects_single_factor(self):
         with pytest.raises(ValueError):
             make_wavelength_set(80.0, (15,))
+
+    def test_rejects_integer_steps_beyond_int64(self):
+        # the CRT would multiply residues below 2**40 by a basis below 2**40;
+        # the search would scan 2**40 first quotients per trial
+        with pytest.raises(ValueError, match=r"prod\(factors\) = 3298534883328 .*2\*\*63 - 1"):
+            make_wavelength_set(1.0, (3, 2**40))
+        # quotients up to 2**63 would leave int64 too
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            make_wavelength_set(1.0, (2**64 + 1, 3))
+        # a huge first factor with a small second one stays: Gamma / Gamma_0
+        # = 3 first quotients and quotients up to 2**40
+        assert make_wavelength_set(1.0, (2**40, 3)).coprime_factors == (2**40, 3)
 
 
 class TestRemaindersOf:
@@ -102,7 +114,7 @@ class TestRemaindersOf:
 
 
 def quotient_bounds(ws):
-    total = int(np.prod(ws.coprime_factors))
+    total = math.prod(ws.coprime_factors)
     return [total // f for f in ws.coprime_factors]
 
 
@@ -121,13 +133,127 @@ def brute_force_candidates(pair_index, rem, ws):
     return {pair for pair, val in cells.items() if val <= best + tol}
 
 
+# ---------------------------------------------------------------------------
+# the quotient search that the closed form replaced, kept as a bitwise
+# oracle: every first quotient against every pairing, in chunks of trials
+
+# elements per (trials, pairings, first quotients) temporary of the search
+ORACLE_CHUNK_ELEMENTS = 8192
+
+
+@dataclass(frozen=True)
+class Scan:
+    """Quotient search over a block of c trials, every pairing at once.
+
+    For pairing k (axis 1 holds k - 1) and first quotient b_0 (axis 2), the
+    only paired quotients that can minimize |b_k*lam_k + r_k - b_0*lam_0 -
+    r_0| are the two integers bracketing the real optimum, each clipped to
+    the quotient range: `low` and `high`, both (c, size - 1, bound_0). A
+    hit mask marks the candidates within TIE_TOLERANCE_REL * lam_0 of the
+    pairing's minimum over the whole rectangle. `survivors` (c, bound_0)
+    marks the first quotients that some candidate of every pairing hits.
+    """
+
+    low: np.ndarray
+    high: np.ndarray
+    hit_low: np.ndarray
+    hit_high: np.ndarray
+    survivors: np.ndarray
+
+
+def oracle_scan(rem, ws):
+    """Scan every pairing of a (c, size) block of remainders."""
+    lams = ws.wavelengths
+    bounds = quotient_bounds(ws)
+    lam_k = lams[1:, None]
+    top = np.array([b - 1 for b in bounds[1:]], dtype=float)[:, None]
+    b_first = np.arange(bounds[0], dtype=float)
+    target = (b_first * lams[0] + rem[:, :1, None]) - rem[:, 1:, None]
+    low = np.floor(target / lam_k)
+    high = low + 1.0
+
+    def clip_and_miss(paired):
+        np.maximum(paired, 0.0, out=paired)
+        np.minimum(paired, top, out=paired)
+        miss = np.multiply(paired, lam_k)
+        np.subtract(miss, target, out=miss)
+        return np.abs(miss, out=miss)
+
+    miss_low = clip_and_miss(low)
+    miss_high = clip_and_miss(high)
+    best = np.minimum(miss_low.min(axis=2), miss_high.min(axis=2))
+    cut = (best + TIE_TOLERANCE_REL * float(lams[0]))[:, :, None]
+    hit_low = miss_low <= cut
+    hit_high = miss_high <= cut
+    return Scan(low, high, hit_low, hit_high, (hit_low | hit_high).all(axis=1))
+
+
+def oracle_resolve(scan, rem, ws):
+    """(estimates, quotients, ambiguous) of a scanned (c, size) block.
+
+    A trial is ambiguous unless exactly one first quotient survives. Inside
+    each pairing, ties at the survivor are broken by the smaller objective
+    |b_k*lam_k + r_k - b_0*lam_0 - r_0|, then by the smaller b_k.
+    """
+    lams = ws.wavelengths
+    ambiguous = np.count_nonzero(scan.survivors, axis=1) != 1
+    first = np.argmax(scan.survivors, axis=1)
+    rows = np.arange(rem.shape[0])
+    low = scan.low[rows, :, first]
+    high = scan.high[rows, :, first]
+    hit_low = scan.hit_low[rows, :, first]
+    hit_high = scan.hit_high[rows, :, first]
+    offset = first.astype(float)[:, None] * lams[0]
+
+    def objective(paired):
+        return np.abs(paired * lams[1:] + rem[:, 1:] - offset - rem[:, :1])
+
+    take_high = hit_high & (~hit_low | (objective(high) < objective(low)))
+    quotients = np.empty(rem.shape, dtype=int)
+    quotients[:, 0] = first
+    quotients[:, 1:] = np.where(take_high, high, low)
+    estimates = np.mean(quotients * lams + rem, axis=1)
+    estimates[ambiguous] = np.nan
+    quotients[ambiguous] = -1
+    return estimates, quotients, ambiguous
+
+
+def oracle_chunk(ws):
+    """Trials per chunk of the search."""
+    return max(1, ORACLE_CHUNK_ELEMENTS // ((ws.size - 1) * quotient_bounds(ws)[0]))
+
+
+def oracle_reconstruct(remainders, ws):
+    """reconstruct_batch's contract, by the search, chunk by chunk."""
+    rem = np.asarray(remainders, dtype=float)
+    step = oracle_chunk(ws)
+    estimates = np.empty(rem.shape[0])
+    quotients = np.empty(rem.shape, dtype=int)
+    ambiguous = np.empty(rem.shape[0], dtype=bool)
+    for start in range(0, rem.shape[0], step):
+        block = slice(start, start + step)
+        estimates[block], quotients[block], ambiguous[block] = oracle_resolve(
+            oracle_scan(rem[block], ws), rem[block], ws
+        )
+    return estimates, quotients, ambiguous
+
+
+def assert_matches_oracle(rows, ws):
+    """reconstruct_batch equals the search bit for bit, flags included."""
+    estimates, quotients, ambiguous = reconstruct_batch(rows, ws)
+    want_estimates, want_quotients, want_ambiguous = oracle_reconstruct(rows, ws)
+    assert np.array_equal(ambiguous, want_ambiguous)
+    assert np.array_equal(quotients, want_quotients)
+    assert np.array_equal(estimates, want_estimates, equal_nan=True)
+
+
 def scan_one(rem, ws):
-    """The batch kernel's scan of a single remainder vector."""
-    return rcrt._scan(np.asarray(rem, dtype=float)[None], ws)
+    """The search's scan of a single remainder vector."""
+    return oracle_scan(np.asarray(rem, dtype=float)[None], ws)
 
 
 def kernel_candidates(pair_index, rem, ws):
-    """(first, paired) quotient pairs the kernel's hit masks mark for one pairing."""
+    """(first, paired) quotient pairs the search's hit masks mark for one pairing."""
     scan = scan_one(rem, ws)
     found = set()
     for paired, hit in ((scan.low, scan.hit_low), (scan.high, scan.hit_high)):
@@ -188,7 +314,7 @@ class TestReconstruct:
         assert estimate == pytest.approx(4999.3333333333, abs=1e-9)
         assert quotients.tolist() == [4, 3, 3]
         assert surviving_quotients(noisy, WS) == {4}
-        assert rcrt._quotient_bounds(WS.coprime_factors) == (272, 255, 240)
+        assert quotient_bounds(WS) == [272, 255, 240]
 
     def test_noiseless_round_trip_is_exact(self):
         rng = np.random.default_rng(1)
@@ -393,15 +519,106 @@ class TestBatchProperties:
         assert abs(estimates[0] - truth) <= upsilon + 1e-9 * ws.max_range
 
 
-class TestReconstructBatch:
-    def chunk(self, ws):
-        return rcrt._CHUNK_ELEMENTS // ((ws.size - 1) * quotient_bounds(ws)[0])
+@st.composite
+def edge_rows(draw, ws):
+    """Remainders at or next to the ends of their wavelengths, where the
+    noisy differences x_k sit next to -Gamma_k or Gamma_0. An eighth of the
+    tie cut off an end keeps both neighbours of such an x_k, at distances
+    that differ by up to half the cut (the cut itself is where the two
+    roundings of the search and of x_k may part)."""
+    inside = TIE_TOLERANCE_REL * ws.wavelengths[0] / 8.0
+    ends = [
+        draw(
+            st.sampled_from(
+                [0.0, inside, lam / 2.0, lam - ws.common_factor / 2.0, lam - inside, np.nextafter(lam, 0.0)]
+            )
+        )
+        for lam in ws.wavelengths
+    ]
+    return wrap(np.array(ends), ws)
 
+
+class TestClosedFormMatchesTheSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_equal_the_oracle(self, data):
+        ws = data.draw(wavelength_sets(max_product=5000))
+        rows = data.draw(
+            st.lists(st.one_of(remainder_rows(ws), edge_rows(ws)), min_size=1, max_size=20)
+        )
+        assert_matches_oracle(np.array(rows), ws)
+
+    def test_nearest_difference_the_quotients_can_form(self):
+        # x_1 = -2.625 rounds to -3 = -Gamma_1, which no pair of quotients in
+        # range forms; the search takes the next formable difference, -2
+        ws = make_wavelength_set(0.5, (2, 3))
+        rows = np.array([[0.0, 1.3125]])
+        estimates, quotients, ambiguous = reconstruct_batch(rows, ws)
+        assert not ambiguous[0]
+        assert estimates[0] == 1.15625
+        assert quotients[0].tolist() == [1, 0]
+        assert_matches_oracle(rows, ws)
+
+    def test_both_neighbours_name_one_first_quotient(self):
+        # with Gamma_1 = 2, x_1 just above -2 keeps -3 and -1, and x_1 just
+        # below Gamma_0 keeps Gamma_0 - 1 and Gamma_0 + 1: both pairs name
+        # one n_0, and the search takes the smaller objective, the upper
+        # neighbour in the first row and the lower one in the second
+        ws = make_wavelength_set(1.0, (101, 2))
+        rows = np.array([[1e-8, np.nextafter(2.0, 0.0)], [101.0 - 1e-8, 1e-8]])
+        _, quotients, ambiguous = reconstruct_batch(rows, ws)
+        assert not ambiguous.any()
+        assert quotients.tolist() == [[1, 50], [0, 50]]
+        assert_matches_oracle(rows, ws)
+
+    @pytest.mark.parametrize("factors", [(2, 3), (3, 2), (7, 9), (13, 2), (3, 5, 7)])
+    def test_noisy_blocks_equal_the_oracle(self, factors):
+        # noise of 0.1 * M puts x_k next to -Gamma_1 or Gamma_0 often: on
+        # (2, 3), round(x_1) is one of them on 341 of these 20,000 rows
+        ws = make_wavelength_set(1.0, factors)
+        rng = np.random.default_rng(11)
+        truths = rng.uniform(0.0, ws.max_range, 20_000)
+        rows = wrap(remainders_of(truths, ws)[0] + rng.normal(0.0, 0.1, (20_000, ws.size)), ws)
+        assert_matches_oracle(rows, ws)
+
+    @pytest.mark.parametrize("factors", [(2**40, 3), (2**40 + 1, 2), (1_500_000_001, 3)])
+    def test_huge_first_factor_loads_and_flags_every_row(self, factors):
+        # the search scans only Gamma / Gamma_0 first quotients here, but its
+        # tie cut of 1e-9 * lambda_0 spans a whole quotient difference or
+        # more, so every row keeps several; at the ends of the span the two
+        # nearest formable differences alone name one first quotient
+        ws = make_wavelength_set(1.0, factors)
+        g0, lams = factors[0], ws.wavelengths
+        rng = np.random.default_rng(5)
+        truths = rng.uniform(0.0, ws.max_range, 200)
+        exact = remainders_of(truths, ws)[0]
+        ends = [
+            [0.0, np.nextafter(lams[1], 0.0)],
+            [np.nextafter(lams[0], 0.0), 0.0],
+            [g0 - 1.0, 0.0],
+            [g0 - 0.5, 0.5],
+            [0.0, 0.0],
+        ]
+        rows = np.concatenate(
+            [
+                exact,
+                wrap(exact + rng.normal(0.0, 0.1, exact.shape), ws),
+                rng.uniform(0.0, 1.0, exact.shape) * lams,
+                np.array(ends),
+            ]
+        )
+        estimates, quotients, ambiguous = reconstruct_batch(rows, ws)
+        assert ambiguous.all()
+        assert np.isnan(estimates).all() and (quotients == -1).all()
+        assert_matches_oracle(rows, ws)
+
+
+class TestReconstructBatch:
     @pytest.mark.parametrize("extra", [0, 1, 7])
     def test_any_trial_count_matches_single_calls(self, extra):
-        # one trial, and counts that leave a partial last chunk
+        # one trial, and counts that leave a partial last chunk of the search
         rng = np.random.default_rng(extra)
-        step = self.chunk(WS)
+        step = oracle_chunk(WS)
         assert step > 1
         count = 1 if extra == 0 else 2 * step + extra
         truths = rng.uniform(0.0, WS.max_range, size=count)
@@ -415,6 +632,7 @@ class TestReconstructBatch:
             single, single_q, _ = reconstruct_one(row, WS)
             assert estimate == single
             assert np.array_equal(quotient, single_q)
+        assert_matches_oracle(rows, WS)
 
     def test_empty_batch(self):
         estimates, quotients, ambiguous = reconstruct_batch(np.empty((0, 3)), WS)
