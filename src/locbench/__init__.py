@@ -8,7 +8,6 @@ network graph.
 """
 
 from .diffusion import (
-    DiffusionState,
     build_q_matrix,
     connectivity_weights,
     diffuse,
@@ -43,7 +42,6 @@ from .signals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiffusionState",
     "EstimationError",
     "MeasurementSet",
     "NetworkTopology",

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .diffusion import SCHEMES as DIFFUSION_SCHEMES
-from .diffusion import DiffusionState, diffuse
+from .diffusion import diffuse
 from .estimators import (
     EstimationError,
     build_selection_weights,
@@ -25,9 +25,9 @@ from .estimators import (
     global_wls,
     local_wls_batch,
 )
-from .geometry import NetworkTopology, build_grid_network, deployment_center
+from .geometry import GRID_SPACING, PLACEMENT_RADIUS, build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
-from .signals import TWO_PI, MeasurementSet, phase_noise_std, simulate_phase_remainders
+from .signals import TWO_PI, phase_noise_std, simulate_phase_remainders
 from .signals import simulate_tdoa_measurements
 
 __all__ = [
@@ -43,10 +43,6 @@ __all__ = [
     "run_localization_experiment",
     "run_ranging_experiment",
 ]
-
-GRID_SPACING = 50.0
-PLACEMENT_RADIUS = 10.0
-NEIGHBOR_RADIUS = 55.0
 
 ALL_SCHEMES = ("global",) + DIFFUSION_SCHEMES + ("local",)
 
@@ -295,29 +291,23 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
 
 @dataclass
 class _Trial:
-    topology: NetworkTopology
-    meas: MeasurementSet
     source: np.ndarray
     global_pos: Optional[np.ndarray]
     global_time: float
     # the heads whose local fit succeeded: (F,) ids, (F, 2) positions and
-    # (F, 2, K) operators, as local_wls_batch returns them
+    # (F, 2, K) operators, as local_wls_batch returns them, and the (F, F)
+    # block of the neighborhood mask that diffusion runs on
     heads: np.ndarray
     positions: np.ndarray
     operators: np.ndarray
+    hoods: np.ndarray
+    variances: np.ndarray
     local_time: float
     crlb_trace: float
 
 
 def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
-    topology = build_grid_network(
-        n_heads,
-        GRID_SPACING,
-        sensors_per_head,
-        PLACEMENT_RADIUS,
-        NEIGHBOR_RADIUS,
-        seed=rng,
-    )
+    topology = build_grid_network(n_heads, sensors_per_head=sensors_per_head, seed=rng)
     meas = simulate_tdoa_measurements(topology, source, sigma, rng)
     selection = build_selection_weights(topology)
     init = deployment_center(topology)
@@ -338,14 +328,14 @@ def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
     else:
         crlb_trace = 0.0
     return _Trial(
-        topology=topology,
-        meas=meas,
         source=np.asarray(source, dtype=float),
         global_pos=global_pos,
         global_time=global_time,
         heads=heads,
         positions=positions,
         operators=operators,
+        hoods=topology.neighborhoods[np.ix_(heads, heads)],
+        variances=meas.variances,
         local_time=local_time,
         crlb_trace=crlb_trace,
     )
@@ -360,8 +350,8 @@ def _run_scheme(
 ):
     """Returns (squared_error, epochs, seconds) or None when the scheme fails.
 
-    Diffusion runs on the heads whose local fit succeeded, over the
-    sub-network they induce; on_epoch sees their rows in head order.
+    Diffusion runs on the heads whose local fit succeeded, over their block
+    of the neighborhood mask; on_epoch sees their rows in head order.
     """
     if scheme == "global":
         if trial.global_pos is None:
@@ -379,28 +369,22 @@ def _run_scheme(
         err = float(np.sum((center - trial.source) ** 2))
         return err, None, trial.local_time + dt
 
-    fitted = trial.heads
-    full = trial.topology
-    topology = NetworkTopology(
-        heads=full.heads[fitted],
-        sensors=full.sensors[fitted],
-        adjacency=full.adjacency[np.ix_(fitted, fitted)],
-    )
-    state = diffuse(
-        DiffusionState(estimates=trial.positions, operators=trial.operators),
+    result = diffuse(
+        trial.positions,
         scheme,
+        trial.hoods,
         cfg.epsilon,
         cfg.max_epochs,
-        topology,
-        variances=trial.meas.variances,
+        operators=trial.operators,
+        variances=trial.variances,
         decay_scale=decay_scale,
         optimize_once=cfg.optimize_once,
         on_epoch=on_epoch,
     )
     dt = time.process_time() - t0
-    offsets = state.estimates - trial.source
+    offsets = result.estimates - trial.source
     err = float(np.mean(np.sum(offsets**2, axis=1)))
-    return err, state.epoch, trial.local_time + dt
+    return err, result.epoch, trial.local_time + dt
 
 
 def run_localization_experiment(
@@ -438,10 +422,8 @@ def run_localization_experiment(
     for s_idx, value in enumerate(cfg.sweep_values):
         params = dict(base)
         params[sweep_name] = value
-        sq_errors: dict[str, list[float]] = {s: [] for s in cfg.schemes}
-        epochs: dict[str, list[int]] = {s: [] for s in cfg.schemes}
-        seconds: dict[str, list[float]] = {s: [] for s in cfg.schemes}
-        fails: dict[str, int] = {s: 0 for s in cfg.schemes}
+        # each scheme's _run_scheme outcome of every run, None where it failed
+        outcomes: dict[str, list] = {s: [] for s in cfg.schemes}
         crlb_traces = []
         for run in range(cfg.runs):
             trial = cache.get(run)
@@ -465,33 +447,20 @@ def run_localization_experiment(
                     heads = trial.heads.tolist()
 
                     def on_epoch(epoch, estimates, _coeffs, max_step, _t=trial_idx, _h=heads):
-                        for row, head in enumerate(_h):
-                            trace_writer(
-                                _t,
-                                epoch,
-                                head,
-                                float(estimates[row, 0]),
-                                float(estimates[row, 1]),
-                                max_step,
-                            )
+                        for head, (x1, x2) in zip(_h, estimates.tolist()):
+                            trace_writer(_t, epoch, head, x1, x2, max_step)
 
-                outcome = _run_scheme(
-                    scheme, trial, cfg, params["decay_scale"], on_epoch
+                outcomes[scheme].append(
+                    _run_scheme(scheme, trial, cfg, params["decay_scale"], on_epoch)
                 )
-                if outcome is None:
-                    fails[scheme] += 1
-                    continue
-                err, n_epochs, dt = outcome
-                sq_errors[scheme].append(err)
-                seconds[scheme].append(dt)
-                if n_epochs is not None:
-                    epochs[scheme].append(n_epochs)
         crlb_rmse = float(math.sqrt(np.mean(crlb_traces)))
         for scheme in cfg.schemes:
-            errs = sq_errors[scheme]
+            done = [o for o in outcomes[scheme] if o is not None]
+            errs = [err for err, _, _ in done]
+            epochs = [n for _, n, _ in done if n is not None]
             rmse = float(math.sqrt(np.mean(errs))) if errs else math.nan
-            mean_epochs = float(np.mean(epochs[scheme])) if epochs[scheme] else None
-            cpu = float(np.mean(seconds[scheme])) if cfg.timing and seconds[scheme] else None
+            mean_epochs = float(np.mean(epochs)) if epochs else None
+            cpu = float(np.mean([dt for _, _, dt in done])) if cfg.timing and done else None
             records.append(
                 MetricsRecord(
                     sweep_value=value,
@@ -500,7 +469,7 @@ def run_localization_experiment(
                     cpu_time=cpu,
                     mean_epochs=mean_epochs,
                     crlb_rmse=crlb_rmse,
-                    fail_count=fails[scheme],
+                    fail_count=len(outcomes[scheme]) - len(done),
                 )
             )
     return records

@@ -2,9 +2,9 @@
 
 Every epoch each head replaces its estimate with a convex combination of
 its neighborhood's estimates. Each of the three coefficient rules takes
-the network's state and returns the whole column-stochastic (N, N)
-matrix, column k holding head k's weights over its self-inclusive
-neighborhood:
+hoods, the symmetric (N, N) mask of the self-inclusive neighborhoods, and
+the heads' state, and returns the whole column-stochastic (N, N) matrix,
+column k holding head k's weights over its neighborhood:
 
 * ``con``: static weights proportional to neighbor degrees.
 * ``wei``: weights shrink exponentially with squared distance from the
@@ -18,17 +18,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .geometry import NetworkTopology
-
 __all__ = [
-    "DiffusionState",
+    "Diffused",
     "SCHEMES",
     "build_q_matrix",
     "connectivity_weights",
@@ -45,35 +42,32 @@ SCHEMES = ("con", "wei", "opt")
 _KKT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class DiffusionState:
-    """Snapshot of the diffusion iteration.
+class Diffused(NamedTuple):
+    """Outcome of diffuse.
 
-    estimates: (N, 2) per-head positions.
-    operators: (N, 2, K) per-head linear estimation operators, or None for
-        schemes that do not track them.
-    epoch: epochs completed (0 for a fresh initial state).
+    estimates: (N, 2) per-head positions after the last epoch.
+    epoch: epochs run.
     converged: True when the largest per-head step fell to the tolerance.
     """
 
     estimates: np.ndarray
-    operators: Optional[np.ndarray]
-    epoch: int = 0
-    converged: bool = False
+    epoch: int
+    converged: bool
 
 
-def connectivity_weights(topology: NetworkTopology) -> np.ndarray:
+def connectivity_weights(hoods: np.ndarray) -> np.ndarray:
     """Degree-proportional combination matrix of the network.
 
     Column k holds head k's weights: each member l of its self-inclusive
-    neighborhood gets degree_l, normalized over the neighborhood.
+    neighborhood gets degree_l, the size of l's neighborhood, normalized
+    over k's neighborhood.
     """
-    weights = topology.neighborhoods * topology.degrees[:, None]
+    weights = hoods * hoods.sum(axis=1)[:, None]
     return weights / weights.sum(axis=0)
 
 
 def median_weights(
-    estimates: np.ndarray, topology: NetworkTopology, decay_scale: float
+    estimates: np.ndarray, hoods: np.ndarray, decay_scale: float
 ) -> np.ndarray:
     """Distance-from-median combination matrix of the network.
 
@@ -88,20 +82,19 @@ def median_weights(
     """
     if not decay_scale > 0:
         raise ValueError("decay_scale must be positive")
-    mask = topology.neighborhoods
     median = np.median(estimates, axis=0)
     raw = np.exp(-np.sum((estimates - median) ** 2, axis=1) / decay_scale)
-    weights = np.where(mask, raw[:, None], 0.0)
+    weights = np.where(hoods, raw[:, None], 0.0)
     totals = weights.sum(axis=0)
     fallback = (totals <= 0.0) | ~np.isfinite(totals)
     if fallback.any():
         logger.warning(
             "median weights underflowed for %d of %d heads; using uniform",
             int(fallback.sum()),
-            topology.n_heads,
+            len(hoods),
         )
-        weights[:, fallback] = mask[:, fallback]
-        totals[fallback] = topology.degrees[fallback]
+        weights[:, fallback] = hoods[:, fallback]
+        totals[fallback] = hoods[:, fallback].sum(axis=0)
     return weights / totals
 
 
@@ -152,20 +145,21 @@ def _quadratic_forms(vecs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return (rows @ vecs[..., :, None])[..., 0, 0]
 
 
-def _support_table(topology: NetworkTopology) -> tuple:
-    """(stacks, entries, hoods) of every candidate support of every head's
+def _support_table(hoods: np.ndarray) -> tuple:
+    """(stacks, entries, whole) of every candidate support of every head's
     simplex QP, in flat indices into the (N, N) Q and weights. stacks holds
     (heads, pairs, cols) per support size s: each support's head, the (s, s)
     block of Q over its members (ascending), and its column in the head's
     walk: 0 for the whole neighborhood, then the proper subsets in
     itertools.combinations order, smallest first. entries holds (head,
-    slot, col) per member in stack order, hoods (heads, pairs, slots) of
+    slot, col) per member in stack order, whole (heads, pairs, slots) of
     the whole neighborhoods of each size."""
-    n, by_size, hoods = topology.n_heads, {}, []
-    for m in np.unique(topology.degrees):
-        h = np.flatnonzero(topology.degrees == m)
-        nb = np.nonzero(topology.neighborhoods[h])[1].reshape(-1, m)
-        hoods.append((h, nb[:, :, None] * n + nb[:, None, :], nb * n + h[:, None]))
+    n, by_size, whole = len(hoods), {}, []
+    degrees = hoods.sum(axis=1)
+    for m in np.unique(degrees):
+        h = np.flatnonzero(degrees == m)
+        nb = np.nonzero(hoods[h])[1].reshape(-1, m)
+        whole.append((h, nb[:, :, None] * n + nb[:, None, :], nb * n + h[:, None]))
         walk = [range(m)] + [c for s in range(1, m) for c in combinations(range(m), s)]
         for s in range(1, m + 1):
             cols = [col for col, c in enumerate(walk) if len(c) == s]
@@ -176,7 +170,7 @@ def _support_table(topology: NetworkTopology) -> tuple:
     flat = [(h.repeat(s), (m * n + h[:, None]).ravel(), c.repeat(s))
             for s, (h, m, c) in enumerate(stacks, start=1)]
     stacks = [(h, m[:, :, None] * n + m[:, None, :], c) for h, m, c in stacks]
-    return stacks, [np.concatenate(p) for p in zip(*flat)], hoods
+    return stacks, [np.concatenate(p) for p in zip(*flat)], whole
 
 
 def _record_walk(objs: np.ndarray) -> np.ndarray:
@@ -196,7 +190,7 @@ def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
     """(weights, bad, loose): column k of the (N, N) weights minimizes a'Qa
     over head k's neighborhood simplex; per head, is a' base a < -_KKT_TOL,
     and do its optimality conditions under base hold only loosely."""
-    stacks, (heads, slots, cols), hoods = supports
+    stacks, (heads, slots, cols), whole = supports
     objs, values = np.full((len(q), cols.max() + 1), np.inf), []
     for stack_heads, pairs, stack_cols in stacks:
         qs = q.take(pairs)
@@ -211,7 +205,7 @@ def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
     weights = np.zeros(q.shape)
     weights.flat[slots[take]] = np.concatenate(values)[take]
     bad, loose = np.zeros((2, len(q)), dtype=bool)
-    for owners, pairs, nbhd_slots in hoods:
+    for owners, pairs, nbhd_slots in whole:
         qs = base.take(pairs)
         solution = weights.take(nbhd_slots)
         bad[owners] = _quadratic_forms(solution, qs) < -_KKT_TOL
@@ -223,7 +217,7 @@ def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
 
 
 def optimal_weights(
-    q: np.ndarray, topology: NetworkTopology, *, supports: Optional[tuple] = None
+    q: np.ndarray, hoods: np.ndarray, *, supports: Optional[tuple] = None
 ) -> np.ndarray:
     """Variance-minimizing combination matrix of the network.
 
@@ -238,14 +232,14 @@ def optimal_weights(
     through rounding) is regularized by adding 1e-9 |trace Q| / N times the
     identity and solved again. Each call logs one line counting the
     regularized heads and one counting the heads whose optimality conditions
-    hold only loosely. diffuse builds supports, the topology's support
-    table, once per run; a direct call leaves it out.
+    hold only loosely. diffuse builds supports, the mask's support table,
+    once per run; a direct call leaves it out.
     """
-    q, n = np.asarray(q, dtype=float), topology.n_heads
+    q, n = np.asarray(q, dtype=float), len(hoods)
     if q.shape != (n, n):
         raise ValueError(f"q must have shape ({n}, {n}) for {n} heads, got {q.shape}")
     ridge = 1e-9 * abs(np.trace(q)) / n
-    supports = _support_table(topology) if supports is None else supports
+    supports = _support_table(hoods) if supports is None else supports
     weights, bad, loose = _simplex_weights(q, supports, q)
     if bad.any():
         retry, _, retry_loose = _simplex_weights(q + ridge * np.eye(n), supports, q)
@@ -260,34 +254,39 @@ def optimal_weights(
 
 
 def diffuse(
-    initial: DiffusionState,
+    estimates: np.ndarray,
     scheme: str,
+    hoods: np.ndarray,
     epsilon: float,
     max_epochs: int,
-    topology: NetworkTopology,
+    *,
+    operators: Optional[np.ndarray] = None,
     variances: Optional[np.ndarray] = None,
     decay_scale: float = 1.0,
     optimize_once: bool = False,
     on_epoch: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
-) -> DiffusionState:
+) -> Diffused:
     """Iterate neighborhood combinations until the estimates settle.
 
-    Every head of topology takes part; a caller that leaves heads out
-    passes the sub-network of the rest. Each epoch the scheme's rule gives
-    the column-stochastic (N, N) coefficient matrix A and the estimates
-    become A.T @ estimates. Stops when the largest per-head displacement
-    in one epoch is at most epsilon, or after max_epochs epochs (logged as
-    non-convergence). For the ``opt`` scheme the estimation operators are
-    combined with the same coefficients each epoch and the variance matrix
-    rebuilt from them; optimize_once solves the quadratic programs only in
-    the first epoch and reuses those coefficients afterwards. The programs'
+    estimates holds one (N, 2) row per head of the (N, N) mask hoods, and
+    every head takes part; a caller that leaves heads out passes the rows
+    and the mask block of the rest. Each epoch the scheme's rule gives the
+    column-stochastic (N, N) coefficient matrix A and the estimates become
+    A.T @ estimates. Stops when the largest per-head displacement in one
+    epoch is at most epsilon, or after max_epochs epochs (logged as
+    non-convergence). The ``opt`` scheme needs the (N, 2, K) estimation
+    operators and the K measurement variances: the operators are combined
+    with the same coefficients each epoch and the variance matrix rebuilt
+    from them; optimize_once solves the quadratic programs only in the
+    first epoch and reuses those coefficients afterwards. The programs'
     support table is built once per call.
 
     on_epoch, when given, is called after each epoch with (epoch,
     estimates, coefficients, max_step).
 
-    Returns the final DiffusionState; convex combination keeps every
-    estimate inside the per-dimension envelope of the previous epoch.
+    Returns Diffused(estimates, epoch, converged); convex combination
+    keeps every estimate inside the per-dimension envelope of the previous
+    epoch.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -295,27 +294,24 @@ def diffuse(
         raise ValueError("epsilon must be positive and finite")
     if max_epochs < 1:
         raise ValueError("max_epochs must be positive")
-    estimates = np.array(initial.estimates, dtype=float)
-    if estimates.shape != (topology.n_heads, 2):
+    estimates = np.array(estimates, dtype=float)
+    if estimates.shape != (len(hoods), 2):
         raise ValueError("estimates must have shape (n_heads, 2)")
-    if scheme == "opt":
-        if initial.operators is None:
-            raise ValueError("opt scheme needs estimation operators")
-        if variances is None:
-            raise ValueError("opt scheme needs measurement variances")
-    operators = None if initial.operators is None else np.array(initial.operators)
+    if not (np.array_equal(hoods, hoods.T) and hoods.diagonal().all()):
+        raise ValueError("hoods must be a symmetric (N, N) mask with every head in its own row")
+    if scheme == "opt" and (operators is None or variances is None):
+        raise ValueError("opt scheme needs estimation operators and measurement variances")
 
     if scheme == "con":
-        coeffs = connectivity_weights(topology)
-    supports = _support_table(topology) if scheme == "opt" else None
-    epoch = 0
+        coeffs = connectivity_weights(hoods)
+    supports = _support_table(hoods) if scheme == "opt" else None
     converged = False
     for epoch in range(1, max_epochs + 1):
         if scheme == "wei":
-            coeffs = median_weights(estimates, topology, decay_scale)
+            coeffs = median_weights(estimates, hoods, decay_scale)
         elif scheme == "opt" and (epoch == 1 or not optimize_once):
             q = build_q_matrix(operators, variances)
-            coeffs = optimal_weights(q, topology, supports=supports)
+            coeffs = optimal_weights(q, hoods, supports=supports)
         new_estimates = coeffs.T @ estimates
         if scheme == "opt":
             operators = np.einsum("lk,ldi->kdi", coeffs, operators)
@@ -328,6 +324,4 @@ def diffuse(
             break
     if not converged:
         logger.warning("diffusion (%s) did not settle in %d epochs", scheme, max_epochs)
-    return DiffusionState(
-        estimates=estimates, operators=operators, epoch=epoch, converged=converged
-    )
+    return Diffused(estimates, epoch, converged)

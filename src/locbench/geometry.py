@@ -14,6 +14,11 @@ __all__ = [
     "deployment_center",
 ]
 
+# the experiments' grid in meters; the cutoff reaches the 4 nearest heads
+GRID_SPACING = 50.0
+PLACEMENT_RADIUS = 10.0
+NEIGHBOR_RADIUS = 55.0
+
 
 def as_position(point) -> np.ndarray:
     """Coerce a 2-coordinate point to a float array, rejecting non-finite input."""
@@ -89,10 +94,10 @@ class NetworkTopology:
 
 def build_grid_network(
     n_heads: int,
-    spacing: float = 50.0,
+    spacing: float = GRID_SPACING,
     sensors_per_head: int = 10,
-    placement_radius: float = 10.0,
-    neighbor_radius: float = 55.0,
+    placement_radius: float = PLACEMENT_RADIUS,
+    neighbor_radius: float = NEIGHBOR_RADIUS,
     seed=None,
 ) -> NetworkTopology:
     """Place cluster heads on a square grid and scatter sensors around them.

@@ -15,17 +15,14 @@ from locbench.bench import (
     MetricsRecord,
     RangingExperiment,
     RangingRecord,
+    _prepare_trial,
     emit_csv,
     run_localization_experiment,
     run_ranging_experiment,
 )
-from locbench.diffusion import DiffusionState, connectivity_weights, diffuse, optimal_weights
-from locbench.estimators import (
-    _range_difference_jacobian,
-    build_selection_weights,
-    local_wls_batch,
-)
-from locbench.geometry import NetworkTopology, build_grid_network, deployment_center
+from locbench.diffusion import connectivity_weights, diffuse, optimal_weights
+from locbench.estimators import _range_difference_jacobian
+from locbench.geometry import build_grid_network
 from locbench.rcrt import make_wavelength_set, reconstruct_batch, remainders_of
 from locbench.signals import simulate_tdoa_measurements
 
@@ -59,10 +56,11 @@ def operating_point():
 def diffusion_audit(operating_point):
     """Replay the operating-point trials with per-epoch invariant checks.
 
-    Rebuilds the same seeded trial streams the benchmark uses and runs the
-    three diffusion schemes with a callback that audits coefficient columns
-    and the per-dimension estimate envelope after every epoch. Replayed
-    RMSEs must reproduce the benchmark records exactly, proving the audit
+    Prepares each run's trial from the seeded stream the benchmark uses,
+    with the benchmark's own trial preparation, and runs the three
+    diffusion schemes with a callback that audits coefficient columns and
+    the per-dimension estimate envelope after every epoch. Replayed RMSEs
+    must reproduce the benchmark records exactly, proving the audit
     watched the same iterations the benchmark scored.
     """
     records, _ = operating_point
@@ -74,22 +72,11 @@ def diffusion_audit(operating_point):
         "sq_errors": {"con": [], "wei": [], "opt": []},
     }
     src = np.asarray(SOURCE)
-    n = 16
     for run in range(RUNS):
         rng = np.random.default_rng([OPERATING_SEED, 0, run])
-        topo = build_grid_network(n, 50.0, 10, 10.0, 55.0, seed=rng)
-        meas = simulate_tdoa_measurements(topo, src, 1.0, rng)
-        selection = build_selection_weights(topo)
-        init = deployment_center(topo)
-        keep, estimates, operators = local_wls_batch(meas, selection, topo, init)
-        assert keep.size
-        # diffuse over the fitted heads' sub-network, as the benchmark does
-        sub = NetworkTopology(
-            heads=topo.heads[keep],
-            sensors=topo.sensors[keep],
-            adjacency=topo.adjacency[np.ix_(keep, keep)],
-        )
-        outside = ~sub.neighborhoods
+        trial = _prepare_trial(16, 10, 1.0, src, rng)
+        assert trial.heads.size
+        estimates, outside = trial.positions, ~trial.hoods
         for scheme in ("con", "wei", "opt"):
             envelope = {"lo": estimates.min(axis=0), "hi": estimates.max(axis=0)}
 
@@ -110,12 +97,13 @@ def diffusion_audit(operating_point):
                 envelope["lo"], envelope["hi"] = new_lo, new_hi
 
             final = diffuse(
-                DiffusionState(estimates=estimates.copy(), operators=operators.copy()),
+                estimates,
                 scheme,
+                trial.hoods,
                 1e-4,
                 500,
-                sub,
-                variances=meas.variances,
+                operators=trial.operators,
+                variances=trial.variances,
                 decay_scale=1.0,
                 on_epoch=watch,
             )
@@ -321,11 +309,7 @@ def test_criterion_06_scheme_ordering(operating_point):
 
 
 def test_criterion_07_qp_against_grid_search():
-    heads = np.column_stack([np.arange(3.0), np.zeros(3)])
-    sensors = heads[:, None, :] + np.array([0.0, 1.0])
-    topo = NetworkTopology(
-        heads=heads, sensors=sensors, adjacency=~np.eye(3, dtype=bool)
-    )
+    hoods = np.ones((3, 3), dtype=bool)  # three mutually adjacent heads
     rng = np.random.default_rng(107)
     step = 1e-3
     ticks = np.arange(0.0, 1.0 + step / 2.0, step)
@@ -340,11 +324,11 @@ def test_criterion_07_qp_against_grid_search():
     for _ in range(50):
         root = rng.normal(size=(3, 3))
         q = root @ root.T + 0.1 * np.eye(3)
-        w = optimal_weights(q, topo)[:, 0]
+        w = optimal_weights(q, hoods)[:, 0]
         values = np.einsum("si,ij,sj->s", lattice, q, lattice)
         best = lattice[np.argmin(values)]
         worst_gap = max(worst_gap, float(np.abs(w - best).max()))
-        w_con = connectivity_weights(topo)[:, 0]
+        w_con = connectivity_weights(hoods)[:, 0]
         all_better &= bool(w @ q @ w <= w_con @ q @ w_con + 1e-12)
     elapsed = time.perf_counter() - start
     passed = worst_gap <= 1e-3 and all_better and elapsed < 10.0

@@ -52,6 +52,17 @@ schemes = global, con
 seed = 5
 """
 
+TRACED_CFG = """\
+n_heads = 9, 16
+sensors_per_head = 10
+noise_std = 1.0
+decay_scale = 1.0
+source = 60, 70
+runs = 3
+schemes = global, opt, con, wei, local
+seed = 4
+"""
+
 
 class TestConfigParsing:
     def test_comments_and_blanks_are_skipped(self):
@@ -650,6 +661,25 @@ class TestReplayDigests:
         )
         digest = csv_digest(records, tmp_path)
         assert_pinned("test_nine_head_sweep_fits_the_corner_heads", digest)
+
+    def test_traced_odd_grid_sweep(self, tmp_path):
+        # the --trace file follows opt, the first diffusion scheme listed;
+        # on the 9-head grid only the four corner heads fit, so its rows
+        # there name heads 0, 2, 6 and 8 alone, each at epoch 1
+        cfg = tmp_path / "traced.cfg"
+        cfg.write_text(TRACED_CFG)
+        out, trace = tmp_path / "traced.csv", tmp_path / "trace.csv"
+        proc = run_cli(
+            ["localize", "--config", str(cfg), "--out", str(out), "--trace", str(trace)]
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        assert {(r[1], r[2]) for r in rows if int(r[0]) < 3} == {
+            ("1", "0"), ("1", "2"), ("1", "6"), ("1", "8")
+        }
+        for name, path in (("test_traced_odd_grid_sweep", out),
+                           ("test_traced_odd_grid_sweep.trace", trace)):
+            assert_pinned(name, hashlib.sha256(path.read_bytes()).hexdigest())
 
     def test_ranging_sweep(self, tmp_path):
         cfg = RangingExperiment(

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from locbench.diffusion import (
     _KKT_TOL,
-    DiffusionState,
     _record_walk,
     _support_table,
     build_q_matrix,
@@ -20,40 +19,26 @@ from locbench.diffusion import (
     optimal_weights,
 )
 from locbench.estimators import build_selection_weights, local_wls_batch
-from locbench.geometry import NetworkTopology, build_grid_network, deployment_center
+from locbench.geometry import build_grid_network, deployment_center
 from locbench.signals import simulate_tdoa_measurements
 
 SOURCE = (60.0, 70.0)
 
 
-def clique_topology(n):
-    """n mutually adjacent heads with one dummy sensor each."""
-    heads = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
-    sensors = heads[:, None, :] + np.array([0.0, 1.0])
-    adjacency = ~np.eye(n, dtype=bool)
-    return NetworkTopology(heads=heads, sensors=sensors, adjacency=adjacency)
+def clique(n):
+    """The neighborhood mask of n mutually adjacent heads."""
+    return np.ones((n, n), dtype=bool)
 
 
-def path_topology(n):
-    """n heads in a chain, adjacent only to immediate neighbors."""
-    heads = np.column_stack([50.0 * np.arange(n, dtype=float), np.zeros(n)])
-    sensors = heads[:, None, :] + np.array([0.0, 1.0])
-    adjacency = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        adjacency[i, i + 1] = adjacency[i + 1, i] = True
-    return NetworkTopology(heads=heads, sensors=sensors, adjacency=adjacency)
-
-
-def induced(topology, keep):
-    """The sub-network of the heads in keep, the way the bench builds it."""
-    return NetworkTopology(
-        heads=topology.heads[keep],
-        sensors=topology.sensors[keep],
-        adjacency=topology.adjacency[np.ix_(keep, keep)],
-    )
+def path(n):
+    """The neighborhood mask of n heads in a chain, each adjacent only to
+    its immediate neighbors."""
+    steps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return steps <= 1
 
 
 def prepared_trial(seed):
+    """(hoods, positions, operators, variances) of a 16-head trial."""
     rng = np.random.default_rng(seed)
     topo = build_grid_network(16, seed=rng)
     meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
@@ -61,7 +46,7 @@ def prepared_trial(seed):
     init = deployment_center(topo)
     heads, positions, operators = local_wls_batch(meas, selection, topo, init)
     assert heads.tolist() == list(range(16))
-    return topo, meas, DiffusionState(estimates=positions, operators=operators)
+    return topo.neighborhoods, positions, operators, meas.variances
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +54,15 @@ def prepared_trial(seed):
 # whole-network matrices
 
 
-def oracle_connectivity(topology, k):
-    nbhd = np.flatnonzero(topology.neighborhoods[k])
-    weights = np.zeros(topology.n_heads)
-    weights[nbhd] = topology.degrees[nbhd]
+def oracle_connectivity(hoods, k):
+    nbhd = np.flatnonzero(hoods[k])
+    weights = np.zeros(len(hoods))
+    weights[nbhd] = hoods.sum(axis=1)[nbhd]
     return weights / weights.sum()
 
 
-def oracle_median(estimates, k, topology, decay_scale):
-    nbhd = np.flatnonzero(topology.neighborhoods[k])
+def oracle_median(estimates, k, hoods, decay_scale):
+    nbhd = np.flatnonzero(hoods[k])
     median = np.median(estimates, axis=0)
     sq_dist = np.sum((estimates[nbhd] - median) ** 2, axis=1)
     raw = np.exp(-sq_dist / decay_scale)
@@ -85,7 +70,7 @@ def oracle_median(estimates, k, topology, decay_scale):
     if total <= 0.0 or not np.isfinite(total):
         raw = np.ones(nbhd.size)
         total = float(nbhd.size)
-    weights = np.zeros(topology.n_heads)
+    weights = np.zeros(len(hoods))
     weights[nbhd] = raw / total
     return weights
 
@@ -150,10 +135,10 @@ def _simplex_qp(q_sub):
     return best_vec
 
 
-def oracle_optimal(q, k, topology, events=None):
+def oracle_optimal(q, k, hoods, events=None):
     """Head k's column, one simplex QP at a time; events, when given,
     collects "indefinite" and "loose" for each warning the head raises."""
-    nbhd = np.flatnonzero(topology.neighborhoods[k])
+    nbhd = np.flatnonzero(hoods[k])
     q_sub = q[np.ix_(nbhd, nbhd)]
     solution = _simplex_qp(q_sub)
     events = [] if events is None else events
@@ -165,25 +150,25 @@ def oracle_optimal(q, k, topology, events=None):
     level = float(grad @ solution)
     if np.any(grad < level - _KKT_TOL * max(1.0, abs(level))):
         events.append("loose")
-    weights = np.zeros(topology.n_heads)
+    weights = np.zeros(len(hoods))
     weights[nbhd] = solution
     return weights
 
 
-def oracle_matrix(rule, topology):
-    return np.column_stack([rule(k) for k in range(topology.n_heads)])
+def oracle_matrix(rule, hoods):
+    return np.column_stack([rule(k) for k in range(len(hoods))])
 
 
-def assert_optimal_matches_the_oracle(q, topology, caplog):
+def assert_optimal_matches_the_oracle(q, hoods, caplog):
     """optimal_weights, with its support table built inside or passed in,
     equals the per-head oracle bit for bit and logs the oracle's lines."""
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="locbench"):
-        weights = optimal_weights(q, topology)
+        weights = optimal_weights(q, hoods)
     events = []
-    expected = oracle_matrix(lambda h: oracle_optimal(q, h, topology, events), topology)
+    expected = oracle_matrix(lambda h: oracle_optimal(q, h, hoods, events), hoods)
     assert np.array_equal(weights, expected)
-    n = topology.n_heads
+    n = len(hoods)
     lines = []
     if "indefinite" in events:
         ridge = 1e-9 * abs(np.trace(q)) / n
@@ -194,8 +179,8 @@ def assert_optimal_matches_the_oracle(q, topology, caplog):
     if "loose" in events:
         lines.append(f"optimality conditions loose for {events.count('loose')} of {n} heads")
     assert [r.getMessage() for r in caplog.records] == lines
-    supports = _support_table(topology)
-    assert np.array_equal(optimal_weights(q, topology, supports=supports), weights)
+    supports = _support_table(hoods)
+    assert np.array_equal(optimal_weights(q, hoods, supports=supports), weights)
 
 
 def sequential_walk(row):
@@ -210,17 +195,13 @@ def sequential_walk(row):
 
 @st.composite
 def networks(draw, max_heads):
-    """A random symmetric topology; heads sit on a line, one sensor each."""
+    """The neighborhood mask of a random symmetric graph: density 0 leaves
+    every head isolated, 1 makes a clique."""
     n = draw(st.integers(1, max_heads))
     density = draw(st.floats(0.0, 1.0))
     coins = draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
     upper = np.triu(np.array(coins).reshape(n, n) < density, 1)
-    heads = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
-    return NetworkTopology(
-        heads=heads,
-        sensors=heads[:, None, :] + np.array([0.0, 1.0]),
-        adjacency=upper | upper.T,
-    )
+    return upper | upper.T | np.eye(n, dtype=bool)
 
 
 @st.composite
@@ -251,18 +232,13 @@ def stacked_networks(draw):
     reach = draw(st.integers(1, 3))
     clique = draw(st.integers(1, 7))
     rest = draw(networks(max_heads=7))
-    n = ring + clique + rest.n_heads
+    n = ring + clique + len(rest)
     offsets = np.subtract.outer(np.arange(ring), np.arange(ring)) % ring
-    adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[:ring, :ring] = (np.minimum(offsets, ring - offsets) <= reach) & (offsets > 0)
-    adjacency[ring:ring + clique, ring:ring + clique] = ~np.eye(clique, dtype=bool)
-    adjacency[ring + clique:, ring + clique:] = rest.adjacency
-    heads = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
-    return NetworkTopology(
-        heads=heads,
-        sensors=heads[:, None, :] + np.array([0.0, 1.0]),
-        adjacency=adjacency,
-    )
+    hoods = np.zeros((n, n), dtype=bool)
+    hoods[:ring, :ring] = np.minimum(offsets, ring - offsets) <= reach
+    hoods[ring:ring + clique, ring:ring + clique] = True
+    hoods[ring + clique:, ring + clique:] = rest
+    return hoods
 
 
 @st.composite
@@ -286,65 +262,65 @@ def objective_matrices(draw):
 
 
 def degree_mixed_grid(n_heads, drop):
-    """A grid with the heads in drop left out, the way the bench leaves out
-    failed fits: neighborhoods of 1 to 5 heads."""
-    grid = build_grid_network(n_heads, seed=0)
-    return induced(grid, np.setdiff1d(np.arange(n_heads), drop))
+    """The mask of a grid without the heads in drop, the block the bench
+    passes for the heads whose fits succeeded: neighborhoods of 1 to 5."""
+    keep = np.setdiff1d(np.arange(n_heads), drop)
+    return build_grid_network(n_heads, seed=0).neighborhoods[np.ix_(keep, keep)]
 
 
-def assert_combination_matrix(weights, topology):
+def assert_combination_matrix(weights, hoods):
     """Column-stochastic, non-negative, supported on the neighborhoods."""
-    assert weights.shape == (topology.n_heads, topology.n_heads)
+    assert weights.shape == hoods.shape
     assert np.allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
     assert weights.min() >= -1e-12
-    assert np.all(weights[~topology.neighborhoods] == 0.0)
+    assert np.all(weights[~hoods] == 0.0)
 
 
 class TestMatrixRulesMatchPerHeadOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_connectivity(self, data):
-        topo = data.draw(networks(max_heads=14))
-        weights = connectivity_weights(topo)
+        hoods = data.draw(networks(max_heads=14))
+        weights = connectivity_weights(hoods)
         assert np.array_equal(
-            weights, oracle_matrix(lambda k: oracle_connectivity(topo, k), topo)
+            weights, oracle_matrix(lambda k: oracle_connectivity(hoods, k), hoods)
         )
-        assert_combination_matrix(weights, topo)
+        assert_combination_matrix(weights, hoods)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_median(self, data):
-        topo = data.draw(networks(max_heads=14))
-        estimates = data.draw(spread_estimates(topo.n_heads))
+        hoods = data.draw(networks(max_heads=14))
+        estimates = data.draw(spread_estimates(len(hoods)))
         decay_scale = data.draw(st.sampled_from([1e-3, 0.5, 1.0, 30.0, 1e4]))
-        weights = median_weights(estimates, topo, decay_scale)
+        weights = median_weights(estimates, hoods, decay_scale)
         expected = oracle_matrix(
-            lambda k: oracle_median(estimates, k, topo, decay_scale), topo
+            lambda k: oracle_median(estimates, k, hoods, decay_scale), hoods
         )
         # the column sum adds a neighborhood in head order; numpy summed the
         # oracle's packed neighborhood the same way below 8 members (every
         # grid the experiments build has at most 5) and pairwise above, where
         # at most 14 float64 terms in another order differ by a few ulp
-        small = topo.degrees < 8
+        small = hoods.sum(axis=1) < 8
         assert np.array_equal(weights[:, small], expected[:, small])
         np.testing.assert_allclose(weights, expected, rtol=1e-14, atol=0.0)
-        assert_combination_matrix(weights, topo)
+        assert_combination_matrix(weights, hoods)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_optimal(self, data):
-        topo = data.draw(networks(max_heads=6))
-        n, k = topo.n_heads, 8
+        hoods = data.draw(networks(max_heads=6))
+        n, k = len(hoods), 8
         entries = data.draw(
             st.lists(st.floats(-3.0, 3.0), min_size=n * 2 * k, max_size=n * 2 * k)
         )
         operators = np.array(entries).reshape(n, 2, k)
         q = build_q_matrix(operators, np.linspace(0.5, 2.0, k))
-        weights = optimal_weights(q, topo)
+        weights = optimal_weights(q, hoods)
         assert np.array_equal(
-            weights, oracle_matrix(lambda h: oracle_optimal(q, h, topo), topo)
+            weights, oracle_matrix(lambda h: oracle_optimal(q, h, hoods), hoods)
         )
-        assert_combination_matrix(weights, topo)
+        assert_combination_matrix(weights, hoods)
 
     @settings(
         max_examples=150,
@@ -353,8 +329,8 @@ class TestMatrixRulesMatchPerHeadOracle:
     )
     @given(data=st.data())
     def test_optimal_stacks_match_the_oracle(self, caplog, data):
-        topo = data.draw(stacked_networks())
-        n, k = topo.n_heads, 8
+        hoods = data.draw(stacked_networks())
+        n, k = len(hoods), 8
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         operators = rng.normal(size=(n, 2, k))
         variances = rng.uniform(0.5, 2.0, size=k)
@@ -371,9 +347,9 @@ class TestMatrixRulesMatchPerHeadOracle:
         q = build_q_matrix(operators, variances) - shift * np.eye(n)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="locbench"):
-            weights = optimal_weights(q, topo)
+            weights = optimal_weights(q, hoods)
         events = []
-        expected = oracle_matrix(lambda h: oracle_optimal(q, h, topo, events), topo)
+        expected = oracle_matrix(lambda h: oracle_optimal(q, h, hoods, events), hoods)
         assert np.array_equal(weights, expected)
         lines = []
         if "indefinite" in events:
@@ -392,10 +368,10 @@ class TestMatrixRulesMatchPerHeadOracle:
         # by an ulp and picks another support
         a, b, c = 17.645503622677907, -5.39423275451317, 15.462451698174055
         q = np.array([[a, b, a], [b, c, b], [a, b, a]])
-        topo = clique_topology(3)
+        hoods = clique(3)
         assert np.array_equal(
-            optimal_weights(q, topo),
-            oracle_matrix(lambda h: oracle_optimal(q, h, topo), topo),
+            optimal_weights(q, hoods),
+            oracle_matrix(lambda h: oracle_optimal(q, h, hoods), hoods),
         )
 
     @settings(
@@ -410,28 +386,28 @@ class TestMatrixRulesMatchPerHeadOracle:
         n_heads = data.draw(st.sampled_from([16, 25]), label="heads")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         share = data.draw(st.sampled_from([0.1, 0.3, 0.5]), label="dropped")
-        topo = degree_mixed_grid(n_heads, np.flatnonzero(rng.random(n_heads) < share))
-        assume(topo.n_heads > 0)
-        operators = rng.normal(size=(topo.n_heads, 2, 8))
+        hoods = degree_mixed_grid(n_heads, np.flatnonzero(rng.random(n_heads) < share))
+        assume(len(hoods) > 0)
+        operators = rng.normal(size=(len(hoods), 2, 8))
         if data.draw(st.booleans(), label="rounded"):
             operators = np.round(operators)
         # heads sharing one operator tie supports, and the walk order decides
         shared = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shared")
-        operators[rng.random(topo.n_heads) < shared] = operators[0]
+        operators[rng.random(len(hoods)) < shared] = operators[0]
         shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
         q = build_q_matrix(operators, rng.uniform(0.5, 2.0, size=8))
-        assert_optimal_matches_the_oracle(q - shift * np.eye(topo.n_heads), topo, caplog)
+        assert_optimal_matches_the_oracle(q - shift * np.eye(len(hoods)), hoods, caplog)
 
     @pytest.mark.parametrize("shift", [0.0, 40.0])
     def test_optimal_on_a_grid_with_every_degree(self, caplog, shift):
         # without heads 1, 3 and 5 of a 5x5 grid, head 0 stands alone,
         # heads 2 and 4 have one neighbour and head 12 all four; the shift
         # makes every neighborhood indefinite and takes the ridge retry
-        topo = degree_mixed_grid(25, [1, 3, 5])
-        assert set(topo.degrees) == {1, 2, 3, 4, 5}
+        hoods = degree_mixed_grid(25, [1, 3, 5])
+        assert set(hoods.sum(axis=1)) == {1, 2, 3, 4, 5}
         rng = np.random.default_rng(17)
         q = build_q_matrix(rng.normal(size=(22, 2, 8)), rng.uniform(0.5, 2.0, size=8))
-        assert_optimal_matches_the_oracle(q - shift * np.eye(22), topo, caplog)
+        assert_optimal_matches_the_oracle(q - shift * np.eye(22), hoods, caplog)
         if shift:
             assert caplog.records[0].getMessage().startswith(
                 "indefinite neighborhood matrix for 22 of 22 heads"
@@ -458,8 +434,8 @@ class TestRecordWalk:
 
 class TestConnectivityWeights:
     def test_degree_proportional_on_grid(self):
-        topo = build_grid_network(16, seed=0)
-        w = connectivity_weights(topo)[:, 0]
+        hoods = build_grid_network(16, seed=0).neighborhoods
+        w = connectivity_weights(hoods)[:, 0]
         # corner head: self degree 3, both neighbors degree 4
         assert w[0] == pytest.approx(3.0 / 11.0)
         assert w[1] == pytest.approx(4.0 / 11.0)
@@ -468,14 +444,11 @@ class TestConnectivityWeights:
         assert np.count_nonzero(w) == 3
 
     def test_active_mask_drops_members(self):
-        # a head left out of the active mask leaves the sub-network, and
-        # degrees are counted in the sub-network: corner head 0 keeps only
-        # itself (degree 2 without head 1) and head 4 (degree 4)
-        topo = build_grid_network(16, seed=0)
-        active = np.ones(16, dtype=bool)
-        active[1] = False
-        keep = np.flatnonzero(active)
-        w = connectivity_weights(induced(topo, keep))[:, 0]
+        # a head left out of the mask block leaves every neighborhood, and
+        # degrees are counted in the block: corner head 0 keeps only itself
+        # (degree 2 without head 1) and head 4 (degree 4)
+        keep = np.setdiff1d(np.arange(16), [1])
+        w = connectivity_weights(degree_mixed_grid(16, [1]))[:, 0]
         assert np.count_nonzero(w) == 2
         assert w[0] == pytest.approx(2.0 / 6.0)
         assert w[list(keep).index(4)] == pytest.approx(4.0 / 6.0)
@@ -485,9 +458,9 @@ class TestConnectivityWeights:
 class TestMedianWeights:
     def test_outlier_is_downweighted(self):
         # hand example: median (1,1); the far point keeps weight exp(-162)
-        topo = clique_topology(3)
+        hoods = clique(3)
         estimates = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0]])
-        w = median_weights(estimates, topo, 1.0)[:, 0]
+        w = median_weights(estimates, hoods, 1.0)[:, 0]
         raw = np.array([np.exp(-2.0), 1.0, np.exp(-162.0)])
         assert np.allclose(w, raw / raw.sum())
         assert w.argmin() == 2
@@ -495,21 +468,21 @@ class TestMedianWeights:
     def test_reference_median_is_network_wide(self):
         # head 3 on a chain never sees heads 0 and 1, yet the reference
         # median still reflects them
-        topo = path_topology(4)
+        hoods = path(4)
         estimates = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
-        w = median_weights(estimates, topo, 1.0)[:, 3]
+        w = median_weights(estimates, hoods, 1.0)[:, 3]
         assert w[0] == 0.0 and w[1] == 0.0  # outside the neighborhood
         # distances to the (5.05, 5.0) median differ by exactly 1 in square
         assert w[2] / w[3] == pytest.approx(np.e)
 
     def test_weights_decrease_with_distance_from_median(self):
-        topo = build_grid_network(16, seed=1)
+        hoods = build_grid_network(16, seed=1).neighborhoods
         rng = np.random.default_rng(10)
         for _ in range(20):
             estimates = rng.normal(60.0, 3.0, size=(16, 2))
             k = int(rng.integers(16))
-            w = median_weights(estimates, topo, 2.0)[:, k]
-            nbhd = np.flatnonzero(topo.neighborhoods[k])
+            w = median_weights(estimates, hoods, 2.0)[:, k]
+            nbhd = np.flatnonzero(hoods[k])
             ref = np.median(estimates, axis=0)
             dist = np.linalg.norm(estimates[nbhd] - ref, axis=1)
             order = np.argsort(dist)
@@ -518,18 +491,14 @@ class TestMedianWeights:
     def test_underflow_falls_back_to_uniform(self, caplog):
         # a two-head pocket stranded far from the network median underflows
         # every exponent in its neighborhood
-        heads = np.column_stack([50.0 * np.arange(5.0), np.zeros(5)])
-        sensors = heads[:, None, :] + np.array([0.0, 1.0])
-        adjacency = np.zeros((5, 5), dtype=bool)
-        adjacency[0, 1] = adjacency[1, 0] = True
-        for i, j in ((2, 3), (3, 4)):
-            adjacency[i, j] = adjacency[j, i] = True
-        topo = NetworkTopology(heads=heads, sensors=sensors, adjacency=adjacency)
+        hoods = np.zeros((5, 5), dtype=bool)
+        hoods[:2, :2] = True
+        hoods[2:, 2:] = path(3)
         estimates = np.array(
             [[1.0e4, 0.0], [1.0001e4, 0.0], [0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]
         )
         with caplog.at_level(logging.WARNING):
-            w = median_weights(estimates, topo, 1.0)
+            w = median_weights(estimates, hoods, 1.0)
         for k in (0, 1):
             assert np.array_equal(w[:, k], [0.5, 0.5, 0.0, 0.0, 0.0])
         assert np.all(w[:2, 2:] == 0.0)
@@ -537,10 +506,10 @@ class TestMedianWeights:
         assert underflows == ["median weights underflowed for 2 of 5 heads; using uniform"]
 
     def test_rejects_nonpositive_scale(self):
-        topo = clique_topology(3)
+        hoods = clique(3)
         for scale in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                median_weights(np.zeros((3, 2)), topo, scale)
+                median_weights(np.zeros((3, 2)), hoods, scale)
 
 
 class TestQMatrix:
@@ -584,19 +553,19 @@ def simplex_grid_minimum(q_sub, step=1e-3):
 class TestOptimalWeights:
     def test_two_head_closed_form(self):
         # diag(1, 2) splits as (2/3, 1/3) on the simplex
-        topo = clique_topology(2)
+        hoods = clique(2)
         q = np.diag([1.0, 2.0])
-        w = optimal_weights(q, topo)
+        w = optimal_weights(q, hoods)
         assert np.allclose(w[:, 0], (2.0 / 3.0, 1.0 / 3.0))
         assert np.allclose(w[:, 1], (2.0 / 3.0, 1.0 / 3.0))
 
     def test_matches_grid_search_on_random_instances(self):
-        topo = clique_topology(3)
+        hoods = clique(3)
         rng = np.random.default_rng(31)
         for _ in range(10):
             root = rng.normal(size=(3, 3))
             q = root @ root.T + 0.1 * np.eye(3)
-            w = optimal_weights(q, topo)[:, 0]
+            w = optimal_weights(q, hoods)[:, 0]
             best, arg = simplex_grid_minimum(q)
             assert w @ q @ w <= best + 1e-9
             assert np.abs(w - arg).max() < 2e-3
@@ -605,13 +574,13 @@ class TestOptimalWeights:
         # -I is indefinite everywhere; the end heads of the path (two
         # members) and the inner heads (three) are solved in two stacks
         with caplog.at_level(logging.WARNING):
-            optimal_weights(-np.eye(4), path_topology(4))
+            optimal_weights(-np.eye(4), path(4))
         # the equality minimizer (-5e-13, 1) passes the feasibility slack and
         # is clipped to a vertex whose gradient condition misses by 2e-6
         b = 1.0 - 1e-6
         q = np.array([[-2e6 + 1.0 - 2e-6, b], [b, 1.0]])
         with caplog.at_level(logging.WARNING):
-            optimal_weights(q, clique_topology(2))
+            optimal_weights(q, clique(2))
         assert [r.getMessage() for r in caplog.records] == [
             "indefinite neighborhood matrix for 4 of 4 heads; regularizing with 1e-09",
             "optimality conditions loose for 2 of 2 heads",
@@ -620,91 +589,99 @@ class TestOptimalWeights:
     def test_rejects_a_q_of_another_size(self):
         for q in (np.eye(3), np.eye(5), np.ones((4, 3))):
             with pytest.raises(ValueError, match="shape"):
-                optimal_weights(q, path_topology(4))
+                optimal_weights(q, path(4))
 
     def test_ridge_is_positive_for_a_negative_trace(self, caplog):
         # the retry must add to the diagonal, whatever the sign of trace(Q)
         with caplog.at_level(logging.WARNING):
-            optimal_weights(-np.eye(4), path_topology(4))
+            optimal_weights(-np.eye(4), path(4))
         (line,) = [r.getMessage() for r in caplog.records]
         assert float(line.rsplit(" ", 1)[1]) > 0.0
 
     def test_never_worse_than_connectivity(self):
-        topo, meas, state = prepared_trial(3)
-        q = build_q_matrix(state.operators, meas.variances)
-        w_opt = optimal_weights(q, topo)
-        w_con = connectivity_weights(topo)
+        hoods, _, operators, variances = prepared_trial(3)
+        q = build_q_matrix(operators, variances)
+        w_opt = optimal_weights(q, hoods)
+        w_con = connectivity_weights(hoods)
         for k in range(16):
             a, b = w_opt[:, k], w_con[:, k]
             assert a @ q @ a <= b @ q @ b + 1e-12
 
     def test_simplex_invariants(self):
-        topo, meas, state = prepared_trial(4)
-        q = build_q_matrix(state.operators, meas.variances)
-        assert_combination_matrix(optimal_weights(q, topo), topo)
+        hoods, _, operators, variances = prepared_trial(4)
+        q = build_q_matrix(operators, variances)
+        assert_combination_matrix(optimal_weights(q, hoods), hoods)
 
 
 class TestDiffuse:
     def test_consensus_on_clique_with_con(self):
-        topo = clique_topology(4)
         estimates = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
-        state = DiffusionState(estimates=estimates, operators=None)
-        final = diffuse(state, "con", 1e-10, 200, topo)
+        final = diffuse(estimates, "con", clique(4), 1e-10, 200)
         assert final.converged
         # equal degrees: uniform averaging lands on the centroid in one step
         assert np.allclose(final.estimates, [2.0, 2.0], atol=1e-8)
 
     def test_con_coefficients_are_static(self):
-        topo, meas, state = prepared_trial(5)
+        hoods, positions, _, _ = prepared_trial(5)
         seen = []
-        diffuse(state, "con", 1e-4, 50, topo, on_epoch=lambda e, x, c, s: seen.append(c))
+        diffuse(positions, "con", hoods, 1e-4, 50, on_epoch=lambda e, x, c, s: seen.append(c))
         assert len(seen) >= 2
         for c in seen[1:]:
             assert np.array_equal(c, seen[0])
-        assert np.array_equal(seen[0], connectivity_weights(topo))
+        assert np.array_equal(seen[0], connectivity_weights(hoods))
 
-    def test_every_epoch_keeps_simplex_and_envelope(self):
-        topo, meas, state = prepared_trial(6)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_epoch_keeps_simplex_and_envelope(self, data):
+        # random graphs: isolated heads, cliques, rings and disconnected
+        # parts; estimates with far-off pockets that underflow wei's weights
+        hoods = data.draw(st.one_of(networks(max_heads=12), stacked_networks()), label="hoods")
+        n = len(hoods)
+        estimates = data.draw(spread_estimates(n), label="estimates")
+        decay_scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]), label="decay_scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        operators = rng.normal(size=(n, 2, 8))
+        variances = rng.uniform(0.5, 2.0, size=8)
         for scheme in ("con", "wei", "opt"):
-            ranges = []
-            coeff_ok = []
+            envelopes = [(estimates.min(axis=0), estimates.max(axis=0))]
 
-            def watch(epoch, estimates, coeffs, max_step):
-                coeff_ok.append(
-                    np.allclose(coeffs.sum(axis=0), 1.0, atol=1e-12)
-                    and coeffs.min() >= -1e-12
-                )
-                ranges.append(
-                    (estimates.min(axis=0).copy(), estimates.max(axis=0).copy())
-                )
+            def watch(epoch, new, coeffs, max_step):
+                assert np.abs(coeffs.sum(axis=0) - 1.0).max() <= 1e-12
+                assert coeffs.min() >= -1e-12
+                assert np.all(coeffs[~hoods] == 0.0)
+                # a convex combination of the previous epoch's estimates,
+                # up to the rounding of sums of at most 26 terms
+                lo, hi = envelopes[-1]
+                assert np.all(new >= lo - 1e-9) and np.all(new <= hi + 1e-9)
+                envelopes.append((new.min(axis=0), new.max(axis=0)))
 
-            fresh = DiffusionState(
-                estimates=state.estimates.copy(), operators=state.operators.copy()
-            )
             final = diffuse(
-                fresh, scheme, 1e-4, 500, topo,
-                variances=meas.variances, on_epoch=watch,
+                estimates, scheme, hoods, 1e-6, 20, operators=operators,
+                variances=variances, decay_scale=decay_scale, on_epoch=watch,
+            )
+            assert final.epoch == len(envelopes) - 1
+
+    def test_every_scheme_settles_on_a_grid_trial(self):
+        hoods, positions, operators, variances = prepared_trial(6)
+        for scheme in ("con", "wei", "opt"):
+            final = diffuse(
+                positions, scheme, hoods, 1e-4, 500, operators=operators, variances=variances
             )
             assert final.converged
-            assert all(coeff_ok)
-            los = np.array([r[0] for r in ranges])
-            his = np.array([r[1] for r in ranges])
-            assert np.all(np.diff(los, axis=0) >= -1e-9)
-            assert np.all(np.diff(his, axis=0) <= 1e-9)
 
     def test_nonconvergence_is_reported(self, caplog):
-        topo, meas, state = prepared_trial(7)
+        hoods, positions, _, _ = prepared_trial(7)
         with caplog.at_level(logging.WARNING):
-            final = diffuse(state, "con", 1e-13, 3, topo)
+            final = diffuse(positions, "con", hoods, 1e-13, 3)
         assert not final.converged
         assert final.epoch == 3
         assert "did not settle" in caplog.text
 
     def test_final_step_honors_epsilon(self):
-        topo, meas, state = prepared_trial(8)
+        hoods, positions, _, _ = prepared_trial(8)
         steps = []
         final = diffuse(
-            state, "con", 1e-3, 500, topo, on_epoch=lambda e, x, c, s: steps.append(s)
+            positions, "con", hoods, 1e-3, 500, on_epoch=lambda e, x, c, s: steps.append(s)
         )
         assert final.converged
         assert steps[-1] <= 1e-3
@@ -712,10 +689,10 @@ class TestDiffuse:
         assert final.epoch == len(steps)
 
     def test_optimize_once_reuses_first_epoch_coefficients(self):
-        topo, meas, state = prepared_trial(10)
+        hoods, positions, operators, variances = prepared_trial(10)
         seen = []
         diffuse(
-            state, "opt", 1e-4, 500, topo, variances=meas.variances,
+            positions, "opt", hoods, 1e-4, 500, operators=operators, variances=variances,
             optimize_once=True, on_epoch=lambda e, x, c, s: seen.append(c.copy()),
         )
         assert len(seen) >= 2
@@ -723,27 +700,39 @@ class TestDiffuse:
             assert np.array_equal(c, seen[0])
 
     def test_opt_updates_operators(self):
-        topo, meas, state = prepared_trial(11)
+        # each epoch's weights come from the operators combined with the
+        # previous epoch's weights; the caller's operators stay as they were
+        hoods, positions, operators, variances = prepared_trial(11)
+        given_ops = operators.copy()
+        seen = []
         final = diffuse(
-            state, "opt", 1e-4, 500, topo, variances=meas.variances
+            positions, "opt", hoods, 1e-4, 500, operators=operators, variances=variances,
+            on_epoch=lambda e, x, c, s: seen.append(c.copy()),
         )
-        assert final.converged
-        assert final.operators.shape == state.operators.shape
-        assert not np.allclose(final.operators, state.operators)
+        assert final.converged and len(seen) >= 3
+        assert np.array_equal(operators, given_ops)
+        for previous, coeffs in zip(seen, seen[1:]):
+            operators = np.einsum("lk,ldi->kdi", previous, operators)
+            q = build_q_matrix(operators, variances)
+            assert np.array_equal(coeffs, optimal_weights(q, hoods))
+        assert not np.array_equal(seen[1], seen[0])
 
     def test_rejects_unknown_scheme_and_bad_knobs(self):
-        topo, meas, state = prepared_trial(12)
+        hoods, positions, operators, variances = prepared_trial(12)
         with pytest.raises(ValueError):
-            diffuse(state, "avg", 1e-4, 10, topo)
+            diffuse(positions, "avg", hoods, 1e-4, 10)
         for epsilon in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                diffuse(state, "con", epsilon, 10, topo)
+                diffuse(positions, "con", hoods, epsilon, 10)
         with pytest.raises(ValueError, match="shape"):
-            diffuse(state, "con", 1e-4, 10, induced(topo, np.arange(15)))
+            diffuse(positions, "con", hoods[:15, :15], 1e-4, 10)
+        one_way, no_self = hoods.copy(), hoods.copy()
+        one_way[0, 1], no_self[3, 3] = False, False
+        for bad in (one_way, no_self, hoods[:, :15]):
+            with pytest.raises(ValueError, match="hoods must be"):
+                diffuse(positions[:len(bad)], "con", bad, 1e-4, 10)
         with pytest.raises(ValueError):
-            diffuse(state, "con", 1e-4, 0, topo)
-        with pytest.raises(ValueError):
-            diffuse(
-                DiffusionState(estimates=state.estimates, operators=None),
-                "opt", 1e-4, 10, topo, variances=meas.variances,
-            )
+            diffuse(positions, "con", hoods, 1e-4, 0)
+        for ops, var in ((None, variances), (operators, None)):
+            with pytest.raises(ValueError, match="opt scheme needs"):
+                diffuse(positions, "opt", hoods, 1e-4, 10, operators=ops, variances=var)
