@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, fields
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,6 +74,10 @@ _SNR_LIMIT_DB = 3000.0
 # scale would round the errors or flush them to zero
 _PHASE_SPAN_LIMIT = 1e300
 _PHASE_SPAN_FLOOR = 1e-300
+# reconstruct_batch's temporaries grow with its block (about 400 bytes a
+# trial at three wavelengths), so a ranging point is reconstructed in
+# slices of this many trials; a trial's row does not depend on its slice
+_RECONSTRUCT_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +243,8 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
     """Sweep reconstruction over the SNR grid.
 
     Each trial draws a dividend uniformly over the unambiguous range and
-    then its phase errors; the trials of one grid point are then folded,
-    perturbed and reconstructed together, and each records
+    then its phase errors; the trials of one grid point are then folded and
+    perturbed together and reconstructed in fixed slices, and each records
     |estimate - truth| / max_range. Ambiguous trials (no unique quotient)
     are counted separately and excluded from the error mean. Trial streams
     are derived from (seed, grid index, trial index) only, so experiments
@@ -261,7 +265,11 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
             # a noiseless point draws zeros: 0 * z + 0 is +0
             phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
         noisy = simulate_phase_remainders(truths, ws, phase_errors)
-        estimates, _, ambiguous = reconstruct_batch(noisy, ws)
+        estimates = np.empty(cfg.trials_per_point)
+        ambiguous = np.empty(cfg.trials_per_point, dtype=bool)
+        for start in range(0, cfg.trials_per_point, _RECONSTRUCT_ROWS):
+            rows = slice(start, start + _RECONSTRUCT_ROWS)
+            estimates[rows], _, ambiguous[rows] = reconstruct_batch(noisy[rows], ws)
         solved = ~ambiguous
         errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range
         if errors.size:
@@ -306,18 +314,21 @@ class _Trial:
     crlb_trace: float
 
 
-def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng) -> _Trial:
+def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng, fit_global) -> _Trial:
+    """One run's trial; the global fit (no random draws) runs if fit_global."""
     topology = build_grid_network(n_heads, sensors_per_head=sensors_per_head, seed=rng)
     meas = simulate_tdoa_measurements(topology, source, sigma, rng)
     selection = build_selection_weights(topology)
     init = deployment_center(topology)
 
-    t0 = time.process_time()
-    try:
-        global_pos = global_wls(meas, topology, init)
-    except EstimationError:
-        global_pos = None
-    global_time = time.process_time() - t0
+    global_pos, global_time = None, 0.0
+    if fit_global:
+        t0 = time.process_time()
+        try:
+            global_pos = global_wls(meas, topology, init)
+        except EstimationError:
+            pass
+        global_time = time.process_time() - t0
 
     t0 = time.process_time()
     heads, positions, operators = local_wls_batch(meas, selection, topology, init)
@@ -388,8 +399,7 @@ def _run_scheme(
 
 
 def run_localization_experiment(
-    cfg: LocalizationExperiment,
-    trace_writer: Optional[Callable[[int, int, int, float, float, float], None]] = None,
+    cfg: LocalizationExperiment, trace=None
 ) -> list[MetricsRecord]:
     """Run the configured sweep and aggregate per-scheme metrics.
 
@@ -398,30 +408,32 @@ def run_localization_experiment(
     trials derive from (seed, run) alone and are shared across the grid,
     so the combination-weight scale is compared on frozen noise.
 
-    trace_writer, when given, receives (trial, epoch, head, x1, x2,
-    max_step) rows for the first diffusion scheme listed in cfg.schemes,
-    one per head whose local fit succeeded.
+    trace, a csv.writer when given, receives a header and then one
+    (trial, epoch, head, x1, x2, max_step) row per epoch and per head whose
+    local fit succeeded, for the first diffusion scheme in cfg.schemes.
     """
     sweep_name = cfg.sweep_field
     source = np.asarray(cfg.source, dtype=float)
     trace_scheme = None
-    if trace_writer is not None:
+    if trace is not None:
+        trace.writerow(["trial", "epoch", "head", "x1", "x2", "max_step"])
         trace_scheme = next((s for s in cfg.schemes if s in DIFFUSION_SCHEMES), None)
-    trace_count = 0
 
-    base = {
-        "n_heads": cfg.n_heads,
-        "sensors_per_head": cfg.sensors_per_head,
-        "noise_std": cfg.noise_std,
-        "decay_scale": cfg.decay_scale,
-    }
+    def on_epoch(epoch, estimates, _coeffs, max_step):
+        # called from the run loop below, on its current s_idx, run and
+        # trial; the traced scheme runs once per (sweep value, run)
+        index = s_idx * cfg.runs + run
+        trace.writerows(
+            [index, epoch, head, f"{x1:.9g}", f"{x2:.9g}", f"{max_step:.9g}"]
+            for head, (x1, x2) in zip(trial.heads.tolist(), estimates.tolist())
+        )
+
     records = []
     # a decay_scale sweep reuses each run's trial at every sweep value
     frozen = sweep_name == "decay_scale"
     cache: dict[int, _Trial] = {}
     for s_idx, value in enumerate(cfg.sweep_values):
-        params = dict(base)
-        params[sweep_name] = value
+        params = {n: value if n == sweep_name else getattr(cfg, n) for n in _SWEEPABLE}
         # each scheme's _run_scheme outcome of every run, None where it failed
         outcomes: dict[str, list] = {s: [] for s in cfg.schemes}
         crlb_traces = []
@@ -435,23 +447,15 @@ def run_localization_experiment(
                     params["noise_std"],
                     source,
                     np.random.default_rng(stream),
+                    fit_global="global" in cfg.schemes,
                 )
                 if frozen:
                     cache[run] = trial
             crlb_traces.append(trial.crlb_trace)
             for scheme in cfg.schemes:
-                on_epoch = None
-                if scheme == trace_scheme:
-                    trial_idx = trace_count
-                    trace_count += 1
-                    heads = trial.heads.tolist()
-
-                    def on_epoch(epoch, estimates, _coeffs, max_step, _t=trial_idx, _h=heads):
-                        for head, (x1, x2) in zip(_h, estimates.tolist()):
-                            trace_writer(_t, epoch, head, x1, x2, max_step)
-
+                traced = on_epoch if scheme == trace_scheme else None
                 outcomes[scheme].append(
-                    _run_scheme(scheme, trial, cfg, params["decay_scale"], on_epoch)
+                    _run_scheme(scheme, trial, cfg, params["decay_scale"], traced)
                 )
         crlb_rmse = float(math.sqrt(np.mean(crlb_traces)))
         for scheme in cfg.schemes:
@@ -530,15 +534,14 @@ def parse_flat_config(text: str) -> dict[str, str]:
     return entries
 
 
-def _split_list(value: str) -> list[str]:
-    parts = [p.strip() for p in value.split(",")]
-    return [p for p in parts if p]
+def _listed(convert):
+    """A reader of a comma list of convert's values; empty items are dropped."""
+    return lambda value: tuple(convert(p) for p in map(str.strip, value.split(",")) if p)
 
 
-def _parse_scalar_or_tuple(value: str, convert):
-    if "," in value:
-        return tuple(convert(p) for p in _split_list(value))
-    return convert(value)
+def _sweepable(convert):
+    """A reader of one value, or of a comma list: the sweep axis."""
+    return lambda value: _listed(convert)(value) if "," in value else convert(value)
 
 
 def _parse_bool(value: str) -> bool:
@@ -550,73 +553,63 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-_MISSING = object()
+# every config key with its reader, one table per experiment; a key is
+# required unless its field has a default
+_KEYS = {
+    RangingExperiment: {
+        "common_factor": float,
+        "coprime_factors": _listed(int),
+        "snr_grid_db": _listed(float),
+        "trials_per_point": int,
+        "seed": int,
+    },
+    LocalizationExperiment: {
+        "n_heads": _sweepable(int),
+        "sensors_per_head": _sweepable(int),
+        "noise_std": _sweepable(float),
+        "decay_scale": _sweepable(float),
+        "source": _listed(float),
+        "runs": int,
+        "schemes": _listed(str),
+        "seed": int,
+        "epsilon": float,
+        "max_epochs": int,
+        "optimize_once": _parse_bool,
+        "timing": _parse_bool,
+    },
+}
 
 
-def _take(entries: dict[str, str], key: str, convert, default=_MISSING):
-    if key in entries:
-        raw = entries.pop(key)
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from exc
-    if default is _MISSING:
-        raise ValueError(f"missing config key {key!r}")
-    return default
-
-
-def _reject_unknown(entries: dict[str, str]) -> None:
+def _load(cls, path, seed_override: Optional[int]):
+    """Read the keys in field order, construct (which validates), then
+    reject the keys left over. A seed override replaces the file's seed
+    before anything is read."""
+    with open(path) as fh:
+        entries = parse_flat_config(fh.read())
+    if seed_override is not None:
+        entries["seed"] = str(seed_override)
+    values = {}
+    for f in (f for f in fields(cls) if f.init):
+        if f.name in entries:
+            try:
+                values[f.name] = _KEYS[cls][f.name](entries.pop(f.name))
+            except ValueError as exc:
+                raise ValueError(f"config key {f.name!r}: {exc}") from exc
+        elif f.default is MISSING:
+            raise ValueError(f"missing config key {f.name!r}")
+    cfg = cls(**values)
     if entries:
-        unknown = ", ".join(sorted(entries))
-        raise ValueError(f"unknown config keys: {unknown}")
+        raise ValueError(f"unknown config keys: {', '.join(sorted(entries))}")
+    return cfg
 
 
 def load_ranging_experiment(path, seed_override: Optional[int] = None) -> RangingExperiment:
     """Load a RangingExperiment from a flat key-value file."""
-    with open(path) as fh:
-        entries = parse_flat_config(fh.read())
-    cfg = RangingExperiment(
-        common_factor=_take(entries, "common_factor", float),
-        coprime_factors=_take(
-            entries, "coprime_factors", lambda v: tuple(int(p) for p in _split_list(v))
-        ),
-        snr_grid_db=_take(
-            entries, "snr_grid_db", lambda v: tuple(float(p) for p in _split_list(v))
-        ),
-        trials_per_point=_take(entries, "trials_per_point", int),
-        seed=seed_override if seed_override is not None else _take(entries, "seed", int),
-    )
-    if seed_override is not None:
-        entries.pop("seed", None)
-    _reject_unknown(entries)
-    return cfg
+    return _load(RangingExperiment, path, seed_override)
 
 
 def load_localization_experiment(
     path, seed_override: Optional[int] = None
 ) -> LocalizationExperiment:
     """Load a LocalizationExperiment from a flat key-value file."""
-    with open(path) as fh:
-        entries = parse_flat_config(fh.read())
-    cfg = LocalizationExperiment(
-        n_heads=_take(entries, "n_heads", lambda v: _parse_scalar_or_tuple(v, int)),
-        sensors_per_head=_take(
-            entries, "sensors_per_head", lambda v: _parse_scalar_or_tuple(v, int)
-        ),
-        noise_std=_take(entries, "noise_std", lambda v: _parse_scalar_or_tuple(v, float)),
-        decay_scale=_take(
-            entries, "decay_scale", lambda v: _parse_scalar_or_tuple(v, float)
-        ),
-        source=_take(entries, "source", lambda v: tuple(float(p) for p in _split_list(v))),
-        runs=_take(entries, "runs", int),
-        schemes=_take(entries, "schemes", lambda v: tuple(_split_list(v))),
-        seed=seed_override if seed_override is not None else _take(entries, "seed", int),
-        epsilon=_take(entries, "epsilon", float, default=1e-4),
-        max_epochs=_take(entries, "max_epochs", int, default=500),
-        optimize_once=_take(entries, "optimize_once", _parse_bool, default=False),
-        timing=_take(entries, "timing", _parse_bool, default=False),
-    )
-    if seed_override is not None:
-        entries.pop("seed", None)
-    _reject_unknown(entries)
-    return cfg
+    return _load(LocalizationExperiment, path, seed_override)

@@ -24,21 +24,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Range-difference localization workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ranging = sub.add_parser(
-        "ranging", help="reconstruction error sweep over an SNR grid"
-    )
-    ranging.add_argument("--config", required=True, help="flat key=value config file")
-    ranging.add_argument("--out", required=True, help="output CSV path")
-    ranging.add_argument("--seed", type=int, default=None, help="override config seed")
-
-    localize = sub.add_parser(
-        "localize", help="source localization sweep with the configured schemes"
-    )
-    localize.add_argument("--config", required=True, help="flat key=value config file")
-    localize.add_argument("--out", required=True, help="output CSV path")
-    localize.add_argument("--seed", type=int, default=None, help="override config seed")
-    localize.add_argument(
+    for name, summary in (
+        ("ranging", "reconstruction error sweep over an SNR grid"),
+        ("localize", "source localization sweep with the configured schemes"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("--config", required=True, help="flat key=value config file")
+        command.add_argument("--out", required=True, help="output CSV path")
+        command.add_argument("--seed", type=int, default=None, help="override config seed")
+    sub.choices["localize"].add_argument(
         "--trace",
         default=None,
         help="per-epoch CSV trace of the first configured diffusion scheme",
@@ -59,24 +53,8 @@ def main(argv=None) -> int:
                 records = run_localization_experiment(cfg)
             else:
                 with open(args.trace, "w", newline="") as fh:
-                    writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(
-                        ["trial", "epoch", "head", "x1", "x2", "max_step"]
-                    )
-
-                    def trace_writer(trial, epoch, head, x1, x2, max_step):
-                        writer.writerow(
-                            [
-                                trial,
-                                epoch,
-                                head,
-                                f"{x1:.9g}",
-                                f"{x2:.9g}",
-                                f"{max_step:.9g}",
-                            ]
-                        )
-
-                    records = run_localization_experiment(cfg, trace_writer)
+                    trace = csv.writer(fh, lineterminator="\n")
+                    records = run_localization_experiment(cfg, trace)
             emit_csv(records, args.out, record_type=MetricsRecord)
     except (ValueError, OSError, EstimationError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)

@@ -6,7 +6,10 @@ M * Gamma_k with pairwise co-prime integer factors. A dividend r in
 reconstruct_batch recovers the quotients of a (T, size) block of trials by
 the closed-form robust CRT (Wang & Xia, IEEE TSP 58(11), 2010) in O(size)
 integer steps per trial, and matches a scan of every first quotient bit for
-bit, ties and ambiguity flags included. Each pairing of wavelength k with
+bit, ties and ambiguity flags included, except where a pairing's two
+nearest differences lie at distances that differ by exactly the tie cut:
+the closed form compares them in units of M and the search in lengths, so
+their roundings can part there. Each pairing of wavelength k with
 the first takes the difference q_k = n_k * Gamma_k - n_0 * Gamma_0 nearest
 x_k = (r_0 - r_k) / M that quotients in range can form; the ordinary CRT
 gives n_0 from n_0 * Gamma_0 = -q_k (mod Gamma_k), and n_0 every n_k.

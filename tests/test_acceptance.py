@@ -74,7 +74,7 @@ def diffusion_audit(operating_point):
     src = np.asarray(SOURCE)
     for run in range(RUNS):
         rng = np.random.default_rng([OPERATING_SEED, 0, run])
-        trial = _prepare_trial(16, 10, 1.0, src, rng)
+        trial = _prepare_trial(16, 10, 1.0, src, rng, fit_global=False)
         assert trial.heads.size
         estimates, outside = trial.positions, ~trial.hoods
         for scheme in ("con", "wei", "opt"):

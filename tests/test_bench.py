@@ -1,12 +1,15 @@
 """Experiment harness: configs, sweeps, CSV artifacts, CLI."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -107,6 +110,9 @@ class TestConfigParsing:
     def test_seed_override(self, tmp_path):
         path = tmp_path / "l.cfg"
         path.write_text(LOCALIZE_CFG)
+        assert load_localization_experiment(path, seed_override=99).seed == 99
+        # the override replaces the file's seed before it is read
+        path.write_text(LOCALIZE_CFG.replace("seed = 5", "seed = junk"))
         assert load_localization_experiment(path, seed_override=99).seed == 99
 
 
@@ -236,6 +242,32 @@ class TestRangingRuns:
         assert rec.stderr > 0.0
         assert 0.0 <= rec.ambiguity_rate <= 1.0
 
+    def test_reconstruction_memory_does_not_grow_with_the_point(self):
+        # the point's own arrays (truths, phase errors, remainders and their
+        # temporaries) take about 140 bytes a trial, 2.7 MB here; one
+        # reconstruct_batch call over all 20,000 trials would add about 390
+        # bytes a trial (7.8 MB), a slice of 4,096 trials about 1.6 MB
+        cfg = RangingExperiment(
+            common_factor=80.0, coprime_factors=(15, 16, 17),
+            snr_grid_db=(10.0,), trials_per_point=20_000, seed=1,
+        )
+        tracemalloc.start()
+        try:
+            run_ranging_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
+    def test_slices_do_not_change_the_records(self, monkeypatch):
+        cfg = RangingExperiment(
+            common_factor=80.0, coprime_factors=(15, 16, 17),
+            snr_grid_db=(-40.0, 0.0, 20.0), trials_per_point=100, seed=6,
+        )
+        whole = run_ranging_experiment(cfg)
+        monkeypatch.setattr(bench, "_RECONSTRUCT_ROWS", 7)
+        assert run_ranging_experiment(cfg) == whole
+
 
 class TestLocalizationRuns:
     def test_records_cover_schemes_and_crlb(self):
@@ -302,11 +334,35 @@ class TestLocalizationRuns:
             n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
             source=(60.0, 70.0), runs=2, schemes=(scheme,), seed=10,
         )
-        rows = []
-        (rec,) = run_localization_experiment(cfg, lambda *row: rows.append(row))
+        trace = io.StringIO()
+        (rec,) = run_localization_experiment(cfg, csv.writer(trace))
         assert np.isfinite(rec.rmse)
         assert rec.fail_count == 0
-        assert {row[2] for row in rows} == set(range(16)) - {failed_head}
+        rows = list(csv.DictReader(io.StringIO(trace.getvalue())))
+        assert {int(row["head"]) for row in rows} == set(range(16)) - {failed_head}
+
+    @pytest.mark.parametrize(
+        "schemes, fits",
+        [(("con", "wei"), 0), (("global", "con"), 3), (("local", "global"), 3)],
+        ids=["con-wei", "global-con", "local-global"],
+    )
+    def test_global_fit_runs_only_when_configured(self, monkeypatch, schemes, fits):
+        # nothing but the global scheme reads the global fit
+        calls = []
+        real_global_wls = bench.global_wls
+
+        def global_wls(*args):
+            calls.append(None)
+            return real_global_wls(*args)
+
+        monkeypatch.setattr(bench, "global_wls", global_wls)
+        cfg = LocalizationExperiment(
+            n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
+            source=(60.0, 70.0), runs=3, schemes=schemes, seed=12,
+        )
+        records = run_localization_experiment(cfg)
+        assert len(calls) == fits
+        assert all(np.isfinite(r.rmse) for r in records)
 
 
 class TestEmitCsv:

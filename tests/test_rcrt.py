@@ -571,6 +571,22 @@ class TestClosedFormMatchesTheSearch:
         assert quotients.tolist() == [[1, 50], [0, 50]]
         assert_matches_oracle(rows, ws)
 
+    def test_distances_differing_by_exactly_the_tie_cut(self):
+        # the known exception to bit-for-bit agreement: x_1 = -3 + 1e-9 lies
+        # 1 - 1e-9 from the formable difference -2 and 1 + 1e-9 from -4, and
+        # those distances differ by exactly the cut TIE_TOLERANCE_REL * 2; the
+        # closed form compares in units of M and keeps -2 alone, the search
+        # compares in lengths and keeps both
+        ws = make_wavelength_set(27.0, (2, 3))
+        rows = np.array([[1.35e-8, 81.0 - 1.35e-8]])
+        estimates, quotients, ambiguous = reconstruct_batch(rows, ws)
+        assert not ambiguous[0]
+        assert quotients[0].tolist() == [1, 0]
+        assert estimates[0] == 67.5
+        want_estimates, want_quotients, want_ambiguous = oracle_reconstruct(rows, ws)
+        assert want_ambiguous[0]
+        assert np.isnan(want_estimates[0]) and want_quotients[0].tolist() == [-1, -1]
+
     @pytest.mark.parametrize("factors", [(2, 3), (3, 2), (7, 9), (13, 2), (3, 5, 7)])
     def test_noisy_blocks_equal_the_oracle(self, factors):
         # noise of 0.1 * M puts x_k next to -Gamma_1 or Gamma_0 often: on
