@@ -192,6 +192,8 @@ class LocalizationExperiment:
                 f"exactly one of {tuple(_SWEEPABLE)} must be a sweep list, "
                 f"got {swept or 'none'}"
             )
+        if not self.sweep_values:
+            raise ValueError(f"{swept[0]} must not be an empty sweep list")
         for name, (rule, admits) in _SWEEPABLE.items():
             values = getattr(self, name)
             for v in values if isinstance(values, tuple) else (values,):
@@ -491,18 +493,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_csv(records: Sequence, path, record_type=None) -> None:
+def emit_csv(records: Sequence, path) -> None:
     """Write dataclass records to CSV, one column per field.
 
     Floats are printed with 9 significant digits and None as an empty
     cell, so replaying a deterministic experiment reproduces the file byte
-    for byte. record_type supplies the header when records is empty.
+    for byte. Every experiment returns at least one record, so an empty
+    list is an error.
     """
-    if records:
-        record_type = type(records[0])
-    if record_type is None:
-        raise ValueError("record_type is required for an empty record list")
-    names = [f.name for f in fields(record_type)]
+    if not records:
+        raise ValueError("no records to write")
+    names = [f.name for f in fields(records[0])]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)

@@ -7,8 +7,6 @@ import csv
 import sys
 
 from .bench import (
-    MetricsRecord,
-    RangingRecord,
     emit_csv,
     load_localization_experiment,
     load_ranging_experiment,
@@ -46,7 +44,7 @@ def main(argv=None) -> int:
         if args.command == "ranging":
             cfg = load_ranging_experiment(args.config, seed_override=args.seed)
             records = run_ranging_experiment(cfg)
-            emit_csv(records, args.out, record_type=RangingRecord)
+            emit_csv(records, args.out)
         else:
             cfg = load_localization_experiment(args.config, seed_override=args.seed)
             if args.trace is None:
@@ -55,7 +53,7 @@ def main(argv=None) -> int:
                 with open(args.trace, "w", newline="") as fh:
                     trace = csv.writer(fh, lineterminator="\n")
                     records = run_localization_experiment(cfg, trace)
-            emit_csv(records, args.out, record_type=MetricsRecord)
+            emit_csv(records, args.out)
     except (ValueError, OSError, EstimationError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -91,29 +91,26 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve(a, b, signature="dd->d")
 
 
-def _rows_of(members: np.ndarray, fit: np.ndarray):
-    """Select the rows of some fits.
+def _layout(members: np.ndarray, fit: np.ndarray, rows: np.ndarray, k: int):
+    """Select the rows of some fits and split them into chunks.
 
-    members is a boolean mask over the fits and fit[r] the fit of row r.
-    Returns (on, slot): the mask of the members' rows, and for each such
-    row its fit's rank among the members.
+    members is a boolean mask over the fits, fit[r] (nondecreasing) the
+    fit of row r and rows[r] its measurement. Returns (on, slot, chunks):
+    the mask of the members' rows, each such row's fit rank among the
+    members, and (lo, hi, a, b, at) per chunk of at most
+    _CHUNK_ELEMENTS // k members: fits [lo, hi) own the selected rows
+    [a, b), whose flat positions in a (hi - lo, k) layout are at.
     """
     on = members[fit]
-    return on, np.cumsum(members)[fit[on]] - 1
-
-
-def _chunks(slot: np.ndarray, rows: np.ndarray, n: int, k: int):
-    """Split n fits into chunks of at most _CHUNK_ELEMENTS // k fits.
-
-    Row r belongs to the fit of rank slot[r] (nondecreasing) and is
-    measurement rows[r]. Yields (lo, hi, a, b, at): fits [lo, hi) own the
-    rows [a, b), whose flat positions in a (hi - lo, k) layout are at.
-    """
-    size = max(1, _CHUNK_ELEMENTS // k)
+    slot = np.cumsum(members)[fit[on]] - 1
+    n, size, rows = np.count_nonzero(members), max(1, _CHUNK_ELEMENTS // k), rows[on]
     starts = list(range(0, n, size))
     cuts = np.searchsorted(slot, starts + [n]).tolist()
-    for lo, a, b in zip(starts, cuts[:-1], cuts[1:]):
-        yield lo, min(lo + size, n), a, b, (slot[a:b] - lo) * k + rows[a:b]
+    chunks = [
+        (lo, min(lo + size, n), a, b, (slot[a:b] - lo) * k + rows[a:b])
+        for lo, a, b in zip(starts, cuts[:-1], cuts[1:])
+    ]
+    return on, slot, chunks
 
 
 def _padded(columns, at: np.ndarray, n: int, k: int):
@@ -146,7 +143,8 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
     stops after _MAX_ITERS accepted steps or once its damping passes
     _MAX_DAMPING. It fails on a singular or non-finite step, and when a
     point it evaluates lies on a node of one of its own rows: a distance
-    of exactly zero, where its range-difference model is undefined.
+    of exactly zero, where its range-difference model is undefined. The
+    first round evaluates the start points and takes no step.
 
     Residuals and jacobians are evaluated on each fit's rows only. The sums
     over them run on the K-row layout, zero-padded, so each fit's iterates
@@ -158,95 +156,73 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
     """
     n, k = len(x0), meas.size
     xi, xj = topology.measurement_nodes()
-    # per row: both nodes' coordinates and the measurement
-    row_data = np.stack((*xi[rows].T, *xj[rows].T, meas.values[rows]))
-    eye = np.eye(2)
-
-    def select(idx):
-        """The rows of the fits idx (ascending): each row's fit rank
-        (slot), measurement, weight and row_data, and their chunks."""
-        members = np.zeros(n, dtype=bool)
-        members[idx] = True
-        on, slot = _rows_of(members, fit)
-        chunks = list(_chunks(slot, rows[on], len(idx), k))
-        return len(idx), slot, rows[on], w[on], row_data[:, on], chunks
-
-    def evaluate(points, idx):
-        """Cost of the fits idx at points, one point per fit, which of them
-        lie on a node of their rows, and the rows (slot, rows, w, wres,
-        jac0, jac1, chunks) that their normal equations need."""
-        nonlocal live
-        # the evaluated set only shrinks, so an equal size means the same fits
-        if live[0] != len(idx):
-            live = select(idx)
-        _, slot, rows_on, w_on, (xi0, xi1, xj0, xj1, values), chunks = live
+    # per row: both nodes' coordinates, the measurement and the weight
+    row_data = np.stack((*xi[rows].T, *xj[rows].T, meas.values[rows], w))
+    x = trial = np.array(x0, dtype=float)
+    cost, grad, hess = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2))
+    mu = np.full(n, _INITIAL_DAMPING)
+    accepted = np.zeros(n, dtype=int)
+    outcome = np.full(n, _LIVE)
+    idx, eye, start, n_live = np.arange(n), np.eye(2), True, -1
+    while idx.size:
+        if not start:
+            step = _solve_stack(hess[idx] + mu[idx, None, None] * eye, grad[idx, :, None])
+            step = step[..., 0]
+            solved = np.isfinite(step).all(axis=1)
+            if not solved.all():
+                outcome[idx[~solved]] = _SINGULAR
+                idx, step = idx[solved], step[solved]
+            trial = x[idx] + step
+        # the live set only shrinks, so an equal size means the same fits
+        if n_live != len(idx):
+            on, slot, chunks = _layout(outcome == _LIVE, fit, rows, k)
+            n_live, live_rows = len(idx), rows[on]
+            xi0, xi1, xj0, xj1, values, w_on = row_data[:, on]
         with np.errstate(divide="ignore", invalid="ignore"):  # on a node
             predicted, jac0, jac1, di, dj = _range_differences(
-                points[slot, 0], points[slot, 1], xi0, xi1, xj0, xj1
+                trial[slot, 0], trial[slot, 1], xi0, xi1, xj0, xj1
             )
         on_node = np.zeros(len(idx), dtype=bool)
         on_node[slot[(di == 0.0) | (dj == 0.0)]] = True
         res = values - predicted
         wres = w_on * res
-        cost = np.empty(len(idx))
+        cost_new = np.empty(len(idx))
         for lo, hi, a, b, at in chunks:
             wres_k = _padded((wres[a:b],), at, hi - lo, k)
             res_k = _padded((res[a:b],), at, hi - lo, k)
-            cost[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
-        return cost, on_node, (slot, rows_on, w_on, wres, jac0, jac1, chunks)
-
-    def normal_equations(evaluated, keep):
-        """Gradient and normal matrix of the evaluated fits where keep is
-        True: jac^T (w * res) and jac^T W jac."""
-        slot, rows_on, w_on, wres, jac0, jac1, chunks = evaluated
-        count = np.count_nonzero(keep)
-        if count < len(keep):
-            on, slot = _rows_of(keep, slot)
-            rows_on, w_on, wres, jac0, jac1 = (v[on] for v in evaluated[1:6])
-            chunks = _chunks(slot, rows_on, count, k)
-        grad = np.empty((count, 2))
-        hess = np.empty((count, 2, 2))
-        for lo, hi, a, b, at in chunks:
+            cost_new[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
+        outcome[idx[on_node]] = _ON_NODE
+        better = ~on_node if start else (cost_new <= cost[idx]) & ~on_node
+        up = idx[better]
+        cost[up] = cost_new[better]
+        # gradient jac^T (w * res) and normal matrix jac^T W jac of the
+        # accepted fits, at their new points
+        picked, picked_chunks = (jac0, jac1, w_on, wres), chunks
+        if not better.all():
+            keep, _, picked_chunks = _layout(better, slot, live_rows, k)
+            picked = [v[keep] for v in picked]
+        jac0, jac1, w_up, wres = picked
+        grad_up, hess_up = np.empty((len(up), 2)), np.empty((len(up), 2, 2))
+        for lo, hi, a, b, at in picked_chunks:
             jac = (jac0[a:b], jac1[a:b])
             jac_k = _padded(jac, at, hi - lo, k)
-            wjac_k = _padded([c * w_on[a:b] for c in jac], at, hi - lo, k)
+            wjac_k = _padded([c * w_up[a:b] for c in jac], at, hi - lo, k)
             wres_k = _padded((wres[a:b],), at, hi - lo, k)
-            grad[lo:hi] = np.matmul(jac_k.transpose(0, 2, 1), wres_k[:, :, None])[..., 0]
-            hess[lo:hi] = np.matmul(wjac_k.transpose(0, 2, 1), jac_k)
-        return grad, hess
-
-    x = np.array(x0, dtype=float)
-    idx = np.arange(n)
-    live = select(idx)
-    cost, on_node, evaluated = evaluate(x, idx)
-    outcome = np.where(on_node, _ON_NODE, _LIVE)
-    idx = idx[~on_node]
-    grad, hess = np.empty((n, 2)), np.empty((n, 2, 2))
-    grad[idx], hess[idx] = normal_equations(evaluated, ~on_node)
-    mu = np.full(n, _INITIAL_DAMPING)
-    accepted = np.zeros(n, dtype=int)
-    while idx.size:
-        step = _solve_stack(hess[idx] + mu[idx, None, None] * eye, grad[idx, :, None])
-        step = step[..., 0]
-        solved = np.isfinite(step).all(axis=1)
-        if not solved.all():
-            outcome[idx[~solved]] = _SINGULAR
-            idx, step = idx[solved], step[solved]
-        trial = x[idx] + step
-        cost_new, on_node, evaluated = evaluate(trial, idx)
-        outcome[idx[on_node]] = _ON_NODE
-        better = (cost_new <= cost[idx]) & ~on_node
-        up, down = idx[better], idx[~better & ~on_node]
-        x[up], cost[up] = trial[better], cost_new[better]
-        grad[up], hess[up] = normal_equations(evaluated, better)
-        mu[up] *= 0.1
-        accepted[up] += 1
-        # the step length as np.linalg.norm takes it, from a BLAS dot
-        length = np.sqrt(np.matmul(step[better, None, :], step[better, :, None]))
-        outcome[up[length[:, 0, 0] < _STEP_TOL]] = _CONVERGED
-        outcome[up[(outcome[up] == _LIVE) & (accepted[up] >= _MAX_ITERS)]] = _STOPPED
-        mu[down] = np.where(mu[down] > 0, mu[down] * 10.0, 1e-8)
-        outcome[down[mu[down] > _MAX_DAMPING]] = _STOPPED
+            grad_up[lo:hi] = np.matmul(jac_k.transpose(0, 2, 1), wres_k[:, :, None])[..., 0]
+            hess_up[lo:hi] = np.matmul(wjac_k.transpose(0, 2, 1), jac_k)
+        grad[up], hess[up] = grad_up, hess_up
+        if not start:
+            x[up] = trial[better]
+            mu[up] *= 0.1
+            accepted[up] += 1
+            # the step length as np.linalg.norm takes it, from a BLAS dot
+            length = np.sqrt(np.matmul(step[better, None, :], step[better, :, None]))
+            outcome[up[length[:, 0, 0] < _STEP_TOL]] = _CONVERGED
+            outcome[up[(outcome[up] == _LIVE) & (accepted[up] >= _MAX_ITERS)]] = _STOPPED
+            down = idx[~better & ~on_node]
+            mu[down] = np.where(mu[down] > 0, mu[down] * 10.0, 1e-8)
+            outcome[down[mu[down] > _MAX_DAMPING]] = _STOPPED
+        start = False
         idx = idx[outcome[idx] == _LIVE]
     return x, outcome, hess
 
@@ -320,7 +296,7 @@ def local_wls_batch(
     weighted = w != 0
     fit, rows, w = np.repeat(fit, m)[weighted], rows[weighted], w[weighted]
     solvable = np.bincount(fit, minlength=n) >= 3
-    on, fit = _rows_of(solvable, fit)
+    on, fit, _ = _layout(solvable, fit, rows, k)
     rows, w = rows[on], w[on]
     heads = np.flatnonzero(solvable)
     x, status, normal = _gauss_newton(
@@ -330,11 +306,11 @@ def local_wls_batch(
     # each fitted head's operator (J^T W J)^-1 J^T W at its final point
     done = status <= _STOPPED
     fitted = np.flatnonzero(done)
-    on, slot = _rows_of(done, fit)
+    on, slot, chunks = _layout(done, fit, rows, k)
     rows, w = rows[on], w[on]
     xi, xj = topology.measurement_nodes()
     operators = np.empty((len(fitted), 2, k))
-    for lo, hi, a, b, at in _chunks(slot, rows, len(fitted), k):
+    for lo, hi, a, b, at in chunks:
         points = x[fitted[slot[a:b]]]
         _, jac = _range_difference_jacobian(points, xi[rows[a:b]], xj[rows[a:b]])
         wjac_k = _padded((jac * w[a:b, None]).T, at, hi - lo, k)

@@ -92,28 +92,18 @@ class NetworkTopology:
         return self.sensors.reshape(-1, 2), np.repeat(self.heads, m, axis=0)
 
 
-def build_grid_network(
-    n_heads: int,
-    spacing: float = GRID_SPACING,
-    sensors_per_head: int = 10,
-    placement_radius: float = PLACEMENT_RADIUS,
-    neighbor_radius: float = NEIGHBOR_RADIUS,
-    seed=None,
-) -> NetworkTopology:
+def build_grid_network(n_heads: int, sensors_per_head: int = 10, seed=None) -> NetworkTopology:
     """Place cluster heads on a square grid and scatter sensors around them.
 
-    Heads sit on a sqrt(N) x sqrt(N) grid with the given spacing, head l at
-    (spacing * (l // side), spacing * (l % side)). Each head gets
+    Heads sit on a sqrt(N) x sqrt(N) grid of pitch GRID_SPACING, head l at
+    (GRID_SPACING * (l // side), GRID_SPACING * (l % side)). Each head gets
     sensors_per_head sensors drawn uniformly over a disk of
-    placement_radius around it. Two heads are adjacent when their distance
-    is at most neighbor_radius.
+    PLACEMENT_RADIUS around it. Two heads are adjacent when their distance
+    is at most NEIGHBOR_RADIUS.
 
     Args:
         n_heads: perfect square number of cluster heads.
-        spacing: grid pitch in meters.
         sensors_per_head: sensors attached to each head.
-        placement_radius: disk radius for sensor placement, meters.
-        neighbor_radius: adjacency cutoff distance, meters.
         seed: anything accepted by numpy.random.default_rng.
 
     Returns:
@@ -124,21 +114,19 @@ def build_grid_network(
         raise ValueError(f"n_heads must be a perfect square, got {n_heads}")
     if sensors_per_head < 1:
         raise ValueError("sensors_per_head must be positive")
-    if spacing <= 0 or placement_radius <= 0 or neighbor_radius <= 0:
-        raise ValueError("spacing and radii must be positive")
 
     rng = np.random.default_rng(seed)
     idx = np.arange(n_heads)
-    heads = spacing * np.column_stack((idx // side, idx % side)).astype(float)
+    heads = GRID_SPACING * np.column_stack((idx // side, idx % side)).astype(float)
 
     # uniform over the disk: radius scales with sqrt of a uniform draw
-    radii = placement_radius * np.sqrt(rng.random((n_heads, sensors_per_head)))
+    radii = PLACEMENT_RADIUS * np.sqrt(rng.random((n_heads, sensors_per_head)))
     angles = 2.0 * np.pi * rng.random((n_heads, sensors_per_head))
     offsets = np.stack((radii * np.cos(angles), radii * np.sin(angles)), axis=-1)
     sensors = heads[:, None, :] + offsets
 
     gaps = np.linalg.norm(heads[:, None, :] - heads[None, :, :], axis=-1)
-    adjacency = (gaps <= neighbor_radius) & ~np.eye(n_heads, dtype=bool)
+    adjacency = (gaps <= NEIGHBOR_RADIUS) & ~np.eye(n_heads, dtype=bool)
 
     return NetworkTopology(heads=heads, sensors=sensors, adjacency=adjacency)
 

@@ -12,9 +12,7 @@ import pytest
 
 from locbench.bench import (
     LocalizationExperiment,
-    MetricsRecord,
     RangingExperiment,
-    RangingRecord,
     _prepare_trial,
     emit_csv,
     run_localization_experiment,
@@ -435,8 +433,8 @@ def test_criterion_11_byte_identical_replay(tmp_path):
     for tag in ("first", "second"):
         loc_path = tmp_path / f"loc_{tag}.csv"
         rng_path = tmp_path / f"rng_{tag}.csv"
-        emit_csv(run_localization_experiment(loc_cfg), loc_path, MetricsRecord)
-        emit_csv(run_ranging_experiment(rng_cfg), rng_path, RangingRecord)
+        emit_csv(run_localization_experiment(loc_cfg), loc_path)
+        emit_csv(run_ranging_experiment(rng_cfg), rng_path)
         paths.append((loc_path, rng_path))
     loc_same = paths[0][0].read_bytes() == paths[1][0].read_bytes()
     rng_same = paths[0][1].read_bytes() == paths[1][1].read_bytes()

@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +115,19 @@ class TestConfigParsing:
         # the override replaces the file's seed before it is read
         path.write_text(LOCALIZE_CFG.replace("seed = 5", "seed = junk"))
         assert load_localization_experiment(path, seed_override=99).seed == 99
+
+    @pytest.mark.parametrize("key, value", [("noise_std", ","), ("n_heads", ",,")])
+    def test_empty_sweep_list_is_an_error(self, tmp_path, capsys, key, value):
+        path = tmp_path / "empty.cfg"
+        text = LOCALIZE_CFG.replace("noise_std = 1.0,", "noise_std = 1.0")
+        path.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+        message = f"{key} must not be an empty sweep list"
+        with pytest.raises(ValueError, match=message):
+            load_localization_experiment(path)
+        out = tmp_path / "out.csv"
+        assert cli.main(["localize", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestExperimentValidation:
@@ -366,10 +380,11 @@ class TestLocalizationRuns:
 
 
 class TestEmitCsv:
-    def test_empty_records_write_header_only(self, tmp_path):
+    def test_empty_record_list_is_an_error(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv([], path, record_type=RangingRecord)
-        assert path.read_text() == "snr_db,relative_error,stderr,ambiguity_rate\n"
+        with pytest.raises(ValueError, match="no records"):
+            emit_csv([], path)
+        assert not path.exists()
 
     def test_one_record_two_lines(self, tmp_path):
         path = tmp_path / "one.csv"

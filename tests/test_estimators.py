@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locbench import estimators
 from locbench.estimators import (
     _INITIAL_DAMPING,
     _MAX_DAMPING,
@@ -441,6 +442,29 @@ class TestBatchMatchesPerHeadOracle:
                 global_wls(meas, topo, init)
         else:
             assert np.array_equal(global_wls(meas, topo, init), global_expected)
+
+
+class TestChunkSize:
+    # 16 heads of 10 sensors: K = 160 rows, and the default chunk size
+    # packs all 16 fits into one chunk; 1 element gives one fit per chunk,
+    # and 7 * 160 gives chunks of 7, 7 and 2 fits
+    @pytest.mark.parametrize("elements", [1, 7 * 160])
+    @pytest.mark.parametrize("starve", [False, True], ids=["clean", "starved"])
+    def test_chunk_size_moves_no_bit(self, monkeypatch, elements, starve):
+        rng = np.random.default_rng(21)
+        topo = build_grid_network(16, seed=rng)
+        meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
+        selection = build_selection_weights(topo)
+        if starve:
+            selection = starved(selection, rng)
+        init = deployment_center(topo)
+        assert meas.size == 160 and estimators._CHUNK_ELEMENTS // meas.size >= 16
+        expected = local_wls_batch(meas, selection, topo, init)
+        monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", elements)
+        got = local_wls_batch(meas, selection, topo, init)
+        assert 0 < len(expected[0]) < 16 if starve else len(expected[0]) == 16
+        for want, have in zip(expected, got):
+            assert np.array_equal(have, want)
 
 
 class TestCrlb:

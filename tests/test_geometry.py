@@ -53,14 +53,14 @@ class TestGridNetwork:
             build_grid_network(12, seed=0)
 
     def test_sensors_stay_inside_placement_disk(self):
-        topo = build_grid_network(16, sensors_per_head=10, placement_radius=10.0, seed=3)
+        topo = build_grid_network(16, sensors_per_head=10, seed=3)
         offsets = topo.sensors - topo.heads[:, None, :]
         radii = np.linalg.norm(offsets, axis=2)
         assert radii.max() <= 10.0 + 1e-12
 
     def test_sensor_placement_is_area_uniform(self):
         # disk-uniform draws have mean radius 2R/3
-        topo = build_grid_network(4, sensors_per_head=4000, placement_radius=10.0, seed=5)
+        topo = build_grid_network(4, sensors_per_head=4000, seed=5)
         radii = np.linalg.norm(topo.sensors - topo.heads[:, None, :], axis=2)
         assert radii.mean() == pytest.approx(20.0 / 3.0, rel=0.02)
 
