@@ -25,7 +25,7 @@ from .estimators import (
     global_wls,
     local_wls_batch,
 )
-from .geometry import GRID_SPACING, PLACEMENT_RADIUS, build_grid_network, deployment_center
+from .geometry import build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
 from .signals import TWO_PI, phase_noise_std, simulate_phase_remainders
 from .signals import simulate_tdoa_measurements
@@ -46,39 +46,15 @@ __all__ = [
 
 ALL_SCHEMES = ("global",) + DIFFUSION_SCHEMES + ("local",)
 
-# the sweepable fields, each with the values it admits; every value is
-# checked at construction, before any trial runs
-_SWEEPABLE = {
-    # one head's only start point, the deployment center, is that head, a
-    # node of its own rows: every scheme would fail every run
-    "n_heads": (
-        "a perfect square of at least 4",
-        lambda v: v >= 4 and math.isqrt(int(v)) ** 2 == v,
-    ),
-    "sensors_per_head": ("at least 1", lambda v: v >= 1),
-    # the fits sum the reciprocal of the variance noise_std**2 over every
-    # measurement, so a nonzero one must stay far inside the float range
-    "noise_std": (
-        "0 or between 1e-150 and 1e150",
-        lambda v: v == 0 or 1e-150 <= v <= 1e150,
-    ),
-    "decay_scale": ("above 0", lambda v: v > 0),
-}
+# the localization fields of which exactly one is a sweep list
+_SWEEP_AXES = ("n_heads", "sensors_per_head", "noise_std", "decay_scale")
 
-# a finite SNR point must keep its linear SNR 10**(s/10), and twice that,
-# inside the float range (up to about 3080 dB each way); inf is noiseless
-_SNR_LIMIT_DB = 3000.0
 # the remainder errors, wavelength / 2pi times a phase error, must stay far
 # inside the float range: below the limit at the noisiest point of the
 # grid, and above the floor at its quietest finite point, where a subnormal
 # scale would round the errors or flush them to zero
 _PHASE_SPAN_LIMIT = 1e300
 _PHASE_SPAN_FLOOR = 1e-300
-# reconstruct_batch's temporaries grow with its block (about 400 bytes a
-# trial at three wavelengths), so a ranging point is reconstructed in
-# slices of this many trials; a trial's row does not depend on its slice
-_RECONSTRUCT_ROWS = 4096
-
 
 # ---------------------------------------------------------------------------
 # experiment descriptions
@@ -101,18 +77,9 @@ class RangingExperiment:
         object.__setattr__(
             self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db)
         )
+        _check(self)
         ws = make_wavelength_set(self.common_factor, self.coprime_factors)
         object.__setattr__(self, "wavelength_set", ws)
-        if not self.snr_grid_db:
-            raise ValueError("snr_grid_db must not be empty")
-        for s in self.snr_grid_db:
-            if not (-_SNR_LIMIT_DB <= s <= _SNR_LIMIT_DB or s == math.inf):
-                raise ValueError(
-                    f"snr_grid_db points must lie in [-{_SNR_LIMIT_DB:g}, "
-                    f"{_SNR_LIMIT_DB:g}] dB or be inf, got {s}"
-                )
-        if any(a >= b for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
-            raise ValueError("snr_grid_db must be strictly increasing")
         longest = float(ws.wavelengths.max())
         span = longest / TWO_PI * phase_noise_std(self.snr_grid_db[0])
         if span > _PHASE_SPAN_LIMIT:
@@ -131,10 +98,6 @@ class RangingExperiment:
                     f"noise std at the highest finite snr_grid_db point "
                     f"{finite[-1]:g} dB is {span:g}, below {_PHASE_SPAN_FLOOR:g}"
                 )
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,52 +132,19 @@ class LocalizationExperiment:
     def __post_init__(self):
         object.__setattr__(self, "source", tuple(float(c) for c in self.source))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        if len(self.source) != 2:
-            raise ValueError("source must have two coordinates")
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be positive")
-        if not self.schemes:
-            raise ValueError("schemes must not be empty")
-        for s in self.schemes:
-            if s not in ALL_SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}; choose from {ALL_SCHEMES}")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ValueError("schemes must not repeat")
-        swept = [name for name in _SWEEPABLE if isinstance(getattr(self, name), tuple)]
+        _check(self)
+        swept = [name for name in _SWEEP_AXES if isinstance(getattr(self, name), tuple)]
         if len(swept) != 1:
             raise ValueError(
-                f"exactly one of {tuple(_SWEEPABLE)} must be a sweep list, "
+                f"exactly one of {_SWEEP_AXES} must be a sweep list, "
                 f"got {swept or 'none'}"
             )
         if not self.sweep_values:
             raise ValueError(f"{swept[0]} must not be an empty sweep list")
-        for name, (rule, admits) in _SWEEPABLE.items():
-            values = getattr(self, name)
-            for v in values if isinstance(values, tuple) else (values,):
-                if not admits(v):
-                    raise ValueError(f"{name} must be {rule}, got {v}")
-        if not all(math.isfinite(c) for c in self.source):
-            raise ValueError(f"source must be finite, got {self.source}")
-        # squared distances to every node must stay finite: sensors lie
-        # within PLACEMENT_RADIUS of the largest grid's box
-        heads = self.n_heads if isinstance(self.n_heads, tuple) else (self.n_heads,)
-        hi = GRID_SPACING * (math.isqrt(max(heads)) - 1) + PLACEMENT_RADIUS
-        reach = [max(c + PLACEMENT_RADIUS, hi - c) for c in self.source]
-        if not math.isfinite(sum(d * d for d in reach)):
-            raise ValueError(
-                f"source {self.source} is too far from the deployment: "
-                "its squared distance overflows"
-            )
 
     @property
     def sweep_field(self) -> str:
-        for name in _SWEEPABLE:
+        for name in _SWEEP_AXES:
             if isinstance(getattr(self, name), tuple):
                 return name
         raise AssertionError("validated at construction")
@@ -245,8 +175,8 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
     """Sweep reconstruction over the SNR grid.
 
     Each trial draws a dividend uniformly over the unambiguous range and
-    then its phase errors; the trials of one grid point are then folded and
-    perturbed together and reconstructed in fixed slices, and each records
+    then its phase errors; the trials of one grid point are then folded,
+    perturbed and reconstructed together, and each records
     |estimate - truth| / max_range. Ambiguous trials (no unique quotient)
     are counted separately and excluded from the error mean. Trial streams
     are derived from (seed, grid index, trial index) only, so experiments
@@ -267,11 +197,7 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
             # a noiseless point draws zeros: 0 * z + 0 is +0
             phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
         noisy = simulate_phase_remainders(truths, ws, phase_errors)
-        estimates = np.empty(cfg.trials_per_point)
-        ambiguous = np.empty(cfg.trials_per_point, dtype=bool)
-        for start in range(0, cfg.trials_per_point, _RECONSTRUCT_ROWS):
-            rows = slice(start, start + _RECONSTRUCT_ROWS)
-            estimates[rows], _, ambiguous[rows] = reconstruct_batch(noisy[rows], ws)
+        estimates, _, ambiguous = reconstruct_batch(noisy, ws)
         solved = ~ambiguous
         errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range
         if errors.size:
@@ -435,7 +361,7 @@ def run_localization_experiment(
     frozen = sweep_name == "decay_scale"
     cache: dict[int, _Trial] = {}
     for s_idx, value in enumerate(cfg.sweep_values):
-        params = {n: value if n == sweep_name else getattr(cfg, n) for n in _SWEEPABLE}
+        params = {n: value if n == sweep_name else getattr(cfg, n) for n in _SWEEP_AXES}
         # each scheme's _run_scheme outcome of every run, None where it failed
         outcomes: dict[str, list] = {s: [] for s in cfg.schemes}
         crlb_traces = []
@@ -554,31 +480,72 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-# every config key with its reader, one table per experiment; a key is
-# required unless its field has a default
+# every config key with its reader and the rule its values must meet, a
+# text and a predicate (None where the reader or make_wavelength_set checks
+# the value), one table per experiment; a key is required unless its field
+# has a default, and every value is checked at construction
 _KEYS = {
     RangingExperiment: {
-        "common_factor": float,
-        "coprime_factors": _listed(int),
-        "snr_grid_db": _listed(float),
-        "trials_per_point": int,
-        "seed": int,
+        "common_factor": (float, None, None),
+        "coprime_factors": (_listed(int), None, None),
+        # a finite point must keep its linear SNR 10**(s/10), and twice that,
+        # inside the float range (up to about 3080 dB each way); inf is noiseless
+        "snr_grid_db": (
+            _listed(float),
+            "a non-empty, strictly increasing list of points in [-3000, 3000] dB or inf",
+            lambda v: bool(v)
+            and all(-3000.0 <= s <= 3000.0 or s == math.inf for s in v)
+            and all(a < b for a, b in zip(v, v[1:])),
+        ),
+        "trials_per_point": (int, "at least 1", lambda v: v >= 1),
+        "seed": (int, "at least 0", lambda v: v >= 0),
     },
     LocalizationExperiment: {
-        "n_heads": _sweepable(int),
-        "sensors_per_head": _sweepable(int),
-        "noise_std": _sweepable(float),
-        "decay_scale": _sweepable(float),
-        "source": _listed(float),
-        "runs": int,
-        "schemes": _listed(str),
-        "seed": int,
-        "epsilon": float,
-        "max_epochs": int,
-        "optimize_once": _parse_bool,
-        "timing": _parse_bool,
+        # one head's only start point, the deployment center, is that head,
+        # a node of its own rows: every scheme would fail every run
+        "n_heads": (
+            _sweepable(int),
+            "a perfect square of at least 4",
+            lambda v: v >= 4 and math.isqrt(int(v)) ** 2 == v,
+        ),
+        "sensors_per_head": (_sweepable(int), "at least 1", lambda v: v >= 1),
+        # the fits sum the reciprocal of the variance noise_std**2 over every
+        # measurement, so a nonzero one must stay far inside the float range
+        "noise_std": (
+            _sweepable(float),
+            "0 or between 1e-150 and 1e150",
+            lambda v: v == 0 or 1e-150 <= v <= 1e150,
+        ),
+        "decay_scale": (_sweepable(float), "above 0", lambda v: v > 0),
+        # squared distances to the nodes must stay finite, as for noise_std
+        "source": (
+            _listed(float),
+            "two coordinates at most 1e150 in magnitude (a farther one is too far)",
+            lambda v: len(v) == 2 and all(abs(c) <= 1e150 for c in v),
+        ),
+        "runs": (int, "at least 1", lambda v: v >= 1),
+        "schemes": (
+            _listed(str),
+            f"a non-empty list of distinct names from {ALL_SCHEMES}",
+            lambda v: bool(v) and len(set(v)) == len(v) and set(v) <= set(ALL_SCHEMES),
+        ),
+        "seed": (int, "at least 0", lambda v: v >= 0),
+        "epsilon": (float, "above 0 and finite", lambda v: 0 < v < math.inf),
+        "max_epochs": (int, "at least 1", lambda v: v >= 1),
+        "optimize_once": (_parse_bool, None, None),
+        "timing": (_parse_bool, None, None),
     },
 }
+
+
+def _check(cfg) -> None:
+    """Hold every value of cfg to its key's rule, each sweep value on its own."""
+    for name, (_, rule, admits) in _KEYS[type(cfg)].items():
+        value = getattr(cfg, name)
+        swept = name in _SWEEP_AXES and isinstance(value, tuple)
+        for v in value if swept else (value,):
+            if rule is not None and not admits(v):
+                raise ValueError(f"{name} must be {rule}, got {v}")
 
 
 def _load(cls, path, seed_override: Optional[int]):
@@ -593,7 +560,7 @@ def _load(cls, path, seed_override: Optional[int]):
     for f in (f for f in fields(cls) if f.init):
         if f.name in entries:
             try:
-                values[f.name] = _KEYS[cls][f.name](entries.pop(f.name))
+                values[f.name] = _KEYS[cls][f.name][0](entries.pop(f.name))
             except ValueError as exc:
                 raise ValueError(f"config key {f.name!r}: {exc}") from exc
         elif f.default is MISSING:

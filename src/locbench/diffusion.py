@@ -83,7 +83,8 @@ def median_weights(
     if not decay_scale > 0:
         raise ValueError("decay_scale must be positive")
     median = np.median(estimates, axis=0)
-    raw = np.exp(-np.sum((estimates - median) ** 2, axis=1) / decay_scale)
+    with np.errstate(over="ignore"):  # an inf quotient is a weight of 0
+        raw = np.exp(-np.sum((estimates - median) ** 2, axis=1) / decay_scale)
     weights = np.where(hoods, raw[:, None], 0.0)
     totals = weights.sum(axis=0)
     fallback = (totals <= 0.0) | ~np.isfinite(totals)

@@ -37,6 +37,9 @@ __all__ = [
 # within TIE_TOLERANCE_REL * Gamma_0 (in units of M) of the nearest one
 # stays a candidate
 TIE_TOLERANCE_REL = 1e-9
+# a block's temporaries grow with its rows (about 400 bytes a row at three
+# wavelengths), so a batch is reconstructed in slices of this many rows
+_RECONSTRUCT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -133,21 +136,14 @@ def remainders_of(dividends, ws: WavelengthSet):
     return remainders, quotients.astype(int)
 
 
-def _check_remainders(remainders, ws: WavelengthSet) -> np.ndarray:
-    rem = np.asarray(remainders, dtype=float)
-    if rem.ndim != 2 or rem.shape[1] != ws.size:
-        raise ValueError(f"expected {ws.size} remainders per trial, got shape {rem.shape}")
-    if not np.all((rem >= 0.0) & (rem < ws.wavelengths)):
-        raise ValueError("remainders must lie in [0, wavelength) per wavelength")
-    return rem
-
-
 def reconstruct_batch(remainders, ws: WavelengthSet):
     """Recover the dividends behind a batch of noisy remainder vectors.
 
     remainders is a (T, size) array, one trial per row, each entry in
     [0, wavelength_k); a single trial is a (1, size) batch. Every row gets
-    the same steps, bit for bit, whatever T is.
+    the same steps, bit for bit, whatever T is. The rows are reconstructed
+    in slices of _RECONSTRUCT_ROWS, so the working memory beyond the
+    inputs and outputs does not grow with T.
 
     Returns:
         (estimates, quotients, ambiguous): estimates (T,) floats,
@@ -157,7 +153,21 @@ def reconstruct_batch(remainders, ws: WavelengthSet):
     Raises:
         ValueError: malformed remainders.
     """
-    rem = _check_remainders(remainders, ws)
+    rem = np.asarray(remainders, dtype=float)
+    if rem.ndim != 2 or rem.shape[1] != ws.size:
+        raise ValueError(f"expected {ws.size} remainders per trial, got shape {rem.shape}")
+    if not np.all((rem >= 0.0) & (rem < ws.wavelengths)):
+        raise ValueError("remainders must lie in [0, wavelength) per wavelength")
+    estimates, ambiguous = np.empty(len(rem)), np.empty(len(rem), dtype=bool)
+    quotients = np.empty(rem.shape, dtype=np.int64)
+    for start in range(0, len(rem), _RECONSTRUCT_ROWS):
+        rows = slice(start, start + _RECONSTRUCT_ROWS)
+        estimates[rows], quotients[rows], ambiguous[rows] = _reconstruct(rem[rows], ws)
+    return estimates, quotients, ambiguous
+
+
+def _reconstruct(rem: np.ndarray, ws: WavelengthSet):
+    """reconstruct_batch on one slice of checked remainders."""
     g0, rest = ws.coprime_factors[0], ws.coprime_factors[1:]
     span = math.prod(rest)  # n_0 lies in [0, span)
     factors = np.array(rest, dtype=np.int64)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from locbench import bench, cli
+from locbench import bench, cli, rcrt
 from locbench.bench import (
     LocalizationExperiment,
     MetricsRecord,
@@ -130,7 +130,65 @@ class TestConfigParsing:
         assert not out.exists()
 
 
+# a value breaking each key's rule, with every other value valid
+RULE_CASES = [
+    ("ranging", "snr_grid_db", ""),
+    ("ranging", "snr_grid_db", "30, 20"),
+    ("ranging", "snr_grid_db", "20, 20"),
+    ("ranging", "snr_grid_db", "3001"),
+    ("ranging", "trials_per_point", "0"),
+    ("ranging", "seed", "-1"),
+    ("localize", "n_heads", "16, 15"),
+    ("localize", "n_heads", "0,"),
+    ("localize", "n_heads", "1"),
+    ("localize", "n_heads", "4, 1"),
+    ("localize", "sensors_per_head", "10, 0"),
+    ("localize", "noise_std", "-0.5,"),
+    ("localize", "noise_std", "nan,"),
+    ("localize", "decay_scale", "1.0, 0.0"),
+    ("localize", "source", "60"),
+    ("localize", "source", "60, 70, 80"),
+    ("localize", "source", "nan, 70"),
+    ("localize", "source", "1e151, 70"),
+    ("localize", "runs", "0"),
+    ("localize", "schemes", ""),
+    ("localize", "schemes", "con, con"),
+    ("localize", "schemes", "fastest"),
+    ("localize", "seed", "-1"),
+    ("localize", "epsilon", "0"),
+    ("localize", "max_epochs", "0"),
+]
+
+
 class TestExperimentValidation:
+    @pytest.mark.parametrize("kind, key, value", RULE_CASES)
+    def test_every_rule_fails_at_load(self, tmp_path, capsys, kind, key, value):
+        classes = {"ranging": RangingExperiment, "localize": LocalizationExperiment}
+        ruled = {
+            (name, k)
+            for name, cls in classes.items()
+            for k, (_, rule, _) in bench._KEYS[cls].items()
+            if rule is not None
+        }
+        assert {(name, k) for name, k, _ in RULE_CASES} == ruled
+        text = RANGING_CFG if kind == "ranging" else LOCALIZE_CFG
+        if key in bench._SWEEP_AXES:
+            text = text.replace("noise_std = 1.0,", "noise_std = 1.0")
+        if re.search(rf"(?m)^{key} = ", text):
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        else:
+            text += f"{key} = {value}\n"
+        path = tmp_path / "rule.cfg"
+        path.write_text(text)
+        load = load_ranging_experiment if kind == "ranging" else load_localization_experiment
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            load(path)
+        out = tmp_path / "out.csv"
+        assert cli.main([kind, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_exactly_one_sweep_required(self):
         with pytest.raises(ValueError, match="exactly one"):
             LocalizationExperiment(
@@ -279,7 +337,7 @@ class TestRangingRuns:
             snr_grid_db=(-40.0, 0.0, 20.0), trials_per_point=100, seed=6,
         )
         whole = run_ranging_experiment(cfg)
-        monkeypatch.setattr(bench, "_RECONSTRUCT_ROWS", 7)
+        monkeypatch.setattr(rcrt, "_RECONSTRUCT_ROWS", 7)
         assert run_ranging_experiment(cfg) == whole
 
 

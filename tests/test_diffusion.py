@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -505,6 +506,17 @@ class TestMedianWeights:
         underflows = [r.getMessage() for r in caplog.records]
         assert underflows == ["median weights underflowed for 2 of 5 heads; using uniform"]
 
+    def test_tiny_scale_falls_back_without_numpy_warnings(self, caplog):
+        # every squared distance from the (1.5, 0) median over 1e-320
+        # overflows to inf, so every weight is exp(-inf) = 0
+        estimates = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
+            warnings.simplefilter("error")
+            w = median_weights(estimates, clique(4), 1e-320)
+        assert np.array_equal(w, np.full((4, 4), 0.25))
+        underflows = [r.getMessage() for r in caplog.records]
+        assert underflows == ["median weights underflowed for 4 of 4 heads; using uniform"]
+
     def test_rejects_nonpositive_scale(self):
         hoods = clique(3)
         for scale in (0.0, -1.0, float("nan")):
@@ -535,19 +547,16 @@ class TestQMatrix:
 
 
 def simplex_grid_minimum(q_sub, step=1e-3):
-    """Dense scan of the probability simplex for a 3x3 objective."""
-    best, arg = np.inf, None
+    """Dense scan of the probability simplex for a 3x3 objective; the first
+    minimum in a-major order."""
     ticks = np.arange(0.0, 1.0 + step / 2, step)
-    for a in ticks:
-        for b in ticks[: int((1.0 - a) / step) + 2]:
-            c = 1.0 - a - b
-            if c < -1e-12:
-                continue
-            vec = np.array([a, b, max(c, 0.0)])
-            val = vec @ q_sub @ vec
-            if val < best:
-                best, arg = val, vec
-    return best, arg
+    grid_a, grid_b = np.meshgrid(ticks, ticks, indexing="ij")
+    grid_c = 1.0 - grid_a - grid_b
+    keep = grid_c >= -1e-12
+    lattice = np.column_stack([grid_a[keep], grid_b[keep], np.maximum(grid_c[keep], 0.0)])
+    values = np.einsum("si,ij,sj->s", lattice, q_sub, lattice)
+    first = np.argmin(values)
+    return values[first], lattice[first]
 
 
 class TestOptimalWeights:

@@ -1,6 +1,7 @@
 """Closed-form remainder reconstruction against brute-force oracles."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -653,6 +654,19 @@ class TestReconstructBatch:
     def test_empty_batch(self):
         estimates, quotients, ambiguous = reconstruct_batch(np.empty((0, 3)), WS)
         assert estimates.shape == (0,) and quotients.shape == (0, 3) and ambiguous.shape == (0,)
+
+    def test_working_memory_does_not_grow_with_the_batch(self):
+        # one block of 100,000 rows takes about 400 bytes a row (46 MB) of
+        # temporaries; slices of 4,096 rows take about 2 MB beside the
+        # 3.3 MB of outputs
+        rows = np.random.default_rng(4).uniform(0.0, 1.0, (100_000, 3)) * WS.wavelengths
+        tracemalloc.start()
+        try:
+            reconstruct_batch(rows, WS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     @pytest.mark.parametrize(
         "rows",
