@@ -2,8 +2,9 @@
 
 Determinism contract: every trial derives its own random stream from the
 experiment seed and the trial's indices, so a (config, seed) pair fully
-determines every estimate in the output. Wall-clock timing is optional and
-off by default, keeping the emitted CSV byte-stable across replays.
+determines every estimate in the output; a ranging trial's stream is
+default_rng([seed, point, trial]) bit for bit. Wall-clock timing is optional
+and off by default, keeping the emitted CSV byte-stable across replays.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .diffusion import SCHEMES as DIFFUSION_SCHEMES
 from .diffusion import diffuse
@@ -55,6 +57,12 @@ _SWEEP_AXES = ("n_heads", "sensors_per_head", "noise_std", "decay_scale")
 # scale would round the errors or flush them to zero
 _PHASE_SPAN_LIMIT = 1e300
 _PHASE_SPAN_FLOOR = 1e-300
+
+# numpy's SeedSequence hash constants, and the trials whose seed words one
+# numpy pass computes; blocks are aligned, so none straddles 2**32
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_BLOCK = 4096
 
 # ---------------------------------------------------------------------------
 # experiment descriptions
@@ -178,24 +186,27 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
     then its phase errors; the trials of one grid point are then folded,
     perturbed and reconstructed together, and each records
     |estimate - truth| / max_range. Ambiguous trials (no unique quotient)
-    are counted separately and excluded from the error mean. Trial streams
-    are derived from (seed, grid index, trial index) only, so experiments
-    sharing a seed share their random draws point for point.
+    are counted separately and excluded from the error mean. Trial t of
+    grid point p draws from default_rng([seed, p, t]) (seeded via _seed_words),
+    so experiments sharing a seed share their random draws point for point.
     """
     ws = cfg.wavelength_set
-    truths = np.empty(cfg.trials_per_point)
+    unit = np.empty(cfg.trials_per_point)
     phase_errors = np.empty((cfg.trials_per_point, ws.size))
     records = []
     for p_idx, snr_db in enumerate(cfg.snr_grid_db):
         sigma_phi = phase_noise_std(snr_db)
-        for t_idx in range(cfg.trials_per_point):
-            rng = np.random.default_rng([cfg.seed, p_idx, t_idx])
-            r = float(rng.uniform(0.0, ws.max_range))
-            if r >= ws.max_range:  # float rounding at the upper edge
-                r = float(np.nextafter(ws.max_range, 0.0))
-            truths[t_idx] = r
-            # a noiseless point draws zeros: 0 * z + 0 is +0
-            phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
+        for start in range(0, cfg.trials_per_point, _SEED_BLOCK):
+            stop = min(start + _SEED_BLOCK, cfg.trials_per_point)
+            trials = np.arange(start, stop, dtype=np.uint64)
+            for t_idx, row in zip(range(start, stop), _seed_words(cfg.seed, p_idx, trials)):
+                rng = np.random.Generator(np.random.PCG64(_SeedWords(row)))
+                unit[t_idx] = rng.random()
+                # a noiseless point draws zeros: 0 * z + 0 is +0
+                phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
+        # uniform(0, max_range) is 0.0 + max_range * random(), bit for bit
+        truths = ws.max_range * unit
+        truths[truths >= ws.max_range] = np.nextafter(ws.max_range, 0.0)  # rounded up
         noisy = simulate_phase_remainders(truths, ws, phase_errors)
         estimates, _, ambiguous = reconstruct_batch(noisy, ws)
         solved = ~ambiguous
@@ -219,6 +230,49 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
             )
         )
     return records
+
+
+@dataclass
+class _SeedWords(ISeedSequence):
+    """One trial's seed words, a C-contiguous (4,) uint64 row for PCG64."""
+
+    row: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.row
+
+
+def _seed_words(seed: int, point: int, trials: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, point, t]).generate_state(4, np.uint64) as (T, 4)
+    rows, for the uint64 trials t (of one word count) at once: one entropy
+    or pool word per row, in uint32 arithmetic, which wraps as numpy's does.
+    """
+    const, mult = _INIT_A, _MULT_A
+
+    def hashmix(rows):  # each row in turn, with the next hash constant
+        nonlocal const
+        consts = [const * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(len(rows) + 1)]
+        const, column = consts[-1], np.array(consts, np.uint32)[:, None]
+        rows = (rows ^ column[:-1]) * column[1:]
+        return rows ^ rows >> 16
+
+    def words(n, top):  # little-endian 32-bit words, as many as top has; 0 has one
+        return [n >> s & 0xFFFFFFFF for s in range(0, top.bit_length() or 1, 32)]
+
+    rows = words(seed, seed) + words(point, point) + words(trials, int(trials.max()))
+    entropy = np.zeros((max(len(rows), 4), trials.size), np.uint32)
+    for i, row in enumerate(rows):
+        entropy[i] = row
+    pool = hashmix(entropy[:4])
+    # mix each pool word, then each entropy word past the fourth, into the rest
+    for src in range(len(entropy)):
+        dst = [d for d in range(4) if d != src]
+        hashed = hashmix(np.tile(pool[src] if src < 4 else entropy[src], (len(dst), 1)))
+        mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashed
+        pool[dst] = mixed ^ mixed >> 16
+    const, mult = _INIT_B, _MULT_B
+    state = hashmix(np.tile(pool, (2, 1)))  # pool words 0-3, then 0-3 again
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,7 @@ class TestRangingRuns:
         )
         whole = run_ranging_experiment(cfg)
         monkeypatch.setattr(rcrt, "_RECONSTRUCT_ROWS", 7)
+        monkeypatch.setattr(bench, "_SEED_BLOCK", 7)
         assert run_ranging_experiment(cfg) == whole
 
 
@@ -952,7 +953,7 @@ class TestRangingBlockMatchesPerTrialOracle:
         common_factor=st.floats(0.01, 1000.0),
         inner=st.lists(st.floats(-39.0, 60.0), max_size=3, unique=True),
         trials=st.sampled_from([1, 2, 17, 100]),
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**96),
     )
     def test_blocks_and_records_equal_the_oracle(
         self, factors, common_factor, inner, trials, seed
@@ -985,3 +986,42 @@ class TestRangingBlockMatchesPerTrialOracle:
         for trials in (1, 2, 17):
             for short, long in zip(blocks(trials), full, strict=True):
                 assert np.array_equal(short, long[:trials])
+
+    def test_runs_without_default_rng(self, monkeypatch):
+        cfg = RangingExperiment(
+            common_factor=80.0, coprime_factors=(15, 16, 17),
+            snr_grid_db=(0.0, 20.0), trials_per_point=50, seed=3,
+        )
+        expected = oracle_ranging(cfg)[1]
+
+        def default_rng(*args, **kwargs):
+            raise AssertionError("a ranging trial called default_rng")
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        assert run_ranging_experiment(cfg) == expected
+
+
+class TestSeedWordsMatchSeedSequence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130 - 1),
+        point=st.integers(0, 2**40 - 1),
+        first=st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)
+        ),
+        count=st.integers(1, 3),
+    )
+    def test_rows_equal_seed_sequence_state(self, seed, point, first, count):
+        # trials that share first's word count: one below 2**32, two above
+        end = 2**32 if first < 2**32 else 2**64
+        trials = [t for t in range(first, first + count) if t < end]
+        words = bench._seed_words(seed, point, np.array(trials, dtype=np.uint64))
+        assert words.shape == (len(trials), 4) and words.dtype == np.uint64
+        for t, row in zip(trials, words):
+            expected = np.random.SeedSequence([seed, point, t]).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected)
+            # the stream PCG64 seeds from the row is default_rng's
+            assert (
+                np.random.PCG64(bench._SeedWords(row)).state
+                == np.random.default_rng([seed, point, t]).bit_generator.state
+            )
