@@ -3,8 +3,9 @@
 Determinism contract: every trial derives its own random stream from the
 experiment seed and the trial's indices, so a (config, seed) pair fully
 determines every estimate in the output; a ranging trial's stream is
-default_rng([seed, point, trial]) bit for bit. Wall-clock timing is optional
-and off by default, keeping the emitted CSV byte-stable across replays.
+default_rng([seed, point, trial]) bit for bit. CPU timing (process time) is
+optional and off by default, keeping the emitted CSV byte-stable across
+replays.
 """
 
 from __future__ import annotations
@@ -279,105 +280,77 @@ def _seed_words(seed: int, point: int, trials: np.ndarray) -> np.ndarray:
 # localization
 
 
-@dataclass
-class _Trial:
-    source: np.ndarray
-    global_pos: Optional[np.ndarray]
-    global_time: float
-    # the heads whose local fit succeeded: (F,) ids, (F, 2) positions and
-    # (F, 2, K) operators, as local_wls_batch returns them, and the (F, F)
-    # block of the neighborhood mask that diffusion runs on
-    heads: np.ndarray
-    positions: np.ndarray
-    operators: np.ndarray
-    hoods: np.ndarray
-    variances: np.ndarray
-    local_time: float
-    crlb_trace: float
-
-
-def _prepare_trial(n_heads, sensors_per_head, sigma, source, rng, fit_global) -> _Trial:
-    """One run's trial; the global fit (no random draws) runs if fit_global."""
-    topology = build_grid_network(n_heads, sensors_per_head=sensors_per_head, seed=rng)
+def _localize_run(cfg, params, stream, decay_scales, trace_scheme):
+    """One run: draws its topology and noise from default_rng(stream), fits
+    them and scores every scheme at each of decay_scales. Returns one
+    (crlb_trace, outcomes, trace_rows) per scale: outcomes maps each scheme
+    to (squared_error, epochs, cpu_seconds), or None where it failed, and
+    trace_rows holds trace_scheme's (epoch, head, x1, x2, max_step) rows.
+    Diffusion runs on the heads whose local fit succeeded, over their block
+    of the neighborhood mask.
+    """
+    rng = np.random.default_rng(stream)
+    source = np.asarray(cfg.source, dtype=float)
+    sigma = params["noise_std"]
+    topology = build_grid_network(
+        params["n_heads"], sensors_per_head=params["sensors_per_head"], seed=rng
+    )
     meas = simulate_tdoa_measurements(topology, source, sigma, rng)
     selection = build_selection_weights(topology)
     init = deployment_center(topology)
 
-    global_pos, global_time = None, 0.0
-    if fit_global:
+    fitted_global = None
+    if "global" in cfg.schemes:  # global_wls draws nothing
         t0 = time.process_time()
         try:
-            global_pos = global_wls(meas, topology, init)
+            position = global_wls(meas, topology, init)
+            seconds = time.process_time() - t0
+            fitted_global = float(np.sum((position - source) ** 2)), None, seconds
         except EstimationError:
             pass
-        global_time = time.process_time() - t0
 
     t0 = time.process_time()
     heads, positions, operators = local_wls_batch(meas, selection, topology, init)
     local_time = time.process_time() - t0
+    hoods = topology.neighborhoods[np.ix_(heads, heads)]
+    crlb_trace = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma > 0 else 0.0
 
-    if sigma > 0:
-        crlb_trace = float(np.trace(crlb(topology, source, sigma * sigma)))
-    else:
-        crlb_trace = 0.0
-    return _Trial(
-        source=np.asarray(source, dtype=float),
-        global_pos=global_pos,
-        global_time=global_time,
-        heads=heads,
-        positions=positions,
-        operators=operators,
-        hoods=topology.neighborhoods[np.ix_(heads, heads)],
-        variances=meas.variances,
-        local_time=local_time,
-        crlb_trace=crlb_trace,
-    )
+    head_ids, results = heads.tolist(), []
+    for decay_scale in decay_scales:
+        outcomes, rows = {}, []
 
+        def on_epoch(epoch, estimates, _coeffs, max_step):
+            rows.extend(
+                (epoch, head, x1, x2, max_step)
+                for head, (x1, x2) in zip(head_ids, estimates.tolist())
+            )
 
-def _run_scheme(
-    scheme: str,
-    trial: _Trial,
-    cfg: LocalizationExperiment,
-    decay_scale: float,
-    on_epoch=None,
-):
-    """Returns (squared_error, epochs, seconds) or None when the scheme fails.
-
-    Diffusion runs on the heads whose local fit succeeded, over their block
-    of the neighborhood mask; on_epoch sees their rows in head order.
-    """
-    if scheme == "global":
-        if trial.global_pos is None:
-            return None
-        err = float(np.sum((trial.global_pos - trial.source) ** 2))
-        return err, None, trial.global_time
-
-    if not trial.heads.size:
-        return None
-
-    t0 = time.process_time()
-    if scheme == "local":
-        center = trial.positions.mean(axis=0)
-        dt = time.process_time() - t0
-        err = float(np.sum((center - trial.source) ** 2))
-        return err, None, trial.local_time + dt
-
-    result = diffuse(
-        trial.positions,
-        scheme,
-        trial.hoods,
-        cfg.epsilon,
-        cfg.max_epochs,
-        operators=trial.operators,
-        variances=trial.variances,
-        decay_scale=decay_scale,
-        optimize_once=cfg.optimize_once,
-        on_epoch=on_epoch,
-    )
-    dt = time.process_time() - t0
-    offsets = result.estimates - trial.source
-    err = float(np.mean(np.sum(offsets**2, axis=1)))
-    return err, result.epoch, trial.local_time + dt
+        for scheme in cfg.schemes:
+            if scheme == "global" or not heads.size:
+                outcomes[scheme] = fitted_global if scheme == "global" else None
+                continue
+            t0 = time.process_time()
+            if scheme == "local":
+                estimates, epochs = positions.mean(axis=0, keepdims=True), None
+            else:
+                result = diffuse(
+                    positions,
+                    scheme,
+                    hoods,
+                    cfg.epsilon,
+                    cfg.max_epochs,
+                    operators=operators,
+                    variances=meas.variances,
+                    decay_scale=decay_scale,
+                    optimize_once=cfg.optimize_once,
+                    on_epoch=on_epoch if scheme == trace_scheme else None,
+                )
+                estimates, epochs = result.estimates, result.epoch
+            seconds = local_time + (time.process_time() - t0)
+            err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
+            outcomes[scheme] = err, epochs, seconds
+        results.append((crlb_trace, outcomes, rows))
+    return results
 
 
 def run_localization_experiment(
@@ -387,61 +360,46 @@ def run_localization_experiment(
 
     Every run rebuilds topology and noise from the stream
     (seed, sweep index, run). A decay_scale sweep is the exception: its
-    trials derive from (seed, run) alone and are shared across the grid,
-    so the combination-weight scale is compared on frozen noise.
+    runs derive from (seed, run) alone, and each is drawn and fitted once
+    and scored at every sweep value, so the combination-weight scale is
+    compared on frozen noise.
 
     trace, a csv.writer when given, receives a header and then one
     (trial, epoch, head, x1, x2, max_step) row per epoch and per head whose
     local fit succeeded, for the first diffusion scheme in cfg.schemes.
     """
     sweep_name = cfg.sweep_field
-    source = np.asarray(cfg.source, dtype=float)
+    frozen = sweep_name == "decay_scale"
     trace_scheme = None
     if trace is not None:
         trace.writerow(["trial", "epoch", "head", "x1", "x2", "max_step"])
         trace_scheme = next((s for s in cfg.schemes if s in DIFFUSION_SCHEMES), None)
 
-    def on_epoch(epoch, estimates, _coeffs, max_step):
-        # called from the run loop below, on its current s_idx, run and
-        # trial; the traced scheme runs once per (sweep value, run)
-        index = s_idx * cfg.runs + run
-        trace.writerows(
-            [index, epoch, head, f"{x1:.9g}", f"{x2:.9g}", f"{max_step:.9g}"]
-            for head, (x1, x2) in zip(trial.heads.tolist(), estimates.tolist())
-        )
-
     records = []
-    # a decay_scale sweep reuses each run's trial at every sweep value
-    frozen = sweep_name == "decay_scale"
-    cache: dict[int, _Trial] = {}
+    # _localize_run's results keyed by (sweep index, run); a decay_scale
+    # sweep's run scores the later sweep values ahead of the loop
+    pending: dict[tuple[int, int], tuple] = {}
     for s_idx, value in enumerate(cfg.sweep_values):
         params = {n: value if n == sweep_name else getattr(cfg, n) for n in _SWEEP_AXES}
-        # each scheme's _run_scheme outcome of every run, None where it failed
-        outcomes: dict[str, list] = {s: [] for s in cfg.schemes}
-        crlb_traces = []
+        crlb_traces, scored = [], []  # each run's CRLB trace and outcomes
         for run in range(cfg.runs):
-            trial = cache.get(run)
-            if trial is None:
+            if (s_idx, run) not in pending:
                 stream = [cfg.seed, run] if frozen else [cfg.seed, s_idx, run]
-                trial = _prepare_trial(
-                    params["n_heads"],
-                    params["sensors_per_head"],
-                    params["noise_std"],
-                    source,
-                    np.random.default_rng(stream),
-                    fit_global="global" in cfg.schemes,
-                )
-                if frozen:
-                    cache[run] = trial
-            crlb_traces.append(trial.crlb_trace)
-            for scheme in cfg.schemes:
-                traced = on_epoch if scheme == trace_scheme else None
-                outcomes[scheme].append(
-                    _run_scheme(scheme, trial, cfg, params["decay_scale"], traced)
+                scales = cfg.decay_scale if frozen else (params["decay_scale"],)
+                results = _localize_run(cfg, params, stream, scales, trace_scheme)
+                pending.update(((s_idx + i, run), r) for i, r in enumerate(results))
+            crlb_trace, outcomes, rows = pending.pop((s_idx, run))
+            crlb_traces.append(crlb_trace)
+            scored.append(outcomes)
+            if trace is not None:
+                index = s_idx * cfg.runs + run
+                trace.writerows(
+                    [index, epoch, head, f"{x1:.9g}", f"{x2:.9g}", f"{max_step:.9g}"]
+                    for epoch, head, x1, x2, max_step in rows
                 )
         crlb_rmse = float(math.sqrt(np.mean(crlb_traces)))
         for scheme in cfg.schemes:
-            done = [o for o in outcomes[scheme] if o is not None]
+            done = [o[scheme] for o in scored if o[scheme] is not None]
             errs = [err for err, _, _ in done]
             epochs = [n for _, n, _ in done if n is not None]
             rmse = float(math.sqrt(np.mean(errs))) if errs else math.nan
@@ -455,7 +413,7 @@ def run_localization_experiment(
                     cpu_time=cpu,
                     mean_epochs=mean_epochs,
                     crlb_rmse=crlb_rmse,
-                    fail_count=len(outcomes[scheme]) - len(done),
+                    fail_count=cfg.runs - len(done),
                 )
             )
     return records

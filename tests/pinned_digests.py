@@ -7,8 +7,9 @@ entries are the ones perfbench/reference.json holds); Haswell, which
 OpenBLAS also runs on Zen, was recorded with OPENBLAS_CORETYPE=Haswell. A
 kernel with no digest recorded is held to the SkylakeX one.
 
-    python tests/pinned_digests.py                       # the kernel
-    python tests/pinned_digests.py configs/localize.cfg  # its pinned digest
+    python tests/pinned_digests.py                             # the kernel
+    python tests/pinned_digests.py configs/localize.cfg        # its pinned digest
+    python tests/pinned_digests.py configs/localize.cfg.trace  # its --trace file's
 """
 
 import ctypes

@@ -13,14 +13,17 @@ import pytest
 from locbench.bench import (
     LocalizationExperiment,
     RangingExperiment,
-    _prepare_trial,
     emit_csv,
     run_localization_experiment,
     run_ranging_experiment,
 )
 from locbench.diffusion import connectivity_weights, diffuse, optimal_weights
-from locbench.estimators import _range_difference_jacobian
-from locbench.geometry import build_grid_network
+from locbench.estimators import (
+    _range_difference_jacobian,
+    build_selection_weights,
+    local_wls_batch,
+)
+from locbench.geometry import build_grid_network, deployment_center
 from locbench.rcrt import make_wavelength_set, reconstruct_batch, remainders_of
 from locbench.signals import simulate_tdoa_measurements
 
@@ -54,12 +57,13 @@ def operating_point():
 def diffusion_audit(operating_point):
     """Replay the operating-point trials with per-epoch invariant checks.
 
-    Prepares each run's trial from the seeded stream the benchmark uses,
-    with the benchmark's own trial preparation, and runs the three
-    diffusion schemes with a callback that audits coefficient columns and
-    the per-dimension estimate envelope after every epoch. Replayed RMSEs
-    must reproduce the benchmark records exactly, proving the audit
-    watched the same iterations the benchmark scored.
+    Rebuilds each run's topology, measurements and local fits from the
+    seeded stream the benchmark uses, with the public functions the
+    benchmark calls, and runs the three diffusion schemes with a callback
+    that audits coefficient columns and the per-dimension estimate
+    envelope after every epoch. Replayed RMSEs must reproduce the
+    benchmark records exactly, proving the audit watched the same
+    iterations the benchmark scored.
     """
     records, _ = operating_point
     audit = {
@@ -72,9 +76,14 @@ def diffusion_audit(operating_point):
     src = np.asarray(SOURCE)
     for run in range(RUNS):
         rng = np.random.default_rng([OPERATING_SEED, 0, run])
-        trial = _prepare_trial(16, 10, 1.0, src, rng, fit_global=False)
-        assert trial.heads.size
-        estimates, outside = trial.positions, ~trial.hoods
+        topo = build_grid_network(16, sensors_per_head=10, seed=rng)
+        meas = simulate_tdoa_measurements(topo, src, 1.0, rng)
+        heads, estimates, operators = local_wls_batch(
+            meas, build_selection_weights(topo), topo, deployment_center(topo)
+        )
+        assert heads.size
+        hoods = topo.neighborhoods[np.ix_(heads, heads)]
+        outside = ~hoods
         for scheme in ("con", "wei", "opt"):
             envelope = {"lo": estimates.min(axis=0), "hi": estimates.max(axis=0)}
 
@@ -97,11 +106,11 @@ def diffusion_audit(operating_point):
             final = diffuse(
                 estimates,
                 scheme,
-                trial.hoods,
+                hoods,
                 1e-4,
                 500,
-                operators=trial.operators,
-                variances=trial.variances,
+                operators=operators,
+                variances=meas.variances,
                 decay_scale=1.0,
                 on_epoch=watch,
             )

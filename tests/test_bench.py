@@ -383,13 +383,68 @@ class TestLocalizationRuns:
             (0.5, "global"), (0.5, "con"), (1.0, "global"), (1.0, "con"),
         ]
 
-    def test_timing_fills_cpu_time(self):
+    @pytest.mark.parametrize(
+        "noise_std, decay_scale",
+        [((1.0,), 1.0), (1.0, (0.5, 2.0))],
+        ids=["noise_std", "decay_scale"],
+    )
+    def test_timing_fills_cpu_time(self, noise_std, decay_scale):
+        # global, local and the diffusion schemes each time their own path;
+        # a decay_scale sweep scores its later values ahead of the loop
         cfg = LocalizationExperiment(
-            n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
-            source=(60.0, 70.0), runs=2, schemes=("global",), seed=9, timing=True,
+            n_heads=16, sensors_per_head=10, noise_std=noise_std,
+            decay_scale=decay_scale, source=(60.0, 70.0), runs=2,
+            schemes=bench.ALL_SCHEMES, seed=9, timing=True,
         )
-        (rec,) = run_localization_experiment(cfg)
-        assert rec.cpu_time is not None and rec.cpu_time > 0.0
+        records = run_localization_experiment(cfg)
+        assert len(records) == len(cfg.sweep_values) * len(bench.ALL_SCHEMES)
+        for rec in records:
+            assert rec.cpu_time is not None and rec.cpu_time > 0.0, rec
+
+    def test_decay_sweep_scores_each_value_on_frozen_noise(self):
+        # a decay_scale sweep's runs draw from (seed, run) alone: each value
+        # reads as its own one-point sweep, records and trace rows alike
+        values, runs = (0.05, 1.0, 20.0), 3
+
+        def traced(decay_scale):
+            cfg = LocalizationExperiment(
+                n_heads=16, sensors_per_head=10, noise_std=1.0,
+                decay_scale=decay_scale, source=(60.0, 70.0), runs=runs,
+                schemes=("wei", "global", "con", "opt", "local"), seed=13,
+                timing=True,
+            )
+            trace = io.StringIO()
+            records = run_localization_experiment(cfg, csv.writer(trace))
+            rows = list(csv.reader(io.StringIO(trace.getvalue())))[1:]
+            return [dataclasses.replace(r, cpu_time=None) for r in records], rows
+
+        swept, swept_rows = traced(values)
+        for s_idx, value in enumerate(values):
+            alone, alone_rows = traced((value,))
+            assert swept[s_idx * len(alone):(s_idx + 1) * len(alone)] == alone
+            for run in range(runs):
+                rows = [r[1:] for r in swept_rows if int(r[0]) == s_idx * runs + run]
+                assert rows and rows == [r[1:] for r in alone_rows if int(r[0]) == run]
+
+    def test_decay_sweep_memory_does_not_grow_with_runs(self):
+        # each run is drawn, fitted and scored at every sweep value at once,
+        # so only its outcomes, a few floats, wait for the later values;
+        # keeping each run's fit (its 16 operators of 2 x 160 floats, some
+        # 43 KB) would add about 530 KB from 4 to 16 runs
+        def peak(runs):
+            cfg = LocalizationExperiment(
+                n_heads=16, sensors_per_head=10, noise_std=1.0,
+                decay_scale=(0.5, 2.0), source=(60.0, 70.0), runs=runs,
+                schemes=("local",), seed=1,
+            )
+            tracemalloc.start()
+            try:
+                run_localization_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) - peak(4) < 150_000
 
     @pytest.mark.parametrize("scheme", ["con", "wei", "opt"])
     def test_failed_local_fit_is_left_out(self, monkeypatch, scheme):
