@@ -59,8 +59,9 @@ _SWEEP_AXES = ("n_heads", "sensors_per_head", "noise_std", "decay_scale")
 _PHASE_SPAN_LIMIT = 1e300
 _PHASE_SPAN_FLOOR = 1e-300
 
-# numpy's SeedSequence hash constants, and the trials whose seed words one
-# numpy pass computes; blocks are aligned, so none straddles 2**32
+# numpy's SeedSequence hash constants, and the (point, trial) rows whose
+# seed words one numpy pass computes and one reconstruct_batch call takes;
+# a point of more trials fills aligned blocks, so none straddles 2**32
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _SEED_BLOCK = 4096
@@ -184,69 +185,78 @@ def run_ranging_experiment(cfg: RangingExperiment) -> list[RangingRecord]:
     """Sweep reconstruction over the SNR grid.
 
     Each trial draws a dividend uniformly over the unambiguous range and
-    then its phase errors; the trials of one grid point are then folded,
-    perturbed and reconstructed together, and each records
-    |estimate - truth| / max_range. Ambiguous trials (no unique quotient)
-    are counted separately and excluded from the error mean. Trial t of
-    grid point p draws from default_rng([seed, p, t]) (seeded via _seed_words),
-    so experiments sharing a seed share their random draws point for point.
+    then its phase errors; the (point, trial) rows of up to _SEED_BLOCK
+    trials, across grid points, are then folded, perturbed and
+    reconstructed together, and each records |estimate - truth| / max_range.
+    Ambiguous trials (no unique quotient) are counted separately and
+    excluded from the error mean. Trial t of grid point p draws from
+    default_rng([seed, p, t]) (seeded via _seed_words), so experiments
+    sharing a seed share their random draws point for point. A pass holds
+    the errors of as many whole points as a block takes, at least one.
     """
-    ws = cfg.wavelength_set
-    unit = np.empty(cfg.trials_per_point)
-    phase_errors = np.empty((cfg.trials_per_point, ws.size))
+    ws, trials = cfg.wavelength_set, cfg.trials_per_point
+    sigmas = np.array([phase_noise_std(s) for s in cfg.snr_grid_db])
+    per_pass = max(1, _SEED_BLOCK // trials)
     records = []
-    for p_idx, snr_db in enumerate(cfg.snr_grid_db):
-        sigma_phi = phase_noise_std(snr_db)
-        for start in range(0, cfg.trials_per_point, _SEED_BLOCK):
-            stop = min(start + _SEED_BLOCK, cfg.trials_per_point)
-            trials = np.arange(start, stop, dtype=np.uint64)
-            for t_idx, row in zip(range(start, stop), _seed_words(cfg.seed, p_idx, trials)):
-                rng = np.random.Generator(np.random.PCG64(_SeedWords(row)))
-                unit[t_idx] = rng.random()
-                # a noiseless point draws zeros: 0 * z + 0 is +0
-                phase_errors[t_idx] = rng.normal(0.0, sigma_phi, size=ws.size)
-        # uniform(0, max_range) is 0.0 + max_range * random(), bit for bit
-        truths = ws.max_range * unit
-        truths[truths >= ws.max_range] = np.nextafter(ws.max_range, 0.0)  # rounded up
-        noisy = simulate_phase_remainders(truths, ws, phase_errors)
-        estimates, _, ambiguous = reconstruct_batch(noisy, ws)
-        solved = ~ambiguous
-        errors = np.abs(estimates[solved] - truths[solved]) / ws.max_range
-        if errors.size:
-            mean = float(errors.mean())
-            stderr = (
-                float(errors.std(ddof=1) / math.sqrt(errors.size))
-                if errors.size > 1
-                else 0.0
+    for first in range(0, len(cfg.snr_grid_db), per_pass):
+        grid = cfg.snr_grid_db[first : first + per_pass]
+        # allocated whole before any trial runs: an impossible size fails at once
+        errors = np.empty(len(grid) * trials)
+        ambiguous = np.empty(errors.size, dtype=bool)
+        for start in range(0, errors.size, _SEED_BLOCK):
+            stop = min(start + _SEED_BLOCK, errors.size)
+            points, trial = np.divmod(np.arange(start, stop, dtype=np.uint64), np.uint64(trials))
+            points += np.uint64(first)
+            seeds = _SeedWords(_seed_words(cfg.seed, points, trial))
+            unit, z = [], np.empty((stop - start, ws.size))
+            for row in z:  # each PCG64 takes the next trial's seed words
+                rng = np.random.Generator(np.random.PCG64(seeds))
+                unit.append(rng.random())
+                rng.standard_normal(out=row)
+            # uniform(0, max_range) is 0.0 + max_range * random(), and
+            # normal(0.0, sigma) is 0.0 + sigma * z, bit for bit; a
+            # noiseless point's 0 * z + 0 is +0
+            truths = ws.max_range * np.array(unit)
+            truths[truths >= ws.max_range] = np.nextafter(ws.max_range, 0.0)  # rounded up
+            noisy = simulate_phase_remainders(truths, ws, 0.0 + sigmas[points, None] * z)
+            estimates, _, ambiguous[start:stop] = reconstruct_batch(noisy, ws)
+            errors[start:stop] = np.abs(estimates - truths) / ws.max_range
+        errors, ambiguous = errors.reshape(-1, trials), ambiguous.reshape(-1, trials)
+        for snr_db, err, amb in zip(grid, errors, ambiguous):
+            err = err[~amb]
+            if err.size:
+                mean = float(err.mean())
+                stderr = float(err.std(ddof=1) / math.sqrt(err.size)) if err.size > 1 else 0.0
+            else:
+                mean = math.nan
+                stderr = math.nan
+            records.append(
+                RangingRecord(
+                    snr_db=snr_db,
+                    relative_error=mean,
+                    stderr=stderr,
+                    ambiguity_rate=int(amb.sum()) / trials,
+                )
             )
-        else:
-            mean = math.nan
-            stderr = math.nan
-        records.append(
-            RangingRecord(
-                snr_db=snr_db,
-                relative_error=mean,
-                stderr=stderr,
-                ambiguity_rate=int(ambiguous.sum()) / cfg.trials_per_point,
-            )
-        )
     return records
 
 
-@dataclass
 class _SeedWords(ISeedSequence):
-    """One trial's seed words, a C-contiguous (4,) uint64 row for PCG64."""
+    """A block's seed words, C-contiguous (T, 4) uint64 rows: each PCG64
+    seeded from it takes the next row."""
 
-    row: np.ndarray
+    def __init__(self, rows: np.ndarray):
+        self._rows = iter(rows)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self.row
+        return next(self._rows)
 
 
-def _seed_words(seed: int, point: int, trials: np.ndarray) -> np.ndarray:
-    """SeedSequence([seed, point, t]).generate_state(4, np.uint64) as (T, 4)
-    rows, for the uint64 trials t (of one word count) at once: one entropy
-    or pool word per row, in uint32 arithmetic, which wraps as numpy's does.
+def _seed_words(seed: int, points: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, p, t]).generate_state(4, np.uint64) as (T, 4)
+    rows, for the (T,) uint64 points p and trials t at once, each array of
+    one word count: one entropy or pool word per row, in uint32 arithmetic,
+    which wraps as numpy's does.
     """
     const, mult = _INIT_A, _MULT_A
 
@@ -260,7 +270,7 @@ def _seed_words(seed: int, point: int, trials: np.ndarray) -> np.ndarray:
     def words(n, top):  # little-endian 32-bit words, as many as top has; 0 has one
         return [n >> s & 0xFFFFFFFF for s in range(0, top.bit_length() or 1, 32)]
 
-    rows = words(seed, seed) + words(point, point) + words(trials, int(trials.max()))
+    rows = words(seed, seed) + words(points, int(points.max())) + words(trials, int(trials.max()))
     entropy = np.zeros((max(len(rows), 4), trials.size), np.uint32)
     for i, row in enumerate(rows):
         entropy[i] = row

@@ -332,14 +332,19 @@ class TestRangingRuns:
         assert peak < 5_000_000
 
     def test_slices_do_not_change_the_records(self, monkeypatch):
-        cfg = RangingExperiment(
-            common_factor=80.0, coprime_factors=(15, 16, 17),
-            snr_grid_db=(-40.0, 0.0, 20.0), trials_per_point=100, seed=6,
-        )
-        whole = run_ranging_experiment(cfg)
+        # in blocks of 7 rows, 100 trials fill 15 blocks a point; 3 trials
+        # put two points in one block and the third in a block of its own
+        cfgs = [
+            RangingExperiment(
+                common_factor=80.0, coprime_factors=(15, 16, 17),
+                snr_grid_db=(-40.0, 0.0, 20.0), trials_per_point=trials, seed=6,
+            )
+            for trials in (100, 3)
+        ]
+        whole = [run_ranging_experiment(cfg) for cfg in cfgs]
         monkeypatch.setattr(rcrt, "_RECONSTRUCT_ROWS", 7)
         monkeypatch.setattr(bench, "_SEED_BLOCK", 7)
-        assert run_ranging_experiment(cfg) == whole
+        assert [run_ranging_experiment(cfg) for cfg in cfgs] == whole
 
 
 class TestLocalizationRuns:
@@ -522,9 +527,10 @@ class TestEmitCsv:
         assert "0.666666667" in path.read_text()
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "locbench", *args], capture_output=True, text=True
+        [sys.executable, "-m", "locbench", *args], capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
@@ -624,11 +630,13 @@ class TestCli:
     def test_sizes_beyond_the_address_space_exit_two(self, tmp_path, kind, config):
         # a (10**15,) float array or a (10**16,) index array needs more than
         # a 48-bit address space, so numpy's allocation fails at once and
-        # takes no memory; the 4-head cell of the sweep runs before it
+        # takes no memory; the 4-head cell of the sweep runs before it. A
+        # ranging run that allocated its errors block by block would draw
+        # trials for hours before failing, hence the time bound
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(config)
         out = tmp_path / "out.csv"
-        proc = run_cli([kind, "--config", str(cfg), "--out", str(out)])
+        proc = run_cli([kind, "--config", str(cfg), "--out", str(out)], timeout=30)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("error:") == 1
@@ -899,7 +907,8 @@ class TestReplayDigests:
 
 # ---------------------------------------------------------------------------
 # the earlier per-trial fold and perturbation, kept as a bitwise oracle for
-# the (T, size) block that each SNR point now folds and perturbs at once
+# the (T, size) blocks of (point, trial) rows that are now folded and
+# perturbed at once
 
 
 def oracle_remainders_of(dividend, ws):
@@ -969,7 +978,8 @@ def oracle_ranging(cfg):
 
 
 def run_capturing_blocks(cfg):
-    """(noisy block per SNR point, records) of run_ranging_experiment."""
+    """(noisy rows of every block, in call order, records) of
+    run_ranging_experiment."""
     blocks = []
     simulate = bench.simulate_phase_remainders
 
@@ -979,7 +989,7 @@ def run_capturing_blocks(cfg):
 
     with mock.patch.object(bench, "simulate_phase_remainders", capture):
         records = run_ranging_experiment(cfg)
-    return blocks, records
+    return np.concatenate(blocks), records
 
 
 def record_rows(records):
@@ -1019,28 +1029,31 @@ class TestRangingBlockMatchesPerTrialOracle:
             snr_grid_db=(-40.0, *sorted(inner), math.inf),
             trials_per_point=trials, seed=seed,
         )
-        blocks, records = run_capturing_blocks(cfg)
+        rows, records = run_capturing_blocks(cfg)
         expected_blocks, expected_records = oracle_ranging(cfg)
-        assert len(blocks) == len(expected_blocks)
-        for block, expected in zip(blocks, expected_blocks):
-            assert np.array_equal(block, expected)
+        expected_rows = np.concatenate(expected_blocks)
+        assert rows.shape == expected_rows.shape
+        for row, expected in zip(rows, expected_rows):
+            assert np.array_equal(row, expected)
         assert np.array_equal(
             record_rows(records), record_rows(expected_records), equal_nan=True
         )
 
     def test_trial_rows_do_not_depend_on_the_trial_count(self):
-        def blocks(trials):
+        def rows(trials):  # (point, trial, wavelength)
             cfg = RangingExperiment(
                 common_factor=80.0, coprime_factors=(15, 16, 17),
                 snr_grid_db=(-40.0, 0.0, 20.0, math.inf),
                 trials_per_point=trials, seed=11,
             )
-            return run_capturing_blocks(cfg)[0]
+            return run_capturing_blocks(cfg)[0].reshape(4, trials, -1)
 
-        full = blocks(100)
+        full = rows(100)
         for trials in (1, 2, 17):
-            for short, long in zip(blocks(trials), full, strict=True):
-                assert np.array_equal(short, long[:trials])
+            short = rows(trials)
+            for point in range(4):
+                for row, expected in zip(short[point], full[point, :trials], strict=True):
+                    assert np.array_equal(row, expected)
 
     def test_runs_without_default_rng(self, monkeypatch):
         cfg = RangingExperiment(
@@ -1056,27 +1069,46 @@ class TestRangingBlockMatchesPerTrialOracle:
         assert run_ranging_experiment(cfg) == expected
 
 
+def same_word_count(first, count):
+    """first, first + 1, ... up to count integers that share first's 32-bit
+    word count: one below 2**32, two above."""
+    end = 2**32 if first < 2**32 else 2**64
+    return [n for n in range(first, first + count) if n < end]
+
+
+WORD_EDGES = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)
+)
+
+
 class TestSeedWordsMatchSeedSequence:
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**130 - 1),
-        point=st.integers(0, 2**40 - 1),
-        first=st.one_of(
-            st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)
-        ),
-        count=st.integers(1, 3),
+        first_point=WORD_EDGES,
+        point_count=st.integers(1, 3),
+        first_trial=WORD_EDGES,
+        trial_count=st.integers(1, 3),
     )
-    def test_rows_equal_seed_sequence_state(self, seed, point, first, count):
-        # trials that share first's word count: one below 2**32, two above
-        end = 2**32 if first < 2**32 else 2**64
-        trials = [t for t in range(first, first + count) if t < end]
-        words = bench._seed_words(seed, point, np.array(trials, dtype=np.uint64))
-        assert words.shape == (len(trials), 4) and words.dtype == np.uint64
-        for t, row in zip(trials, words):
-            expected = np.random.SeedSequence([seed, point, t]).generate_state(4, np.uint64)
+    def test_rows_equal_seed_sequence_state(
+        self, seed, first_point, point_count, first_trial, trial_count
+    ):
+        # (point, trial) rows, point-major as a pass lays them out, of
+        # several points in one call
+        pairs = [
+            (p, t)
+            for p in same_word_count(first_point, point_count)
+            for t in same_word_count(first_trial, trial_count)
+        ]
+        points, trials = np.array(pairs, dtype=np.uint64).T
+        words = bench._seed_words(seed, points, trials)
+        assert words.shape == (len(pairs), 4) and words.dtype == np.uint64
+        seeds = bench._SeedWords(words)
+        for (p, t), row in zip(pairs, words):
+            expected = np.random.SeedSequence([seed, p, t]).generate_state(4, np.uint64)
             assert np.array_equal(row, expected)
-            # the stream PCG64 seeds from the row is default_rng's
+            # the stream PCG64 seeds from the next row is default_rng's
             assert (
-                np.random.PCG64(bench._SeedWords(row)).state
-                == np.random.default_rng([seed, point, t]).bit_generator.state
+                np.random.PCG64(seeds).state
+                == np.random.default_rng([seed, p, t]).bit_generator.state
             )
