@@ -403,10 +403,7 @@ def run_localization_experiment(
             scored.append(outcomes)
             if trace is not None:
                 index = s_idx * cfg.runs + run
-                trace.writerows(
-                    [index, epoch, head, f"{x1:.9g}", f"{x2:.9g}", f"{max_step:.9g}"]
-                    for epoch, head, x1, x2, max_step in rows
-                )
+                trace.writerows([_format_cell(c) for c in (index, *row)] for row in rows)
         crlb_rmse = float(math.sqrt(np.mean(crlb_traces)))
         for scheme in cfg.schemes:
             done = [o[scheme] for o in scored if o[scheme] is not None]

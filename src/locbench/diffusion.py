@@ -276,11 +276,11 @@ def diffuse(
     A.T @ estimates. Stops when the largest per-head displacement in one
     epoch is at most epsilon, or after max_epochs epochs (logged as
     non-convergence). The ``opt`` scheme needs the (N, 2, K) estimation
-    operators and the K measurement variances: the operators are combined
-    with the same coefficients each epoch and the variance matrix rebuilt
-    from them; optimize_once solves the quadratic programs only in the
-    first epoch and reuses those coefficients afterwards. The programs'
-    support table is built once per call.
+    operators and the K measurement variances: each epoch after the first
+    combines the operators with the last coefficients and rebuilds the
+    variance matrix from them; optimize_once solves the quadratic programs
+    only in the first epoch and reuses those coefficients afterwards. The
+    programs' support table is built once per call.
 
     on_epoch, when given, is called after each epoch with (epoch,
     estimates, coefficients, max_step).
@@ -311,11 +311,11 @@ def diffuse(
         if scheme == "wei":
             coeffs = median_weights(estimates, hoods, decay_scale)
         elif scheme == "opt" and (epoch == 1 or not optimize_once):
+            if epoch > 1:  # combined with the previous epoch's coefficients
+                operators = np.einsum("lk,ldi->kdi", coeffs, operators)
             q = build_q_matrix(operators, variances)
             coeffs = optimal_weights(q, hoods, supports=supports)
         new_estimates = coeffs.T @ estimates
-        if scheme == "opt":
-            operators = np.einsum("lk,ldi->kdi", coeffs, operators)
         max_step = float(np.linalg.norm(new_estimates - estimates, axis=1).max())
         estimates = new_estimates
         if on_epoch is not None:

@@ -7,16 +7,13 @@ entries are the ones perfbench/reference.json holds); Haswell, which
 OpenBLAS also runs on Zen, was recorded with OPENBLAS_CORETYPE=Haswell. A
 kernel with no digest recorded is held to the SkylakeX one.
 
-    python tests/pinned_digests.py                             # the kernel
-    python tests/pinned_digests.py configs/localize.cfg        # its pinned digest
-    python tests/pinned_digests.py configs/localize.cfg.trace  # its --trace file's
+    python tests/pinned_digests.py  # prints the kernel
 """
 
 import ctypes
 import glob
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy
@@ -56,7 +53,4 @@ def assert_pinned(name, digest):
 
 if __name__ == "__main__":
     kernel = openblas_core()
-    if len(sys.argv) > 1:
-        print(pinned(sys.argv[1], kernel))
-    else:
-        print(f"OpenBLAS core {kernel}" if kernel else "no bundled OpenBLAS core name")
+    print(f"OpenBLAS core {kernel}" if kernel else "no bundled OpenBLAS core name")

@@ -1,19 +1,27 @@
-"""Acceptance gate: accuracy, ordering, invariants and runtime budgets.
+"""Acceptance gate: accuracy, ordering, invariants and runtime budgets,
+and the pinned output of the shipped configs.
 
-Each test covers one numbered criterion and registers a one-line verdict
-printed in the terminal summary. Shared expensive runs live in
-module-scoped fixtures so the 200-run operating point is computed once.
+Each numbered test covers one criterion and registers a one-line verdict
+printed in the terminal summary. The operating point is
+configs/localize.cfg as shipped: a module-scoped fixture runs it once, and
+its CSV and --trace file are pinned below with configs/ranging.cfg's CSV.
 """
 
+import csv
+import dataclasses
+import hashlib
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from locbench import cli
 from locbench.bench import (
-    LocalizationExperiment,
     RangingExperiment,
     emit_csv,
+    load_localization_experiment,
     run_localization_experiment,
     run_ranging_experiment,
 )
@@ -28,33 +36,50 @@ from locbench.rcrt import make_wavelength_set, reconstruct_batch, remainders_of
 from locbench.signals import simulate_tdoa_measurements
 
 from conftest import record_criterion
+from pinned_digests import DIGESTS, assert_pinned
 
-SOURCE = (60.0, 70.0)
-OPERATING_SEED = 1
-RUNS = 200
+ROOT = Path(__file__).resolve().parents[1]
+# the shipped configs; each is replayed below and pinned under its path
+LOCALIZE = "configs/localize.cfg"
+RANGING = "configs/ranging.cfg"
 
 
-@pytest.fixture(scope="module")
-def operating_point():
-    """The 5-scheme, 200-run benchmark used by criteria 5, 6 and 9."""
-    cfg = LocalizationExperiment(
-        n_heads=16,
-        sensors_per_head=10,
-        noise_std=(1.0,),
-        decay_scale=1.0,
-        source=SOURCE,
-        runs=RUNS,
-        schemes=("global", "con", "wei", "opt", "local"),
-        seed=OPERATING_SEED,
-    )
-    start = time.perf_counter()
-    records = run_localization_experiment(cfg)
-    elapsed = time.perf_counter() - start
-    return {r.scheme: r for r in records}, elapsed
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
-def diffusion_audit(operating_point):
+def operating_config():
+    """configs/localize.cfg: 16 heads, unit noise, 200 runs, five schemes."""
+    return load_localization_experiment(ROOT / LOCALIZE)
+
+
+@pytest.fixture(scope="module")
+def operating_point(operating_config, tmp_path_factory):
+    """configs/localize.cfg run once, through the calls `locbench localize
+    --trace` makes, with numpy's RuntimeWarnings raised as errors.
+
+    Returns the records by scheme at full precision (criterion 08 compares
+    them at rtol 1e-9, which the 9-digit CSV cannot hold), the run's wall
+    time, and the sha256 digests of the CSV and the trace by pinned name.
+    """
+    out = tmp_path_factory.mktemp("operating_point")
+    csv_path, trace_path = out / "localize.csv", out / "localize.trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        start = time.perf_counter()
+        with open(trace_path, "w", newline="") as fh:
+            records = run_localization_experiment(
+                operating_config, csv.writer(fh, lineterminator="\n")
+            )
+        elapsed = time.perf_counter() - start
+        emit_csv(records, csv_path)
+    digests = {LOCALIZE: sha256(csv_path), LOCALIZE + ".trace": sha256(trace_path)}
+    return {r.scheme: r for r in records}, elapsed, digests
+
+
+@pytest.fixture(scope="module")
+def diffusion_audit(operating_config, operating_point):
     """Replay the operating-point trials with per-epoch invariant checks.
 
     Rebuilds each run's topology, measurements and local fits from the
@@ -65,7 +90,8 @@ def diffusion_audit(operating_point):
     benchmark records exactly, proving the audit watched the same
     iterations the benchmark scored.
     """
-    records, _ = operating_point
+    cfg = operating_config
+    records, _, _ = operating_point
     audit = {
         "coeff_sum_err": 0.0,
         "coeff_min": np.inf,
@@ -73,11 +99,12 @@ def diffusion_audit(operating_point):
         "envelope_growth": -np.inf,
         "sq_errors": {"con": [], "wei": [], "opt": []},
     }
-    src = np.asarray(SOURCE)
-    for run in range(RUNS):
-        rng = np.random.default_rng([OPERATING_SEED, 0, run])
-        topo = build_grid_network(16, sensors_per_head=10, seed=rng)
-        meas = simulate_tdoa_measurements(topo, src, 1.0, rng)
+    src = np.asarray(cfg.source)
+    (noise_std,) = cfg.noise_std  # a one-point sweep: sweep index 0
+    for run in range(cfg.runs):
+        rng = np.random.default_rng([cfg.seed, 0, run])
+        topo = build_grid_network(cfg.n_heads, sensors_per_head=cfg.sensors_per_head, seed=rng)
+        meas = simulate_tdoa_measurements(topo, src, noise_std, rng)
         heads, estimates, operators = local_wls_batch(
             meas, build_selection_weights(topo), topo, deployment_center(topo)
         )
@@ -107,11 +134,12 @@ def diffusion_audit(operating_point):
                 estimates,
                 scheme,
                 hoods,
-                1e-4,
-                500,
+                cfg.epsilon,
+                cfg.max_epochs,
                 operators=operators,
                 variances=meas.variances,
-                decay_scale=1.0,
+                decay_scale=cfg.decay_scale,
+                optimize_once=cfg.optimize_once,
                 on_epoch=watch,
             )
             offsets = final.estimates - src
@@ -262,7 +290,7 @@ def test_criterion_04_jacobian_against_finite_differences():
     worst = 0.0
     for _ in range(100):
         topo = build_grid_network(16, seed=rng)
-        meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
+        meas = simulate_tdoa_measurements(topo, (60.0, 70.0), 1.0, rng)
         x = rng.uniform(10.0, 140.0, size=2)
         xi, xj = topo.measurement_nodes()
         _, jac = _range_difference_jacobian(x, xi, xj)
@@ -291,7 +319,7 @@ def test_criterion_04_jacobian_against_finite_differences():
 
 
 def test_criterion_05_crlb_attainment(operating_point):
-    records, elapsed = operating_point
+    records, elapsed, _ = operating_point
     rmse = records["global"].rmse
     bound = records["global"].crlb_rmse
     passed = rmse <= 1.10 * bound and elapsed < 60.0
@@ -306,7 +334,7 @@ def test_criterion_05_crlb_attainment(operating_point):
 
 
 def test_criterion_06_scheme_ordering(operating_point):
-    records, _ = operating_point
+    records, _, _ = operating_point
     chain = ("local", "con", "wei", "opt", "global")
     values = [records[s].rmse for s in chain]
     ok = all(a >= 0.95 * b for a, b in zip(values, values[1:]))
@@ -351,7 +379,7 @@ def test_criterion_07_qp_against_grid_search():
     assert elapsed < 10.0
 
 
-def test_criterion_08_diffusion_invariants(diffusion_audit):
+def test_criterion_08_diffusion_invariants(operating_config, diffusion_audit):
     audit = diffusion_audit
     ok = (
         audit["coeff_sum_err"] <= 1e-12
@@ -362,7 +390,7 @@ def test_criterion_08_diffusion_invariants(diffusion_audit):
     record_criterion(
         8,
         ok,
-        "diffusion invariants over 200 trials x 3 schemes: "
+        f"diffusion invariants over {operating_config.runs} trials x 3 schemes: "
         f"max |column sum - 1| {audit['coeff_sum_err']:.1e} <= 1e-12, "
         f"min coefficient {audit['coeff_min']:.1e} >= 0, "
         f"support leaks {audit['support_leaks']}, "
@@ -375,7 +403,7 @@ def test_criterion_08_diffusion_invariants(diffusion_audit):
 
 
 def test_criterion_09_iteration_counts(operating_point):
-    records, _ = operating_point
+    records, _, _ = operating_point
     opt = records["opt"].mean_epochs
     con = records["con"].mean_epochs
     wei = records["wei"].mean_epochs
@@ -388,17 +416,11 @@ def test_criterion_09_iteration_counts(operating_point):
     assert ok
 
 
-def test_criterion_10_decay_scale_sweep():
+def test_criterion_10_decay_scale_sweep(operating_config):
     grid = tuple(float(g) for g in np.logspace(-2, 2, 9))
-    cfg = LocalizationExperiment(
-        n_heads=16,
-        sensors_per_head=10,
-        noise_std=1.0,
-        decay_scale=grid,
-        source=SOURCE,
-        runs=RUNS,
-        schemes=("con", "wei"),
-        seed=OPERATING_SEED,
+    (noise_std,) = operating_config.noise_std
+    cfg = dataclasses.replace(
+        operating_config, noise_std=noise_std, decay_scale=grid, schemes=("con", "wei")
     )
     records = run_localization_experiment(cfg)
     table = {}
@@ -420,17 +442,8 @@ def test_criterion_10_decay_scale_sweep():
     assert ok
 
 
-def test_criterion_11_byte_identical_replay(tmp_path):
-    loc_cfg = LocalizationExperiment(
-        n_heads=16,
-        sensors_per_head=10,
-        noise_std=(1.0,),
-        decay_scale=1.0,
-        source=SOURCE,
-        runs=10,
-        schemes=("global", "con", "wei", "opt", "local"),
-        seed=11,
-    )
+def test_criterion_11_byte_identical_replay(operating_config, tmp_path):
+    loc_cfg = dataclasses.replace(operating_config, runs=10, seed=11)
     rng_cfg = RangingExperiment(
         common_factor=80.0,
         coprime_factors=(15, 16, 17),
@@ -456,3 +469,30 @@ def test_criterion_11_byte_identical_replay(tmp_path):
     )
     assert loc_same
     assert rng_same
+
+
+# ---------------------------------------------------------------------------
+# the shipped configs' output, pinned per OpenBLAS kernel
+
+
+def test_shipped_localize_config_replays_to_its_pinned_digests(operating_point):
+    _, _, digests = operating_point
+    for name, digest in digests.items():
+        assert_pinned(name, digest)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shipped_ranging_config_replays_to_its_pinned_digest(tmp_path):
+    out = tmp_path / "ranging.csv"
+    assert cli.main(["ranging", "--config", str(ROOT / RANGING), "--out", str(out)]) == 0
+    assert_pinned(RANGING, sha256(out))
+
+
+def test_every_shipped_config_is_replayed_and_pinned():
+    # a config added to configs/, or a kernel recorded without one of these
+    # digests, fails here until a replay above pins it
+    shipped = {p.relative_to(ROOT).as_posix() for p in (ROOT / "configs").glob("*.cfg")}
+    assert shipped == {LOCALIZE, RANGING}
+    for kernel, recorded in DIGESTS.items():
+        missing = {LOCALIZE, LOCALIZE + ".trace", RANGING} - recorded.keys()
+        assert not missing, f"no {kernel} digest for {sorted(missing)}"

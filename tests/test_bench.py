@@ -181,12 +181,13 @@ class TestExperimentValidation:
         path = tmp_path / "rule.cfg"
         path.write_text(text)
         load = load_ranging_experiment if kind == "ranging" else load_localization_experiment
-        with pytest.raises(ValueError, match=f"^{key} must be "):
+        message = f"{key} must be {bench._KEYS[classes[kind]][key][1]}, got "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load(path)
         out = tmp_path / "out.csv"
         assert cli.main([kind, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_exactly_one_sweep_required(self):
@@ -787,7 +788,7 @@ class TestReplayDigests:
     """
 
     def test_reference_kernel_configs_match_the_benchmark(self):
-        # the CI digest step reads the configs' digests from the same file
+        # the replays of the shipped configs read their digests from the same file
         reference = json.loads(
             (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
         )

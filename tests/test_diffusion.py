@@ -3,12 +3,14 @@
 import itertools
 import logging
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from locbench import diffusion
 from locbench.diffusion import (
     _KKT_TOL,
     _record_walk,
@@ -48,6 +50,18 @@ def prepared_trial(seed):
     heads, positions, operators = local_wls_batch(meas, selection, topo, init)
     assert heads.tolist() == list(range(16))
     return topo.neighborhoods, positions, operators, meas.variances
+
+
+def count_opt_updates(monkeypatch):
+    """From here on, count each Q that diffuse builds and each operator
+    combination that numpy's einsum makes: returns a function of the two."""
+    builds, einsum = mock.Mock(wraps=build_q_matrix), mock.Mock(wraps=np.einsum)
+    monkeypatch.setattr(diffusion, "build_q_matrix", builds)
+    monkeypatch.setattr(np, "einsum", einsum)
+    return lambda: (
+        builds.call_count,
+        sum(c.args[0] == "lk,ldi->kdi" for c in einsum.call_args_list),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +711,9 @@ class TestDiffuse:
         assert all(s > 1e-3 for s in steps[:-1])
         assert final.epoch == len(steps)
 
-    def test_optimize_once_reuses_first_epoch_coefficients(self):
+    def test_optimize_once_reuses_first_epoch_coefficients(self, monkeypatch):
         hoods, positions, operators, variances = prepared_trial(10)
+        counts = count_opt_updates(monkeypatch)
         seen = []
         diffuse(
             positions, "opt", hoods, 1e-4, 500, operators=operators, variances=variances,
@@ -707,18 +722,24 @@ class TestDiffuse:
         assert len(seen) >= 2
         for c in seen[1:]:
             assert np.array_equal(c, seen[0])
+        # one Q, and no operator combination, which no later Q would read
+        assert counts() == (1, 0)
 
-    def test_opt_updates_operators(self):
+    def test_opt_updates_operators(self, monkeypatch):
         # each epoch's weights come from the operators combined with the
         # previous epoch's weights; the caller's operators stay as they were
         hoods, positions, operators, variances = prepared_trial(11)
         given_ops = operators.copy()
+        counts = count_opt_updates(monkeypatch)
         seen = []
         final = diffuse(
             positions, "opt", hoods, 1e-4, 500, operators=operators, variances=variances,
             on_epoch=lambda e, x, c, s: seen.append(c.copy()),
         )
         assert final.converged and len(seen) >= 3
+        # one Q per epoch, and one combination per Q after the first: none
+        # after the last epoch, whose operators nothing reads
+        assert counts() == (len(seen), len(seen) - 1)
         assert np.array_equal(operators, given_ops)
         for previous, coeffs in zip(seen, seen[1:]):
             operators = np.einsum("lk,ldi->kdi", previous, operators)
