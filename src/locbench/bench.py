@@ -21,13 +21,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .diffusion import SCHEMES as DIFFUSION_SCHEMES
 from .diffusion import diffuse
-from .estimators import (
-    EstimationError,
-    build_selection_weights,
-    crlb,
-    global_wls,
-    local_wls_batch,
-)
+from .estimators import build_selection_weights, crlb, wls_group, wls_groups
 from .geometry import build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
 from .signals import TWO_PI, phase_noise_std, simulate_phase_remainders
@@ -290,77 +284,71 @@ def _seed_words(seed: int, points: np.ndarray, trials: np.ndarray) -> np.ndarray
 # localization
 
 
-def _localize_run(cfg, params, stream, decay_scales, trace_scheme):
-    """One run: draws its topology and noise from default_rng(stream), fits
-    them and scores every scheme at each of decay_scales. Returns one
-    (crlb_trace, outcomes, trace_rows) per scale: outcomes maps each scheme
-    to (squared_error, epochs, cpu_seconds), or None where it failed, and
-    trace_rows holds trace_scheme's (epoch, head, x1, x2, max_step) rows.
-    Diffusion runs on the heads whose local fit succeeded, over their block
-    of the neighborhood mask.
+def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
+    """Draws each run's topology and noise from default_rng(stream), in
+    order, fits the runs in wls_groups' groups and scores every scheme at
+    each of decay_scales. Yields each run's (crlb_trace, outcomes,
+    trace_rows) per scale: outcomes maps each scheme to (squared_error,
+    epochs, cpu_seconds), or None where it failed, and trace_rows holds
+    trace_scheme's (epoch, head, x1, x2, max_step) rows. Diffusion runs on
+    the heads whose local fit succeeded, over their block of the
+    neighborhood mask. cpu_seconds adds an even share of the group's batch,
+    the run's operators and the scheme's own time.
     """
-    rng = np.random.default_rng(stream)
     source = np.asarray(cfg.source, dtype=float)
-    sigma = params["noise_std"]
-    topology = build_grid_network(
-        params["n_heads"], sensors_per_head=params["sensors_per_head"], seed=rng
-    )
-    meas = simulate_tdoa_measurements(topology, source, sigma, rng)
-    selection = build_selection_weights(topology)
-    init = deployment_center(topology)
+    n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
+    with_global = "global" in cfg.schemes
 
-    fitted_global = None
-    if "global" in cfg.schemes:  # global_wls draws nothing
+    def draw(stream):
+        rng = np.random.default_rng(stream)
+        topology = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
+        meas = simulate_tdoa_measurements(topology, source, sigma, rng)
+        return meas, build_selection_weights(topology), topology, deployment_center(topology)
+
+    def scored(group):  # a group's runs, whose fits go when it returns
         t0 = time.process_time()
-        try:
-            position = global_wls(meas, topology, init)
-            seconds = time.process_time() - t0
-            fitted_global = float(np.sum((position - source) ** 2)), None, seconds
-        except EstimationError:
-            pass
+        fits = wls_group(group, with_global)
+        share = (time.process_time() - t0) / len(group)
+        t0 = time.process_time()
+        for (position, heads, positions, operators), (meas, _, topology, _) in zip(fits, group):
+            fit_time = share + (time.process_time() - t0)
+            fitted_global = None
+            if isinstance(position, np.ndarray):
+                fitted_global = float(np.sum((position - source) ** 2)), None, fit_time
+            hoods = topology.neighborhoods[np.ix_(heads, heads)]
+            crlb_trace = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
+            head_ids, results = heads.tolist(), []
+            for decay_scale in decay_scales:
+                outcomes, rows = {}, []
 
-    t0 = time.process_time()
-    heads, positions, operators = local_wls_batch(meas, selection, topology, init)
-    local_time = time.process_time() - t0
-    hoods = topology.neighborhoods[np.ix_(heads, heads)]
-    crlb_trace = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma > 0 else 0.0
+                def on_epoch(epoch, estimates, _coeffs, max_step):
+                    points = zip(head_ids, estimates.tolist())
+                    rows.extend((epoch, head, x1, x2, max_step) for head, (x1, x2) in points)
 
-    head_ids, results = heads.tolist(), []
-    for decay_scale in decay_scales:
-        outcomes, rows = {}, []
+                for scheme in cfg.schemes:
+                    if scheme == "global" or not heads.size:
+                        outcomes[scheme] = fitted_global if scheme == "global" else None
+                        continue
+                    t0 = time.process_time()
+                    if scheme == "local":
+                        estimates, epochs = positions.mean(axis=0, keepdims=True), None
+                    else:
+                        result = diffuse(
+                            positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
+                            operators=operators, variances=meas.variances,
+                            decay_scale=decay_scale, optimize_once=cfg.optimize_once,
+                            on_epoch=on_epoch if scheme == trace_scheme else None,
+                        )
+                        estimates, epochs = result.estimates, result.epoch
+                    seconds = fit_time + (time.process_time() - t0)
+                    err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
+                    outcomes[scheme] = err, epochs, seconds
+                results.append((crlb_trace, outcomes, rows))
+            yield results
+            t0 = time.process_time()  # the next run's operators start here
 
-        def on_epoch(epoch, estimates, _coeffs, max_step):
-            rows.extend(
-                (epoch, head, x1, x2, max_step)
-                for head, (x1, x2) in zip(head_ids, estimates.tolist())
-            )
-
-        for scheme in cfg.schemes:
-            if scheme == "global" or not heads.size:
-                outcomes[scheme] = fitted_global if scheme == "global" else None
-                continue
-            t0 = time.process_time()
-            if scheme == "local":
-                estimates, epochs = positions.mean(axis=0, keepdims=True), None
-            else:
-                result = diffuse(
-                    positions,
-                    scheme,
-                    hoods,
-                    cfg.epsilon,
-                    cfg.max_epochs,
-                    operators=operators,
-                    variances=meas.variances,
-                    decay_scale=decay_scale,
-                    optimize_once=cfg.optimize_once,
-                    on_epoch=on_epoch if scheme == trace_scheme else None,
-                )
-                estimates, epochs = result.estimates, result.epoch
-            seconds = local_time + (time.process_time() - t0)
-            err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
-            outcomes[scheme] = err, epochs, seconds
-        results.append((crlb_trace, outcomes, rows))
-    return results
+    for group in wls_groups(map(draw, streams), with_global):
+        yield from scored(group)
 
 
 def run_localization_experiment(
@@ -386,18 +374,19 @@ def run_localization_experiment(
         trace_scheme = next((s for s in cfg.schemes if s in DIFFUSION_SCHEMES), None)
 
     records = []
-    # _localize_run's results keyed by (sweep index, run); a decay_scale
+    # _localize_runs' results keyed by (sweep index, run); a decay_scale
     # sweep's run scores the later sweep values ahead of the loop
     pending: dict[tuple[int, int], tuple] = {}
     for s_idx, value in enumerate(cfg.sweep_values):
         params = {n: value if n == sweep_name else getattr(cfg, n) for n in _SWEEP_AXES}
+        if not (frozen and s_idx):
+            streams = ([cfg.seed, r] if frozen else [cfg.seed, s_idx, r] for r in range(cfg.runs))
+            scales = cfg.decay_scale if frozen else (params["decay_scale"],)
+            drawn = _localize_runs(cfg, params, streams, scales, trace_scheme)
         crlb_traces, scored = [], []  # each run's CRLB trace and outcomes
         for run in range(cfg.runs):
             if (s_idx, run) not in pending:
-                stream = [cfg.seed, run] if frozen else [cfg.seed, s_idx, run]
-                scales = cfg.decay_scale if frozen else (params["decay_scale"],)
-                results = _localize_run(cfg, params, stream, scales, trace_scheme)
-                pending.update(((s_idx + i, run), r) for i, r in enumerate(results))
+                pending.update(((s_idx + i, run), r) for i, r in enumerate(next(drawn)))
             crlb_trace, outcomes, rows = pending.pop((s_idx, run))
             crlb_traces.append(crlb_trace)
             scored.append(outcomes)

@@ -3,12 +3,14 @@
 Covers the centralized estimator over all measurements, the per-head local
 estimators that see only their neighborhood's measurements through selection
 weights, and the trace benchmark (inverse Fisher information) both are
-judged against. Both estimators run the same damped Gauss-Newton loop, the
-local one over every head at once.
+judged against. Both estimators are one-run calls of wls_group, which fits
+whole runs, global and local fits alike, in one lockstep batch of a damped
+Gauss-Newton loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 
 import numpy as np
@@ -23,6 +25,8 @@ __all__ = [
     "crlb",
     "global_wls",
     "local_wls_batch",
+    "wls_group",
+    "wls_groups",
 ]
 
 logger = logging.getLogger(__name__)
@@ -40,6 +44,10 @@ _MAX_DAMPING = 1e12
 # elements per (fits, K) buffer of the batched sums; sizes the chunks of
 # fits so that memory stays flat in the head count
 _CHUNK_ELEMENTS = 8192
+# rows of one batch of whole runs (wls_groups): a 16-head run of 10 sensors
+# has 800 with its global fit, so two share a batch; the batch's per-row
+# arrays, a few dozen bytes a row, stay alive while its runs are scored
+_GROUP_ROWS = 2048
 
 # how a fit ends: the first two leave an estimate, _LIVE is still running
 _CONVERGED, _STOPPED, _FEW_ROWS, _ON_NODE, _SINGULAR, _RANK_DEFICIENT, _LIVE = range(7)
@@ -131,20 +139,21 @@ def _padded(columns, at: np.ndarray, n: int, k: int):
     return buf.reshape(n, k, 2)
 
 
-def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopology):
+def _gauss_newton(x0, fit, rows, data, k: int):
     """Damped Gauss-Newton over a batch of weighted fits, run in lockstep.
 
-    Fit f minimizes sum(w * residual^2) over its rows, the measurements
-    rows[r] with fit[r] == f; fit is nondecreasing. Each fit keeps its own
-    point, cost, damping and count of accepted steps, and in every round
-    each live fit makes one trial step. A step that does not increase the
-    cost is accepted and shrinks the damping 10x; any other grows it 10x.
-    A fit converges when an accepted step is shorter than _STEP_TOL. It
-    stops after _MAX_ITERS accepted steps or once its damping passes
-    _MAX_DAMPING. It fails on a singular or non-finite step, and when a
-    point it evaluates lies on a node of one of its own rows: a distance
-    of exactly zero, where its range-difference model is undefined. The
-    first round evaluates the start points and takes no step.
+    Fit f minimizes sum(w * residual^2) over the rows r with fit[r] == f;
+    fit is nondecreasing. data holds each row's (xi0, xi1, xj0, xj1, value,
+    w) as a (6, R) array, and rows[r] in [0, k) is its measurement. Each
+    fit keeps its own point, cost, damping and count of accepted steps, and
+    in every round each live fit makes one trial step. A step that does not
+    increase the cost is accepted and shrinks the damping 10x; any other
+    grows it 10x. A fit converges when an accepted step is shorter than
+    _STEP_TOL. It stops after _MAX_ITERS accepted steps or once its damping
+    passes _MAX_DAMPING. It fails on a singular or non-finite step, and
+    when a point it evaluates lies on a node of one of its own rows: a
+    distance of exactly zero, where its range-difference model is
+    undefined. The first round evaluates the start points and takes no step.
 
     Residuals and jacobians are evaluated on each fit's rows only. The sums
     over them run on the K-row layout, zero-padded, so each fit's iterates
@@ -154,10 +163,7 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
     Returns (x, outcome, hess): (F, 2) final points, (F,) outcome codes
     and the (F, 2, 2) normal matrices at the final points.
     """
-    n, k = len(x0), meas.size
-    xi, xj = topology.measurement_nodes()
-    # per row: both nodes' coordinates, the measurement and the weight
-    row_data = np.stack((*xi[rows].T, *xj[rows].T, meas.values[rows], w))
+    n = len(x0)
     x = trial = np.array(x0, dtype=float)
     cost, grad, hess = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2))
     mu = np.full(n, _INITIAL_DAMPING)
@@ -177,7 +183,7 @@ def _gauss_newton(x0, fit, rows, w, meas: MeasurementSet, topology: NetworkTopol
         if n_live != len(idx):
             on, slot, chunks = _layout(outcome == _LIVE, fit, rows, k)
             n_live, live_rows = len(idx), rows[on]
-            xi0, xi1, xj0, xj1, values, w_on = row_data[:, on]
+            xi0, xi1, xj0, xj1, values, w_on = data[:, on]
         with np.errstate(divide="ignore", invalid="ignore"):  # on a node
             predicted, jac0, jac1, di, dj = _range_differences(
                 trial[slot, 0], trial[slot, 1], xi0, xi1, xj0, xj1
@@ -231,21 +237,12 @@ def global_wls(meas: MeasurementSet, topology: NetworkTopology, init) -> np.ndar
     """Centralized weighted least-squares fit over every measurement.
 
     init is the Gauss-Newton start point, usually the deployment center.
+    A one-run wls_group.
     """
-    x0 = as_position(init)
-    x, (outcome,), _ = _gauss_newton(
-        x0[None],
-        np.zeros(meas.size, dtype=int),
-        np.arange(meas.size),
-        1.0 / meas.variances,
-        meas,
-        topology,
-    )
-    if outcome in _FAILURES:
-        raise EstimationError(f"global WLS failed: {_FAILURES[outcome]}")
-    if outcome == _STOPPED:
-        logger.warning("global WLS stopped before the step tolerance was met")
-    return x[0]
+    position = next(wls_group([(meas, None, topology, init)], True))[0]
+    if isinstance(position, EstimationError):
+        raise position
+    return position
 
 
 def build_selection_weights(topology: NetworkTopology) -> np.ndarray:
@@ -265,10 +262,7 @@ def build_selection_weights(topology: NetworkTopology) -> np.ndarray:
 
 
 def local_wls_batch(
-    meas: MeasurementSet,
-    selection: np.ndarray,
-    topology: NetworkTopology,
-    init,
+    meas: MeasurementSet, selection: np.ndarray, topology: NetworkTopology, init
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every head's weighted fit on the measurements its neighborhood can access.
 
@@ -276,9 +270,10 @@ def local_wls_batch(
     the noise variance of r; the measurements outside its neighborhood
     carry weight zero and are never evaluated. Every head starts from
     init, as for global_wls, and all heads are fitted in one lockstep
-    batch. A head fails, and is left out, when it has fewer than 3
-    weighted measurements, when its fit fails, or when the normal matrix
-    at its final point is singular or gives a non-finite operator.
+    batch, a one-run wls_group. A head fails, and is left out, when it has
+    fewer than 3 weighted measurements, when its fit fails, or when the
+    normal matrix at its final point is singular or gives a non-finite
+    operator.
 
     Returns (heads, positions, operators) of the heads that succeeded, in
     head order: (F,) head ids, (F, 2) positions and (F, 2, K) operators.
@@ -286,59 +281,99 @@ def local_wls_batch(
     measurement vector to its position; it is evaluated at the converged
     point and satisfies operator @ jacobian = identity there.
     """
-    x0 = as_position(init)
-    n, m, k = topology.n_heads, topology.sensors_per_head, meas.size
-    # head k's rows: the measurements of every head l with a nonzero
-    # selection[l, k], in measurement order
-    fit, owners = np.nonzero(selection.T)
-    rows = (owners[:, None] * m + np.arange(m)).ravel()
-    w = np.repeat(selection[owners, fit] / m, m) / meas.variances[rows]
-    weighted = w != 0
-    fit, rows, w = np.repeat(fit, m)[weighted], rows[weighted], w[weighted]
-    solvable = np.bincount(fit, minlength=n) >= 3
-    on, fit, _ = _layout(solvable, fit, rows, k)
-    rows, w = rows[on], w[on]
-    heads = np.flatnonzero(solvable)
-    x, status, normal = _gauss_newton(
-        np.repeat(x0[None], len(heads), axis=0), fit, rows, w, meas, topology
-    )
+    return next(wls_group([(meas, selection, topology, init)], False))[1:]
 
-    # each fitted head's operator (J^T W J)^-1 J^T W at its final point
-    done = status <= _STOPPED
-    fitted = np.flatnonzero(done)
-    on, slot, chunks = _layout(done, fit, rows, k)
-    rows, w = rows[on], w[on]
-    xi, xj = topology.measurement_nodes()
-    operators = np.empty((len(fitted), 2, k))
-    for lo, hi, a, b, at in chunks:
-        points = x[fitted[slot[a:b]]]
-        _, jac = _range_difference_jacobian(points, xi[rows[a:b]], xj[rows[a:b]])
-        wjac_k = _padded((jac * w[a:b, None]).T, at, hi - lo, k)
-        operators[lo:hi] = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
-    solved = np.isfinite(operators).all(axis=(1, 2))
-    status[fitted[~solved]] = _RANK_DEFICIENT
 
+def wls_groups(runs, with_global: bool):
+    """Split the (meas, selection, topology, init) runs, in order, into lists
+    of as many as fit _GROUP_ROWS rows, at least one, sized by the first."""
+    runs = iter(runs)
+    for meas, selection, topology, init in runs:
+        rows = meas.size * with_global + np.count_nonzero(selection) * topology.sensors_per_head
+        more = itertools.islice(runs, max(1, _GROUP_ROWS // rows) - 1)
+        yield [(meas, selection, topology, init), *more]
+
+
+def wls_group(runs, with_global: bool):
+    """Fit the (meas, selection, topology, init) runs, all of one K, in one
+    lockstep batch: each run's global fit with with_global, then its
+    heads' fits as local_wls_batch forms them unless selection is None.
+    Each fit sums on its own K-row layout, so no other fit moves its bits.
+    Returns an iterator over the runs of (position, heads, positions,
+    operators): position is the global fit's point, the EstimationError
+    saying why it failed, or None; the rest is local_wls_batch's. A run's
+    operators are computed, and its fits logged, when the iterator reaches
+    it: one run's operators live at a time, and logs keep the run order.
+    """
+    k, parts, spans, n_fits, n_rows = runs[0][0].size, [], [], 0, 0
+    for meas, selection, topology, init in runs:
+        n, heads, fit, rows, w = 0, np.arange(0), np.arange(0), np.arange(0), np.ones(0)
+        if selection is not None:
+            n, m = topology.n_heads, topology.sensors_per_head
+            # head k's rows: the measurements of every head l with a nonzero
+            # selection[l, k], in measurement order
+            fit, owners = np.nonzero(selection.T)
+            rows = (owners[:, None] * m + np.arange(m)).ravel()
+            w = np.repeat(selection[owners, fit] / m, m) / meas.variances[rows]
+            weighted = w != 0
+            fit, rows, w = np.repeat(fit, m)[weighted], rows[weighted], w[weighted]
+            solvable = np.bincount(fit, minlength=n) >= 3
+            on, fit, _ = _layout(solvable, fit, rows, k)
+            rows, w, heads = rows[on], w[on], np.flatnonzero(solvable)
+        if with_global:  # the run's first fit, over all K rows
+            fit, rows = np.append(np.zeros(k, dtype=int), fit + 1), np.append(np.arange(k), rows)
+            w = np.append(1.0 / meas.variances, w)
+        xi, xj = topology.measurement_nodes()
+        fits, data = with_global + len(heads), (*xi[rows].T, *xj[rows].T, meas.values[rows], w)
+        parts.append((np.tile(as_position(init), fits), fit + n_fits, rows, np.stack(data)))
+        spans.append((n_fits, n_rows, n, heads))
+        n_fits, n_rows = n_fits + fits, n_rows + len(rows)
+    x0, fit, rows, data = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    del parts  # the batch runs on the joined copies
+    x, status, normal = _gauss_newton(x0.reshape(-1, 2), fit, rows, data, k)
+    spans.append((n_fits, n_rows, 0, None))
+
+    def finish(f0, r0, n, heads, f1, r1, *_):  # one run's operators and log lines
+        position = None
+        if with_global:
+            code, position, f0, r0 = status[f0], x[f0], f0 + 1, r0 + k
+            if code in _FAILURES:
+                position = EstimationError(f"global WLS failed: {_FAILURES[code]}")
+            elif code == _STOPPED:
+                logger.warning("global WLS stopped before the step tolerance was met")
+        # each fitted head's operator (J^T W J)^-1 J^T W at its final point
+        done = status[f0:f1] <= _STOPPED
+        fitted = f0 + np.flatnonzero(done)
+        on, slot, chunks = _layout(done, fit[r0:r1] - f0, rows[r0:r1], k)
+        on = r0 + np.flatnonzero(on)
+        operators = np.empty((len(fitted), 2, k))
+        for lo, hi, a, b, at in chunks:
+            xi0, xi1, xj0, xj1, _, w = data[:, on[a:b]]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _, j0, j1, _, _ = _range_differences(*x[fitted[slot[a:b]]].T, xi0, xi1, xj0, xj1)
+            wjac_k = _padded((j0 * w, j1 * w), at, hi - lo, k)
+            operators[lo:hi] = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
+        solved = np.isfinite(operators).all(axis=(1, 2))
+        status[fitted[~solved]] = _RANK_DEFICIENT
+        if n and logger.isEnabledFor(logging.DEBUG):
+            _log_local_batch(n, heads, status[f0:f1])
+        return position, heads[fitted[solved] - f0], x[fitted[solved]], operators[solved]
+
+    return (finish(*span, *end) for span, end in zip(spans, spans[1:]))
+
+
+def _log_local_batch(n: int, heads: np.ndarray, status: np.ndarray) -> None:
+    """One debug line for a run's n heads, from its solvable heads' status."""
     outcome = np.full(n, _FEW_ROWS)
     outcome[heads] = status
-    _log_local_batch(outcome)
-    return heads[fitted[solved]], x[fitted[solved]], operators[solved]
-
-
-def _log_local_batch(outcome: np.ndarray) -> None:
-    """One debug line per batch: fitted heads, early stops, failures by reason."""
-    if not logger.isEnabledFor(logging.DEBUG):
-        return
     failed = [
         f"{reason} {np.flatnonzero(outcome == code).tolist()}"
         for code, reason in _FAILURES.items()
         if np.any(outcome == code)
     ]
     logger.debug(
-        "local WLS fitted %d of %d heads; stopped before the step tolerance: %s; "
-        "failed: %s",
-        int(np.sum(outcome <= _STOPPED)),
-        len(outcome),
-        np.flatnonzero(outcome == _STOPPED).tolist(),
+        "local WLS fitted %d of %d heads; stopped before the step tolerance: %s; failed: %s",
+        int(np.sum(outcome <= _STOPPED)), n, np.flatnonzero(outcome == _STOPPED).tolist(),
         ", ".join(failed) or "none",
     )
 

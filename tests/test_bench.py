@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from locbench import bench, cli, rcrt
+from locbench import bench, cli, estimators, rcrt
 from locbench.bench import (
     LocalizationExperiment,
     MetricsRecord,
@@ -452,18 +452,75 @@ class TestLocalizationRuns:
 
         assert peak(16) - peak(4) < 150_000
 
+    @pytest.mark.parametrize(
+        "sweep, groups",
+        [
+            ({"n_heads": (9, 16), "decay_scale": 1.0}, [4, 1, 2, 2, 1]),
+            ({"n_heads": 16, "decay_scale": (0.05, 1.0, 20.0)}, [2, 2, 1]),
+        ],
+        ids=["traced-odd-grid", "frozen-decay"],
+    )
+    def test_group_budget_does_not_change_the_records(self, monkeypatch, sweep, groups):
+        # a 9-head run fits 420 rows with its global fit, a 16-head one 800,
+        # so the default budget puts 4 and 2 runs in a group; a budget of
+        # one row fits every run alone
+        cfg = LocalizationExperiment(
+            sensors_per_head=10, noise_std=1.0, source=(60.0, 70.0), runs=5,
+            schemes=("global", "opt", "con", "wei", "local"), seed=4, **sweep,
+        )
+        sizes, real_wls_group = [], bench.wls_group
+
+        def wls_group(runs, with_global):
+            sizes.append(len(runs))
+            return real_wls_group(runs, with_global)
+
+        monkeypatch.setattr(bench, "wls_group", wls_group)
+
+        def traced():
+            trace = io.StringIO()
+            return run_localization_experiment(cfg, csv.writer(trace)), trace.getvalue()
+
+        grouped = traced()
+        assert sizes == groups
+        monkeypatch.setattr(estimators, "_GROUP_ROWS", 1)
+        sizes.clear()
+        assert traced() == grouped
+        assert sizes == [1] * sum(groups)
+
+    def test_group_fit_logs_keep_the_run_order(self, monkeypatch, caplog):
+        # each run's local-fit debug line comes right before its diffusion
+        # warning, as when every run is fitted alone
+        cfg = LocalizationExperiment(
+            n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
+            source=(60.0, 70.0), runs=5, schemes=("global", "con"), seed=2,
+            max_epochs=2,
+        )
+
+        def logged():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="locbench"):
+                run_localization_experiment(cfg)
+            return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+        grouped = logged()
+        assert [name for name, _, _ in grouped] == [
+            "locbench.estimators", "locbench.diffusion"
+        ] * cfg.runs
+        monkeypatch.setattr(estimators, "_GROUP_ROWS", 1)
+        assert logged() == grouped
+
     @pytest.mark.parametrize("scheme", ["con", "wei", "opt"])
     def test_failed_local_fit_is_left_out(self, monkeypatch, scheme):
         # diffusion runs on the sub-network of the heads whose fit succeeded
         failed_head = 5
-        real_local_wls_batch = bench.local_wls_batch
+        real_wls_group = bench.wls_group
 
-        def local_wls_batch(*args):
-            heads, positions, operators = real_local_wls_batch(*args)
-            keep = heads != failed_head
-            return heads[keep], positions[keep], operators[keep]
+        def wls_group(runs, with_global):
+            for position, heads, positions, operators in real_wls_group(runs, with_global):
+                keep = heads != failed_head
+                yield position, heads[keep], positions[keep], operators[keep]
 
-        monkeypatch.setattr(bench, "local_wls_batch", local_wls_batch)
+        monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
             n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
             source=(60.0, 70.0), runs=2, schemes=(scheme,), seed=10,
@@ -483,13 +540,15 @@ class TestLocalizationRuns:
     def test_global_fit_runs_only_when_configured(self, monkeypatch, schemes, fits):
         # nothing but the global scheme reads the global fit
         calls = []
-        real_global_wls = bench.global_wls
+        real_wls_group = bench.wls_group
 
-        def global_wls(*args):
-            calls.append(None)
-            return real_global_wls(*args)
+        def wls_group(runs, with_global):
+            for fits in real_wls_group(runs, with_global):
+                if fits[0] is not None:  # the run's global fit
+                    calls.append(None)
+                yield fits
 
-        monkeypatch.setattr(bench, "global_wls", global_wls)
+        monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
             n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
             source=(60.0, 70.0), runs=3, schemes=schemes, seed=12,

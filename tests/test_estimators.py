@@ -20,6 +20,7 @@ from locbench.estimators import (
     crlb,
     global_wls,
     local_wls_batch,
+    wls_group,
 )
 from locbench.geometry import (
     NetworkTopology,
@@ -442,6 +443,50 @@ class TestBatchMatchesPerHeadOracle:
                 global_wls(meas, topo, init)
         else:
             assert np.array_equal(global_wls(meas, topo, init), global_expected)
+
+
+class TestGroupMatchesPerRunFits:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_group_fits_equal_per_run_fits(self, data):
+        # every fit's sums run on its own K-row layout, so a run's global and
+        # local fits keep their bits whatever else shares the batch; odd
+        # grids start the global fit on the middle head, where it fails
+        n_heads = data.draw(st.sampled_from([4, 9, 16, 25, 36]), label="n_heads")
+        m = data.draw(st.integers(1, 10), label="sensors_per_head")
+        with_global = data.draw(st.booleans(), label="with_global")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        span = 50.0 * (np.sqrt(n_heads) - 1)
+        runs = []
+        for run in range(data.draw(st.integers(1, 5), label="runs")):
+            topo = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
+            noise = data.draw(st.just(0.0) | st.floats(1e-3, 5.0), label=f"noise {run}")
+            meas = simulate_tdoa_measurements(
+                topo, rng.uniform(-40.0, span + 40.0, size=2), noise, rng
+            )
+            kind = data.draw(st.sampled_from(["center", "node", "random"]), label=f"start {run}")
+            init = {
+                "center": deployment_center(topo),
+                "node": topo.sensors[rng.integers(n_heads), rng.integers(m)],
+                "random": rng.uniform(-40.0, span + 40.0, size=2),
+            }[kind]
+            runs.append((meas, build_selection_weights(topo), topo, init))
+
+        fits = list(wls_group(runs, with_global))
+        assert len(fits) == len(runs)
+        for (meas, selection, topo, init), (position, *local) in zip(runs, fits):
+            if not with_global:
+                assert position is None
+            else:
+                try:
+                    expected = global_wls(meas, topo, init)
+                except EstimationError as exc:
+                    assert isinstance(position, EstimationError)
+                    assert str(position) == str(exc)
+                else:
+                    assert np.array_equal(position, expected)
+            for have, want in zip(local, local_wls_batch(meas, selection, topo, init)):
+                assert np.array_equal(have, want)
 
 
 class TestChunkSize:
