@@ -19,8 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .diffusion import SCHEMES as DIFFUSION_SCHEMES
-from .diffusion import diffuse
+from .diffusion import SCHEMES as DIFFUSION_SCHEMES, build_q_matrix, diffuse
 from .estimators import build_selection_weights, crlb, wls_group, wls_groups
 from .geometry import build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
@@ -293,7 +292,7 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
     trace_scheme's (epoch, head, x1, x2, max_step) rows. Diffusion runs on
     the heads whose local fit succeeded, over their block of the
     neighborhood mask. cpu_seconds adds an even share of the group's batch,
-    the run's operators and the scheme's own time.
+    the run's operators (opt's also their Q, built once) and the scheme's own time.
     """
     source = np.asarray(cfg.source, dtype=float)
     n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
@@ -317,6 +316,9 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
                 fitted_global = float(np.sum((position - source) ** 2)), None, fit_time
             hoods = topology.neighborhoods[np.ix_(heads, heads)]
             crlb_trace = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
+            t0 = time.process_time()
+            q = build_q_matrix(operators, meas.variances) if "opt" in cfg.schemes else None
+            q_time = time.process_time() - t0
             head_ids, results = heads.tolist(), []
             for decay_scale in decay_scales:
                 outcomes, rows = {}, []
@@ -329,14 +331,13 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
                     if scheme == "global" or not heads.size:
                         outcomes[scheme] = fitted_global if scheme == "global" else None
                         continue
-                    t0 = time.process_time()
+                    t0 = time.process_time() - (q_time if scheme == "opt" else 0.0)
                     if scheme == "local":
                         estimates, epochs = positions.mean(axis=0, keepdims=True), None
                     else:
                         result = diffuse(
                             positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
-                            operators=operators, variances=meas.variances,
-                            decay_scale=decay_scale, optimize_once=cfg.optimize_once,
+                            q=q, decay_scale=decay_scale, optimize_once=cfg.optimize_once,
                             on_epoch=on_epoch if scheme == trace_scheme else None,
                         )
                         estimates, epochs = result.estimates, result.epoch
@@ -525,11 +526,12 @@ _KEYS = {
             lambda v: v == 0 or 1e-150 <= v <= 1e150,
         ),
         "decay_scale": (_sweepable(float), "above 0", lambda v: v > 0),
-        # squared distances to the nodes must stay finite, as for noise_std
+        # from about 1e10 out, some 4- to 16-head runs' Fisher information is singular
         "source": (
             _listed(float),
-            "two coordinates at most 1e150 in magnitude (a farther one is too far)",
-            lambda v: len(v) == 2 and all(abs(c) <= 1e150 for c in v),
+            "two coordinates at most 1e9 in magnitude (a farther one is too far:"
+            " a fit gets a bearing but no range)",
+            lambda v: len(v) == 2 and all(abs(c) <= 1e9 for c in v),
         ),
         "runs": (int, "at least 1", lambda v: v >= 1),
         "schemes": (

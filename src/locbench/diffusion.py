@@ -10,8 +10,8 @@ column k holding head k's weights over its neighborhood:
 * ``wei``: weights shrink exponentially with squared distance from the
   network-wide per-dimension median, recomputed every epoch.
 * ``opt``: weights minimize the fused estimator's variance through a
-  simplex-constrained quadratic program over each neighborhood, using the
-  heads' linear estimation operators.
+  simplex-constrained quadratic program over each neighborhood, using Q,
+  the Gram matrix of the heads' linear estimation operators.
 """
 
 from __future__ import annotations
@@ -261,8 +261,7 @@ def diffuse(
     epsilon: float,
     max_epochs: int,
     *,
-    operators: Optional[np.ndarray] = None,
-    variances: Optional[np.ndarray] = None,
+    q: Optional[np.ndarray] = None,
     decay_scale: float = 1.0,
     optimize_once: bool = False,
     on_epoch: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
@@ -275,12 +274,11 @@ def diffuse(
     column-stochastic (N, N) coefficient matrix A and the estimates become
     A.T @ estimates. Stops when the largest per-head displacement in one
     epoch is at most epsilon, or after max_epochs epochs (logged as
-    non-convergence). The ``opt`` scheme needs the (N, 2, K) estimation
-    operators and the K measurement variances: each epoch after the first
-    combines the operators with the last coefficients and rebuilds the
-    variance matrix from them; optimize_once solves the quadratic programs
-    only in the first epoch and reuses those coefficients afterwards. The
-    programs' support table is built once per call.
+    non-convergence). The ``opt`` scheme needs q, the (N, N) Q of the
+    heads' operators (build_q_matrix). Operators combined by A have the Q
+    A.T @ Q @ A, so each later epoch takes that of the last A, symmetrized;
+    optimize_once instead reuses the first epoch's coefficients. The
+    quadratic programs' support table is built once per call.
 
     on_epoch, when given, is called after each epoch with (epoch,
     estimates, coefficients, max_step).
@@ -300,8 +298,8 @@ def diffuse(
         raise ValueError("estimates must have shape (n_heads, 2)")
     if not (np.array_equal(hoods, hoods.T) and hoods.diagonal().all()):
         raise ValueError("hoods must be a symmetric (N, N) mask with every head in its own row")
-    if scheme == "opt" and (operators is None or variances is None):
-        raise ValueError("opt scheme needs estimation operators and measurement variances")
+    if scheme == "opt" and q is None:
+        raise ValueError("opt scheme needs q, the Gram matrix of the estimation operators")
 
     if scheme == "con":
         coeffs = connectivity_weights(hoods)
@@ -311,9 +309,9 @@ def diffuse(
         if scheme == "wei":
             coeffs = median_weights(estimates, hoods, decay_scale)
         elif scheme == "opt" and (epoch == 1 or not optimize_once):
-            if epoch > 1:  # combined with the previous epoch's coefficients
-                operators = np.einsum("lk,ldi->kdi", coeffs, operators)
-            q = build_q_matrix(operators, variances)
+            if epoch > 1:  # Q of the operators combined by the last coefficients
+                q = coeffs.T @ q @ coeffs
+                q = 0.5 * (q + q.T)
             coeffs = optimal_weights(q, hoods, supports=supports)
         new_estimates = coeffs.T @ estimates
         max_step = float(np.linalg.norm(new_estimates - estimates, axis=1).max())

@@ -25,7 +25,7 @@ from locbench.bench import (
     run_localization_experiment,
     run_ranging_experiment,
 )
-from locbench.diffusion import connectivity_weights, diffuse, optimal_weights
+from locbench.diffusion import build_q_matrix, connectivity_weights, diffuse, optimal_weights
 from locbench.estimators import (
     _range_difference_jacobian,
     build_selection_weights,
@@ -110,6 +110,7 @@ def diffusion_audit(operating_config, operating_point):
         )
         assert heads.size
         hoods = topo.neighborhoods[np.ix_(heads, heads)]
+        q = build_q_matrix(operators, meas.variances)
         outside = ~hoods
         for scheme in ("con", "wei", "opt"):
             envelope = {"lo": estimates.min(axis=0), "hi": estimates.max(axis=0)}
@@ -136,8 +137,7 @@ def diffusion_audit(operating_config, operating_point):
                 hoods,
                 cfg.epsilon,
                 cfg.max_epochs,
-                operators=operators,
-                variances=meas.variances,
+                q=q,
                 decay_scale=cfg.decay_scale,
                 optimize_once=cfg.optimize_once,
                 on_epoch=watch,

@@ -150,6 +150,7 @@ RULE_CASES = [
     ("localize", "source", "60, 70, 80"),
     ("localize", "source", "nan, 70"),
     ("localize", "source", "1e151, 70"),
+    ("localize", "source", "1e10, 70"),
     ("localize", "runs", "0"),
     ("localize", "schemes", ""),
     ("localize", "schemes", "con, con"),
@@ -406,6 +407,22 @@ class TestLocalizationRuns:
         assert len(records) == len(cfg.sweep_values) * len(bench.ALL_SCHEMES)
         for rec in records:
             assert rec.cpu_time is not None and rec.cpu_time > 0.0, rec
+
+    @pytest.mark.parametrize(
+        "schemes, builds", [(("con", "opt"), 2), (("global", "con", "wei"), 0)]
+    )
+    def test_q_is_built_once_per_run_and_only_for_opt(self, monkeypatch, schemes, builds):
+        # a frozen decay_scale sweep scores each run at three values, and
+        # every value's opt starts from the run's one Q
+        counted = mock.Mock(wraps=bench.build_q_matrix)
+        monkeypatch.setattr(bench, "build_q_matrix", counted)
+        cfg = LocalizationExperiment(
+            n_heads=16, sensors_per_head=10, noise_std=1.0,
+            decay_scale=(0.5, 1.0, 2.0), source=(60.0, 70.0), runs=2,
+            schemes=schemes, seed=9,
+        )
+        run_localization_experiment(cfg)
+        assert counted.call_count == builds
 
     def test_decay_sweep_scores_each_value_on_frozen_noise(self):
         # a decay_scale sweep's runs draw from (seed, run) alone: each value
@@ -709,6 +726,21 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert cli.main(["localize", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("n_heads", [4, 16, 64])
+    @pytest.mark.parametrize("source", ["1e9, 70", "-1e9, 70", "60, 1e9", "1e9, 1e9"])
+    def test_sources_at_the_bound_run_in_every_direction(self, tmp_path, n_heads, source):
+        # 1e10 out, a 4- or 16-head run's Fisher information turns singular
+        # on some seeds; the source rule stops ten times nearer
+        cfg = tmp_path / "bound.cfg"
+        cfg.write_text(
+            LOCALIZE_CFG.replace("n_heads = 16", f"n_heads = {n_heads}")
+            .replace("source = 60, 70", f"source = {source}")
+            .replace("schemes = global, con", "schemes = global, con, wei, opt, local")
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["localize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 6
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_epsilon_exits_two(self, tmp_path, capsys, value):

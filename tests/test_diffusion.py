@@ -41,7 +41,8 @@ def path(n):
 
 
 def prepared_trial(seed):
-    """(hoods, positions, operators, variances) of a 16-head trial."""
+    """(hoods, positions, q) of a 16-head trial, q the Gram matrix of its
+    heads' estimation operators."""
     rng = np.random.default_rng(seed)
     topo = build_grid_network(16, seed=rng)
     meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
@@ -49,19 +50,15 @@ def prepared_trial(seed):
     init = deployment_center(topo)
     heads, positions, operators = local_wls_batch(meas, selection, topo, init)
     assert heads.tolist() == list(range(16))
-    return topo.neighborhoods, positions, operators, meas.variances
+    return topo.neighborhoods, positions, build_q_matrix(operators, meas.variances)
 
 
-def count_opt_updates(monkeypatch):
-    """From here on, count each Q that diffuse builds and each operator
-    combination that numpy's einsum makes: returns a function of the two."""
-    builds, einsum = mock.Mock(wraps=build_q_matrix), mock.Mock(wraps=np.einsum)
+def count_q_builds(monkeypatch):
+    """From here on, count each Q that diffusion builds from operators:
+    returns a function giving the count."""
+    builds = mock.Mock(wraps=build_q_matrix)
     monkeypatch.setattr(diffusion, "build_q_matrix", builds)
-    monkeypatch.setattr(np, "einsum", einsum)
-    return lambda: (
-        builds.call_count,
-        sum(c.args[0] == "lk,ldi->kdi" for c in einsum.call_args_list),
-    )
+    return lambda: builds.call_count
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +549,28 @@ class TestQMatrix:
         q_mc = np.einsum("mds,nds->mn", x, x) / draws
         assert np.allclose(q, q_mc, rtol=0.03, atol=0.05)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_combining_operators_takes_q_to_a_t_q_a(self, data):
+        # operators combined by a column-stochastic A, G'_k = sum_l A_lk G_l,
+        # have the Gram matrix A.T @ Q @ A: diffuse follows Q alone
+        hoods = data.draw(networks(max_heads=12), label="hoods")
+        n, k = len(hoods), data.draw(st.integers(1, 30), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        operators = rng.normal(size=(n, 2, k))
+        variances = 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+        q = build_q_matrix(operators, variances)
+        rule = data.draw(st.sampled_from(["con", "wei", "opt"]), label="rule")
+        if rule == "con":
+            a = connectivity_weights(hoods)
+        elif rule == "wei":
+            a = median_weights(rng.normal(0.0, 5.0, size=(n, 2)), hoods, 10.0)
+        else:
+            a = optimal_weights(q, hoods)
+        assert_combination_matrix(a, hoods)
+        combined = build_q_matrix(np.einsum("lk,ldi->kdi", a, operators), variances)
+        np.testing.assert_allclose(a.T @ q @ a, combined, rtol=0.0, atol=1e-9 * np.abs(q).max())
+
     def test_symmetric_psd(self):
         rng = np.random.default_rng(5)
         ops = rng.normal(size=(5, 2, 20))
@@ -622,8 +641,7 @@ class TestOptimalWeights:
         assert float(line.rsplit(" ", 1)[1]) > 0.0
 
     def test_never_worse_than_connectivity(self):
-        hoods, _, operators, variances = prepared_trial(3)
-        q = build_q_matrix(operators, variances)
+        hoods, _, q = prepared_trial(3)
         w_opt = optimal_weights(q, hoods)
         w_con = connectivity_weights(hoods)
         for k in range(16):
@@ -631,8 +649,7 @@ class TestOptimalWeights:
             assert a @ q @ a <= b @ q @ b + 1e-12
 
     def test_simplex_invariants(self):
-        hoods, _, operators, variances = prepared_trial(4)
-        q = build_q_matrix(operators, variances)
+        hoods, _, q = prepared_trial(4)
         assert_combination_matrix(optimal_weights(q, hoods), hoods)
 
 
@@ -645,7 +662,7 @@ class TestDiffuse:
         assert np.allclose(final.estimates, [2.0, 2.0], atol=1e-8)
 
     def test_con_coefficients_are_static(self):
-        hoods, positions, _, _ = prepared_trial(5)
+        hoods, positions, _ = prepared_trial(5)
         seen = []
         diffuse(positions, "con", hoods, 1e-4, 50, on_epoch=lambda e, x, c, s: seen.append(c))
         assert len(seen) >= 2
@@ -663,8 +680,7 @@ class TestDiffuse:
         estimates = data.draw(spread_estimates(n), label="estimates")
         decay_scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]), label="decay_scale")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        operators = rng.normal(size=(n, 2, 8))
-        variances = rng.uniform(0.5, 2.0, size=8)
+        q = build_q_matrix(rng.normal(size=(n, 2, 8)), rng.uniform(0.5, 2.0, size=8))
         for scheme in ("con", "wei", "opt"):
             envelopes = [(estimates.min(axis=0), estimates.max(axis=0))]
 
@@ -679,21 +695,19 @@ class TestDiffuse:
                 envelopes.append((new.min(axis=0), new.max(axis=0)))
 
             final = diffuse(
-                estimates, scheme, hoods, 1e-6, 20, operators=operators,
-                variances=variances, decay_scale=decay_scale, on_epoch=watch,
+                estimates, scheme, hoods, 1e-6, 20,
+                q=q, decay_scale=decay_scale, on_epoch=watch,
             )
             assert final.epoch == len(envelopes) - 1
 
     def test_every_scheme_settles_on_a_grid_trial(self):
-        hoods, positions, operators, variances = prepared_trial(6)
+        hoods, positions, q = prepared_trial(6)
         for scheme in ("con", "wei", "opt"):
-            final = diffuse(
-                positions, scheme, hoods, 1e-4, 500, operators=operators, variances=variances
-            )
+            final = diffuse(positions, scheme, hoods, 1e-4, 500, q=q)
             assert final.converged
 
     def test_nonconvergence_is_reported(self, caplog):
-        hoods, positions, _, _ = prepared_trial(7)
+        hoods, positions, _ = prepared_trial(7)
         with caplog.at_level(logging.WARNING):
             final = diffuse(positions, "con", hoods, 1e-13, 3)
         assert not final.converged
@@ -701,7 +715,7 @@ class TestDiffuse:
         assert "did not settle" in caplog.text
 
     def test_final_step_honors_epsilon(self):
-        hoods, positions, _, _ = prepared_trial(8)
+        hoods, positions, _ = prepared_trial(8)
         steps = []
         final = diffuse(
             positions, "con", hoods, 1e-3, 500, on_epoch=lambda e, x, c, s: steps.append(s)
@@ -712,43 +726,42 @@ class TestDiffuse:
         assert final.epoch == len(steps)
 
     def test_optimize_once_reuses_first_epoch_coefficients(self, monkeypatch):
-        hoods, positions, operators, variances = prepared_trial(10)
-        counts = count_opt_updates(monkeypatch)
+        hoods, positions, q = prepared_trial(10)
+        counts = count_q_builds(monkeypatch)
         seen = []
         diffuse(
-            positions, "opt", hoods, 1e-4, 500, operators=operators, variances=variances,
+            positions, "opt", hoods, 1e-4, 500, q=q,
             optimize_once=True, on_epoch=lambda e, x, c, s: seen.append(c.copy()),
         )
         assert len(seen) >= 2
         for c in seen[1:]:
             assert np.array_equal(c, seen[0])
-        # one Q, and no operator combination, which no later Q would read
-        assert counts() == (1, 0)
+        assert counts() == 0
 
-    def test_opt_updates_operators(self, monkeypatch):
-        # each epoch's weights come from the operators combined with the
-        # previous epoch's weights; the caller's operators stay as they were
-        hoods, positions, operators, variances = prepared_trial(11)
-        given_ops = operators.copy()
-        counts = count_opt_updates(monkeypatch)
+    def test_opt_updates_q(self, monkeypatch):
+        # each epoch's weights come from the previous epoch's Q taken to
+        # A.T @ Q @ A by the previous epoch's weights and symmetrized; no Q
+        # is built from operators, and the caller's Q stays as it was
+        hoods, positions, q = prepared_trial(11)
+        given_q = q.copy()
+        counts = count_q_builds(monkeypatch)
         seen = []
         final = diffuse(
-            positions, "opt", hoods, 1e-4, 500, operators=operators, variances=variances,
+            positions, "opt", hoods, 1e-4, 500, q=q,
             on_epoch=lambda e, x, c, s: seen.append(c.copy()),
         )
         assert final.converged and len(seen) >= 3
-        # one Q per epoch, and one combination per Q after the first: none
-        # after the last epoch, whose operators nothing reads
-        assert counts() == (len(seen), len(seen) - 1)
-        assert np.array_equal(operators, given_ops)
+        assert counts() == 0
+        assert np.array_equal(q, given_q)
+        assert np.array_equal(seen[0], optimal_weights(q, hoods))
         for previous, coeffs in zip(seen, seen[1:]):
-            operators = np.einsum("lk,ldi->kdi", previous, operators)
-            q = build_q_matrix(operators, variances)
+            q = previous.T @ q @ previous
+            q = 0.5 * (q + q.T)
             assert np.array_equal(coeffs, optimal_weights(q, hoods))
         assert not np.array_equal(seen[1], seen[0])
 
     def test_rejects_unknown_scheme_and_bad_knobs(self):
-        hoods, positions, operators, variances = prepared_trial(12)
+        hoods, positions, _ = prepared_trial(12)
         with pytest.raises(ValueError):
             diffuse(positions, "avg", hoods, 1e-4, 10)
         for epsilon in (0.0, float("nan"), float("inf")):
@@ -763,6 +776,5 @@ class TestDiffuse:
                 diffuse(positions[:len(bad)], "con", bad, 1e-4, 10)
         with pytest.raises(ValueError):
             diffuse(positions, "con", hoods, 1e-4, 0)
-        for ops, var in ((None, variances), (operators, None)):
-            with pytest.raises(ValueError, match="opt scheme needs"):
-                diffuse(positions, "opt", hoods, 1e-4, 10, operators=ops, variances=var)
+        with pytest.raises(ValueError, match="opt scheme needs q"):
+            diffuse(positions, "opt", hoods, 1e-4, 10)
