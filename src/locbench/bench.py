@@ -11,6 +11,8 @@ replays.
 from __future__ import annotations
 
 import csv
+import itertools
+import logging
 import math
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -19,7 +21,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .diffusion import SCHEMES as DIFFUSION_SCHEMES, build_q_matrix, diffuse
+from . import diffusion, estimators
+from .diffusion import SCHEMES as DIFFUSION_SCHEMES, build_q_matrix
 from .estimators import build_selection_weights, crlb, wls_group, wls_groups
 from .geometry import build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
@@ -291,8 +294,11 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
     epochs, cpu_seconds), or None where it failed, and trace_rows holds
     trace_scheme's (epoch, head, x1, x2, max_step) rows. Diffusion runs on
     the heads whose local fit succeeded, over their block of the
-    neighborhood mask. cpu_seconds adds an even share of the group's batch,
-    the run's operators (opt's also their Q, built once) and the scheme's own time.
+    neighborhood mask, in one diffuse call per scheme and scale for the
+    group's runs on that block; log records are held back to keep the run
+    order. cpu_seconds adds an even share of the group's batch, the run's
+    operators (opt's also their Q, built once) and an even share of the
+    scheme's diffuse call.
     """
     source = np.asarray(cfg.source, dtype=float)
     n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
@@ -305,48 +311,71 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
         return meas, build_selection_weights(topology), topology, deployment_center(topology)
 
     def scored(group):  # a group's runs, whose fits go when it returns
-        t0 = time.process_time()
-        fits = wls_group(group, with_global)
-        share = (time.process_time() - t0) / len(group)
-        t0 = time.process_time()
-        for (position, heads, positions, operators), (meas, _, topology, _) in zip(fits, group):
-            fit_time = share + (time.process_time() - t0)
-            fitted_global = None
-            if isinstance(position, np.ndarray):
-                fitted_global = float(np.sum((position - source) ** 2)), None, fit_time
-            hoods = topology.neighborhoods[np.ix_(heads, heads)]
-            crlb_trace = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
+        runs, masks, logs = [], {}, [[] for _ in group]  # each run's state; runs by mask; records
+        tag = [logs[0]]  # the log of each run of the call that runs now
+
+        def hold(record):  # as a logger filter, keeps the record back in its run's log
+            tag[getattr(record, "run", 0)].append(record)
+
+        for log in diffusion.logger, estimators.logger:
+            log.addFilter(hold)
+        try:
             t0 = time.process_time()
-            q = build_q_matrix(operators, meas.variances) if "opt" in cfg.schemes else None
-            q_time = time.process_time() - t0
-            head_ids, results = heads.tolist(), []
-            for decay_scale in decay_scales:
-                outcomes, rows = {}, []
+            fits = wls_group(group, with_global)
+            share = (time.process_time() - t0) / len(group)
+            t0 = time.process_time()
+            for r, (meas, _, topology, _) in enumerate(group):
+                tag[:] = [logs[r]]
+                position, heads, positions, operators = next(fits)
+                fit_time = share + (time.process_time() - t0)
+                fixed = dict.fromkeys(cfg.schemes)  # None where a scheme fails
+                if isinstance(position, np.ndarray):
+                    fixed["global"] = float(np.sum((position - source) ** 2)), None, fit_time
+                hoods = topology.neighborhoods[np.ix_(heads, heads)]
+                bound = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
+                t0 = time.process_time()
+                if "local" in fixed and heads.size:
+                    err = float(np.sum((positions.mean(axis=0) - source) ** 2))
+                    fixed["local"] = err, None, fit_time + (time.process_time() - t0)
+                t0 = time.process_time()
+                q = build_q_matrix(operators, meas.variances) if "opt" in cfg.schemes else None
+                del operators  # one run's operators live at a time
+                runs.append(dict(heads=heads.tolist(), positions=positions, q=q, bound=bound,
+                                 fit=fit_time, opt=fit_time + time.process_time() - t0,
+                                 cells=[(dict(fixed), []) for _ in decay_scales]))
+                if heads.size:
+                    masks.setdefault(hoods.tobytes(), (hoods, []))[1].append(r)
+                t0 = time.process_time()  # the next run's operators start here
+            schemes = [scheme for scheme in cfg.schemes if scheme in DIFFUSION_SCHEMES]
+            for hoods, members in masks.values():
+                tag[:], stack = [logs[r] for r in members], [runs[r] for r in members]
+                positions = np.stack([run["positions"] for run in stack])
+                q = np.stack([run["q"] for run in stack]) if "opt" in cfg.schemes else None
+                for (s, scale), scheme in itertools.product(enumerate(decay_scales), schemes):
 
-                def on_epoch(epoch, estimates, _coeffs, max_step):
-                    points = zip(head_ids, estimates.tolist())
-                    rows.extend((epoch, head, x1, x2, max_step) for head, (x1, x2) in points)
+                    def on_epoch(i, epoch, estimates, _coeffs, max_step):
+                        points = zip(stack[i]["heads"], estimates.tolist())
+                        rows = stack[i]["cells"][s][1]
+                        rows.extend((epoch, head, *x, max_step) for head, x in points)
 
-                for scheme in cfg.schemes:
-                    if scheme == "global" or not heads.size:
-                        outcomes[scheme] = fitted_global if scheme == "global" else None
-                        continue
-                    t0 = time.process_time() - (q_time if scheme == "opt" else 0.0)
-                    if scheme == "local":
-                        estimates, epochs = positions.mean(axis=0, keepdims=True), None
-                    else:
-                        result = diffuse(
-                            positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
-                            q=q, decay_scale=decay_scale, optimize_once=cfg.optimize_once,
-                            on_epoch=on_epoch if scheme == trace_scheme else None,
-                        )
-                        estimates, epochs = result.estimates, result.epoch
-                    seconds = fit_time + (time.process_time() - t0)
-                    err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
-                    outcomes[scheme] = err, epochs, seconds
-                results.append((crlb_trace, outcomes, rows))
-            yield results
-            t0 = time.process_time()  # the next run's operators start here
+                    t0 = time.process_time()
+                    result = diffusion.diffuse(
+                        positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
+                        q=q, decay_scale=scale, optimize_once=cfg.optimize_once,
+                        on_epoch=on_epoch if scheme == trace_scheme else None,
+                    )
+                    seconds = (time.process_time() - t0) / len(members)
+                    for run, estimates, epochs in zip(stack, result.estimates, result.epoch):
+                        err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
+                        cpu = run["opt" if scheme == "opt" else "fit"] + seconds
+                        run["cells"][s][0][scheme] = err, int(epochs), cpu
+        finally:
+            for log in diffusion.logger, estimators.logger:
+                log.removeFilter(hold)
+            for record in itertools.chain.from_iterable(logs):  # in run order
+                logging.getLogger(record.name).handle(record)
+        for run in runs:
+            yield [(run["bound"], scores, rows) for scores, rows in run["cells"]]
 
     for group in wls_groups(map(draw, streams), with_global):
         yield from scored(group)

@@ -3,8 +3,9 @@
 Every epoch each head replaces its estimate with a convex combination of
 its neighborhood's estimates. Each of the three coefficient rules takes
 hoods, the symmetric (N, N) mask of the self-inclusive neighborhoods, and
-the heads' state, and returns the whole column-stochastic (N, N) matrix,
-column k holding head k's weights over its neighborhood:
+the state of R runs on it (``con`` needs none), and returns each run's
+column-stochastic (N, N) matrix, column k holding head k's weights over
+its neighborhood:
 
 * ``con``: static weights proportional to neighbor degrees.
 * ``wei``: weights shrink exponentially with squared distance from the
@@ -12,6 +13,9 @@ column k holding head k's weights over its neighborhood:
 * ``opt``: weights minimize the fused estimator's variance through a
   simplex-constrained quadratic program over each neighborhood, using Q,
   the Gram matrix of the heads' linear estimation operators.
+
+A run's bits never depend on the other runs of its stack, and a log line
+about one run carries its index, or the caller's runs[r], as ``run``.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ _KKT_TOL = 1e-8
 class Diffused(NamedTuple):
     """Outcome of diffuse.
 
-    estimates: (N, 2) per-head positions after the last epoch.
-    epoch: epochs run.
-    converged: True when the largest per-head step fell to the tolerance.
+    estimates: (R, N, 2) per-head positions after each run's last epoch.
+    epoch: (R,) epochs each run ran.
+    converged: (R,) True where the largest per-head step fell to the tolerance.
     """
 
     estimates: np.ndarray
@@ -60,16 +64,16 @@ def connectivity_weights(hoods: np.ndarray) -> np.ndarray:
 
     Column k holds head k's weights: each member l of its self-inclusive
     neighborhood gets degree_l, the size of l's neighborhood, normalized
-    over k's neighborhood.
+    over k's neighborhood. It reads the mask alone, so every run shares it.
     """
     weights = hoods * hoods.sum(axis=1)[:, None]
     return weights / weights.sum(axis=0)
 
 
 def median_weights(
-    estimates: np.ndarray, hoods: np.ndarray, decay_scale: float
+    estimates: np.ndarray, hoods: np.ndarray, decay_scale: float, *, runs=None
 ) -> np.ndarray:
-    """Distance-from-median combination matrix of the network.
+    """Distance-from-median combination matrices of R runs' (R, N, 2) estimates.
 
     The reference point is the per-dimension median over every head's
     estimate; head l's weight in column k is exp(-d_l^2 / decay_scale) of
@@ -78,25 +82,25 @@ def median_weights(
     down-weighted everywhere, so stray heads are pulled toward the
     consensus instead of anchoring their own cluster. A column whose
     weights all underflow to zero falls back to uniform weights over the
-    neighborhood; each call logs how many heads fell back.
+    neighborhood; each call logs a line for each run that fell back.
     """
     if not decay_scale > 0:
         raise ValueError("decay_scale must be positive")
-    median = np.median(estimates, axis=0)
+    runs, median = range(len(estimates)) if runs is None else runs, np.median(estimates, axis=1)
     with np.errstate(over="ignore"):  # an inf quotient is a weight of 0
-        raw = np.exp(-np.sum((estimates - median) ** 2, axis=1) / decay_scale)
-    weights = np.where(hoods, raw[:, None], 0.0)
-    totals = weights.sum(axis=0)
+        raw = np.exp(-np.sum((estimates - median[:, None]) ** 2, axis=2) / decay_scale)
+    weights = np.where(hoods, raw[:, :, None], 0.0)
+    totals = weights.sum(axis=1)
     fallback = (totals <= 0.0) | ~np.isfinite(totals)
     if fallback.any():
-        logger.warning(
-            "median weights underflowed for %d of %d heads; using uniform",
-            int(fallback.sum()),
-            len(hoods),
-        )
-        weights[:, fallback] = hoods[:, fallback]
-        totals[fallback] = hoods[:, fallback].sum(axis=0)
-    return weights / totals
+        counts, (run, head) = fallback.sum(axis=1), np.nonzero(fallback)
+        for r in np.flatnonzero(counts):
+            logger.warning("median weights underflowed for %d of %d heads; using uniform",
+                           counts[r], len(hoods), extra={"run": runs[r]})
+        columns = hoods.T[head]  # each fallen-back head's neighborhood
+        weights.transpose(0, 2, 1)[run, head] = columns
+        totals[run, head] = columns.sum(axis=1)
+    return weights / totals[:, None]
 
 
 def build_q_matrix(operators: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -116,26 +120,26 @@ def build_q_matrix(operators: np.ndarray, variances: np.ndarray) -> np.ndarray:
 
 
 def _equality_solutions(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize a'Qa subject to sum(a) = 1 for each stacked (m, m) Q.
+    """Minimize a'Qa subject to sum(a) = 1 for each (..., m, m) Q.
 
-    Returns the (H, m) minimizers and a mask of those inside the simplex;
+    Returns the (..., m) minimizers and a mask of those inside the simplex;
     a singular or non-finite system counts as outside.
     """
-    h, m, _ = qs.shape
+    m = qs.shape[-1]
     if m == 1:
-        return np.ones((h, 1)), np.ones(h, dtype=bool)
-    kkt = np.zeros((h, m + 1, m + 1))
-    kkt[:, :m, :m] = 2.0 * qs
-    kkt[:, :m, m] = -1.0
-    kkt[:, m, :m] = 1.0
+        return np.ones(qs.shape[:-1]), np.ones(qs.shape[:-2], dtype=bool)
+    kkt = np.zeros(qs.shape[:-2] + (m + 1, m + 1))
+    kkt[..., :m, :m] = 2.0 * qs
+    kkt[..., :m, m] = -1.0
+    kkt[..., m, :m] = 1.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
     # np.linalg.solve raises for the whole stack when one matrix is
     # singular; its (private) gufunc gives NaN rows for that matrix alone
     with np.errstate(all="ignore"):
         sol = _umath_linalg.solve1(kkt, rhs, signature="dd->d")
-    inside = np.isfinite(sol).all(axis=1) & (sol[:, :m] >= -1e-12).all(axis=1)
-    return sol[:, :m], inside
+    inside = np.isfinite(sol).all(axis=-1) & (sol[..., :m] >= -1e-12).all(axis=-1)
+    return sol[..., :m], inside
 
 
 def _quadratic_forms(vecs: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -188,69 +192,73 @@ def _record_walk(objs: np.ndarray) -> np.ndarray:
 
 
 def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
-    """(weights, bad, loose): column k of the (N, N) weights minimizes a'Qa
-    over head k's neighborhood simplex; per head, is a' base a < -_KKT_TOL,
-    and do its optimality conditions under base hold only loosely."""
+    """(weights, bad, loose) per run of the (R, N, N) q: column k of the
+    weights minimizes a'Qa over head k's neighborhood simplex; per head, is
+    a' base a < -_KKT_TOL, and do its KKT conditions under base hold loosely."""
     stacks, (heads, slots, cols), whole = supports
-    objs, values = np.full((len(q), cols.max() + 1), np.inf), []
+    count, n = q.shape[:2]
+    q, base = q.reshape(count, -1), base.reshape(count, -1)
+    objs, values = np.full((count, n, cols.max() + 1), np.inf), []
     for stack_heads, pairs, stack_cols in stacks:
-        qs = q.take(pairs)
+        qs = q.take(pairs, axis=1)
         sol, ok = _equality_solutions(qs)
-        cands = np.clip(np.where(ok[:, None], sol, 1.0), 0.0, None)
-        cands /= cands.sum(axis=1, keepdims=True)
+        cands = np.maximum(np.where(ok[..., None], sol, 1.0), 0.0)  # np.clip's own call
+        cands /= cands.sum(axis=-1, keepdims=True)
         # a feasible whole neighborhood ends the walk where it starts
         forms = np.where(stack_cols == 0, -np.inf, _quadratic_forms(cands, qs))
-        objs[stack_heads, stack_cols] = np.where(ok, forms, np.inf)
-        values.append(cands.ravel())
-    take = _record_walk(objs)[heads] == cols
-    weights = np.zeros(q.shape)
-    weights.flat[slots[take]] = np.concatenate(values)[take]
-    bad, loose = np.zeros((2, len(q)), dtype=bool)
+        objs[:, stack_heads, stack_cols] = np.where(ok, forms, np.inf)
+        values.append(cands.reshape(count, -1))
+    take = _record_walk(objs.reshape(count * n, -1)).reshape(count, n)[:, heads] == cols
+    weights, (run, entry) = np.zeros(q.shape), np.nonzero(take)
+    weights[run, slots[entry]] = np.concatenate(values, axis=1)[take]
+    bad, loose = np.zeros((2, count, n), dtype=bool)
     for owners, pairs, nbhd_slots in whole:
-        qs = base.take(pairs)
-        solution = weights.take(nbhd_slots)
-        bad[owners] = _quadratic_forms(solution, qs) < -_KKT_TOL
-        grad = 2.0 * (qs @ solution[:, :, None])[:, :, 0]
-        level = (grad[:, None, :] @ solution[:, :, None])[:, 0, 0]
+        qs = base.take(pairs, axis=1)
+        solution = weights.take(nbhd_slots, axis=1)
+        bad[:, owners] = _quadratic_forms(solution, qs) < -_KKT_TOL
+        grad = 2.0 * (qs @ solution[..., None])[..., 0]
+        level = (grad[..., None, :] @ solution[..., None])[..., 0, 0]
         slack = level - _KKT_TOL * np.maximum(1.0, np.abs(level))
-        loose[owners] = (grad < slack[:, None]).any(axis=1)
-    return weights, bad, loose
+        loose[:, owners] = (grad < slack[..., None]).any(axis=-1)
+    return weights.reshape(count, n, n), bad, loose
 
 
 def optimal_weights(
-    q: np.ndarray, hoods: np.ndarray, *, supports: Optional[tuple] = None
+    q: np.ndarray, hoods: np.ndarray, *, supports: Optional[tuple] = None, runs=None
 ) -> np.ndarray:
-    """Variance-minimizing combination matrix of the network.
+    """Variance-minimizing combination matrices of R runs' (R, N, N) Q.
 
     Column k minimizes a' Q a subject to the weights being a probability
     vector supported on head k's neighborhood. Every candidate support of
-    every head is solved in one stack per support size. A head keeps its
-    whole-neighborhood minimizer when that lies inside the simplex; else
-    its proper supports are walked in itertools.combinations order, and a
-    feasible candidate replaces the best so far only when its objective is
-    lower by more than 1e-15, so a tie keeps the earlier support. Each head
-    gets the bits a QP of its own would. An indefinite restriction (possible
-    through rounding) is regularized by adding 1e-9 |trace Q| / N times the
-    identity and solved again. Each call logs one line counting the
-    regularized heads and one counting the heads whose optimality conditions
-    hold only loosely. diffuse builds supports, the mask's support table,
-    once per run; a direct call leaves it out.
+    every head of every run is solved in one stack per support size. A
+    head keeps its whole-neighborhood minimizer when that lies inside the
+    simplex; else its proper supports are walked in itertools.combinations
+    order, and a feasible candidate replaces the best so far only when its
+    objective is lower by more than 1e-15, so a tie keeps the earlier
+    support. Each head gets the bits a QP of its own would. A run with an
+    indefinite restriction (possible through rounding) is solved again
+    with 1e-9 |trace Q| / N of its own Q added to the diagonal. Each call
+    logs, per run, one line counting the regularized heads and one counting
+    the heads whose optimality conditions hold only loosely. diffuse builds
+    supports, the mask's support table, once per group of runs.
     """
     q, n = np.asarray(q, dtype=float), len(hoods)
-    if q.shape != (n, n):
-        raise ValueError(f"q must have shape ({n}, {n}) for {n} heads, got {q.shape}")
-    ridge = 1e-9 * abs(np.trace(q)) / n
+    if q.ndim != 3 or q.shape[1:] != (n, n):
+        raise ValueError(f"q must have shape (runs, {n}, {n}) for {n} heads, got {q.shape}")
+    runs = range(len(q)) if runs is None else runs
     supports = _support_table(hoods) if supports is None else supports
     weights, bad, loose = _simplex_weights(q, supports, q)
-    if bad.any():
-        retry, _, retry_loose = _simplex_weights(q + ridge * np.eye(n), supports, q)
-        weights[:, bad], loose[bad] = retry[:, bad], retry_loose[bad]
+    for r in np.flatnonzero(bad.any(axis=1)):  # each run's ridge, from its own Q
+        ridge, one = 1e-9 * abs(np.trace(q[r])) / n, q[r, None]
+        retry, _, retry_loose = _simplex_weights(one + ridge * np.eye(n), supports, one)
+        weights[r][:, bad[r]], loose[r, bad[r]] = retry[0][:, bad[r]], retry_loose[0, bad[r]]
         logger.warning(
             "indefinite neighborhood matrix for %d of %d heads; regularizing with %g",
-            bad.sum(), n, ridge,
+            bad[r].sum(), n, ridge, extra={"run": runs[r]},
         )
-    if loose.any():
-        logger.warning("optimality conditions loose for %d of %d heads", loose.sum(), n)
+    for r in np.flatnonzero(loose.any(axis=1)):
+        logger.warning("optimality conditions loose for %d of %d heads", loose[r].sum(), n,
+                       extra={"run": runs[r]})
     return weights
 
 
@@ -264,28 +272,29 @@ def diffuse(
     q: Optional[np.ndarray] = None,
     decay_scale: float = 1.0,
     optimize_once: bool = False,
-    on_epoch: Optional[Callable[[int, np.ndarray, np.ndarray, float], None]] = None,
+    on_epoch: Optional[Callable[[int, int, np.ndarray, np.ndarray, float], None]] = None,
 ) -> Diffused:
-    """Iterate neighborhood combinations until the estimates settle.
+    """Iterate neighborhood combinations until each run's estimates settle.
 
-    estimates holds one (N, 2) row per head of the (N, N) mask hoods, and
-    every head takes part; a caller that leaves heads out passes the rows
-    and the mask block of the rest. Each epoch the scheme's rule gives the
-    column-stochastic (N, N) coefficient matrix A and the estimates become
-    A.T @ estimates. Stops when the largest per-head displacement in one
-    epoch is at most epsilon, or after max_epochs epochs (logged as
-    non-convergence). The ``opt`` scheme needs q, the (N, N) Q of the
-    heads' operators (build_q_matrix). Operators combined by A have the Q
-    A.T @ Q @ A, so each later epoch takes that of the last A, symmetrized;
-    optimize_once instead reuses the first epoch's coefficients. The
-    quadratic programs' support table is built once per call.
+    estimates holds R runs' (N, 2) rows, one per head of the (N, N) mask
+    hoods, and every head takes part; a caller that leaves heads out passes
+    the rows and the mask block of the rest. Each epoch the scheme's rule,
+    called once for every live run, gives each run's column-stochastic
+    (N, N) coefficient matrix A, and its estimates become A.T @ estimates.
+    A run stops when the largest per-head displacement in one epoch is at
+    most epsilon, or after max_epochs epochs (logged as non-convergence).
+    The ``opt`` scheme needs q, each run's (N, N) Q of its operators
+    (build_q_matrix). Operators combined by A have the Q A.T @ Q @ A, so
+    each later epoch takes that of the last A, symmetrized; optimize_once
+    instead reuses the first epoch's coefficients. The quadratic programs'
+    support table is built once per call, so once per group of runs.
 
-    on_epoch, when given, is called after each epoch with (epoch,
-    estimates, coefficients, max_step).
+    on_epoch, when given, is called after each epoch with (run, epoch,
+    estimates, coefficients, max_step) for each live run, in run order.
 
     Returns Diffused(estimates, epoch, converged); convex combination
-    keeps every estimate inside the per-dimension envelope of the previous
-    epoch.
+    keeps every estimate inside the per-dimension envelope of its run's
+    previous epoch.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -294,33 +303,44 @@ def diffuse(
     if max_epochs < 1:
         raise ValueError("max_epochs must be positive")
     estimates = np.array(estimates, dtype=float)
-    if estimates.shape != (len(hoods), 2):
-        raise ValueError("estimates must have shape (n_heads, 2)")
+    runs, n = len(estimates), len(hoods)
+    if estimates.shape != (runs, n, 2) or not runs:
+        raise ValueError("estimates must have shape (runs, n_heads, 2)")
     if not (np.array_equal(hoods, hoods.T) and hoods.diagonal().all()):
         raise ValueError("hoods must be a symmetric (N, N) mask with every head in its own row")
-    if scheme == "opt" and q is None:
-        raise ValueError("opt scheme needs q, the Gram matrix of the estimation operators")
+    if scheme == "opt" and np.shape(q) != (runs, n, n):
+        raise ValueError("opt scheme needs q, the (runs, N, N) Gram matrices of the operators")
 
+    final, live = estimates.copy(), np.arange(runs)
+    epochs, converged = np.zeros(runs, dtype=int), np.zeros(runs, dtype=bool)
     if scheme == "con":
-        coeffs = connectivity_weights(hoods)
+        coeffs = np.broadcast_to(connectivity_weights(hoods), (runs, n, n))
     supports = _support_table(hoods) if scheme == "opt" else None
-    converged = False
     for epoch in range(1, max_epochs + 1):
         if scheme == "wei":
-            coeffs = median_weights(estimates, hoods, decay_scale)
+            coeffs = median_weights(estimates, hoods, decay_scale, runs=live)
         elif scheme == "opt" and (epoch == 1 or not optimize_once):
             if epoch > 1:  # Q of the operators combined by the last coefficients
-                q = coeffs.T @ q @ coeffs
-                q = 0.5 * (q + q.T)
-            coeffs = optimal_weights(q, hoods, supports=supports)
-        new_estimates = coeffs.T @ estimates
-        max_step = float(np.linalg.norm(new_estimates - estimates, axis=1).max())
+                q = coeffs.transpose(0, 2, 1) @ q @ coeffs
+                q = 0.5 * (q + q.transpose(0, 2, 1))
+            coeffs = optimal_weights(q, hoods, supports=supports, runs=live)
+        new_estimates = coeffs.transpose(0, 2, 1) @ estimates
+        moved = new_estimates - estimates  # squared and summed as np.linalg.norm does
+        steps = np.sqrt(np.add.reduce(moved * moved, axis=2)).max(axis=1)
         estimates = new_estimates
         if on_epoch is not None:
-            on_epoch(epoch, estimates, coeffs, max_step)
-        if max_step <= epsilon:
-            converged = True
-            break
-    if not converged:
-        logger.warning("diffusion (%s) did not settle in %d epochs", scheme, max_epochs)
-    return Diffused(estimates, epoch, converged)
+            for r, run in enumerate(live.tolist()):
+                on_epoch(run, epoch, estimates[r], coeffs[r], float(steps[r]))
+        if epoch == max_epochs or any(step <= epsilon for step in steps.tolist()):
+            settled = steps <= epsilon  # these runs and, at the cap, all leave the stacks
+            stop = settled | (epoch == max_epochs)
+            done, keep = live[stop], ~stop
+            final[done], epochs[done], converged[done] = estimates[stop], epoch, settled[stop]
+            if not keep.any():
+                break
+            live, estimates, coeffs = live[keep], estimates[keep], coeffs[keep]
+            q = q[keep] if scheme == "opt" else q
+    for run in np.flatnonzero(~converged):
+        logger.warning("diffusion (%s) did not settle in %d epochs", scheme, max_epochs,
+                       extra={"run": run})
+    return Diffused(final, epochs, converged)

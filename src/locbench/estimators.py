@@ -191,12 +191,12 @@ def _gauss_newton(x0, fit, rows, data, k: int):
         on_node = np.zeros(len(idx), dtype=bool)
         on_node[slot[(di == 0.0) | (dj == 0.0)]] = True
         res = values - predicted
-        wres = w_on * res
-        cost_new = np.empty(len(idx))
+        del predicted, di, dj  # the working set holds only what is read below
+        wres, cost_new = w_on * res, np.empty(len(idx))
         for lo, hi, a, b, at in chunks:
-            wres_k = _padded((wres[a:b],), at, hi - lo, k)
-            res_k = _padded((res[a:b],), at, hi - lo, k)
+            wres_k, res_k = (_padded((v[a:b],), at, hi - lo, k) for v in (wres, res))
             cost_new[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
+        del res, wres_k, res_k
         outcome[idx[on_node]] = _ON_NODE
         better = ~on_node if start else (cost_new <= cost[idx]) & ~on_node
         up = idx[better]
@@ -217,6 +217,7 @@ def _gauss_newton(x0, fit, rows, data, k: int):
             grad_up[lo:hi] = np.matmul(jac_k.transpose(0, 2, 1), wres_k[:, :, None])[..., 0]
             hess_up[lo:hi] = np.matmul(wjac_k.transpose(0, 2, 1), jac_k)
         grad[up], hess[up] = grad_up, hess_up
+        jac_k = wjac_k = wres_k = None  # the last chunk's buffers go before the next round
         if not start:
             x[up] = trial[better]
             mu[up] *= 0.1

@@ -84,7 +84,8 @@ def diffusion_audit(operating_config, operating_point):
 
     Rebuilds each run's topology, measurements and local fits from the
     seeded stream the benchmark uses, with the public functions the
-    benchmark calls, and runs the three diffusion schemes with a callback
+    benchmark calls, and runs the three diffusion schemes on each run alone
+    (the benchmark diffuses a group's runs in one call) with a callback
     that audits coefficient columns and the per-dimension estimate
     envelope after every epoch. Replayed RMSEs must reproduce the
     benchmark records exactly, proving the audit watched the same
@@ -115,7 +116,7 @@ def diffusion_audit(operating_config, operating_point):
         for scheme in ("con", "wei", "opt"):
             envelope = {"lo": estimates.min(axis=0), "hi": estimates.max(axis=0)}
 
-            def watch(epoch, est, coeffs, max_step):
+            def watch(_run, epoch, est, coeffs, max_step):
                 sums = coeffs.sum(axis=0)
                 audit["coeff_sum_err"] = max(
                     audit["coeff_sum_err"], float(np.abs(sums - 1.0).max())
@@ -132,17 +133,17 @@ def diffusion_audit(operating_config, operating_point):
                 envelope["lo"], envelope["hi"] = new_lo, new_hi
 
             final = diffuse(
-                estimates,
+                estimates[None],
                 scheme,
                 hoods,
                 cfg.epsilon,
                 cfg.max_epochs,
-                q=q,
+                q=q[None],
                 decay_scale=cfg.decay_scale,
                 optimize_once=cfg.optimize_once,
                 on_epoch=watch,
             )
-            offsets = final.estimates - src
+            offsets = final.estimates[0] - src
             audit["sq_errors"][scheme].append(
                 float(np.mean(np.sum(offsets**2, axis=1)))
             )
@@ -359,7 +360,7 @@ def test_criterion_07_qp_against_grid_search():
     for _ in range(50):
         root = rng.normal(size=(3, 3))
         q = root @ root.T + 0.1 * np.eye(3)
-        w = optimal_weights(q, hoods)[:, 0]
+        w = optimal_weights(q[None], hoods)[0, :, 0]
         values = np.einsum("si,ij,sj->s", lattice, q, lattice)
         best = lattice[np.argmin(values)]
         worst_gap = max(worst_gap, float(np.abs(w - best).max()))

@@ -506,10 +506,13 @@ class TestLocalizationRuns:
 
     def test_group_fit_logs_keep_the_run_order(self, monkeypatch, caplog):
         # each run's local-fit debug line comes right before its diffusion
-        # warning, as when every run is fitted alone
+        # warnings, scheme by scheme, as when every run is fitted and
+        # diffused alone, although a group diffuses its runs in one call
+        # per scheme; at a decay scale of 1e-4 wei's median weights
+        # underflow, so wei logs an underflow line in every epoch
         cfg = LocalizationExperiment(
-            n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
-            source=(60.0, 70.0), runs=5, schemes=("global", "con"), seed=2,
+            n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1e-4,
+            source=(60.0, 70.0), runs=5, schemes=bench.ALL_SCHEMES, seed=2,
             max_epochs=2,
         )
 
@@ -520,9 +523,17 @@ class TestLocalizationRuns:
             return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
 
         grouped = logged()
-        assert [name for name, _, _ in grouped] == [
-            "locbench.estimators", "locbench.diffusion"
-        ] * cfg.runs
+
+        def kind(name, level, message):
+            if level == logging.DEBUG:
+                return "fit"
+            if message.startswith("median weights underflowed"):
+                return "underflow"
+            return message.split(" did not settle")[0] if "did not settle" in message else None
+
+        kinds = [k for k in (kind(*record) for record in grouped) if k]
+        wei = ["underflow", "underflow", "diffusion (wei)"]  # an underflow in each epoch
+        assert kinds == ["fit", "diffusion (con)", *wei, "diffusion (opt)"] * cfg.runs
         monkeypatch.setattr(estimators, "_GROUP_ROWS", 1)
         assert logged() == grouped
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from locbench import diffusion
 from locbench.diffusion import (
     _KKT_TOL,
+    SCHEMES,
     _record_walk,
     _support_table,
     build_q_matrix,
@@ -171,28 +172,38 @@ def oracle_matrix(rule, hoods):
     return np.column_stack([rule(k) for k in range(len(hoods))])
 
 
-def assert_optimal_matches_the_oracle(q, hoods, caplog):
-    """optimal_weights, with its support table built inside or passed in,
-    equals the per-head oracle bit for bit and logs the oracle's lines."""
+def oracle_optimal_stack(qs, hoods):
+    """The per-head oracle's weights for each (N, N) Q of the stack, and the
+    (run, message) lines optimal_weights logs for them: each run's
+    indefinite line, then each run's loose line."""
+    n, weights, indefinite, loose = len(hoods), [], [], []
+    for run, q in enumerate(qs):
+        events = []
+        weights.append(oracle_matrix(lambda h: oracle_optimal(q, h, hoods, events), hoods))
+        if "indefinite" in events:
+            ridge = 1e-9 * abs(np.trace(q)) / n
+            indefinite.append((run, (
+                f"indefinite neighborhood matrix for {events.count('indefinite')} "
+                f"of {n} heads; regularizing with {ridge:g}"
+            )))
+        if "loose" in events:
+            count = events.count("loose")
+            loose.append((run, f"optimality conditions loose for {count} of {n} heads"))
+    return np.stack(weights), indefinite + loose
+
+
+def assert_optimal_matches_the_oracle(qs, hoods, caplog):
+    """optimal_weights of the (R, N, N) stack, with its support table built
+    inside or passed in, equals each run's per-head oracle bit for bit and
+    logs the oracle's lines, each record with its run."""
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="locbench"):
-        weights = optimal_weights(q, hoods)
-    events = []
-    expected = oracle_matrix(lambda h: oracle_optimal(q, h, hoods, events), hoods)
+        weights = optimal_weights(qs, hoods)
+    expected, lines = oracle_optimal_stack(qs, hoods)
     assert np.array_equal(weights, expected)
-    n = len(hoods)
-    lines = []
-    if "indefinite" in events:
-        ridge = 1e-9 * abs(np.trace(q)) / n
-        lines.append(
-            f"indefinite neighborhood matrix for {events.count('indefinite')} "
-            f"of {n} heads; regularizing with {ridge:g}"
-        )
-    if "loose" in events:
-        lines.append(f"optimality conditions loose for {events.count('loose')} of {n} heads")
-    assert [r.getMessage() for r in caplog.records] == lines
+    assert [(r.run, r.getMessage()) for r in caplog.records] == lines
     supports = _support_table(hoods)
-    assert np.array_equal(optimal_weights(q, hoods, supports=supports), weights)
+    assert np.array_equal(optimal_weights(qs, hoods, supports=supports), weights)
 
 
 def sequential_walk(row):
@@ -289,6 +300,10 @@ def assert_combination_matrix(weights, hoods):
 
 
 class TestMatrixRulesMatchPerHeadOracle:
+    # median_weights and optimal_weights take a stack of runs on one mask;
+    # each run's matrix must be the per-head oracle's, whatever else is in
+    # the stack (connectivity_weights reads the mask alone)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_connectivity(self, data):
@@ -303,36 +318,40 @@ class TestMatrixRulesMatchPerHeadOracle:
     @given(st.data())
     def test_median(self, data):
         hoods = data.draw(networks(max_heads=14))
-        estimates = data.draw(spread_estimates(len(hoods)))
+        runs = data.draw(st.integers(1, 3), label="runs")
+        estimates = np.stack([data.draw(spread_estimates(len(hoods))) for _ in range(runs)])
         decay_scale = data.draw(st.sampled_from([1e-3, 0.5, 1.0, 30.0, 1e4]))
-        weights = median_weights(estimates, hoods, decay_scale)
-        expected = oracle_matrix(
-            lambda k: oracle_median(estimates, k, hoods, decay_scale), hoods
-        )
-        # the column sum adds a neighborhood in head order; numpy summed the
-        # oracle's packed neighborhood the same way below 8 members (every
-        # grid the experiments build has at most 5) and pairwise above, where
-        # at most 14 float64 terms in another order differ by a few ulp
-        small = hoods.sum(axis=1) < 8
-        assert np.array_equal(weights[:, small], expected[:, small])
-        np.testing.assert_allclose(weights, expected, rtol=1e-14, atol=0.0)
-        assert_combination_matrix(weights, hoods)
+        stacked = median_weights(estimates, hoods, decay_scale)
+        for run, weights in enumerate(stacked):
+            expected = oracle_matrix(
+                lambda k: oracle_median(estimates[run], k, hoods, decay_scale), hoods
+            )
+            # the column sum adds a neighborhood in head order; numpy summed
+            # the oracle's packed neighborhood the same way below 8 members
+            # (every grid the experiments build has at most 5) and pairwise
+            # above, where at most 14 float64 terms in another order differ
+            # by a few ulp
+            small = hoods.sum(axis=1) < 8
+            assert np.array_equal(weights[:, small], expected[:, small])
+            np.testing.assert_allclose(weights, expected, rtol=1e-14, atol=0.0)
+            assert_combination_matrix(weights, hoods)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_optimal(self, data):
         hoods = data.draw(networks(max_heads=6))
-        n, k = len(hoods), 8
+        runs, n, k = data.draw(st.integers(1, 3), label="runs"), len(hoods), 8
         entries = data.draw(
-            st.lists(st.floats(-3.0, 3.0), min_size=n * 2 * k, max_size=n * 2 * k)
+            st.lists(st.floats(-3.0, 3.0), min_size=runs * n * 2 * k, max_size=runs * n * 2 * k)
         )
-        operators = np.array(entries).reshape(n, 2, k)
-        q = build_q_matrix(operators, np.linspace(0.5, 2.0, k))
-        weights = optimal_weights(q, hoods)
-        assert np.array_equal(
-            weights, oracle_matrix(lambda h: oracle_optimal(q, h, hoods), hoods)
-        )
-        assert_combination_matrix(weights, hoods)
+        operators = np.array(entries).reshape(runs, n, 2, k)
+        qs = np.stack([build_q_matrix(ops, np.linspace(0.5, 2.0, k)) for ops in operators])
+        weights = optimal_weights(qs, hoods)
+        for q, run_weights in zip(qs, weights):
+            assert np.array_equal(
+                run_weights, oracle_matrix(lambda h: oracle_optimal(q, h, hoods), hoods)
+            )
+            assert_combination_matrix(run_weights, hoods)
 
     @settings(
         max_examples=150,
@@ -344,35 +363,22 @@ class TestMatrixRulesMatchPerHeadOracle:
         hoods = data.draw(stacked_networks())
         n, k = len(hoods), 8
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        operators = rng.normal(size=(n, 2, k))
-        variances = rng.uniform(0.5, 2.0, size=k)
-        if data.draw(st.booleans(), label="rounded"):
-            # rounded operators repeat entries, so objectives tie or nearly
-            # tie and the tie rule decides
-            operators = np.round(operators)
-        # heads sharing one operator make the subset systems singular
-        shared = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shared")
-        operators[rng.random(n) < shared] = operators[0]
-        # a negative diagonal shift makes neighborhoods indefinite, which
-        # takes the ridge retry
-        shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
-        q = build_q_matrix(operators, variances) - shift * np.eye(n)
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="locbench"):
-            weights = optimal_weights(q, hoods)
-        events = []
-        expected = oracle_matrix(lambda h: oracle_optimal(q, h, hoods, events), hoods)
-        assert np.array_equal(weights, expected)
-        lines = []
-        if "indefinite" in events:
-            ridge = 1e-9 * abs(np.trace(q)) / n
-            lines.append(
-                f"indefinite neighborhood matrix for {events.count('indefinite')} "
-                f"of {n} heads; regularizing with {ridge:g}"
-            )
-        if "loose" in events:
-            lines.append(f"optimality conditions loose for {events.count('loose')} of {n} heads")
-        assert [r.getMessage() for r in caplog.records] == lines
+        qs = []
+        for _ in range(data.draw(st.integers(1, 3), label="runs")):
+            operators = rng.normal(size=(n, 2, k))
+            variances = rng.uniform(0.5, 2.0, size=k)
+            if data.draw(st.booleans(), label="rounded"):
+                # rounded operators repeat entries, so objectives tie or
+                # nearly tie and the tie rule decides
+                operators = np.round(operators)
+            # heads sharing one operator make the subset systems singular
+            shared = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shared")
+            operators[rng.random(n) < shared] = operators[0]
+            # a negative diagonal shift makes neighborhoods indefinite,
+            # which takes the ridge retry of that run alone
+            shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
+            qs.append(build_q_matrix(operators, variances) - shift * np.eye(n))
+        assert_optimal_matches_the_oracle(np.stack(qs), hoods, caplog)
 
     def test_optimal_near_tie_matches_the_oracle(self):
         # heads 0 and 2 share an operator, so two supports tie; a stacked
@@ -382,7 +388,7 @@ class TestMatrixRulesMatchPerHeadOracle:
         q = np.array([[a, b, a], [b, c, b], [a, b, a]])
         hoods = clique(3)
         assert np.array_equal(
-            optimal_weights(q, hoods),
+            optimal_weights(q[None], hoods)[0],
             oracle_matrix(lambda h: oracle_optimal(q, h, hoods), hoods),
         )
 
@@ -400,30 +406,105 @@ class TestMatrixRulesMatchPerHeadOracle:
         share = data.draw(st.sampled_from([0.1, 0.3, 0.5]), label="dropped")
         hoods = degree_mixed_grid(n_heads, np.flatnonzero(rng.random(n_heads) < share))
         assume(len(hoods) > 0)
-        operators = rng.normal(size=(len(hoods), 2, 8))
-        if data.draw(st.booleans(), label="rounded"):
-            operators = np.round(operators)
-        # heads sharing one operator tie supports, and the walk order decides
-        shared = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shared")
-        operators[rng.random(len(hoods)) < shared] = operators[0]
-        shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
-        q = build_q_matrix(operators, rng.uniform(0.5, 2.0, size=8))
-        assert_optimal_matches_the_oracle(q - shift * np.eye(len(hoods)), hoods, caplog)
+        qs = []
+        for _ in range(data.draw(st.integers(1, 3), label="runs")):
+            operators = rng.normal(size=(len(hoods), 2, 8))
+            if data.draw(st.booleans(), label="rounded"):
+                operators = np.round(operators)
+            # heads sharing one operator tie supports, and the walk order decides
+            shared = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shared")
+            operators[rng.random(len(hoods)) < shared] = operators[0]
+            shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
+            q = build_q_matrix(operators, rng.uniform(0.5, 2.0, size=8))
+            qs.append(q - shift * np.eye(len(hoods)))
+        assert_optimal_matches_the_oracle(np.stack(qs), hoods, caplog)
 
     @pytest.mark.parametrize("shift", [0.0, 40.0])
     def test_optimal_on_a_grid_with_every_degree(self, caplog, shift):
         # without heads 1, 3 and 5 of a 5x5 grid, head 0 stands alone,
         # heads 2 and 4 have one neighbour and head 12 all four; the shift
-        # makes every neighborhood indefinite and takes the ridge retry
+        # makes every neighborhood of the first run indefinite and takes
+        # its ridge retry, while the second run is left unshifted
         hoods = degree_mixed_grid(25, [1, 3, 5])
         assert set(hoods.sum(axis=1)) == {1, 2, 3, 4, 5}
         rng = np.random.default_rng(17)
         q = build_q_matrix(rng.normal(size=(22, 2, 8)), rng.uniform(0.5, 2.0, size=8))
-        assert_optimal_matches_the_oracle(q - shift * np.eye(22), hoods, caplog)
+        assert_optimal_matches_the_oracle(np.stack([q - shift * np.eye(22), q]), hoods, caplog)
         if shift:
+            assert caplog.records[0].run == 0
             assert caplog.records[0].getMessage().startswith(
                 "indefinite neighborhood matrix for 22 of 22 heads"
             )
+
+
+def logged_diffusion(caplog, estimates, *args, **kwargs):
+    """diffuse's result, each on_epoch call's arguments as copies, and its
+    log records as (run, message)."""
+    calls = []
+
+    def on_epoch(*call):
+        calls.append([np.array(x) if isinstance(x, np.ndarray) else x for x in call])
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="locbench"):
+        result = diffuse(estimates, *args, **kwargs, on_epoch=on_epoch)
+    return result, calls, [(r.run, r.getMessage()) for r in caplog.records]
+
+
+class TestGroupDiffusion:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_group_matches_one_run_calls(self, caplog, data):
+        # runs of one grid, some without a head, diffused as the bench does:
+        # one call per group of runs on the same mask block; each run's bits,
+        # epochs, callbacks and log lines are those of a call of its own
+        n_heads = data.draw(st.sampled_from([4, 9, 16, 25]), label="heads")
+        grid = build_grid_network(n_heads, seed=0).neighborhoods
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scheme = data.draw(st.sampled_from(SCHEMES), label="scheme")
+        knobs = dict(
+            epsilon=1e-4, max_epochs=40,
+            optimize_once=data.draw(st.booleans(), label="optimize_once"),
+            # 1e-4 underflows every median weight far from the median, so
+            # wei falls back to uniform weights
+            decay_scale=data.draw(st.sampled_from([1e-4, 1.0, 30.0]), label="decay_scale"),
+        )
+        # a negative diagonal shift makes neighborhoods indefinite, which
+        # takes opt's ridge retry
+        shift = data.draw(st.sampled_from([0.0, 40.0]), label="shift")
+        groups = {}
+        for _ in range(data.draw(st.integers(1, 4), label="runs")):
+            # half the runs keep every head, so that most groups hold several
+            left_out = data.draw(st.sampled_from([[], [], [0], [n_heads // 2]]), label="left out")
+            keep = np.setdiff1d(np.arange(n_heads), left_out)
+            hoods = grid[np.ix_(keep, keep)]
+            positions = rng.normal(60.0, 5.0, size=(len(keep), 2))
+            q = build_q_matrix(rng.normal(size=(len(keep), 2, 8)), rng.uniform(0.5, 2.0, size=8))
+            runs = groups.setdefault(hoods.tobytes(), (hoods, []))[1]
+            runs.append((positions, q - shift * np.eye(len(keep))))
+        for hoods, runs in groups.values():
+            positions, qs = (np.stack(part) for part in zip(*runs))
+            result, calls, lines = logged_diffusion(
+                caplog, positions, scheme, hoods, q=qs, **knobs
+            )
+            # each epoch calls back for every live run, in run order
+            assert [call[1::-1] for call in calls] == sorted(call[1::-1] for call in calls)
+            for run in range(len(runs)):
+                alone, alone_calls, alone_lines = logged_diffusion(
+                    caplog, positions[run, None], scheme, hoods, q=qs[run, None], **knobs
+                )
+                assert np.array_equal(result.estimates[run], alone.estimates[0])
+                assert result.epoch[run] == alone.epoch[0]
+                assert result.converged[run] == alone.converged[0]
+                mine = [call[1:] for call in calls if call[0] == run]
+                assert len(mine) == len(alone_calls) == alone.epoch[0]
+                for got, expected in zip(mine, (call[1:] for call in alone_calls)):
+                    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+                assert [line for r, line in lines if r == run] == [line for _, line in alone_lines]
 
 
 class TestRecordWalk:
@@ -472,7 +553,7 @@ class TestMedianWeights:
         # hand example: median (1,1); the far point keeps weight exp(-162)
         hoods = clique(3)
         estimates = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 10.0]])
-        w = median_weights(estimates, hoods, 1.0)[:, 0]
+        w = median_weights(estimates[None], hoods, 1.0)[0, :, 0]
         raw = np.array([np.exp(-2.0), 1.0, np.exp(-162.0)])
         assert np.allclose(w, raw / raw.sum())
         assert w.argmin() == 2
@@ -482,7 +563,7 @@ class TestMedianWeights:
         # median still reflects them
         hoods = path(4)
         estimates = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
-        w = median_weights(estimates, hoods, 1.0)[:, 3]
+        w = median_weights(estimates[None], hoods, 1.0)[0, :, 3]
         assert w[0] == 0.0 and w[1] == 0.0  # outside the neighborhood
         # distances to the (5.05, 5.0) median differ by exactly 1 in square
         assert w[2] / w[3] == pytest.approx(np.e)
@@ -493,7 +574,7 @@ class TestMedianWeights:
         for _ in range(20):
             estimates = rng.normal(60.0, 3.0, size=(16, 2))
             k = int(rng.integers(16))
-            w = median_weights(estimates, hoods, 2.0)[:, k]
+            w = median_weights(estimates[None], hoods, 2.0)[0, :, k]
             nbhd = np.flatnonzero(hoods[k])
             ref = np.median(estimates, axis=0)
             dist = np.linalg.norm(estimates[nbhd] - ref, axis=1)
@@ -502,20 +583,28 @@ class TestMedianWeights:
 
     def test_underflow_falls_back_to_uniform(self, caplog):
         # a two-head pocket stranded far from the network median underflows
-        # every exponent in its neighborhood
+        # every exponent in its neighborhood; of three stacked runs, the
+        # middle one has no pocket, and only the others log, each its own line
         hoods = np.zeros((5, 5), dtype=bool)
         hoods[:2, :2] = True
         hoods[2:, 2:] = path(3)
         estimates = np.array(
             [[1.0e4, 0.0], [1.0001e4, 0.0], [0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]
         )
+        calm = estimates.copy()
+        calm[:2, 0] = [0.3, 0.4]
         with caplog.at_level(logging.WARNING):
-            w = median_weights(estimates, hoods, 1.0)
+            runs = np.stack([estimates, calm, estimates])
+            stacked = median_weights(runs, hoods, 1.0, runs=[4, 5, 6])
+        w = stacked[0]
         for k in (0, 1):
             assert np.array_equal(w[:, k], [0.5, 0.5, 0.0, 0.0, 0.0])
         assert np.all(w[:2, 2:] == 0.0)
-        underflows = [r.getMessage() for r in caplog.records]
-        assert underflows == ["median weights underflowed for 2 of 5 heads; using uniform"]
+        assert np.array_equal(stacked[2], w)
+        assert np.array_equal(stacked[1], median_weights(calm[None], hoods, 1.0)[0])
+        underflows = [(r.run, r.getMessage()) for r in caplog.records]
+        line = "median weights underflowed for 2 of 5 heads; using uniform"
+        assert underflows == [(4, line), (6, line)]
 
     def test_tiny_scale_falls_back_without_numpy_warnings(self, caplog):
         # every squared distance from the (1.5, 0) median over 1e-320
@@ -523,7 +612,7 @@ class TestMedianWeights:
         estimates = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
             warnings.simplefilter("error")
-            w = median_weights(estimates, clique(4), 1e-320)
+            w = median_weights(estimates[None], clique(4), 1e-320)[0]
         assert np.array_equal(w, np.full((4, 4), 0.25))
         underflows = [r.getMessage() for r in caplog.records]
         assert underflows == ["median weights underflowed for 4 of 4 heads; using uniform"]
@@ -532,7 +621,7 @@ class TestMedianWeights:
         hoods = clique(3)
         for scale in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                median_weights(np.zeros((3, 2)), hoods, scale)
+                median_weights(np.zeros((1, 3, 2)), hoods, scale)
 
 
 class TestQMatrix:
@@ -564,9 +653,9 @@ class TestQMatrix:
         if rule == "con":
             a = connectivity_weights(hoods)
         elif rule == "wei":
-            a = median_weights(rng.normal(0.0, 5.0, size=(n, 2)), hoods, 10.0)
+            a = median_weights(rng.normal(0.0, 5.0, size=(1, n, 2)), hoods, 10.0)[0]
         else:
-            a = optimal_weights(q, hoods)
+            a = optimal_weights(q[None], hoods)[0]
         assert_combination_matrix(a, hoods)
         combined = build_q_matrix(np.einsum("lk,ldi->kdi", a, operators), variances)
         np.testing.assert_allclose(a.T @ q @ a, combined, rtol=0.0, atol=1e-9 * np.abs(q).max())
@@ -597,17 +686,17 @@ class TestOptimalWeights:
         # diag(1, 2) splits as (2/3, 1/3) on the simplex
         hoods = clique(2)
         q = np.diag([1.0, 2.0])
-        w = optimal_weights(q, hoods)
+        w = optimal_weights(q[None], hoods)[0]
         assert np.allclose(w[:, 0], (2.0 / 3.0, 1.0 / 3.0))
         assert np.allclose(w[:, 1], (2.0 / 3.0, 1.0 / 3.0))
 
     def test_matches_grid_search_on_random_instances(self):
         hoods = clique(3)
         rng = np.random.default_rng(31)
-        for _ in range(10):
-            root = rng.normal(size=(3, 3))
-            q = root @ root.T + 0.1 * np.eye(3)
-            w = optimal_weights(q, hoods)[:, 0]
+        roots = rng.normal(size=(10, 3, 3))
+        qs = roots @ roots.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        for q, weights in zip(qs, optimal_weights(qs, hoods)):  # one call for all ten
+            w = weights[:, 0]
             best, arg = simplex_grid_minimum(q)
             assert w @ q @ w <= best + 1e-9
             assert np.abs(w - arg).max() < 2e-3
@@ -616,33 +705,33 @@ class TestOptimalWeights:
         # -I is indefinite everywhere; the end heads of the path (two
         # members) and the inner heads (three) are solved in two stacks
         with caplog.at_level(logging.WARNING):
-            optimal_weights(-np.eye(4), path(4))
+            optimal_weights(-np.eye(4)[None], path(4))
         # the equality minimizer (-5e-13, 1) passes the feasibility slack and
         # is clipped to a vertex whose gradient condition misses by 2e-6
         b = 1.0 - 1e-6
         q = np.array([[-2e6 + 1.0 - 2e-6, b], [b, 1.0]])
         with caplog.at_level(logging.WARNING):
-            optimal_weights(q, clique(2))
+            optimal_weights(q[None], clique(2))
         assert [r.getMessage() for r in caplog.records] == [
             "indefinite neighborhood matrix for 4 of 4 heads; regularizing with 1e-09",
             "optimality conditions loose for 2 of 2 heads",
         ]
 
     def test_rejects_a_q_of_another_size(self):
-        for q in (np.eye(3), np.eye(5), np.ones((4, 3))):
+        for q in (np.eye(3)[None], np.eye(5)[None], np.ones((1, 4, 3)), np.eye(4)):
             with pytest.raises(ValueError, match="shape"):
                 optimal_weights(q, path(4))
 
     def test_ridge_is_positive_for_a_negative_trace(self, caplog):
         # the retry must add to the diagonal, whatever the sign of trace(Q)
         with caplog.at_level(logging.WARNING):
-            optimal_weights(-np.eye(4), path(4))
+            optimal_weights(-np.eye(4)[None], path(4))
         (line,) = [r.getMessage() for r in caplog.records]
         assert float(line.rsplit(" ", 1)[1]) > 0.0
 
     def test_never_worse_than_connectivity(self):
         hoods, _, q = prepared_trial(3)
-        w_opt = optimal_weights(q, hoods)
+        w_opt = optimal_weights(q[None], hoods)[0]
         w_con = connectivity_weights(hoods)
         for k in range(16):
             a, b = w_opt[:, k], w_con[:, k]
@@ -650,21 +739,23 @@ class TestOptimalWeights:
 
     def test_simplex_invariants(self):
         hoods, _, q = prepared_trial(4)
-        assert_combination_matrix(optimal_weights(q, hoods), hoods)
+        assert_combination_matrix(optimal_weights(q[None], hoods)[0], hoods)
 
 
 class TestDiffuse:
     def test_consensus_on_clique_with_con(self):
         estimates = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
-        final = diffuse(estimates, "con", clique(4), 1e-10, 200)
-        assert final.converged
+        final = diffuse(estimates[None], "con", clique(4), 1e-10, 200)
+        assert final.converged.tolist() == [True]
         # equal degrees: uniform averaging lands on the centroid in one step
-        assert np.allclose(final.estimates, [2.0, 2.0], atol=1e-8)
+        assert np.allclose(final.estimates[0], [2.0, 2.0], atol=1e-8)
 
     def test_con_coefficients_are_static(self):
         hoods, positions, _ = prepared_trial(5)
         seen = []
-        diffuse(positions, "con", hoods, 1e-4, 50, on_epoch=lambda e, x, c, s: seen.append(c))
+        diffuse(
+            positions[None], "con", hoods, 1e-4, 50, on_epoch=lambda r, e, x, c, s: seen.append(c)
+        )
         assert len(seen) >= 2
         for c in seen[1:]:
             assert np.array_equal(c, seen[0])
@@ -684,7 +775,7 @@ class TestDiffuse:
         for scheme in ("con", "wei", "opt"):
             envelopes = [(estimates.min(axis=0), estimates.max(axis=0))]
 
-            def watch(epoch, new, coeffs, max_step):
+            def watch(run, epoch, new, coeffs, max_step):
                 assert np.abs(coeffs.sum(axis=0) - 1.0).max() <= 1e-12
                 assert coeffs.min() >= -1e-12
                 assert np.all(coeffs[~hoods] == 0.0)
@@ -695,43 +786,44 @@ class TestDiffuse:
                 envelopes.append((new.min(axis=0), new.max(axis=0)))
 
             final = diffuse(
-                estimates, scheme, hoods, 1e-6, 20,
-                q=q, decay_scale=decay_scale, on_epoch=watch,
+                estimates[None], scheme, hoods, 1e-6, 20,
+                q=q[None], decay_scale=decay_scale, on_epoch=watch,
             )
-            assert final.epoch == len(envelopes) - 1
+            assert final.epoch.tolist() == [len(envelopes) - 1]
 
     def test_every_scheme_settles_on_a_grid_trial(self):
         hoods, positions, q = prepared_trial(6)
         for scheme in ("con", "wei", "opt"):
-            final = diffuse(positions, scheme, hoods, 1e-4, 500, q=q)
-            assert final.converged
+            final = diffuse(positions[None], scheme, hoods, 1e-4, 500, q=q[None])
+            assert final.converged.tolist() == [True]
 
     def test_nonconvergence_is_reported(self, caplog):
         hoods, positions, _ = prepared_trial(7)
         with caplog.at_level(logging.WARNING):
-            final = diffuse(positions, "con", hoods, 1e-13, 3)
-        assert not final.converged
-        assert final.epoch == 3
-        assert "did not settle" in caplog.text
+            final = diffuse(positions[None], "con", hoods, 1e-13, 3)
+        assert final.converged.tolist() == [False]
+        assert final.epoch.tolist() == [3]
+        (record,) = caplog.records
+        assert "did not settle" in record.getMessage() and record.run == 0
 
     def test_final_step_honors_epsilon(self):
         hoods, positions, _ = prepared_trial(8)
         steps = []
         final = diffuse(
-            positions, "con", hoods, 1e-3, 500, on_epoch=lambda e, x, c, s: steps.append(s)
+            positions[None], "con", hoods, 1e-3, 500, on_epoch=lambda r, e, x, c, s: steps.append(s)
         )
-        assert final.converged
+        assert final.converged.tolist() == [True]
         assert steps[-1] <= 1e-3
         assert all(s > 1e-3 for s in steps[:-1])
-        assert final.epoch == len(steps)
+        assert final.epoch.tolist() == [len(steps)]
 
     def test_optimize_once_reuses_first_epoch_coefficients(self, monkeypatch):
         hoods, positions, q = prepared_trial(10)
         counts = count_q_builds(monkeypatch)
         seen = []
         diffuse(
-            positions, "opt", hoods, 1e-4, 500, q=q,
-            optimize_once=True, on_epoch=lambda e, x, c, s: seen.append(c.copy()),
+            positions[None], "opt", hoods, 1e-4, 500, q=q[None],
+            optimize_once=True, on_epoch=lambda r, e, x, c, s: seen.append(c.copy()),
         )
         assert len(seen) >= 2
         for c in seen[1:]:
@@ -747,34 +839,39 @@ class TestDiffuse:
         counts = count_q_builds(monkeypatch)
         seen = []
         final = diffuse(
-            positions, "opt", hoods, 1e-4, 500, q=q,
-            on_epoch=lambda e, x, c, s: seen.append(c.copy()),
+            positions[None], "opt", hoods, 1e-4, 500, q=q[None],
+            on_epoch=lambda r, e, x, c, s: seen.append(c.copy()),
         )
-        assert final.converged and len(seen) >= 3
+        assert final.converged.tolist() == [True] and len(seen) >= 3
         assert counts() == 0
         assert np.array_equal(q, given_q)
-        assert np.array_equal(seen[0], optimal_weights(q, hoods))
+        assert np.array_equal(seen[0], optimal_weights(q[None], hoods)[0])
         for previous, coeffs in zip(seen, seen[1:]):
             q = previous.T @ q @ previous
             q = 0.5 * (q + q.T)
-            assert np.array_equal(coeffs, optimal_weights(q, hoods))
+            assert np.array_equal(coeffs, optimal_weights(q[None], hoods)[0])
         assert not np.array_equal(seen[1], seen[0])
 
     def test_rejects_unknown_scheme_and_bad_knobs(self):
-        hoods, positions, _ = prepared_trial(12)
+        hoods, positions, q = prepared_trial(12)
+        positions = positions[None]
         with pytest.raises(ValueError):
             diffuse(positions, "avg", hoods, 1e-4, 10)
         for epsilon in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 diffuse(positions, "con", hoods, epsilon, 10)
-        with pytest.raises(ValueError, match="shape"):
-            diffuse(positions, "con", hoods[:15, :15], 1e-4, 10)
+        # one run's (N, 2) rows without the run axis, and a stack of none
+        for bad in (positions[:, :15], positions[0], positions[:0]):
+            with pytest.raises(ValueError, match="shape"):
+                diffuse(bad, "con", hoods, 1e-4, 10)
         one_way, no_self = hoods.copy(), hoods.copy()
         one_way[0, 1], no_self[3, 3] = False, False
         for bad in (one_way, no_self, hoods[:, :15]):
             with pytest.raises(ValueError, match="hoods must be"):
-                diffuse(positions[:len(bad)], "con", bad, 1e-4, 10)
+                diffuse(positions[:, :len(bad)], "con", bad, 1e-4, 10)
         with pytest.raises(ValueError):
             diffuse(positions, "con", hoods, 1e-4, 0)
-        with pytest.raises(ValueError, match="opt scheme needs q"):
-            diffuse(positions, "opt", hoods, 1e-4, 10)
+        # opt needs one Q per run
+        for bad in (None, q, np.stack([q, q])):
+            with pytest.raises(ValueError, match="opt scheme needs q"):
+                diffuse(positions, "opt", hoods, 1e-4, 10, q=bad)
