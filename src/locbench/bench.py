@@ -297,8 +297,8 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
     neighborhood mask, in one diffuse call per scheme and scale for the
     group's runs on that block; log records are held back to keep the run
     order. cpu_seconds adds an even share of the group's batch, the run's
-    operators (opt's also their Q, built once) and an even share of the
-    scheme's diffuse call.
+    operators and their Q, built once (both only with opt), and an even
+    share of the scheme's diffuse call.
     """
     source = np.asarray(cfg.source, dtype=float)
     n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
@@ -321,7 +321,7 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
             log.addFilter(hold)
         try:
             t0 = time.process_time()
-            fits = wls_group(group, with_global)
+            fits = wls_group(group, with_global, "opt" in cfg.schemes)
             share = (time.process_time() - t0) / len(group)
             t0 = time.process_time()
             for r, (meas, _, topology, _) in enumerate(group):

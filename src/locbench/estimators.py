@@ -45,9 +45,11 @@ _MAX_DAMPING = 1e12
 # fits so that memory stays flat in the head count
 _CHUNK_ELEMENTS = 8192
 # rows of one batch of whole runs (wls_groups): a 16-head run of 10 sensors
-# has 800 with its global fit, so two share a batch; the batch's per-row
-# arrays, a few dozen bytes a row, stay alive while its runs are scored
-_GROUP_ROWS = 2048
+# has 800 with its global fit, so ten share a batch, and a 64-head run
+# 3,520, so two do; the batch holds about 330 bytes a row while it runs
+# (about 2.7 MB when full), and its per-row arrays, a few dozen bytes a
+# row, stay alive while its runs are scored
+_GROUP_ROWS = 8192
 
 # how a fit ends: the first two leave an estimate, _LIVE is still running
 _CONVERGED, _STOPPED, _FEW_ROWS, _ON_NODE, _SINGULAR, _RANK_DEFICIENT, _LIVE = range(7)
@@ -240,7 +242,7 @@ def global_wls(meas: MeasurementSet, topology: NetworkTopology, init) -> np.ndar
     init is the Gauss-Newton start point, usually the deployment center.
     A one-run wls_group.
     """
-    position = next(wls_group([(meas, None, topology, init)], True))[0]
+    position = next(wls_group([(meas, None, topology, init)], True, False))[0]
     if isinstance(position, EstimationError):
         raise position
     return position
@@ -282,7 +284,7 @@ def local_wls_batch(
     measurement vector to its position; it is evaluated at the converged
     point and satisfies operator @ jacobian = identity there.
     """
-    return next(wls_group([(meas, selection, topology, init)], False))[1:]
+    return next(wls_group([(meas, selection, topology, init)], False, True))[1:]
 
 
 def wls_groups(runs, with_global: bool):
@@ -295,16 +297,19 @@ def wls_groups(runs, with_global: bool):
         yield [(meas, selection, topology, init), *more]
 
 
-def wls_group(runs, with_global: bool):
+def wls_group(runs, with_global: bool, with_operators: bool):
     """Fit the (meas, selection, topology, init) runs, all of one K, in one
     lockstep batch: each run's global fit with with_global, then its
     heads' fits as local_wls_batch forms them unless selection is None.
     Each fit sums on its own K-row layout, so no other fit moves its bits.
     Returns an iterator over the runs of (position, heads, positions,
     operators): position is the global fit's point, the EstimationError
-    saying why it failed, or None; the rest is local_wls_batch's. A run's
-    operators are computed, and its fits logged, when the iterator reaches
-    it: one run's operators live at a time, and logs keep the run order.
+    saying why it failed, or None; the rest is local_wls_batch's, with
+    operators None unless with_operators. A head's rank-deficiency verdict
+    comes from its normal matrix alone, so it is the same either way. A
+    run's operators are computed, and its fits logged, when the iterator
+    reaches it: one run's operators live at a time, and logs keep the run
+    order.
     """
     k, parts, spans, n_fits, n_rows = runs[0][0].size, [], [], 0, 0
     for meas, selection, topology, init in runs:
@@ -342,23 +347,27 @@ def wls_group(runs, with_global: bool):
                 position = EstimationError(f"global WLS failed: {_FAILURES[code]}")
             elif code == _STOPPED:
                 logger.warning("global WLS stopped before the step tolerance was met")
-        # each fitted head's operator (J^T W J)^-1 J^T W at its final point
+        # a fitted head whose normal matrix has a zero LU pivot has no
+        # operator: the operator solve below NaN-fills on the same verdict
         done = status[f0:f1] <= _STOPPED
         fitted = f0 + np.flatnonzero(done)
-        on, slot, chunks = _layout(done, fit[r0:r1] - f0, rows[r0:r1], k)
-        on = r0 + np.flatnonzero(on)
-        operators = np.empty((len(fitted), 2, k))
-        for lo, hi, a, b, at in chunks:
-            xi0, xi1, xj0, xj1, _, w = data[:, on[a:b]]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                _, j0, j1, _, _ = _range_differences(*x[fitted[slot[a:b]]].T, xi0, xi1, xj0, xj1)
-            wjac_k = _padded((j0 * w, j1 * w), at, hi - lo, k)
-            operators[lo:hi] = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
-        solved = np.isfinite(operators).all(axis=(1, 2))
+        solved = np.isfinite(_solve_stack(normal[fitted], np.eye(2))).all(axis=(1, 2))
         status[fitted[~solved]] = _RANK_DEFICIENT
+        operators = None
+        if with_operators:  # each fitted head's (J^T W J)^-1 J^T W at its final point
+            on, slot, chunks = _layout(done, fit[r0:r1] - f0, rows[r0:r1], k)
+            on = r0 + np.flatnonzero(on)
+            operators = np.empty((len(fitted), 2, k))
+            for lo, hi, a, b, at in chunks:
+                nodes, w = data[:4, on[a:b]], data[5, on[a:b]]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    _, j0, j1, _, _ = _range_differences(*x[fitted[slot[a:b]]].T, *nodes)
+                wjac_k = _padded((j0 * w, j1 * w), at, hi - lo, k)
+                operators[lo:hi] = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
+            operators = operators[solved]
         if n and logger.isEnabledFor(logging.DEBUG):
             _log_local_batch(n, heads, status[f0:f1])
-        return position, heads[fitted[solved] - f0], x[fitted[solved]], operators[solved]
+        return position, heads[fitted[solved] - f0], x[fitted[solved]], operators
 
     return (finish(*span, *end) for span, end in zip(spans, spans[1:]))
 

@@ -453,12 +453,14 @@ class TestLocalizationRuns:
         # each run is drawn, fitted and scored at every sweep value at once,
         # so only its outcomes, a few floats, wait for the later values;
         # keeping each run's fit (its 16 operators of 2 x 160 floats, some
-        # 43 KB) would add about 530 KB from 4 to 16 runs
+        # 43 KB) would add about 1 MB from 2 to 4 groups of runs
+        group = estimators._GROUP_ROWS // 640  # 64 selection entries of 10 sensors
+
         def peak(runs):
             cfg = LocalizationExperiment(
                 n_heads=16, sensors_per_head=10, noise_std=1.0,
                 decay_scale=(0.5, 2.0), source=(60.0, 70.0), runs=runs,
-                schemes=("local",), seed=1,
+                schemes=("opt", "local"), seed=1,
             )
             tracemalloc.start()
             try:
@@ -467,29 +469,46 @@ class TestLocalizationRuns:
             finally:
                 tracemalloc.stop()
 
-        assert peak(16) - peak(4) < 150_000
+        peak(1)  # a one-time lazy import (numpy.ma, via np.unique in opt) is not the runs'
+        assert peak(4 * group) - peak(2 * group) < 150_000
+
+    def test_large_grid_memory_holds_no_operators_without_opt(self):
+        # one 256-head run's (F, 2, K) operators alone would hold 10.5 MB;
+        # without opt they are never formed
+        cfg = LocalizationExperiment(
+            n_heads=256, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
+            source=(60.0, 70.0), runs=1, schemes=("global", "con", "local"), seed=5,
+        )
+        tracemalloc.start()
+        try:
+            run_localization_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
     @pytest.mark.parametrize(
         "sweep, groups",
         [
-            ({"n_heads": (9, 16), "decay_scale": 1.0}, [4, 1, 2, 2, 1]),
-            ({"n_heads": 16, "decay_scale": (0.05, 1.0, 20.0)}, [2, 2, 1]),
+            ({"n_heads": (9, 16), "decay_scale": 1.0}, [[5, 5], [4, 1, 2, 2, 1]]),
+            ({"n_heads": 16, "decay_scale": (0.05, 1.0, 20.0)}, [[5], [2, 2, 1]]),
         ],
         ids=["traced-odd-grid", "frozen-decay"],
     )
     def test_group_budget_does_not_change_the_records(self, monkeypatch, sweep, groups):
         # a 9-head run fits 420 rows with its global fit, a 16-head one 800,
-        # so the default budget puts 4 and 2 runs in a group; a budget of
-        # one row fits every run alone
+        # so the default budget of 8,192 rows puts each cell's 5 runs in one
+        # group, a budget of 2,048 puts 4 and 2 runs in a group, and a budget
+        # of one row fits every run alone
         cfg = LocalizationExperiment(
             sensors_per_head=10, noise_std=1.0, source=(60.0, 70.0), runs=5,
             schemes=("global", "opt", "con", "wei", "local"), seed=4, **sweep,
         )
         sizes, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global):
+        def wls_group(runs, with_global, with_operators):
             sizes.append(len(runs))
-            return real_wls_group(runs, with_global)
+            return real_wls_group(runs, with_global, with_operators)
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
 
@@ -498,11 +517,12 @@ class TestLocalizationRuns:
             return run_localization_experiment(cfg, csv.writer(trace)), trace.getvalue()
 
         grouped = traced()
-        assert sizes == groups
-        monkeypatch.setattr(estimators, "_GROUP_ROWS", 1)
-        sizes.clear()
-        assert traced() == grouped
-        assert sizes == [1] * sum(groups)
+        assert sizes == groups[0]
+        for budget, expected in ((2048, groups[1]), (1, [1] * sum(groups[0]))):
+            monkeypatch.setattr(estimators, "_GROUP_ROWS", budget)
+            sizes.clear()
+            assert traced() == grouped
+            assert sizes == expected
 
     def test_group_fit_logs_keep_the_run_order(self, monkeypatch, caplog):
         # each run's local-fit debug line comes right before its diffusion
@@ -543,10 +563,13 @@ class TestLocalizationRuns:
         failed_head = 5
         real_wls_group = bench.wls_group
 
-        def wls_group(runs, with_global):
-            for position, heads, positions, operators in real_wls_group(runs, with_global):
+        def wls_group(runs, with_global, with_operators):
+            for position, heads, positions, operators in real_wls_group(
+                runs, with_global, with_operators
+            ):
                 keep = heads != failed_head
-                yield position, heads[keep], positions[keep], operators[keep]
+                operators = None if operators is None else operators[keep]
+                yield position, heads[keep], positions[keep], operators
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
@@ -570,8 +593,8 @@ class TestLocalizationRuns:
         calls = []
         real_wls_group = bench.wls_group
 
-        def wls_group(runs, with_global):
-            for fits in real_wls_group(runs, with_global):
+        def wls_group(runs, with_global, with_operators):
+            for fits in real_wls_group(runs, with_global, with_operators):
                 if fits[0] is not None:  # the run's global fit
                     calls.append(None)
                 yield fits
@@ -583,6 +606,27 @@ class TestLocalizationRuns:
         )
         records = run_localization_experiment(cfg)
         assert len(calls) == fits
+        assert all(np.isfinite(r.rmse) for r in records)
+
+    @pytest.mark.parametrize("opt", [False, True], ids=["no-opt", "opt"])
+    def test_two_sixty_four_head_runs_form_one_group(self, monkeypatch, opt):
+        # a 64-head run fits 3,520 rows with its global fit, so the budget
+        # puts two in a group; only opt reads the operators
+        calls, real_wls_group = [], bench.wls_group
+
+        def wls_group(runs, with_global, with_operators):
+            for fits in real_wls_group(runs, with_global, with_operators):
+                calls.append((len(runs), with_global, with_operators, fits[3] is None))
+                yield fits
+
+        monkeypatch.setattr(bench, "wls_group", wls_group)
+        cfg = LocalizationExperiment(
+            n_heads=64, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
+            source=(60.0, 70.0), runs=2, schemes=("global", "con", "local") + ("opt",) * opt,
+            seed=1,
+        )
+        records = run_localization_experiment(cfg)
+        assert calls == [(2, True, opt, not opt)] * 2
         assert all(np.isfinite(r.rmse) for r in records)
 
 

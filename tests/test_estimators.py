@@ -302,6 +302,22 @@ class TestSolveStack:
                     assert np.array_equal(got[i], expected)
             assert singular[exact].all()
 
+    def test_identity_side_fails_exactly_where_any_side_does(self):
+        # a fit's rank-deficiency verdict comes from its normal matrix
+        # solved against I; the operator solve must fail on the same members
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(300, 2, 2))
+        members = np.flatnonzero(rng.random(300) < 0.3)
+        a[members[0::3], :, 1] = 0.0
+        a[members[1::3], 0] = 0.0
+        a[members[2::3]] = 0.0
+        for width in (1, 2, 640):
+            b = rng.normal(size=(300, 2, width))
+            inverse = np.isfinite(_solve_stack(a, np.eye(2))).all(axis=(1, 2))
+            solved = np.isfinite(_solve_stack(a, b)).all(axis=(1, 2))
+            assert np.array_equal(inverse, solved)
+            assert np.flatnonzero(~inverse).tolist() == sorted(members.tolist())
+
 
 def fitted_heads(meas, selection, topo, init):
     """{head: (position, operator)} of the heads whose fit succeeded."""
@@ -472,7 +488,7 @@ class TestGroupMatchesPerRunFits:
             }[kind]
             runs.append((meas, build_selection_weights(topo), topo, init))
 
-        fits = list(wls_group(runs, with_global))
+        fits = list(wls_group(runs, with_global, True))
         assert len(fits) == len(runs)
         for (meas, selection, topo, init), (position, *local) in zip(runs, fits):
             if not with_global:
@@ -487,6 +503,56 @@ class TestGroupMatchesPerRunFits:
                     assert np.array_equal(position, expected)
             for have, want in zip(local, local_wls_batch(meas, selection, topo, init)):
                 assert np.array_equal(have, want)
+
+
+class TestGroupWithoutOperators:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_group_fits_keep_their_bits_without_operators(self, data):
+        # the rank-deficiency verdict comes from the normal matrix alone, so
+        # skipping the operators leaves every run's fitted heads, their
+        # positions and its global fit as they are; odd grids start the
+        # global fit and the centre's neighbours on a node
+        n_heads = data.draw(st.sampled_from([4, 9, 16, 25]), label="n_heads")
+        m = data.draw(st.integers(1, 10), label="sensors_per_head")
+        with_global = data.draw(st.booleans(), label="with_global")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        span = 50.0 * (np.sqrt(n_heads) - 1)
+        runs = []
+        for run in range(data.draw(st.integers(1, 4), label="runs")):
+            topo = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
+            noise = data.draw(st.just(0.0) | st.floats(1e-3, 5.0), label=f"noise {run}")
+            meas = simulate_tdoa_measurements(
+                topo, rng.uniform(-40.0, span + 40.0, size=2), noise, rng
+            )
+            selection = build_selection_weights(topo)
+            if data.draw(st.booleans(), label=f"starved {run}"):
+                selection = starved(selection, rng)
+            runs.append((meas, selection, topo, deployment_center(topo)))
+
+        bare = list(wls_group(runs, with_global, False))
+        full = list(wls_group(runs, with_global, True))
+        assert len(bare) == len(full) == len(runs)
+        for run, (position, heads, positions, operators), (want, *local) in zip(
+            runs, bare, full
+        ):
+            assert operators is None
+            if isinstance(want, EstimationError):
+                assert isinstance(position, EstimationError)
+                assert str(position) == str(want)
+            else:
+                assert (position is None) == (want is None) == (not with_global)
+                assert want is None or np.array_equal(position, want)
+            assert np.array_equal(heads, local[0])
+            assert np.array_equal(positions, local[1])
+            expected = set()
+            for k in range(n_heads):
+                try:
+                    oracle_local_wls(k, *run)
+                except EstimationError:
+                    continue
+                expected.add(k)
+            assert set(heads.tolist()) == expected
 
 
 class TestChunkSize:
