@@ -18,8 +18,7 @@ from .estimators import (
     EstimationError,
     build_selection_weights,
     crlb,
-    global_wls,
-    local_wls_batch,
+    wls_group,
 )
 from .geometry import (
     NetworkTopology,
@@ -53,8 +52,6 @@ __all__ = [
     "crlb",
     "deployment_center",
     "diffuse",
-    "global_wls",
-    "local_wls_batch",
     "make_wavelength_set",
     "median_weights",
     "optimal_weights",
@@ -63,4 +60,5 @@ __all__ = [
     "remainders_of",
     "simulate_phase_remainders",
     "simulate_tdoa_measurements",
+    "wls_group",
 ]

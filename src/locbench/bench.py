@@ -303,12 +303,14 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
     source = np.asarray(cfg.source, dtype=float)
     n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
     with_global = "global" in cfg.schemes
+    with_local = set(cfg.schemes) != {"global"}  # every other scheme reads the heads' fits
 
     def draw(stream):
         rng = np.random.default_rng(stream)
         topology = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
         meas = simulate_tdoa_measurements(topology, source, sigma, rng)
-        return meas, build_selection_weights(topology), topology, deployment_center(topology)
+        selection = build_selection_weights(topology) if with_local else None
+        return meas, selection, topology, deployment_center(topology)
 
     def scored(group):  # a group's runs, whose fits go when it returns
         runs, masks, logs = [], {}, [[] for _ in group]  # each run's state; runs by mask; records

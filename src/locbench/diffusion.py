@@ -55,8 +55,8 @@ class Diffused(NamedTuple):
     """
 
     estimates: np.ndarray
-    epoch: int
-    converged: bool
+    epoch: np.ndarray
+    converged: np.ndarray
 
 
 def connectivity_weights(hoods: np.ndarray) -> np.ndarray:

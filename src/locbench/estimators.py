@@ -3,9 +3,8 @@
 Covers the centralized estimator over all measurements, the per-head local
 estimators that see only their neighborhood's measurements through selection
 weights, and the trace benchmark (inverse Fisher information) both are
-judged against. Both estimators are one-run calls of wls_group, which fits
-whole runs, global and local fits alike, in one lockstep batch of a damped
-Gauss-Newton loop.
+judged against. wls_group fits whole runs, global and local fits alike, in
+one lockstep batch of a damped Gauss-Newton loop.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "EstimationError",
     "build_selection_weights",
     "crlb",
-    "global_wls",
-    "local_wls_batch",
     "wls_group",
     "wls_groups",
 ]
@@ -41,9 +38,9 @@ _INITIAL_DAMPING = 1e-6
 # damping growth past this level means the cost cannot be reduced further
 _MAX_DAMPING = 1e12
 
-# elements per (fits, K) buffer of the batched sums; sizes the chunks of
-# fits so that memory stays flat in the head count
-_CHUNK_ELEMENTS = 8192
+# elements per (fits, K) buffer of the batched sums, and the fewest fits a
+# chunk holds: memory stays flat in the head count up to K = 1,024 rows
+_CHUNK_ELEMENTS, _CHUNK_FITS = 8192, 8
 # rows of one batch of whole runs (wls_groups): a 16-head run of 10 sensors
 # has 800 with its global fit, so ten share a batch, and a 64-head run
 # 3,520, so two do; the batch holds about 330 bytes a row while it runs
@@ -107,13 +104,13 @@ def _layout(members: np.ndarray, fit: np.ndarray, rows: np.ndarray, k: int):
     members is a boolean mask over the fits, fit[r] (nondecreasing) the
     fit of row r and rows[r] its measurement. Returns (on, slot, chunks):
     the mask of the members' rows, each such row's fit rank among the
-    members, and (lo, hi, a, b, at) per chunk of at most
-    _CHUNK_ELEMENTS // k members: fits [lo, hi) own the selected rows
+    members, and (lo, hi, a, b, at) per chunk of _CHUNK_ELEMENTS // k
+    members, but at least _CHUNK_FITS: fits [lo, hi) own the selected rows
     [a, b), whose flat positions in a (hi - lo, k) layout are at.
     """
     on = members[fit]
     slot = np.cumsum(members)[fit[on]] - 1
-    n, size, rows = np.count_nonzero(members), max(1, _CHUNK_ELEMENTS // k), rows[on]
+    n, size, rows = np.count_nonzero(members), max(_CHUNK_FITS, _CHUNK_ELEMENTS // k), rows[on]
     starts = list(range(0, n, size))
     cuts = np.searchsorted(slot, starts + [n]).tolist()
     chunks = [
@@ -198,7 +195,7 @@ def _gauss_newton(x0, fit, rows, data, k: int):
         for lo, hi, a, b, at in chunks:
             wres_k, res_k = (_padded((v[a:b],), at, hi - lo, k) for v in (wres, res))
             cost_new[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
-        del res, wres_k, res_k
+        res = wres_k = res_k = None  # not del: if every live fit failed its step, no chunk ran
         outcome[idx[on_node]] = _ON_NODE
         better = ~on_node if start else (cost_new <= cost[idx]) & ~on_node
         up = idx[better]
@@ -236,18 +233,6 @@ def _gauss_newton(x0, fit, rows, data, k: int):
     return x, outcome, hess
 
 
-def global_wls(meas: MeasurementSet, topology: NetworkTopology, init) -> np.ndarray:
-    """Centralized weighted least-squares fit over every measurement.
-
-    init is the Gauss-Newton start point, usually the deployment center.
-    A one-run wls_group.
-    """
-    position = next(wls_group([(meas, None, topology, init)], True, False))[0]
-    if isinstance(position, EstimationError):
-        raise position
-    return position
-
-
 def build_selection_weights(topology: NetworkTopology) -> np.ndarray:
     """Metropolis-style (N, N) measurement selection weights.
 
@@ -264,32 +249,10 @@ def build_selection_weights(topology: NetworkTopology) -> np.ndarray:
     return weights
 
 
-def local_wls_batch(
-    meas: MeasurementSet, selection: np.ndarray, topology: NetworkTopology, init
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every head's weighted fit on the measurements its neighborhood can access.
-
-    Head k weights measurement r = l * M + s by selection[l, k] / M over
-    the noise variance of r; the measurements outside its neighborhood
-    carry weight zero and are never evaluated. Every head starts from
-    init, as for global_wls, and all heads are fitted in one lockstep
-    batch, a one-run wls_group. A head fails, and is left out, when it has
-    fewer than 3 weighted measurements, when its fit fails, or when the
-    normal matrix at its final point is singular or gives a non-finite
-    operator.
-
-    Returns (heads, positions, operators) of the heads that succeeded, in
-    head order: (F,) head ids, (F, 2) positions and (F, 2, K) operators.
-    A head's operator (J^T W J)^-1 J^T W maps the stacked linearized
-    measurement vector to its position; it is evaluated at the converged
-    point and satisfies operator @ jacobian = identity there.
-    """
-    return next(wls_group([(meas, selection, topology, init)], False, True))[1:]
-
-
 def wls_groups(runs, with_global: bool):
     """Split the (meas, selection, topology, init) runs, in order, into lists
-    of as many as fit _GROUP_ROWS rows, at least one, sized by the first."""
+    of as many as fit _GROUP_ROWS rows, at least one, sized by the first;
+    a run whose selection is None counts its global fit's rows alone."""
     runs = iter(runs)
     for meas, selection, topology, init in runs:
         rows = meas.size * with_global + np.count_nonzero(selection) * topology.sensors_per_head
@@ -299,17 +262,27 @@ def wls_groups(runs, with_global: bool):
 
 def wls_group(runs, with_global: bool, with_operators: bool):
     """Fit the (meas, selection, topology, init) runs, all of one K, in one
-    lockstep batch: each run's global fit with with_global, then its
-    heads' fits as local_wls_batch forms them unless selection is None.
-    Each fit sums on its own K-row layout, so no other fit moves its bits.
+    lockstep batch: with with_global each run's global fit, weighting every
+    measurement by its inverse variance, then every head's local fit unless
+    selection is None. Head k weights measurement l * M + s by
+    selection[l, k] / M over its variance and never evaluates a row it
+    weights zero. Each fit starts from its run's init and sums on its own
+    K-row layout, so no other fit moves its bits.
+
+    A fit fails on a singular or non-finite step (singular step) or where a
+    point it evaluates lies on a node of its own rows (on a node); a head
+    also fails with fewer than 3 weighted rows (too few rows) or when its
+    final normal matrix has a zero LU pivot (rank-deficient operator),
+    judged on that matrix alone, so the same with or without operators.
+
     Returns an iterator over the runs of (position, heads, positions,
     operators): position is the global fit's point, the EstimationError
-    saying why it failed, or None; the rest is local_wls_batch's, with
-    operators None unless with_operators. A head's rank-deficiency verdict
-    comes from its normal matrix alone, so it is the same either way. A
-    run's operators are computed, and its fits logged, when the iterator
-    reaches it: one run's operators live at a time, and logs keep the run
-    order.
+    saying why it failed, or None without with_global; the heads that
+    succeeded follow in head order, as (F,) ids, (F, 2) positions and, with
+    with_operators (else None), their (F, 2, K) operators (J^T W J)^-1 J^T W
+    at the final points. A run's operators are computed, and its fits
+    logged, when the iterator reaches it: one run's operators live at a
+    time, and logs keep the run order.
     """
     k, parts, spans, n_fits, n_rows = runs[0][0].size, [], [], 0, 0
     for meas, selection, topology, init in runs:

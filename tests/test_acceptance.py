@@ -29,7 +29,7 @@ from locbench.diffusion import build_q_matrix, connectivity_weights, diffuse, op
 from locbench.estimators import (
     _range_difference_jacobian,
     build_selection_weights,
-    local_wls_batch,
+    wls_group,
 )
 from locbench.geometry import build_grid_network, deployment_center
 from locbench.rcrt import make_wavelength_set, reconstruct_batch, remainders_of
@@ -106,9 +106,8 @@ def diffusion_audit(operating_config, operating_point):
         rng = np.random.default_rng([cfg.seed, 0, run])
         topo = build_grid_network(cfg.n_heads, sensors_per_head=cfg.sensors_per_head, seed=rng)
         meas = simulate_tdoa_measurements(topo, src, noise_std, rng)
-        heads, estimates, operators = local_wls_batch(
-            meas, build_selection_weights(topo), topo, deployment_center(topo)
-        )
+        run = meas, build_selection_weights(topo), topo, deployment_center(topo)
+        _, heads, estimates, operators = next(wls_group([run], False, True))
         assert heads.size
         hoods = topo.neighborhoods[np.ix_(heads, heads)]
         q = build_q_matrix(operators, meas.variances)

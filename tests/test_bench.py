@@ -608,6 +608,38 @@ class TestLocalizationRuns:
         assert len(calls) == fits
         assert all(np.isfinite(r.rmse) for r in records)
 
+    def test_global_only_sweep_fits_no_heads(self, monkeypatch):
+        # no scheme but global reads a head's fit, so no run builds a
+        # selection matrix or fits a head, and the global records are those
+        # of the same sweep with local; an odd grid's global fits all fail,
+        # since they start on the middle head
+        cfg = LocalizationExperiment(
+            n_heads=(9, 16), sensors_per_head=10, noise_std=1.0, decay_scale=1.0,
+            source=(60.0, 70.0), runs=4, schemes=("global",), seed=7,
+        )
+        selections, real_wls_group = [], bench.wls_group
+
+        def wls_group(runs, with_global, with_operators):
+            selections.extend(selection for _, selection, _, _ in runs)
+            return real_wls_group(runs, with_global, with_operators)
+
+        def scored(schemes):
+            selections.clear()
+            weights = mock.Mock(wraps=estimators.build_selection_weights)
+            monkeypatch.setattr(bench, "build_selection_weights", weights)
+            records = run_localization_experiment(dataclasses.replace(cfg, schemes=schemes))
+            rows = [(r.sweep_value, r.rmse, r.crlb_rmse, r.fail_count) for r in records
+                    if r.scheme == "global"]
+            return np.array(rows), weights.call_count
+
+        monkeypatch.setattr(bench, "wls_group", wls_group)
+        alone, built = scored(("global",))
+        assert selections == [None] * 8 and built == 0
+        both, built = scored(("global", "local"))
+        assert [s is None for s in selections] == [False] * 8 and built == 8
+        assert alone[:, 3].tolist() == [4, 0] and np.isnan(alone[0, 1])
+        np.testing.assert_array_equal(alone, both)
+
     @pytest.mark.parametrize("opt", [False, True], ids=["no-opt", "opt"])
     def test_two_sixty_four_head_runs_form_one_group(self, monkeypatch, opt):
         # a 64-head run fits 3,520 rows with its global fit, so the budget

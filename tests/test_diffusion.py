@@ -22,7 +22,7 @@ from locbench.diffusion import (
     median_weights,
     optimal_weights,
 )
-from locbench.estimators import build_selection_weights, local_wls_batch
+from locbench.estimators import build_selection_weights, wls_group
 from locbench.geometry import build_grid_network, deployment_center
 from locbench.signals import simulate_tdoa_measurements
 
@@ -49,7 +49,7 @@ def prepared_trial(seed):
     meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
     selection = build_selection_weights(topo)
     init = deployment_center(topo)
-    heads, positions, operators = local_wls_batch(meas, selection, topo, init)
+    _, heads, positions, operators = next(wls_group([(meas, selection, topo, init)], False, True))
     assert heads.tolist() == list(range(16))
     return topo.neighborhoods, positions, build_q_matrix(operators, meas.variances)
 

@@ -18,8 +18,6 @@ from locbench.estimators import (
     _solve_stack,
     build_selection_weights,
     crlb,
-    global_wls,
-    local_wls_batch,
     wls_group,
 )
 from locbench.geometry import (
@@ -31,6 +29,18 @@ from locbench.geometry import (
 from locbench.signals import simulate_tdoa_measurements
 
 SOURCE = (60.0, 70.0)
+
+
+def fit(meas, selection, topo, init, with_global=True, with_operators=True):
+    """One run's wls_group fits: (position, heads, positions, operators)."""
+    return next(wls_group([(meas, selection, topo, init)], with_global, with_operators))
+
+
+def same_position(have, want):
+    """Equal global-fit outcomes: one point, both None, or errors of one text."""
+    if isinstance(want, EstimationError):
+        return isinstance(have, EstimationError) and str(have) == str(want)
+    return (have is None) == (want is None) and (want is None or np.array_equal(have, want))
 
 
 def residual_and_jacobian(x, meas, topo):
@@ -93,7 +103,7 @@ def oracle_gauss_newton(meas, topo, x0, weights):
     return x, False
 
 
-def oracle_global_wls(meas, topo, init):
+def oracle_global_fit(meas, topo, init):
     return oracle_gauss_newton(meas, topo, init, 1.0 / meas.variances)[0]
 
 
@@ -163,7 +173,7 @@ class TestGlobalWls:
         topo = build_grid_network(16, seed=4)
         meas = simulate_tdoa_measurements(topo, SOURCE, 0.0, np.random.default_rng(0))
         init = deployment_center(topo)
-        est = global_wls(meas, topo, init)
+        est = fit(meas, None, topo, init)[0]
         assert np.linalg.norm(est - SOURCE) < 1e-8
 
     def test_noisy_estimate_beats_grid_refinement(self):
@@ -172,7 +182,7 @@ class TestGlobalWls:
         topo = build_grid_network(16, seed=6)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(6))
         init = deployment_center(topo)
-        est = global_wls(meas, topo, init)
+        est = fit(meas, None, topo, init)[0]
 
         def cost(p):
             res, _ = residual_and_jacobian(p, meas, topo)
@@ -191,10 +201,22 @@ class TestGlobalWls:
         for _ in range(30):
             topo = build_grid_network(16, seed=rng)
             meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-            est = global_wls(meas, topo, deployment_center(topo))
+            est = fit(meas, None, topo, deployment_center(topo))[0]
             errors.append(np.linalg.norm(est - SOURCE))
         # CRLB-level accuracy is about 1.8 m at this operating point
         assert np.mean(errors) < 3.0
+
+    def test_a_round_that_leaves_no_fit_live_yields_the_failure(self):
+        # one head of one sensor: the one row's rank-one normal matrix ends
+        # in a singular step, which leaves the batch without a live fit
+        rng = np.random.default_rng(62)
+        topo = build_grid_network(1, sensors_per_head=1, seed=rng)
+        init = rng.uniform(-40.0, 40.0, size=2)
+        meas = simulate_tdoa_measurements(topo, topo.sensors[0, 0], 0.0, rng)
+        position = fit(meas, None, topo, init)[0]
+        assert str(position) == "global WLS failed: singular step"
+        with pytest.raises(EstimationError):
+            oracle_global_fit(meas, topo, init)
 
     def test_monte_carlo_covariance_matches_crlb(self):
         # the solver is asymptotically efficient: over repeated noise draws
@@ -204,7 +226,7 @@ class TestGlobalWls:
         sq = []
         for _ in range(400):
             meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-            est = global_wls(meas, topo, deployment_center(topo))
+            est = fit(meas, None, topo, deployment_center(topo))[0]
             sq.append(np.sum((est - SOURCE) ** 2))
         bound = np.trace(crlb(topo, SOURCE, meas.variances))
         assert np.mean(sq) == pytest.approx(bound, rel=0.15)
@@ -247,7 +269,7 @@ class TestSelectionWeights:
         assert np.allclose(selection.sum(axis=0), 1.0)
         m = topo.sensors_per_head
         for k in range(16):
-            # head k's weight on each measurement, as local_wls_batch applies it
+            # head k's weight on each measurement, as wls_group applies it
             column = np.repeat(selection[:, k] / m, m)
             assert column.sum() == pytest.approx(1.0)
             # a measurement carries its owning head's entry split over the
@@ -266,7 +288,7 @@ class TestSelectionWeights:
 
     def test_measurement_weights_split_head_mass(self):
         topo = build_grid_network(16, sensors_per_head=10, seed=3)
-        # head 0's weight on each measurement, as local_wls_batch applies it
+        # head 0's weight on each measurement, as wls_group applies it
         column = np.repeat(build_selection_weights(topo)[:, 0] / 10, 10)
         assert column.shape == (160,)
         # head 1's ten sensors share its 1/4 mass
@@ -321,7 +343,7 @@ class TestSolveStack:
 
 def fitted_heads(meas, selection, topo, init):
     """{head: (position, operator)} of the heads whose fit succeeded."""
-    heads, positions, operators = local_wls_batch(meas, selection, topo, init)
+    _, heads, positions, operators = fit(meas, selection, topo, init, with_global=False)
     return {int(k): (x, op) for k, x, op in zip(heads, positions, operators)}
 
 
@@ -352,7 +374,7 @@ class TestLocalWls:
         starved[0, 0] = 1.0  # head 0 may use only its own 2 measurements
         starved[:, 1] = 0.25  # head 1 sees all 8
         assert np.count_nonzero(np.repeat(starved[:, 0] / 2, 2)) == 2
-        heads, _, _ = local_wls_batch(meas, starved, topo, deployment_center(topo))
+        heads = fit(meas, starved, topo, deployment_center(topo), with_global=False)[1]
         assert heads.tolist() == [1]
 
     @pytest.mark.parametrize("init", [(np.nan, 0.0), (0.0, np.inf), (1.0, 2.0, 3.0)])
@@ -360,9 +382,9 @@ class TestLocalWls:
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         with pytest.raises(ValueError):
-            global_wls(meas, topo, init)
+            fit(meas, None, topo, init)
         with pytest.raises(ValueError):
-            local_wls_batch(meas, build_selection_weights(topo), topo, init)
+            fit(meas, build_selection_weights(topo), topo, init, with_global=False)
 
     def test_one_debug_line_per_batch(self, caplog):
         # 9 heads: the deployment center is head 4, so the fits of head 4
@@ -374,8 +396,8 @@ class TestLocalWls:
         starved[:, 0] = 0.0
         starved[0, 0] = 1.0
         with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
-            heads, positions, operators = local_wls_batch(
-                meas, starved, topo, deployment_center(topo)
+            _, heads, positions, operators = fit(
+                meas, starved, topo, deployment_center(topo), with_global=False
             )
         assert heads.tolist() == [2, 6, 8]
         assert positions.shape == (3, 2) and operators.shape == (3, 2, 18)
@@ -396,14 +418,14 @@ class TestLocalWls:
         (center,) = np.flatnonzero((topo.heads == init).all(axis=1))
         on_node = np.flatnonzero(topo.neighborhoods[center])
         with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
-            heads, _, _ = local_wls_batch(meas, build_selection_weights(topo), topo, init)
+            heads = fit(meas, build_selection_weights(topo), topo, init, with_global=False)[1]
         (line,) = [r.getMessage() for r in caplog.records]
         assert line.endswith(f"failed: on a node {on_node.tolist()}")
         assert heads.tolist() == np.setdiff1d(np.arange(n_heads), on_node).tolist()
         if n_heads == 9:
             assert on_node.tolist() == [1, 3, 4, 5, 7]
-        with pytest.raises(EstimationError, match="on a node"):
-            global_wls(meas, topo, init)
+        position = fit(meas, None, topo, init)[0]
+        assert isinstance(position, EstimationError) and "on a node" in str(position)
 
 
 def starved(selection, rng):
@@ -446,19 +468,24 @@ class TestBatchMatchesPerHeadOracle:
                 expected[k] = oracle_local_wls(k, meas, selection, topo, init)
             except EstimationError:
                 pass
-        got = fitted_heads(meas, selection, topo, init)
+        # one run's global and local fits in one batch, and its global fit alone
+        together = fit(meas, selection, topo, init)
+        alone = fit(meas, None, topo, init, True, False)
+        got = {int(k): (x, op) for k, x, op in zip(*together[1:])}
         assert sorted(got) == sorted(expected)
         for k, (position, operator) in expected.items():
             assert np.array_equal(got[k][0], position)
             assert np.array_equal(got[k][1], operator)
+        assert alone[1].size == 0 and alone[3] is None
 
         try:
-            global_expected = oracle_global_wls(meas, topo, init)
+            global_expected = oracle_global_fit(meas, topo, init)
         except EstimationError:
-            with pytest.raises(EstimationError):
-                global_wls(meas, topo, init)
+            assert isinstance(together[0], EstimationError)
+            assert isinstance(alone[0], EstimationError)
         else:
-            assert np.array_equal(global_wls(meas, topo, init), global_expected)
+            assert np.array_equal(together[0], global_expected)
+            assert np.array_equal(alone[0], global_expected)
 
 
 class TestGroupMatchesPerRunFits:
@@ -491,17 +518,10 @@ class TestGroupMatchesPerRunFits:
         fits = list(wls_group(runs, with_global, True))
         assert len(fits) == len(runs)
         for (meas, selection, topo, init), (position, *local) in zip(runs, fits):
-            if not with_global:
-                assert position is None
-            else:
-                try:
-                    expected = global_wls(meas, topo, init)
-                except EstimationError as exc:
-                    assert isinstance(position, EstimationError)
-                    assert str(position) == str(exc)
-                else:
-                    assert np.array_equal(position, expected)
-            for have, want in zip(local, local_wls_batch(meas, selection, topo, init)):
+            # the run's global fit alone, then its heads' fits alone
+            alone = fit(meas, None, topo, init, True, False)[0] if with_global else None
+            assert same_position(position, alone)
+            for have, want in zip(local, fit(meas, selection, topo, init, False)[1:]):
                 assert np.array_equal(have, want)
 
 
@@ -537,12 +557,7 @@ class TestGroupWithoutOperators:
             runs, bare, full
         ):
             assert operators is None
-            if isinstance(want, EstimationError):
-                assert isinstance(position, EstimationError)
-                assert str(position) == str(want)
-            else:
-                assert (position is None) == (want is None) == (not with_global)
-                assert want is None or np.array_equal(position, want)
+            assert same_position(position, want) and (want is None) != with_global
             assert np.array_equal(heads, local[0])
             assert np.array_equal(positions, local[1])
             expected = set()
@@ -556,10 +571,11 @@ class TestGroupWithoutOperators:
 
 
 class TestChunkSize:
-    # 16 heads of 10 sensors: K = 160 rows, and the default chunk size
-    # packs all 16 fits into one chunk; 1 element gives one fit per chunk,
-    # and 7 * 160 gives chunks of 7, 7 and 2 fits
-    @pytest.mark.parametrize("elements", [1, 7 * 160])
+    # 16 heads of 10 sensors and the global fit: 17 fits of K = 160 rows,
+    # which the default chunk size packs into one chunk; 1 element gives
+    # the floor of _CHUNK_FITS = 8 fits a chunk, and 9 * 160 chunks of 9
+    # and 8 fits
+    @pytest.mark.parametrize("elements", [1, 9 * 160])
     @pytest.mark.parametrize("starve", [False, True], ids=["clean", "starved"])
     def test_chunk_size_moves_no_bit(self, monkeypatch, elements, starve):
         rng = np.random.default_rng(21)
@@ -569,12 +585,16 @@ class TestChunkSize:
         if starve:
             selection = starved(selection, rng)
         init = deployment_center(topo)
-        assert meas.size == 160 and estimators._CHUNK_ELEMENTS // meas.size >= 16
-        expected = local_wls_batch(meas, selection, topo, init)
+        assert meas.size == 160 and estimators._CHUNK_ELEMENTS // meas.size >= 17
+        expected = fit(meas, selection, topo, init)
         monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", elements)
-        got = local_wls_batch(meas, selection, topo, init)
-        assert 0 < len(expected[0]) < 16 if starve else len(expected[0]) == 16
-        for want, have in zip(expected, got):
+        every = np.ones(17, dtype=bool), np.repeat(np.arange(17), 160), np.tile(np.arange(160), 17)
+        chunks = estimators._layout(*every, 160)[2]
+        assert [hi - lo for lo, hi, *_ in chunks] == {1: [8, 8, 1], 9 * 160: [9, 8]}[elements]
+        got = fit(meas, selection, topo, init)
+        assert 0 < len(expected[1]) < 16 if starve else len(expected[1]) == 16
+        assert isinstance(expected[0], np.ndarray) and np.array_equal(got[0], expected[0])
+        for want, have in zip(expected[1:], got[1:]):
             assert np.array_equal(have, want)
 
 
