@@ -86,7 +86,10 @@ def median_weights(
     """
     if not decay_scale > 0:
         raise ValueError("decay_scale must be positive")
-    runs, median = range(len(estimates)) if runs is None else runs, np.median(estimates, axis=1)
+    runs, ranked = range(len(estimates)) if runs is None else runs, np.sort(estimates, axis=1)
+    mid = ranked.shape[1] // 2  # np.median's value from a sort, without its numpy.ma import
+    median = ranked[:, mid] if ranked.shape[1] % 2 else (ranked[:, mid - 1] + ranked[:, mid]) / 2
+    median[np.isnan(ranked[:, -1])] = np.nan  # NaN sorts last
     with np.errstate(over="ignore"):  # an inf quotient is a weight of 0
         raw = np.exp(-np.sum((estimates - median[:, None]) ** 2, axis=2) / decay_scale)
     weights = np.where(hoods, raw[:, :, None], 0.0)
@@ -161,7 +164,7 @@ def _support_table(hoods: np.ndarray) -> tuple:
     the whole neighborhoods of each size."""
     n, by_size, whole = len(hoods), {}, []
     degrees = hoods.sum(axis=1)
-    for m in np.unique(degrees):
+    for m in sorted(set(degrees.tolist())):  # np.unique would import numpy.ma
         h = np.flatnonzero(degrees == m)
         nb = np.nonzero(hoods[h])[1].reshape(-1, m)
         whole.append((h, nb[:, :, None] * n + nb[:, None, :], nb * n + h[:, None]))

@@ -43,9 +43,9 @@ _MAX_DAMPING = 1e12
 _CHUNK_ELEMENTS, _CHUNK_FITS = 8192, 8
 # rows of one batch of whole runs (wls_groups): a 16-head run of 10 sensors
 # has 800 with its global fit, so ten share a batch, and a 64-head run
-# 3,520, so two do; the batch holds about 330 bytes a row while it runs
-# (about 2.7 MB when full), and its per-row arrays, a few dozen bytes a
-# row, stay alive while its runs are scored
+# 3,520, so two do; the batch holds about 270 bytes a row while it runs
+# (2.1 MB for ten 16-head runs), and its per-row arrays, a few dozen bytes
+# a row, stay alive while its runs are scored
 _GROUP_ROWS = 8192
 
 # how a fit ends: the first two leave an estimate, _LIVE is still running
@@ -71,9 +71,16 @@ def _range_differences(x0, x1, xi0, xi1, xj0, xj1):
     np.linalg.norm along an axis of two.
     """
     a0, a1, b0, b1 = x0 - xi0, x1 - xi1, x0 - xj0, x1 - xj1
-    di = np.sqrt(a0 * a0 + a1 * a1)
-    dj = np.sqrt(b0 * b0 + b1 * b1)
-    return di - dj, a0 / di - b0 / dj, a1 / di - b1 / dj, di, dj
+    # the operations of sqrt(a0 * a0 + a1 * a1) and a0 / di - b0 / dj, partly in place
+    di, dj = a0 * a0, b0 * b0
+    di += a1 * a1
+    dj += b1 * b1
+    di, dj = np.sqrt(di), np.sqrt(dj)
+    a0 /= di
+    b0 /= dj
+    a1 /= di
+    b1 /= dj
+    return di - dj, a0 - b0, a1 - b1, di, dj
 
 
 def _range_difference_jacobian(x: np.ndarray, xi: np.ndarray, xj: np.ndarray):
@@ -154,82 +161,86 @@ def _gauss_newton(x0, fit, rows, data, k: int):
     distance of exactly zero, where its range-difference model is
     undefined. The first round evaluates the start points and takes no step.
 
-    Residuals and jacobians are evaluated on each fit's rows only. The sums
-    over them run on the K-row layout, zero-padded, so each fit's iterates
-    are those of a fit over all K measurements with zero weight elsewhere,
-    whatever else is in the batch.
+    Residuals and jacobians are evaluated on a layout: copies of some fits'
+    rows, in chunks, with each fit's state held in arrays over the layout's
+    fits. A layout is built over the live fits and kept until at most half
+    of them are live; until then a finished fit's rows ride along at its
+    last point, and its sums are masked out of every accept, damping and
+    outcome decision. The sums run on the K-row layout, zero-padded, so
+    each fit's iterates are those of a fit over all K measurements with
+    zero weight elsewhere, whatever else is in the batch.
 
     Returns (x, outcome, hess): (F, 2) final points, (F,) outcome codes
     and the (F, 2, 2) normal matrices at the final points.
     """
     n = len(x0)
-    x = trial = np.array(x0, dtype=float)
-    cost, grad, hess = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2))
-    mu = np.full(n, _INITIAL_DAMPING)
-    accepted = np.zeros(n, dtype=int)
-    outcome = np.full(n, _LIVE)
-    idx, eye, start, n_live = np.arange(n), np.eye(2), True, -1
-    while idx.size:
-        if not start:
-            step = _solve_stack(hess[idx] + mu[idx, None, None] * eye, grad[idx, :, None])
-            step = step[..., 0]
-            solved = np.isfinite(step).all(axis=1)
-            if not solved.all():
-                outcome[idx[~solved]] = _SINGULAR
-                idx, step = idx[solved], step[solved]
-            trial = x[idx] + step
-        # the live set only shrinks, so an equal size means the same fits
-        if n_live != len(idx):
-            on, slot, chunks = _layout(outcome == _LIVE, fit, rows, k)
-            n_live, live_rows = len(idx), rows[on]
-            xi0, xi1, xj0, xj1, values, w_on = data[:, on]
-        with np.errstate(divide="ignore", invalid="ignore"):  # on a node
-            predicted, jac0, jac1, di, dj = _range_differences(
-                trial[slot, 0], trial[slot, 1], xi0, xi1, xj0, xj1
-            )
-        on_node = np.zeros(len(idx), dtype=bool)
-        on_node[slot[(di == 0.0) | (dj == 0.0)]] = True
-        res = values - predicted
-        del predicted, di, dj  # the working set holds only what is read below
-        wres, cost_new = w_on * res, np.empty(len(idx))
-        for lo, hi, a, b, at in chunks:
-            wres_k, res_k = (_padded((v[a:b],), at, hi - lo, k) for v in (wres, res))
-            cost_new[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
-        res = wres_k = res_k = None  # not del: if every live fit failed its step, no chunk ran
-        outcome[idx[on_node]] = _ON_NODE
-        better = ~on_node if start else (cost_new <= cost[idx]) & ~on_node
-        up = idx[better]
-        cost[up] = cost_new[better]
-        # gradient jac^T (w * res) and normal matrix jac^T W jac of the
-        # accepted fits, at their new points
-        picked, picked_chunks = (jac0, jac1, w_on, wres), chunks
-        if not better.all():
-            keep, _, picked_chunks = _layout(better, slot, live_rows, k)
-            picked = [v[keep] for v in picked]
-        jac0, jac1, w_up, wres = picked
-        grad_up, hess_up = np.empty((len(up), 2)), np.empty((len(up), 2, 2))
-        for lo, hi, a, b, at in picked_chunks:
-            jac = (jac0[a:b], jac1[a:b])
-            jac_k = _padded(jac, at, hi - lo, k)
-            wjac_k = _padded([c * w_up[a:b] for c in jac], at, hi - lo, k)
-            wres_k = _padded((wres[a:b],), at, hi - lo, k)
-            grad_up[lo:hi] = np.matmul(jac_k.transpose(0, 2, 1), wres_k[:, :, None])[..., 0]
-            hess_up[lo:hi] = np.matmul(wjac_k.transpose(0, 2, 1), jac_k)
-        grad[up], hess[up] = grad_up, hess_up
-        jac_k = wjac_k = wres_k = None  # the last chunk's buffers go before the next round
-        if not start:
-            x[up] = trial[better]
-            mu[up] *= 0.1
-            accepted[up] += 1
-            # the step length as np.linalg.norm takes it, from a BLAS dot
-            length = np.sqrt(np.matmul(step[better, None, :], step[better, :, None]))
-            outcome[up[length[:, 0, 0] < _STEP_TOL]] = _CONVERGED
-            outcome[up[(outcome[up] == _LIVE) & (accepted[up] >= _MAX_ITERS)]] = _STOPPED
-            down = idx[~better & ~on_node]
-            mu[down] = np.where(mu[down] > 0, mu[down] * 10.0, 1e-8)
-            outcome[down[mu[down] > _MAX_DAMPING]] = _STOPPED
-        start = False
-        idx = idx[outcome[idx] == _LIVE]
+    x, hess, outcome = np.array(x0, dtype=float), np.zeros((n, 2, 2)), np.full(n, _LIVE)
+    ids, eye, start = np.arange(n), np.eye(2), True
+    # per layout fit: point, cost, gradient, normal matrix, damping, accepted steps
+    state = x, np.empty(n), np.zeros((n, 2)), hess, np.full(n, _INITIAL_DAMPING), np.zeros(n, int)
+    while ids.size:
+        on, slot, chunks = _layout(outcome == _LIVE, fit, rows, k)
+        live_rows, (xi0, xi1, xj0, xj1, values, w_on) = rows[on], data[:, on]
+        (px, cost, grad, normal, mu, accepted), code = state, outcome[ids]
+        live = np.ones(len(ids), dtype=bool)
+        while 2 * np.count_nonzero(live) > len(ids):
+            trial = px
+            if not start:
+                step = _solve_stack(normal + mu[:, None, None] * eye, grad[:, :, None])[..., 0]
+                solved = np.isfinite(step).all(axis=1)
+                code[live & ~solved] = _SINGULAR
+                live &= solved
+                step[~live] = 0.0  # a finished fit stays at its last point
+                trial = px + step
+            with np.errstate(divide="ignore", invalid="ignore"):  # on a node
+                predicted, jac0, jac1, di, dj = _range_differences(
+                    trial[:, 0][slot], trial[:, 1][slot], xi0, xi1, xj0, xj1
+                )
+            on_node = np.zeros(len(ids), dtype=bool)
+            on_node[slot[(di == 0.0) | (dj == 0.0)]] = True
+            on_node &= live
+            res = values - predicted
+            del predicted, di, dj  # the working set holds only what is read below
+            wres, cost_new = w_on * res, np.empty(len(ids))
+            for lo, hi, a, b, at in chunks:
+                wres_k, res_k = (_padded((v[a:b],), at, hi - lo, k) for v in (wres, res))
+                cost_new[lo:hi] = np.matmul(wres_k[:, None, :], res_k[:, :, None])[:, 0, 0]
+            del res, wres_k, res_k
+            code[on_node] = _ON_NODE
+            better = live & ~on_node & (start | (cost_new <= cost))
+            up = np.flatnonzero(better)
+            cost[up] = cost_new[up]
+            # gradient jac^T (w * res) and normal matrix jac^T W jac of the
+            # accepted fits, at their new points
+            picked, picked_chunks = (jac0, jac1, w_on, wres), chunks
+            if len(up) < len(ids):
+                keep, _, picked_chunks = _layout(better, slot, live_rows, k)
+                picked = [v[keep] for v in picked]
+            jac0, jac1, w_up, wres = picked
+            grad_up, hess_up = np.empty((len(up), 2)), np.empty((len(up), 2, 2))
+            for lo, hi, a, b, at in picked_chunks:
+                jac = (jac0[a:b], jac1[a:b])
+                jac_k = _padded(jac, at, hi - lo, k)
+                wjac_k = _padded([c * w_up[a:b] for c in jac], at, hi - lo, k)
+                wres_k = _padded((wres[a:b],), at, hi - lo, k)
+                grad_up[lo:hi] = np.matmul(jac_k.transpose(0, 2, 1), wres_k[:, :, None])[..., 0]
+                hess_up[lo:hi] = np.matmul(wjac_k.transpose(0, 2, 1), jac_k)
+            grad[up], normal[up] = grad_up, hess_up
+            jac_k = wjac_k = wres_k = None  # the last chunk's buffers go before the next round
+            if not start:
+                px[up] = trial[up]
+                mu[up] *= 0.1
+                accepted[up] += 1
+                # the step length as np.linalg.norm takes it, from a BLAS dot
+                length = np.sqrt(np.matmul(step[up, None, :], step[up, :, None]))
+                code[up[length[:, 0, 0] < _STEP_TOL]] = _CONVERGED
+                code[up[(code[up] == _LIVE) & (accepted[up] >= _MAX_ITERS)]] = _STOPPED
+                down = np.flatnonzero(live & ~better & ~on_node)
+                mu[down] = np.where(mu[down] > 0, mu[down] * 10.0, 1e-8)
+                code[down[mu[down] > _MAX_DAMPING]] = _STOPPED
+            start, live = False, code == _LIVE
+        x[ids], hess[ids], outcome[ids] = px, normal, code
+        ids, state = ids[live], tuple(v[live] for v in (px, cost, grad, normal, mu, accepted))
     return x, outcome, hess
 
 

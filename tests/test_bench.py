@@ -469,8 +469,26 @@ class TestLocalizationRuns:
             finally:
                 tracemalloc.stop()
 
-        peak(1)  # a one-time lazy import (numpy.ma, via np.unique in opt) is not the runs'
+        peak(1)  # warm-up: a first run's one-time costs (caches, lazy imports) are not the runs'
         assert peak(4 * group) - peak(2 * group) < 150_000
+
+    def test_five_scheme_run_never_imports_numpy_ma(self):
+        # numpy.ma costs about 1.5 MB of a process's memory; np.median (in
+        # wei) and np.unique (in opt) import it, and no scheme needs it
+        code = (
+            "import sys\n"
+            "from locbench.bench import LocalizationExperiment, run_localization_experiment\n"
+            "run_localization_experiment(LocalizationExperiment(\n"
+            "    n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,\n"
+            "    source=(60.0, 70.0), runs=2, schemes=('global', 'con', 'wei', 'opt', 'local'),\n"
+            "    seed=1))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_large_grid_memory_holds_no_operators_without_opt(self):
         # one 256-head run's (F, 2, K) operators alone would hold 10.5 MB;

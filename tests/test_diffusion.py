@@ -244,6 +244,21 @@ def spread_estimates(draw, n):
 
 
 @st.composite
+def median_estimates(draw, n):
+    """spread_estimates, or coordinates from a few values, so that heads
+    tie and both zeros meet, sometimes with a row of NaN: the inputs where
+    a median taken from a sort could part from np.median's."""
+    kind = draw(st.sampled_from(["spread", "ties", "nan row"]), label="kind")
+    if kind == "spread":
+        return draw(spread_estimates(n))
+    values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    estimates = np.array(draw(st.lists(values, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    if kind == "nan row":
+        estimates[draw(st.integers(0, n - 1), label="nan head")] = np.nan
+    return estimates
+
+
+@st.composite
 def stacked_networks(draw):
     """Heads whose neighborhoods share a size, so that one stack holds many.
 
@@ -317,9 +332,11 @@ class TestMatrixRulesMatchPerHeadOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_median(self, data):
+        # odd and even head counts, ties, both zeros and NaN rows: the
+        # median from a sort must weigh the heads as np.median's does
         hoods = data.draw(networks(max_heads=14))
         runs = data.draw(st.integers(1, 3), label="runs")
-        estimates = np.stack([data.draw(spread_estimates(len(hoods))) for _ in range(runs)])
+        estimates = np.stack([data.draw(median_estimates(len(hoods))) for _ in range(runs)])
         decay_scale = data.draw(st.sampled_from([1e-3, 0.5, 1.0, 30.0, 1e4]))
         stacked = median_weights(estimates, hoods, decay_scale)
         for run, weights in enumerate(stacked):
