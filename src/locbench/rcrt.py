@@ -133,6 +133,15 @@ def remainders_of(dividends, ws: WavelengthSet):
     high = remainders >= lams
     quotients[high] += 1.0
     remainders[high] -= lams[high]
+    # a dividend within rounding of max_range can fold to quotient
+    # prod(factors) / Gamma_k with remainder 0, out of the range that
+    # reconstruct_batch searches; the exact fold is one wavelength lower,
+    # its remainder just below the wavelength
+    total = math.prod(ws.coprime_factors)
+    top = quotients >= np.array([total // g for g in ws.coprime_factors], dtype=float)
+    if top.any():
+        quotients[top] -= 1.0
+        remainders[top] = np.minimum(remainders[top] + lams[top], np.nextafter(lams[top], 0.0))
     return remainders, quotients.astype(int)
 
 

@@ -91,6 +91,21 @@ class TestRemaindersOf:
             assert np.all((rem >= 0.0) & (rem < ws.wavelengths))
             assert np.allclose(quotients * ws.wavelengths + rem, np.reshape(dividends, (-1, 1)))
 
+    def test_top_of_range_keeps_quotients_in_range(self):
+        # the float below max_range folds by rounding to quotients 10 and 18,
+        # remainder 0, at their bounds; the exact fold (9, 44, 17) sits just
+        # below each wavelength and reconstructs
+        ws = make_wavelength_set(654.1524946671418, (9, 2, 5))
+        top = np.nextafter(ws.max_range, 0.0)
+        rem, quotients = remainders_of(top, ws)
+        assert quotients.tolist() == [9, 44, 17]
+        assert np.all((rem >= 0.0) & (rem < ws.wavelengths))
+        assert np.allclose(quotients * ws.wavelengths + rem, top, rtol=0.0, atol=1e-11)
+        estimates, found, ambiguous = reconstruct_batch(rem[None], ws)
+        assert not ambiguous[0]
+        assert found[0].tolist() == [9, 44, 17]
+        assert estimates[0] == pytest.approx(top, rel=1e-15)
+
     def test_array_of_dividends_folds_entry_by_entry(self):
         # a block gains a last axis; each entry has the bits of its own fold
         dividends = np.array([[0.0, 5000.0, 325200.0], [1.5, 99999.25, 1e-9]])
