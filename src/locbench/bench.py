@@ -3,25 +3,22 @@
 Determinism contract: every trial derives its own random stream from the
 experiment seed and the trial's indices, so a (config, seed) pair fully
 determines every estimate in the output; a ranging trial's stream is
-default_rng([seed, point, trial]) bit for bit. CPU timing (process time) is
-optional and off by default, keeping the emitted CSV byte-stable across
-replays.
+default_rng([seed, point, trial]) bit for bit. The CSV holds no clock
+reading, so replaying a (config, seed) pair reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import math
-import time
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import diffusion, estimators
+from . import diffusion
 from .diffusion import SCHEMES as DIFFUSION_SCHEMES, build_q_matrix
 from .estimators import build_selection_weights, crlb, wls_group, wls_groups
 from .geometry import build_grid_network, deployment_center
@@ -133,7 +130,6 @@ class LocalizationExperiment:
     epsilon: float = 1e-4
     max_epochs: int = 500
     optimize_once: bool = False
-    timing: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "source", tuple(float(c) for c in self.source))
@@ -167,7 +163,7 @@ class MetricsRecord:
     sweep_value: float
     scheme: str
     rmse: float
-    cpu_time: Optional[float]
+    cpu_time: Optional[float]  # always None: an empty column, kept for the CSV layout
     mean_epochs: Optional[float]
     crlb_rmse: float
     fail_count: int
@@ -291,14 +287,11 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
     order, fits the runs in wls_groups' groups and scores every scheme at
     each of decay_scales. Yields each run's (crlb_trace, outcomes,
     trace_rows) per scale: outcomes maps each scheme to (squared_error,
-    epochs, cpu_seconds), or None where it failed, and trace_rows holds
-    trace_scheme's (epoch, head, x1, x2, max_step) rows. Diffusion runs on
-    the heads whose local fit succeeded, over their block of the
-    neighborhood mask, in one diffuse call per scheme and scale for the
-    group's runs on that block; log records are held back to keep the run
-    order. cpu_seconds adds an even share of the group's batch, the run's
-    operators and their Q, built once (both only with opt), and an even
-    share of the scheme's diffuse call.
+    epochs), or None where it failed, and trace_rows holds trace_scheme's
+    (epoch, head, x1, x2, max_step) rows. Diffusion runs on the heads whose
+    local fit succeeded, over their block of the neighborhood mask, in one
+    diffuse call per scheme and scale for the group's runs on that block.
+    A group logs its runs' fit lines first, then each diffuse call's lines.
     """
     source = np.asarray(cfg.source, dtype=float)
     n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
@@ -313,69 +306,43 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
         return meas, selection, topology, deployment_center(topology)
 
     def scored(group):  # a group's runs, whose fits go when it returns
-        runs, masks, logs = [], {}, [[] for _ in group]  # each run's state; runs by mask; records
-        tag = [logs[0]]  # the log of each run of the call that runs now
+        runs, masks = [], {}  # each run's state; runs by mask
+        fits = wls_group(group, with_global, "opt" in cfg.schemes)
+        for r, (meas, _, topology, _) in enumerate(group):
+            position, heads, positions, operators = next(fits)
+            fixed = dict.fromkeys(cfg.schemes)  # None where a scheme fails
+            if isinstance(position, np.ndarray):
+                fixed["global"] = float(np.sum((position - source) ** 2)), None
+            hoods = topology.neighborhoods[np.ix_(heads, heads)]
+            bound = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
+            if "local" in fixed and heads.size:
+                fixed["local"] = float(np.sum((positions.mean(axis=0) - source) ** 2)), None
+            q = build_q_matrix(operators, meas.variances) if "opt" in cfg.schemes else None
+            del operators  # one run's operators live at a time
+            runs.append(dict(heads=heads.tolist(), positions=positions, q=q, bound=bound,
+                             cells=[(dict(fixed), []) for _ in decay_scales]))
+            if heads.size:
+                masks.setdefault(hoods.tobytes(), (hoods, []))[1].append(r)
+        schemes = [scheme for scheme in cfg.schemes if scheme in DIFFUSION_SCHEMES]
+        for hoods, members in masks.values():
+            stack = [runs[r] for r in members]
+            positions = np.stack([run["positions"] for run in stack])
+            q = np.stack([run["q"] for run in stack]) if "opt" in cfg.schemes else None
+            for (s, scale), scheme in itertools.product(enumerate(decay_scales), schemes):
 
-        def hold(record):  # as a logger filter, keeps the record back in its run's log
-            tag[getattr(record, "run", 0)].append(record)
+                def on_epoch(i, epoch, estimates, _coeffs, max_step):
+                    points = zip(stack[i]["heads"], estimates.tolist())
+                    rows = stack[i]["cells"][s][1]
+                    rows.extend((epoch, head, *x, max_step) for head, x in points)
 
-        for log in diffusion.logger, estimators.logger:
-            log.addFilter(hold)
-        try:
-            t0 = time.process_time()
-            fits = wls_group(group, with_global, "opt" in cfg.schemes)
-            share = (time.process_time() - t0) / len(group)
-            t0 = time.process_time()
-            for r, (meas, _, topology, _) in enumerate(group):
-                tag[:] = [logs[r]]
-                position, heads, positions, operators = next(fits)
-                fit_time = share + (time.process_time() - t0)
-                fixed = dict.fromkeys(cfg.schemes)  # None where a scheme fails
-                if isinstance(position, np.ndarray):
-                    fixed["global"] = float(np.sum((position - source) ** 2)), None, fit_time
-                hoods = topology.neighborhoods[np.ix_(heads, heads)]
-                bound = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
-                t0 = time.process_time()
-                if "local" in fixed and heads.size:
-                    err = float(np.sum((positions.mean(axis=0) - source) ** 2))
-                    fixed["local"] = err, None, fit_time + (time.process_time() - t0)
-                t0 = time.process_time()
-                q = build_q_matrix(operators, meas.variances) if "opt" in cfg.schemes else None
-                del operators  # one run's operators live at a time
-                runs.append(dict(heads=heads.tolist(), positions=positions, q=q, bound=bound,
-                                 fit=fit_time, opt=fit_time + time.process_time() - t0,
-                                 cells=[(dict(fixed), []) for _ in decay_scales]))
-                if heads.size:
-                    masks.setdefault(hoods.tobytes(), (hoods, []))[1].append(r)
-                t0 = time.process_time()  # the next run's operators start here
-            schemes = [scheme for scheme in cfg.schemes if scheme in DIFFUSION_SCHEMES]
-            for hoods, members in masks.values():
-                tag[:], stack = [logs[r] for r in members], [runs[r] for r in members]
-                positions = np.stack([run["positions"] for run in stack])
-                q = np.stack([run["q"] for run in stack]) if "opt" in cfg.schemes else None
-                for (s, scale), scheme in itertools.product(enumerate(decay_scales), schemes):
-
-                    def on_epoch(i, epoch, estimates, _coeffs, max_step):
-                        points = zip(stack[i]["heads"], estimates.tolist())
-                        rows = stack[i]["cells"][s][1]
-                        rows.extend((epoch, head, *x, max_step) for head, x in points)
-
-                    t0 = time.process_time()
-                    result = diffusion.diffuse(
-                        positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
-                        q=q, decay_scale=scale, optimize_once=cfg.optimize_once,
-                        on_epoch=on_epoch if scheme == trace_scheme else None,
-                    )
-                    seconds = (time.process_time() - t0) / len(members)
-                    for run, estimates, epochs in zip(stack, result.estimates, result.epoch):
-                        err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
-                        cpu = run["opt" if scheme == "opt" else "fit"] + seconds
-                        run["cells"][s][0][scheme] = err, int(epochs), cpu
-        finally:
-            for log in diffusion.logger, estimators.logger:
-                log.removeFilter(hold)
-            for record in itertools.chain.from_iterable(logs):  # in run order
-                logging.getLogger(record.name).handle(record)
+                result = diffusion.diffuse(
+                    positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
+                    q=q, decay_scale=scale, optimize_once=cfg.optimize_once,
+                    on_epoch=on_epoch if scheme == trace_scheme else None,
+                )
+                for run, estimates, epochs in zip(stack, result.estimates, result.epoch):
+                    err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
+                    run["cells"][s][0][scheme] = err, int(epochs)
         for run in runs:
             yield [(run["bound"], scores, rows) for scores, rows in run["cells"]]
 
@@ -428,17 +395,16 @@ def run_localization_experiment(
         crlb_rmse = float(math.sqrt(np.mean(crlb_traces)))
         for scheme in cfg.schemes:
             done = [o[scheme] for o in scored if o[scheme] is not None]
-            errs = [err for err, _, _ in done]
-            epochs = [n for _, n, _ in done if n is not None]
+            errs = [err for err, _ in done]
+            epochs = [n for _, n in done if n is not None]
             rmse = float(math.sqrt(np.mean(errs))) if errs else math.nan
             mean_epochs = float(np.mean(epochs)) if epochs else None
-            cpu = float(np.mean([dt for _, _, dt in done])) if cfg.timing and done else None
             records.append(
                 MetricsRecord(
                     sweep_value=value,
                     scheme=scheme,
                     rmse=rmse,
-                    cpu_time=cpu,
+                    cpu_time=None,
                     mean_epochs=mean_epochs,
                     crlb_rmse=crlb_rmse,
                     fail_count=cfg.runs - len(done),
@@ -574,7 +540,6 @@ _KEYS = {
         "epsilon": (float, "above 0 and finite", lambda v: 0 < v < math.inf),
         "max_epochs": (int, "at least 1", lambda v: v >= 1),
         "optimize_once": (_parse_bool, None, None),
-        "timing": (_parse_bool, None, None),
     },
 }
 

@@ -83,17 +83,6 @@ def _range_differences(x0, x1, xi0, xi1, xj0, xj1):
     return di - dj, a0 - b0, a1 - b1, di, dj
 
 
-def _range_difference_jacobian(x: np.ndarray, xi: np.ndarray, xj: np.ndarray):
-    """Predicted differences and their (K, 2) derivative rows at x."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # raised on below
-        predicted, jac0, jac1, di, dj = _range_differences(
-            x[..., 0], x[..., 1], xi[:, 0], xi[:, 1], xj[:, 0], xj[:, 1]
-        )
-    if np.any(di == 0.0) or np.any(dj == 0.0):
-        raise EstimationError("evaluation point coincides with a network node")
-    return predicted, np.column_stack((jac0, jac1))
-
-
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve over a stack of (2, 2) systems with (2, c) sides.
 
@@ -377,11 +366,16 @@ def crlb(topology: NetworkTopology, source, variances) -> np.ndarray:
 
     variances is a scalar or per-measurement vector of noise variances.
     Returns the 2x2 lower bound on the covariance of any unbiased
-    estimator; sqrt(trace) benchmarks the RMSE curves.
+    estimator; sqrt(trace) benchmarks the RMSE curves. Raises
+    EstimationError where the source lies on a node, or where the bound is
+    not finite or its trace not positive (an underflowed information).
     """
-    src = as_position(source)
     xi, xj = topology.measurement_nodes()
-    _, jac = _range_difference_jacobian(src, xi, xj)
+    with np.errstate(divide="ignore", invalid="ignore"):  # raised on below
+        _, jac0, jac1, di, dj = _range_differences(*as_position(source), *xi.T, *xj.T)
+    if np.any(di == 0.0) or np.any(dj == 0.0):
+        raise EstimationError("evaluation point coincides with a network node")
+    jac = np.column_stack((jac0, jac1))
     var = np.broadcast_to(np.asarray(variances, dtype=float), (jac.shape[0],))
     if np.any(var <= 0):
         raise ValueError("variances must be positive")
@@ -390,4 +384,8 @@ def crlb(topology: NetworkTopology, source, variances) -> np.ndarray:
         bound = np.linalg.inv(fisher)
     except np.linalg.LinAlgError as exc:
         raise EstimationError("Fisher information is singular") from exc
+    # an underflowed information inverts to inf, -inf or NaN without a
+    # LinAlgError; finiteness comes first, since the trace of inf and -inf warns
+    if not np.isfinite(bound).all() or np.trace(bound) <= 0:
+        raise EstimationError("Fisher information is singular")
     return bound

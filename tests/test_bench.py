@@ -11,6 +11,8 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -81,11 +83,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_flat_config("just words\n")
 
-    def test_unknown_key_is_an_error(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text(LOCALIZE_CFG + "mystery = 1\n")
-        with pytest.raises(ValueError, match="mystery"):
-            load_localization_experiment(path)
+    def test_unknown_key_is_an_error(self, tmp_path, capsys):
+        # timing is no key: the CSV holds no clock reading
+        path, out = tmp_path / "bad.cfg", tmp_path / "out.csv"
+        for key, value in (("mystery", "1"), ("timing", "true")):
+            path.write_text(LOCALIZE_CFG + f"{key} = {value}\n")
+            with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+                load_localization_experiment(path)
+            assert cli.main(["localize", "--config", str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+            assert not out.exists()
 
     def test_missing_key_is_an_error(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -362,7 +369,7 @@ class TestLocalizationRuns:
             assert r.rmse > 0.0
             assert r.crlb_rmse > 0.0
             assert r.fail_count == 0
-            assert r.cpu_time is None  # timing off by default
+            assert r.cpu_time is None  # an empty column
 
     def test_noiseless_point_recovers_source(self):
         cfg = LocalizationExperiment(
@@ -391,24 +398,6 @@ class TestLocalizationRuns:
         ]
 
     @pytest.mark.parametrize(
-        "noise_std, decay_scale",
-        [((1.0,), 1.0), (1.0, (0.5, 2.0))],
-        ids=["noise_std", "decay_scale"],
-    )
-    def test_timing_fills_cpu_time(self, noise_std, decay_scale):
-        # global, local and the diffusion schemes each time their own path;
-        # a decay_scale sweep scores its later values ahead of the loop
-        cfg = LocalizationExperiment(
-            n_heads=16, sensors_per_head=10, noise_std=noise_std,
-            decay_scale=decay_scale, source=(60.0, 70.0), runs=2,
-            schemes=bench.ALL_SCHEMES, seed=9, timing=True,
-        )
-        records = run_localization_experiment(cfg)
-        assert len(records) == len(cfg.sweep_values) * len(bench.ALL_SCHEMES)
-        for rec in records:
-            assert rec.cpu_time is not None and rec.cpu_time > 0.0, rec
-
-    @pytest.mark.parametrize(
         "schemes, builds", [(("con", "opt"), 2), (("global", "con", "wei"), 0)]
     )
     def test_q_is_built_once_per_run_and_only_for_opt(self, monkeypatch, schemes, builds):
@@ -434,12 +423,11 @@ class TestLocalizationRuns:
                 n_heads=16, sensors_per_head=10, noise_std=1.0,
                 decay_scale=decay_scale, source=(60.0, 70.0), runs=runs,
                 schemes=("wei", "global", "con", "opt", "local"), seed=13,
-                timing=True,
             )
             trace = io.StringIO()
             records = run_localization_experiment(cfg, csv.writer(trace))
             rows = list(csv.reader(io.StringIO(trace.getvalue())))[1:]
-            return [dataclasses.replace(r, cpu_time=None) for r in records], rows
+            return records, rows
 
         swept, swept_rows = traced(values)
         for s_idx, value in enumerate(values):
@@ -542,12 +530,12 @@ class TestLocalizationRuns:
             assert traced() == grouped
             assert sizes == expected
 
-    def test_group_fit_logs_keep_the_run_order(self, monkeypatch, caplog):
-        # each run's local-fit debug line comes right before its diffusion
-        # warnings, scheme by scheme, as when every run is fitted and
-        # diffused alone, although a group diffuses its runs in one call
-        # per scheme; at a decay scale of 1e-4 wei's median weights
-        # underflow, so wei logs an underflow line in every epoch
+    def test_group_fit_logs_keep_every_record(self, monkeypatch, caplog):
+        # a group logs its runs' fit lines, then each diffuse call's lines
+        # for all its runs, so the records come in another order than when
+        # every run is fitted and diffused alone, but they are the same
+        # records, and a replay logs them in the same order; at a decay
+        # scale of 1e-4 wei's median weights underflow in every epoch
         cfg = LocalizationExperiment(
             n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1e-4,
             source=(60.0, 70.0), runs=5, schemes=bench.ALL_SCHEMES, seed=2,
@@ -560,8 +548,6 @@ class TestLocalizationRuns:
                 run_localization_experiment(cfg)
             return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
 
-        grouped = logged()
-
         def kind(name, level, message):
             if level == logging.DEBUG:
                 return "fit"
@@ -569,11 +555,14 @@ class TestLocalizationRuns:
                 return "underflow"
             return message.split(" did not settle")[0] if "did not settle" in message else None
 
-        kinds = [k for k in (kind(*record) for record in grouped) if k]
-        wei = ["underflow", "underflow", "diffusion (wei)"]  # an underflow in each epoch
-        assert kinds == ["fit", "diffusion (con)", *wei, "diffusion (opt)"] * cfg.runs
-        monkeypatch.setattr(estimators, "_GROUP_ROWS", 1)
+        grouped = logged()
         assert logged() == grouped
+        kinds = Counter(k for k in (kind(*record) for record in grouped) if k)
+        assert kinds == {"fit": 5, "diffusion (con)": 5, "underflow": 10,
+                         "diffusion (wei)": 5, "diffusion (opt)": 5}
+        monkeypatch.setattr(estimators, "_GROUP_ROWS", 1)
+        alone = logged()
+        assert alone != grouped and Counter(alone) == Counter(grouped)
 
     @pytest.mark.parametrize("scheme", ["con", "wei", "opt"])
     def test_failed_local_fit_is_left_out(self, monkeypatch, scheme):
@@ -846,6 +835,32 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert cli.main(["localize", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 6
+
+    @pytest.mark.parametrize(
+        "n_heads, noise, source",
+        [(4, "1e150,", "1e6, 3"), (64, "1e150,", "1e6, 3"),
+         (4, "1e140,", "1e9, 1e9"), (16, "1e140,", "1e9, 1e9")],
+    )
+    def test_underflowed_fisher_information_exits_two(
+        self, tmp_path, capsys, n_heads, noise, source
+    ):
+        # each value is inside its own bound, but together they underflow
+        # the Fisher information, whose inverse is not finite: the first two
+        # ended in "math domain error", the last two wrote crlb_rmse = inf
+        cfg = tmp_path / "fisher.cfg"
+        cfg.write_text(
+            LOCALIZE_CFG.replace("n_heads = 16", f"n_heads = {n_heads}")
+            .replace("noise_std = 1.0,", f"noise_std = {noise}")
+            .replace("source = 60, 70", f"source = {source}")
+            .replace("runs = 4", "runs = 2").replace("seed = 5", "seed = 1")
+        )
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["localize", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: Fisher information is singular\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_epsilon_exits_two(self, tmp_path, capsys, value):
