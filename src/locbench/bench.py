@@ -21,7 +21,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import diffusion
 from .diffusion import SCHEMES as DIFFUSION_SCHEMES, build_q_matrix
 from .estimators import build_selection_weights, crlb, wls_group, wls_groups
-from .geometry import build_grid_network, deployment_center
+from .geometry import GRID_SPACING, build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
 from .signals import TWO_PI, phase_noise_std, simulate_phase_remainders
 from .signals import simulate_tdoa_measurements
@@ -143,6 +143,14 @@ class LocalizationExperiment:
             )
         if not self.sweep_values:
             raise ValueError(f"{swept[0]} must not be an empty sweep list")
+        # every run fails on a source that coincides with a head, which
+        # build_grid_network puts at GRID_SPACING * (l // side, l % side)
+        row, col = (round(c / GRID_SPACING) for c in self.source)
+        if min(row, col) >= 0 and (GRID_SPACING * row, GRID_SPACING * col) == self.source:
+            for n in self.n_heads if swept == ["n_heads"] else (self.n_heads,):
+                if max(row, col) < (side := math.isqrt(n)):
+                    head = row * side + col
+                    raise ValueError(f"source {self.source} is head {head} of the {n}-head grid")
 
     @property
     def sweep_field(self) -> str:

@@ -14,8 +14,7 @@ its neighborhood:
   simplex-constrained quadratic program over each neighborhood, using Q,
   the Gram matrix of the heads' linear estimation operators.
 
-A run's bits never depend on the other runs of its stack, and a log line
-about one run carries its index, or the caller's runs[r], as ``run``.
+A run's bits and log lines never depend on the other runs of its stack.
 """
 
 from __future__ import annotations
@@ -70,9 +69,7 @@ def connectivity_weights(hoods: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=0)
 
 
-def median_weights(
-    estimates: np.ndarray, hoods: np.ndarray, decay_scale: float, *, runs=None
-) -> np.ndarray:
+def median_weights(estimates: np.ndarray, hoods: np.ndarray, decay_scale: float) -> np.ndarray:
     """Distance-from-median combination matrices of R runs' (R, N, 2) estimates.
 
     The reference point is the per-dimension median over every head's
@@ -86,7 +83,7 @@ def median_weights(
     """
     if not decay_scale > 0:
         raise ValueError("decay_scale must be positive")
-    runs, ranked = range(len(estimates)) if runs is None else runs, np.sort(estimates, axis=1)
+    ranked = np.sort(estimates, axis=1)
     mid = ranked.shape[1] // 2  # np.median's value from a sort, without its numpy.ma import
     median = ranked[:, mid] if ranked.shape[1] % 2 else (ranked[:, mid - 1] + ranked[:, mid]) / 2
     median[np.isnan(ranked[:, -1])] = np.nan  # NaN sorts last
@@ -96,13 +93,11 @@ def median_weights(
     totals = weights.sum(axis=1)
     fallback = (totals <= 0.0) | ~np.isfinite(totals)
     if fallback.any():
-        counts, (run, head) = fallback.sum(axis=1), np.nonzero(fallback)
-        for r in np.flatnonzero(counts):
+        for count in fallback.sum(axis=1)[fallback.any(axis=1)]:
             logger.warning("median weights underflowed for %d of %d heads; using uniform",
-                           counts[r], len(hoods), extra={"run": runs[r]})
-        columns = hoods.T[head]  # each fallen-back head's neighborhood
-        weights.transpose(0, 2, 1)[run, head] = columns
-        totals[run, head] = columns.sum(axis=1)
+                           count, len(hoods))
+        weights = np.where(fallback[:, None, :], hoods, weights)
+        totals = np.where(fallback, hoods.sum(axis=0), totals)
     return weights / totals[:, None]
 
 
@@ -227,7 +222,7 @@ def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
 
 
 def optimal_weights(
-    q: np.ndarray, hoods: np.ndarray, *, supports: Optional[tuple] = None, runs=None
+    q: np.ndarray, hoods: np.ndarray, *, supports: Optional[tuple] = None
 ) -> np.ndarray:
     """Variance-minimizing combination matrices of R runs' (R, N, N) Q.
 
@@ -248,20 +243,16 @@ def optimal_weights(
     q, n = np.asarray(q, dtype=float), len(hoods)
     if q.ndim != 3 or q.shape[1:] != (n, n):
         raise ValueError(f"q must have shape (runs, {n}, {n}) for {n} heads, got {q.shape}")
-    runs = range(len(q)) if runs is None else runs
     supports = _support_table(hoods) if supports is None else supports
     weights, bad, loose = _simplex_weights(q, supports, q)
     for r in np.flatnonzero(bad.any(axis=1)):  # each run's ridge, from its own Q
         ridge, one = 1e-9 * abs(np.trace(q[r])) / n, q[r, None]
         retry, _, retry_loose = _simplex_weights(one + ridge * np.eye(n), supports, one)
         weights[r][:, bad[r]], loose[r, bad[r]] = retry[0][:, bad[r]], retry_loose[0, bad[r]]
-        logger.warning(
-            "indefinite neighborhood matrix for %d of %d heads; regularizing with %g",
-            bad[r].sum(), n, ridge, extra={"run": runs[r]},
-        )
+        logger.warning("indefinite neighborhood matrix for %d of %d heads; regularizing with %g",
+                       bad[r].sum(), n, ridge)
     for r in np.flatnonzero(loose.any(axis=1)):
-        logger.warning("optimality conditions loose for %d of %d heads", loose[r].sum(), n,
-                       extra={"run": runs[r]})
+        logger.warning("optimality conditions loose for %d of %d heads", loose[r].sum(), n)
     return weights
 
 
@@ -321,12 +312,12 @@ def diffuse(
     supports = _support_table(hoods) if scheme == "opt" else None
     for epoch in range(1, max_epochs + 1):
         if scheme == "wei":
-            coeffs = median_weights(estimates, hoods, decay_scale, runs=live)
+            coeffs = median_weights(estimates, hoods, decay_scale)
         elif scheme == "opt" and (epoch == 1 or not optimize_once):
             if epoch > 1:  # Q of the operators combined by the last coefficients
                 q = coeffs.transpose(0, 2, 1) @ q @ coeffs
                 q = 0.5 * (q + q.transpose(0, 2, 1))
-            coeffs = optimal_weights(q, hoods, supports=supports, runs=live)
+            coeffs = optimal_weights(q, hoods, supports=supports)
         new_estimates = coeffs.transpose(0, 2, 1) @ estimates
         moved = new_estimates - estimates  # squared and summed as np.linalg.norm does
         steps = np.sqrt(np.add.reduce(moved * moved, axis=2)).max(axis=1)
@@ -343,7 +334,6 @@ def diffuse(
                 break
             live, estimates, coeffs = live[keep], estimates[keep], coeffs[keep]
             q = q[keep] if scheme == "opt" else q
-    for run in np.flatnonzero(~converged):
-        logger.warning("diffusion (%s) did not settle in %d epochs", scheme, max_epochs,
-                       extra={"run": run})
+    for _ in range(np.count_nonzero(~converged)):
+        logger.warning("diffusion (%s) did not settle in %d epochs", scheme, max_epochs)
     return Diffused(final, epochs, converged)

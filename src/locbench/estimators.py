@@ -225,7 +225,8 @@ def _gauss_newton(x0, fit, rows, data, k: int):
                 code[up[length[:, 0, 0] < _STEP_TOL]] = _CONVERGED
                 code[up[(code[up] == _LIVE) & (accepted[up] >= _MAX_ITERS)]] = _STOPPED
                 down = np.flatnonzero(live & ~better & ~on_node)
-                mu[down] = np.where(mu[down] > 0, mu[down] * 10.0, 1e-8)
+                # from _INITIAL_DAMPING, at most _MAX_ITERS accepted 10x cuts: mu stays >= 1e-56
+                mu[down] *= 10.0
                 code[down[mu[down] > _MAX_DAMPING]] = _STOPPED
             start, live = False, code == _LIVE
         x[ids], hess[ids], outcome[ids] = px, normal, code

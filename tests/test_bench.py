@@ -211,6 +211,49 @@ class TestExperimentValidation:
                 schemes=("global",), seed=0,
             )
 
+    # 64 heads, 10 sensors, 200 runs, five schemes: head 9 sits at (50, 50)
+    HEAD_CFG = (
+        LOCALIZE_CFG.replace("n_heads = 16", "n_heads = 64")
+        .replace("source = 60, 70", "source = 50, 50").replace("runs = 4", "runs = 200")
+        .replace("schemes = global, con", "schemes = global, con, wei, opt, local")
+        .replace("seed = 5", "seed = 1")
+    )
+
+    @pytest.mark.parametrize(
+        "n_heads, source, message",
+        [
+            ("64", "50, 50", "source (50.0, 50.0) is head 9 of the 64-head grid"),
+            # only the 16-head grid of the sweep has a head at (100, 150)
+            ("4, 16", "100, 150", "source (100.0, 150.0) is head 11 of the 16-head grid"),
+        ],
+    )
+    def test_source_on_a_head_fails_at_load(
+        self, tmp_path, capsys, monkeypatch, n_heads, source, message
+    ):
+        # the Fisher information is singular there; the error used to come
+        # only after the first group's fits, with a fit warning before it
+        text = self.HEAD_CFG.replace("n_heads = 64", f"n_heads = {n_heads}")
+        if "," in n_heads:
+            text = text.replace("noise_std = 1.0,", "noise_std = 1.0")
+        path = tmp_path / "head.cfg"
+        path.write_text(text.replace("source = 50, 50", f"source = {source}"))
+        fit = mock.Mock(side_effect=AssertionError("fitted a group"))
+        monkeypatch.setattr(bench, "wls_group", fit)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_localization_experiment(path)
+        out = tmp_path / "out.csv"
+        assert cli.main(["localize", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not fit.called and not out.exists()
+
+    def test_source_off_the_heads_still_runs(self, tmp_path):
+        path = tmp_path / "off.cfg"
+        text = self.HEAD_CFG.replace("source = 50, 50", "source = 60, 70")
+        path.write_text(text.replace("runs = 200", "runs = 2"))
+        out = tmp_path / "out.csv"
+        assert cli.main(["localize", "--config", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 6
+
     def test_snr_grid_must_increase(self):
         with pytest.raises(ValueError):
             RangingExperiment(

@@ -1,7 +1,9 @@
 """The committed BENCH_<label>.json files: each parses, carries the label
 of its file name, and holds every end-to-end metric that BENCHMARK.json
-declares for every workload, and nothing else."""
+declares for every workload, and nothing else. And the benchmark tracer's
+warning counters still match the package's warning texts."""
 
+import ast
 import json
 import math
 from pathlib import Path
@@ -31,3 +33,30 @@ def test_bench_file_matches_the_benchmark(path):
     for name, entry in metrics.items():
         assert entry["unit"] == units[name], name
         assert isinstance(entry["value"], (int, float)) and math.isfinite(entry["value"]), name
+
+
+def test_every_warning_text_has_one_tracer_counter():
+    # perfbench/tracer.py counts locbench warnings by the prefix of their
+    # format string, so a renamed message would silently read 0; both sides
+    # are read as source, without importing the tracer
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (table,) = [
+        node.value for node in ast.walk(tracer)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WARNING_METRICS" for t in node.targets)
+    ]
+    prefixes = ast.literal_eval(table)
+    formats = [
+        node.args[0]
+        for path in sorted((ROOT / "src" / "locbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "warning"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "logger"
+    ]
+    assert formats and all(isinstance(f, ast.Constant) for f in formats)
+    texts = [f.value for f in formats]
+    for text in texts:
+        assert sum(text.startswith(prefix) for prefix in prefixes) == 1, text
+    for prefix in prefixes:
+        assert any(text.startswith(prefix) for text in texts), prefix

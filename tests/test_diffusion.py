@@ -3,6 +3,7 @@
 import itertools
 import logging
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -174,34 +175,34 @@ def oracle_matrix(rule, hoods):
 
 def oracle_optimal_stack(qs, hoods):
     """The per-head oracle's weights for each (N, N) Q of the stack, and the
-    (run, message) lines optimal_weights logs for them: each run's
-    indefinite line, then each run's loose line."""
+    lines optimal_weights logs for them: each run's indefinite line, then
+    each run's loose line."""
     n, weights, indefinite, loose = len(hoods), [], [], []
-    for run, q in enumerate(qs):
+    for q in qs:
         events = []
         weights.append(oracle_matrix(lambda h: oracle_optimal(q, h, hoods, events), hoods))
         if "indefinite" in events:
             ridge = 1e-9 * abs(np.trace(q)) / n
-            indefinite.append((run, (
+            indefinite.append(
                 f"indefinite neighborhood matrix for {events.count('indefinite')} "
                 f"of {n} heads; regularizing with {ridge:g}"
-            )))
+            )
         if "loose" in events:
             count = events.count("loose")
-            loose.append((run, f"optimality conditions loose for {count} of {n} heads"))
+            loose.append(f"optimality conditions loose for {count} of {n} heads")
     return np.stack(weights), indefinite + loose
 
 
 def assert_optimal_matches_the_oracle(qs, hoods, caplog):
     """optimal_weights of the (R, N, N) stack, with its support table built
     inside or passed in, equals each run's per-head oracle bit for bit and
-    logs the oracle's lines, each record with its run."""
+    logs the oracle's lines in the oracle's order."""
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="locbench"):
         weights = optimal_weights(qs, hoods)
     expected, lines = oracle_optimal_stack(qs, hoods)
     assert np.array_equal(weights, expected)
-    assert [(r.run, r.getMessage()) for r in caplog.records] == lines
+    assert [r.getMessage() for r in caplog.records] == lines
     supports = _support_table(hoods)
     assert np.array_equal(optimal_weights(qs, hoods, supports=supports), weights)
 
@@ -448,7 +449,6 @@ class TestMatrixRulesMatchPerHeadOracle:
         q = build_q_matrix(rng.normal(size=(22, 2, 8)), rng.uniform(0.5, 2.0, size=8))
         assert_optimal_matches_the_oracle(np.stack([q - shift * np.eye(22), q]), hoods, caplog)
         if shift:
-            assert caplog.records[0].run == 0
             assert caplog.records[0].getMessage().startswith(
                 "indefinite neighborhood matrix for 22 of 22 heads"
             )
@@ -456,7 +456,7 @@ class TestMatrixRulesMatchPerHeadOracle:
 
 def logged_diffusion(caplog, estimates, *args, **kwargs):
     """diffuse's result, each on_epoch call's arguments as copies, and its
-    log records as (run, message)."""
+    log messages."""
     calls = []
 
     def on_epoch(*call):
@@ -465,7 +465,7 @@ def logged_diffusion(caplog, estimates, *args, **kwargs):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="locbench"):
         result = diffuse(estimates, *args, **kwargs, on_epoch=on_epoch)
-    return result, calls, [(r.run, r.getMessage()) for r in caplog.records]
+    return result, calls, [r.getMessage() for r in caplog.records]
 
 
 class TestGroupDiffusion:
@@ -478,7 +478,8 @@ class TestGroupDiffusion:
     def test_group_matches_one_run_calls(self, caplog, data):
         # runs of one grid, some without a head, diffused as the bench does:
         # one call per group of runs on the same mask block; each run's bits,
-        # epochs, callbacks and log lines are those of a call of its own
+        # epochs and callbacks are those of a call of its own, and a group
+        # logs the lines its runs log alone
         n_heads = data.draw(st.sampled_from([4, 9, 16, 25]), label="heads")
         grid = build_grid_network(n_heads, seed=0).neighborhoods
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -510,6 +511,7 @@ class TestGroupDiffusion:
             )
             # each epoch calls back for every live run, in run order
             assert [call[1::-1] for call in calls] == sorted(call[1::-1] for call in calls)
+            each_alone = Counter()
             for run in range(len(runs)):
                 alone, alone_calls, alone_lines = logged_diffusion(
                     caplog, positions[run, None], scheme, hoods, q=qs[run, None], **knobs
@@ -521,7 +523,8 @@ class TestGroupDiffusion:
                 assert len(mine) == len(alone_calls) == alone.epoch[0]
                 for got, expected in zip(mine, (call[1:] for call in alone_calls)):
                     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-                assert [line for r, line in lines if r == run] == [line for _, line in alone_lines]
+                each_alone.update(alone_lines)
+            assert Counter(lines) == each_alone
 
 
 class TestRecordWalk:
@@ -601,7 +604,8 @@ class TestMedianWeights:
     def test_underflow_falls_back_to_uniform(self, caplog):
         # a two-head pocket stranded far from the network median underflows
         # every exponent in its neighborhood; of three stacked runs, the
-        # middle one has no pocket, and only the others log, each its own line
+        # middle one has no pocket, and only the others log, each a line of
+        # its own, as each does alone
         hoods = np.zeros((5, 5), dtype=bool)
         hoods[:2, :2] = True
         hoods[2:, 2:] = path(3)
@@ -612,16 +616,20 @@ class TestMedianWeights:
         calm[:2, 0] = [0.3, 0.4]
         with caplog.at_level(logging.WARNING):
             runs = np.stack([estimates, calm, estimates])
-            stacked = median_weights(runs, hoods, 1.0, runs=[4, 5, 6])
+            stacked = median_weights(runs, hoods, 1.0)
         w = stacked[0]
         for k in (0, 1):
             assert np.array_equal(w[:, k], [0.5, 0.5, 0.0, 0.0, 0.0])
         assert np.all(w[:2, 2:] == 0.0)
         assert np.array_equal(stacked[2], w)
         assert np.array_equal(stacked[1], median_weights(calm[None], hoods, 1.0)[0])
-        underflows = [(r.run, r.getMessage()) for r in caplog.records]
         line = "median weights underflowed for 2 of 5 heads; using uniform"
-        assert underflows == [(4, line), (6, line)]
+        assert [r.getMessage() for r in caplog.records] == [line, line]
+        for run, logged in zip(runs, ([line], [], [line])):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                median_weights(run[None], hoods, 1.0)
+            assert [r.getMessage() for r in caplog.records] == logged
 
     def test_tiny_scale_falls_back_without_numpy_warnings(self, caplog):
         # every squared distance from the (1.5, 0) median over 1e-320
@@ -821,7 +829,7 @@ class TestDiffuse:
         assert final.converged.tolist() == [False]
         assert final.epoch.tolist() == [3]
         (record,) = caplog.records
-        assert "did not settle" in record.getMessage() and record.run == 0
+        assert record.getMessage() == "diffusion (con) did not settle in 3 epochs"
 
     def test_final_step_honors_epsilon(self):
         hoods, positions, _ = prepared_trial(8)
