@@ -8,7 +8,6 @@ network graph.
 """
 
 from .diffusion import (
-    build_q_matrix,
     connectivity_weights,
     diffuse,
     median_weights,
@@ -46,7 +45,6 @@ __all__ = [
     "NetworkTopology",
     "WavelengthSet",
     "build_grid_network",
-    "build_q_matrix",
     "build_selection_weights",
     "connectivity_weights",
     "crlb",

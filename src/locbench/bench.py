@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import diffusion
-from .diffusion import SCHEMES as DIFFUSION_SCHEMES, build_q_matrix
+from .diffusion import SCHEMES as DIFFUSION_SCHEMES
 from .estimators import build_selection_weights, crlb, wls_group, wls_groups
 from .geometry import GRID_SPACING, build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
@@ -143,10 +143,11 @@ class LocalizationExperiment:
             )
         if not self.sweep_values:
             raise ValueError(f"{swept[0]} must not be an empty sweep list")
-        # every run fails on a source that coincides with a head, which
-        # build_grid_network puts at GRID_SPACING * (l // side, l % side)
+        # every run fails on a source whose squared distance to a head (l at
+        # GRID_SPACING * (l // side, l % side)) is 0, exact or underflowed
         row, col = (round(c / GRID_SPACING) for c in self.source)
-        if min(row, col) >= 0 and (GRID_SPACING * row, GRID_SPACING * col) == self.source:
+        dx, dy = self.source[0] - GRID_SPACING * row, self.source[1] - GRID_SPACING * col
+        if min(row, col) >= 0 and dx * dx + dy * dy == 0:
             for n in self.n_heads if swept == ["n_heads"] else (self.n_heads,):
                 if max(row, col) < (side := math.isqrt(n)):
                     head = row * side + col
@@ -292,14 +293,14 @@ def _seed_words(seed: int, points: np.ndarray, trials: np.ndarray) -> np.ndarray
 
 def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
     """Draws each run's topology and noise from default_rng(stream), in
-    order, fits the runs in wls_groups' groups and scores every scheme at
-    each of decay_scales. Yields each run's (crlb_trace, outcomes,
-    trace_rows) per scale: outcomes maps each scheme to (squared_error,
-    epochs), or None where it failed, and trace_rows holds trace_scheme's
-    (epoch, head, x1, x2, max_step) rows. Diffusion runs on the heads whose
-    local fit succeeded, over their block of the neighborhood mask, in one
-    diffuse call per scheme and scale for the group's runs on that block.
-    A group logs its runs' fit lines first, then each diffuse call's lines.
+    order; takes each wls_groups group's CRLB traces, then fits it, and
+    scores every scheme at each of decay_scales. Yields each run's
+    (crlb_trace, outcomes, trace_rows) per scale: outcomes maps each scheme
+    to (squared_error, epochs), or None where it failed, and trace_rows
+    holds trace_scheme's (epoch, head, x1, x2, max_step) rows. Diffusion
+    runs on the fitted heads, over their block of the neighborhood mask, in
+    one diffuse call per scheme and scale for the group's runs on that
+    block. A group logs its fit lines first, then each diffuse call's lines.
     """
     source = np.asarray(cfg.source, dtype=float)
     n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
@@ -314,20 +315,19 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
         return meas, selection, topology, deployment_center(topology)
 
     def scored(group):  # a group's runs, whose fits go when it returns
+        # the bounds come first, so a singular one stops the sweep before any fit
+        bounds = [float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
+                  for _, _, topology, _ in group]
         runs, masks = [], {}  # each run's state; runs by mask
-        fits = wls_group(group, with_global, "opt" in cfg.schemes)
-        for r, (meas, _, topology, _) in enumerate(group):
-            position, heads, positions, operators = next(fits)
+        fits = zip(group, wls_group(group, with_global, "opt" in cfg.schemes))
+        for r, ((_, _, topology, _), (position, heads, positions, q)) in enumerate(fits):
             fixed = dict.fromkeys(cfg.schemes)  # None where a scheme fails
             if isinstance(position, np.ndarray):
                 fixed["global"] = float(np.sum((position - source) ** 2)), None
             hoods = topology.neighborhoods[np.ix_(heads, heads)]
-            bound = float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
             if "local" in fixed and heads.size:
                 fixed["local"] = float(np.sum((positions.mean(axis=0) - source) ** 2)), None
-            q = build_q_matrix(operators, meas.variances) if "opt" in cfg.schemes else None
-            del operators  # one run's operators live at a time
-            runs.append(dict(heads=heads.tolist(), positions=positions, q=q, bound=bound,
+            runs.append(dict(heads=heads.tolist(), positions=positions, q=q, bound=bounds[r],
                              cells=[(dict(fixed), []) for _ in decay_scales]))
             if heads.size:
                 masks.setdefault(hoods.tobytes(), (hoods, []))[1].append(r)

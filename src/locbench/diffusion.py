@@ -12,7 +12,8 @@ its neighborhood:
   network-wide per-dimension median, recomputed every epoch.
 * ``opt``: weights minimize the fused estimator's variance through a
   simplex-constrained quadratic program over each neighborhood, using Q,
-  the Gram matrix of the heads' linear estimation operators.
+  the Gram matrix of the heads' linear estimation operators; its caller
+  passes Q0 from wls_group, so no operator reaches this module.
 
 A run's bits and log lines never depend on the other runs of its stack.
 """
@@ -30,7 +31,6 @@ from numpy.linalg import _umath_linalg
 __all__ = [
     "Diffused",
     "SCHEMES",
-    "build_q_matrix",
     "connectivity_weights",
     "diffuse",
     "median_weights",
@@ -99,22 +99,6 @@ def median_weights(estimates: np.ndarray, hoods: np.ndarray, decay_scale: float)
         weights = np.where(fallback[:, None, :], hoods, weights)
         totals = np.where(fallback, hoods.sum(axis=0), totals)
     return weights / totals[:, None]
-
-
-def build_q_matrix(operators: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Gram matrix of the estimation operators under the noise covariance.
-
-    Entry (m, n) is trace(W @ operators[m].T @ operators[n]) with diagonal
-    W. Symmetric positive semidefinite up to rounding.
-    """
-    ops = np.asarray(operators, dtype=float)
-    var = np.asarray(variances, dtype=float)
-    if ops.ndim != 3 or ops.shape[1] != 2:
-        raise ValueError("operators must have shape (N, 2, K)")
-    if var.shape != (ops.shape[2],):
-        raise ValueError("variances must match the operator columns")
-    q = np.einsum("mdk,ndk->mn", ops * var[None, None, :], ops)
-    return 0.5 * (q + q.T)
 
 
 def _equality_solutions(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,10 +261,10 @@ def diffuse(
     (N, N) coefficient matrix A, and its estimates become A.T @ estimates.
     A run stops when the largest per-head displacement in one epoch is at
     most epsilon, or after max_epochs epochs (logged as non-convergence).
-    The ``opt`` scheme needs q, each run's (N, N) Q of its operators
-    (build_q_matrix). Operators combined by A have the Q A.T @ Q @ A, so
-    each later epoch takes that of the last A, symmetrized; optimize_once
-    instead reuses the first epoch's coefficients. The quadratic programs'
+    The ``opt`` scheme needs q, each run's (N, N) Q0 (wls_group's q).
+    Operators combined by A have the Q A.T @ Q @ A, so each later epoch
+    takes that of the last A, symmetrized; optimize_once instead reuses
+    the first epoch's coefficients. The quadratic programs'
     support table is built once per call, so once per group of runs.
 
     on_epoch, when given, is called after each epoch with (run, epoch,

@@ -16,7 +16,6 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .geometry import NetworkTopology, as_position
-from .signals import MeasurementSet
 
 __all__ = [
     "EstimationError",
@@ -44,8 +43,8 @@ _CHUNK_ELEMENTS, _CHUNK_FITS = 8192, 8
 # rows of one batch of whole runs (wls_groups): a 16-head run of 10 sensors
 # has 800 with its global fit, so ten share a batch, and a 64-head run
 # 3,520, so two do; the batch holds about 270 bytes a row while it runs
-# (2.1 MB for ten 16-head runs), and its per-row arrays, a few dozen bytes
-# a row, stay alive while its runs are scored
+# (2.1 MB for ten 16-head runs), and its per-row arrays go when wls_group
+# returns, before its runs are scored
 _GROUP_ROWS = 8192
 
 # how a fit ends: the first two leave an estimate, _LIVE is still running
@@ -261,7 +260,7 @@ def wls_groups(runs, with_global: bool):
         yield [(meas, selection, topology, init), *more]
 
 
-def wls_group(runs, with_global: bool, with_operators: bool):
+def wls_group(runs, with_global: bool, with_q: bool):
     """Fit the (meas, selection, topology, init) runs, all of one K, in one
     lockstep batch: with with_global each run's global fit, weighting every
     measurement by its inverse variance, then every head's local fit unless
@@ -274,16 +273,15 @@ def wls_group(runs, with_global: bool, with_operators: bool):
     point it evaluates lies on a node of its own rows (on a node); a head
     also fails with fewer than 3 weighted rows (too few rows) or when its
     final normal matrix has a zero LU pivot (rank-deficient operator),
-    judged on that matrix alone, so the same with or without operators.
+    judged on that matrix alone, so the same with or without Q.
 
-    Returns an iterator over the runs of (position, heads, positions,
-    operators): position is the global fit's point, the EstimationError
-    saying why it failed, or None without with_global; the heads that
-    succeeded follow in head order, as (F,) ids, (F, 2) positions and, with
-    with_operators (else None), their (F, 2, K) operators (J^T W J)^-1 J^T W
-    at the final points. A run's operators are computed, and its fits
-    logged, when the iterator reaches it: one run's operators live at a
-    time, and logs keep the run order.
+    Returns a list with one (position, heads, positions, q) per run:
+    position is the global fit's point, the EstimationError saying why it
+    failed, or None without with_global; the heads that succeeded follow in
+    head order, as (F,) ids, (F, 2) positions and, with with_q (else None),
+    their (F, F) Q0, the Gram matrix under the noise covariance (_gram) of
+    their operators (J^T W J)^-1 J^T W at the final points. The operators
+    are made one run at a time and never leave this module.
     """
     k, parts, spans, n_fits, n_rows = runs[0][0].size, [], [], 0, 0
     for meas, selection, topology, init in runs:
@@ -306,14 +304,14 @@ def wls_group(runs, with_global: bool, with_operators: bool):
         xi, xj = topology.measurement_nodes()
         fits, data = with_global + len(heads), (*xi[rows].T, *xj[rows].T, meas.values[rows], w)
         parts.append((np.tile(as_position(init), fits), fit + n_fits, rows, np.stack(data)))
-        spans.append((n_fits, n_rows, n, heads))
+        spans.append((n_fits, n_rows, n, heads, meas.variances))
         n_fits, n_rows = n_fits + fits, n_rows + len(rows)
     x0, fit, rows, data = (np.concatenate(p, axis=-1) for p in zip(*parts))
     del parts  # the batch runs on the joined copies
     x, status, normal = _gauss_newton(x0.reshape(-1, 2), fit, rows, data, k)
-    spans.append((n_fits, n_rows, 0, None))
+    spans.append((n_fits, n_rows, 0, None, None))
 
-    def finish(f0, r0, n, heads, f1, r1, *_):  # one run's operators and log lines
+    def finish(f0, r0, n, heads, variances, f1, r1, *_):  # one run's Q0 and log lines
         position = None
         if with_global:
             code, position, f0, r0 = status[f0], x[f0], f0 + 1, r0 + k
@@ -327,8 +325,8 @@ def wls_group(runs, with_global: bool, with_operators: bool):
         fitted = f0 + np.flatnonzero(done)
         solved = np.isfinite(_solve_stack(normal[fitted], np.eye(2))).all(axis=(1, 2))
         status[fitted[~solved]] = _RANK_DEFICIENT
-        operators = None
-        if with_operators:  # each fitted head's (J^T W J)^-1 J^T W at its final point
+        q = None
+        if with_q:  # Q0 of each fitted head's (J^T W J)^-1 J^T W at its final point
             on, slot, chunks = _layout(done, fit[r0:r1] - f0, rows[r0:r1], k)
             on = r0 + np.flatnonzero(on)
             operators = np.empty((len(fitted), 2, k))
@@ -338,12 +336,19 @@ def wls_group(runs, with_global: bool, with_operators: bool):
                     _, j0, j1, _, _ = _range_differences(*x[fitted[slot[a:b]]].T, *nodes)
                 wjac_k = _padded((j0 * w, j1 * w), at, hi - lo, k)
                 operators[lo:hi] = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
-            operators = operators[solved]
+            q = _gram(operators[solved], variances)
         if n and logger.isEnabledFor(logging.DEBUG):
             _log_local_batch(n, heads, status[f0:f1])
-        return position, heads[fitted[solved] - f0], x[fitted[solved]], operators
+        return position, heads[fitted[solved] - f0], x[fitted[solved]], q
 
-    return (finish(*span, *end) for span, end in zip(spans, spans[1:]))
+    return [finish(*span, *end) for span, end in zip(spans, spans[1:])]
+
+
+def _gram(operators: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Q0 of (F, 2, K) operators under the noise covariance W = diag(variances):
+    entry (m, n) is trace(operators[m] @ W @ operators[n].T), symmetrized."""
+    q = np.einsum("mdk,ndk->mn", operators * variances[None, None, :], operators)
+    return 0.5 * (q + q.T)
 
 
 def _log_local_batch(n: int, heads: np.ndarray, status: np.ndarray) -> None:

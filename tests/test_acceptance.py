@@ -25,7 +25,7 @@ from locbench.bench import (
     run_localization_experiment,
     run_ranging_experiment,
 )
-from locbench.diffusion import build_q_matrix, connectivity_weights, diffuse, optimal_weights
+from locbench.diffusion import connectivity_weights, diffuse, optimal_weights
 from locbench.estimators import (
     _range_differences,
     build_selection_weights,
@@ -107,10 +107,9 @@ def diffusion_audit(operating_config, operating_point):
         topo = build_grid_network(cfg.n_heads, sensors_per_head=cfg.sensors_per_head, seed=rng)
         meas = simulate_tdoa_measurements(topo, src, noise_std, rng)
         run = meas, build_selection_weights(topo), topo, deployment_center(topo)
-        _, heads, estimates, operators = next(wls_group([run], False, True))
+        ((_, heads, estimates, q),) = wls_group([run], False, True)
         assert heads.size
         hoods = topo.neighborhoods[np.ix_(heads, heads)]
-        q = build_q_matrix(operators, meas.variances)
         outside = ~hoods
         for scheme in ("con", "wei", "opt"):
             envelope = {"lo": estimates.min(axis=0), "hi": estimates.max(axis=0)}

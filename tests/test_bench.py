@@ -1,5 +1,6 @@
 """Experiment harness: configs, sweeps, CSV artifacts, CLI."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -10,6 +11,7 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
@@ -225,6 +227,9 @@ class TestExperimentValidation:
             ("64", "50, 50", "source (50.0, 50.0) is head 9 of the 64-head grid"),
             # only the 16-head grid of the sweep has a head at (100, 150)
             ("4, 16", "100, 150", "source (100.0, 150.0) is head 11 of the 16-head grid"),
+            # the squared gap to head 0 underflows to 0, as in the range model
+            ("64", "1e-300, 0", "source (1e-300, 0.0) is head 0 of the 64-head grid"),
+            ("64", "0, -1e-200", "source (0.0, -1e-200) is head 0 of the 64-head grid"),
         ],
     )
     def test_source_on_a_head_fails_at_load(
@@ -247,12 +252,14 @@ class TestExperimentValidation:
         assert not fit.called and not out.exists()
 
     def test_source_off_the_heads_still_runs(self, tmp_path):
-        path = tmp_path / "off.cfg"
-        text = self.HEAD_CFG.replace("source = 50, 50", "source = 60, 70")
-        path.write_text(text.replace("runs = 200", "runs = 2"))
-        out = tmp_path / "out.csv"
-        assert cli.main(["localize", "--config", str(path), "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 6
+        # 1e-160 from head 0, the squared gap is subnormal but not zero
+        for source in ("60, 70", "1e-160, 0"):
+            path = tmp_path / "off.cfg"
+            text = self.HEAD_CFG.replace("source = 50, 50", f"source = {source}")
+            path.write_text(text.replace("runs = 200", "runs = 2"))
+            out = tmp_path / "out.csv"
+            assert cli.main(["localize", "--config", str(path), "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 6
 
     def test_snr_grid_must_increase(self):
         with pytest.raises(ValueError):
@@ -445,16 +452,22 @@ class TestLocalizationRuns:
     )
     def test_q_is_built_once_per_run_and_only_for_opt(self, monkeypatch, schemes, builds):
         # a frozen decay_scale sweep scores each run at three values, and
-        # every value's opt starts from the run's one Q
-        counted = mock.Mock(wraps=bench.build_q_matrix)
-        monkeypatch.setattr(bench, "build_q_matrix", counted)
+        # every value's opt starts from the run's one Q, which the run's
+        # fits give when they are made with with_q
+        runs_with_q, real_wls_group = [], bench.wls_group
+
+        def wls_group(runs, with_global, with_q):
+            runs_with_q.extend([with_q] * len(runs))
+            return real_wls_group(runs, with_global, with_q)
+
+        monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
             n_heads=16, sensors_per_head=10, noise_std=1.0,
             decay_scale=(0.5, 1.0, 2.0), source=(60.0, 70.0), runs=2,
             schemes=schemes, seed=9,
         )
         run_localization_experiment(cfg)
-        assert counted.call_count == builds
+        assert len(runs_with_q) == 2 and runs_with_q.count(True) == builds
 
     def test_decay_sweep_scores_each_value_on_frozen_noise(self):
         # a decay_scale sweep's runs draw from (seed, run) alone: each value
@@ -483,8 +496,8 @@ class TestLocalizationRuns:
     def test_decay_sweep_memory_does_not_grow_with_runs(self):
         # each run is drawn, fitted and scored at every sweep value at once,
         # so only its outcomes, a few floats, wait for the later values;
-        # keeping each run's fit (its 16 operators of 2 x 160 floats, some
-        # 43 KB) would add about 1 MB from 2 to 4 groups of runs
+        # keeping each run's operators (16 of 2 x 160 floats, some 43 KB)
+        # would add about 1 MB from 2 to 4 groups of runs
         group = estimators._GROUP_ROWS // 640  # 64 selection entries of 10 sensors
 
         def peak(runs):
@@ -555,9 +568,9 @@ class TestLocalizationRuns:
         )
         sizes, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_operators):
+        def wls_group(runs, with_global, with_q):
             sizes.append(len(runs))
-            return real_wls_group(runs, with_global, with_operators)
+            return real_wls_group(runs, with_global, with_q)
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
 
@@ -613,13 +626,13 @@ class TestLocalizationRuns:
         failed_head = 5
         real_wls_group = bench.wls_group
 
-        def wls_group(runs, with_global, with_operators):
-            for position, heads, positions, operators in real_wls_group(
-                runs, with_global, with_operators
-            ):
+        def wls_group(runs, with_global, with_q):
+            fits = []
+            for position, heads, positions, q in real_wls_group(runs, with_global, with_q):
                 keep = heads != failed_head
-                operators = None if operators is None else operators[keep]
-                yield position, heads[keep], positions[keep], operators
+                q = None if q is None else q[np.ix_(keep, keep)]
+                fits.append((position, heads[keep], positions[keep], q))
+            return fits
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
@@ -643,11 +656,10 @@ class TestLocalizationRuns:
         calls = []
         real_wls_group = bench.wls_group
 
-        def wls_group(runs, with_global, with_operators):
-            for fits in real_wls_group(runs, with_global, with_operators):
-                if fits[0] is not None:  # the run's global fit
-                    calls.append(None)
-                yield fits
+        def wls_group(runs, with_global, with_q):
+            fits = real_wls_group(runs, with_global, with_q)
+            calls.extend(None for fit in fits if fit[0] is not None)  # the runs' global fits
+            return fits
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
@@ -669,9 +681,9 @@ class TestLocalizationRuns:
         )
         selections, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_operators):
+        def wls_group(runs, with_global, with_q):
             selections.extend(selection for _, selection, _, _ in runs)
-            return real_wls_group(runs, with_global, with_operators)
+            return real_wls_group(runs, with_global, with_q)
 
         def scored(schemes):
             selections.clear()
@@ -693,13 +705,13 @@ class TestLocalizationRuns:
     @pytest.mark.parametrize("opt", [False, True], ids=["no-opt", "opt"])
     def test_two_sixty_four_head_runs_form_one_group(self, monkeypatch, opt):
         # a 64-head run fits 3,520 rows with its global fit, so the budget
-        # puts two in a group; only opt reads the operators
+        # puts two in a group; only opt reads Q
         calls, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_operators):
-            for fits in real_wls_group(runs, with_global, with_operators):
-                calls.append((len(runs), with_global, with_operators, fits[3] is None))
-                yield fits
+        def wls_group(runs, with_global, with_q):
+            fits = real_wls_group(runs, with_global, with_q)
+            calls.extend((len(runs), with_global, with_q, fit[3] is None) for fit in fits)
+            return fits
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
@@ -885,11 +897,14 @@ class TestCli:
          (4, "1e140,", "1e9, 1e9"), (16, "1e140,", "1e9, 1e9")],
     )
     def test_underflowed_fisher_information_exits_two(
-        self, tmp_path, capsys, n_heads, noise, source
+        self, tmp_path, capsys, monkeypatch, n_heads, noise, source
     ):
         # each value is inside its own bound, but together they underflow
         # the Fisher information, whose inverse is not finite: the first two
-        # ended in "math domain error", the last two wrote crlb_rmse = inf
+        # ended in "math domain error", the last two wrote crlb_rmse = inf;
+        # a group's bounds are taken before its fits, so none is fitted
+        fit = mock.Mock(side_effect=AssertionError("fitted a group"))
+        monkeypatch.setattr(bench, "wls_group", fit)
         cfg = tmp_path / "fisher.cfg"
         cfg.write_text(
             LOCALIZE_CFG.replace("n_heads = 16", f"n_heads = {n_heads}")
@@ -903,7 +918,7 @@ class TestCli:
             code = cli.main(["localize", "--config", str(cfg), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == "error: Fisher information is singular\n"
-        assert not out.exists()
+        assert not fit.called and not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_epsilon_exits_two(self, tmp_path, capsys, value):
@@ -1025,6 +1040,78 @@ class TestCli:
         ).returncode == 0
         assert out_a.read_bytes() == out_b.read_bytes()  # config seed is 3
         assert out_a.read_bytes() != out_c.read_bytes()
+
+
+@st.composite
+def ranging_configs(draw):
+    """The text of one ranging config. Each key is typical or, when a draw
+    of its own says so, at the edges of its rule: the bounds, just past
+    them, and values no rule admits (factors that are not co-prime, SNR
+    points out of order)."""
+
+    def at_edge(key):
+        return draw(st.integers(0, 3), label=f"{key} at an edge") == 3
+
+    common = draw(
+        st.sampled_from([0.0, -1.0, 1e-300, 1e-150, 1e150, 1e300, 1e308, math.inf, math.nan])
+        if at_edge("common_factor") else st.floats(1e-3, 1e4), label="common_factor",
+    )
+    factors = draw(
+        st.lists(st.sampled_from([1, 2, 3, 4, 15, 16, 17, 2**31 - 1, 2**32, 2**61 - 1])
+                 | st.integers(2, 40), min_size=2, max_size=4)
+        if at_edge("coprime_factors") else coprime_factor_sets(), label="coprime_factors",
+    )
+    edge = at_edge("snr_grid_db")
+    points = st.floats(-60.0, 60.0) | st.sampled_from(
+        [-3000.5, -3000.0, -2999.0, 2999.0, 3000.0, 3000.5, math.inf, -math.inf, math.nan]
+        if edge else [math.inf]
+    )
+    snr = draw(st.lists(points, min_size=1 - edge, max_size=4), label="snr_grid_db")
+    if not (edge and draw(st.booleans(), label="as drawn")):
+        snr = sorted(set(snr))
+    trials = draw(
+        st.sampled_from([-1, 0, 1, 100]) if at_edge("trials_per_point") else st.integers(1, 100),
+        label="trials_per_point",
+    )
+    seed = draw(
+        st.sampled_from([-1, 0, 2**64 - 1, 2**64, 2**200]) if at_edge("seed")
+        else st.integers(0, 2**200), label="seed",
+    )
+    return (
+        f"common_factor = {common!r}\n"
+        f"coprime_factors = {', '.join(map(str, factors))}\n"
+        f"snr_grid_db = {', '.join(map(repr, snr))}\n"
+        f"trials_per_point = {trials}\nseed = {seed}\n"
+    )
+
+
+class TestRangingConfigFuzz:
+    # derandomized: the same examples on every run
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=ranging_configs())
+    def test_a_config_runs_to_finite_rows_or_fails_with_one_line(self, text):
+        # in process, with numpy's RuntimeWarnings raised: a config either
+        # writes rows whose unambiguous trials have a finite mean and
+        # standard error, or exits 2 with one error line
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "r.cfg", Path(tmp) / "r.csv"
+            cfg.write_text(text)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main(["ranging", "--config", str(cfg), "--out", str(out)])
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                assert not out.exists()
+                return
+            assert code == 0 and err.getvalue() == ""
+            rows = list(csv.DictReader(io.StringIO(out.read_text())))
+            assert rows
+            for row in rows:
+                if float(row["ambiguity_rate"]) < 1:
+                    assert math.isfinite(float(row["relative_error"]))
+                    assert math.isfinite(float(row["stderr"]))
 
 
 def csv_digest(records, tmp_path):

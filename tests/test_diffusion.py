@@ -4,26 +4,23 @@ import itertools
 import logging
 import warnings
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from locbench import diffusion
 from locbench.diffusion import (
     _KKT_TOL,
     SCHEMES,
     _record_walk,
     _support_table,
-    build_q_matrix,
     connectivity_weights,
     diffuse,
     median_weights,
     optimal_weights,
 )
-from locbench.estimators import build_selection_weights, wls_group
+from locbench.estimators import _gram, build_selection_weights, wls_group
 from locbench.geometry import build_grid_network, deployment_center
 from locbench.signals import simulate_tdoa_measurements
 
@@ -43,24 +40,16 @@ def path(n):
 
 
 def prepared_trial(seed):
-    """(hoods, positions, q) of a 16-head trial, q the Gram matrix of its
-    heads' estimation operators."""
+    """(hoods, positions, q) of a 16-head trial, q the Q0 that wls_group
+    gives for its heads."""
     rng = np.random.default_rng(seed)
     topo = build_grid_network(16, seed=rng)
     meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
     selection = build_selection_weights(topo)
     init = deployment_center(topo)
-    _, heads, positions, operators = next(wls_group([(meas, selection, topo, init)], False, True))
+    ((_, heads, positions, q),) = wls_group([(meas, selection, topo, init)], False, True)
     assert heads.tolist() == list(range(16))
-    return topo.neighborhoods, positions, build_q_matrix(operators, meas.variances)
-
-
-def count_q_builds(monkeypatch):
-    """From here on, count each Q that diffusion builds from operators:
-    returns a function giving the count."""
-    builds = mock.Mock(wraps=build_q_matrix)
-    monkeypatch.setattr(diffusion, "build_q_matrix", builds)
-    return lambda: builds.call_count
+    return topo.neighborhoods, positions, q
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +352,7 @@ class TestMatrixRulesMatchPerHeadOracle:
             st.lists(st.floats(-3.0, 3.0), min_size=runs * n * 2 * k, max_size=runs * n * 2 * k)
         )
         operators = np.array(entries).reshape(runs, n, 2, k)
-        qs = np.stack([build_q_matrix(ops, np.linspace(0.5, 2.0, k)) for ops in operators])
+        qs = np.stack([_gram(ops, np.linspace(0.5, 2.0, k)) for ops in operators])
         weights = optimal_weights(qs, hoods)
         for q, run_weights in zip(qs, weights):
             assert np.array_equal(
@@ -395,7 +384,7 @@ class TestMatrixRulesMatchPerHeadOracle:
             # a negative diagonal shift makes neighborhoods indefinite,
             # which takes the ridge retry of that run alone
             shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
-            qs.append(build_q_matrix(operators, variances) - shift * np.eye(n))
+            qs.append(_gram(operators, variances) - shift * np.eye(n))
         assert_optimal_matches_the_oracle(np.stack(qs), hoods, caplog)
 
     def test_optimal_near_tie_matches_the_oracle(self):
@@ -433,7 +422,7 @@ class TestMatrixRulesMatchPerHeadOracle:
             shared = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="shared")
             operators[rng.random(len(hoods)) < shared] = operators[0]
             shift = data.draw(st.sampled_from([0.0, 4.0, 40.0]), label="shift")
-            q = build_q_matrix(operators, rng.uniform(0.5, 2.0, size=8))
+            q = _gram(operators, rng.uniform(0.5, 2.0, size=8))
             qs.append(q - shift * np.eye(len(hoods)))
         assert_optimal_matches_the_oracle(np.stack(qs), hoods, caplog)
 
@@ -446,7 +435,7 @@ class TestMatrixRulesMatchPerHeadOracle:
         hoods = degree_mixed_grid(25, [1, 3, 5])
         assert set(hoods.sum(axis=1)) == {1, 2, 3, 4, 5}
         rng = np.random.default_rng(17)
-        q = build_q_matrix(rng.normal(size=(22, 2, 8)), rng.uniform(0.5, 2.0, size=8))
+        q = _gram(rng.normal(size=(22, 2, 8)), rng.uniform(0.5, 2.0, size=8))
         assert_optimal_matches_the_oracle(np.stack([q - shift * np.eye(22), q]), hoods, caplog)
         if shift:
             assert caplog.records[0].getMessage().startswith(
@@ -501,7 +490,7 @@ class TestGroupDiffusion:
             keep = np.setdiff1d(np.arange(n_heads), left_out)
             hoods = grid[np.ix_(keep, keep)]
             positions = rng.normal(60.0, 5.0, size=(len(keep), 2))
-            q = build_q_matrix(rng.normal(size=(len(keep), 2, 8)), rng.uniform(0.5, 2.0, size=8))
+            q = _gram(rng.normal(size=(len(keep), 2, 8)), rng.uniform(0.5, 2.0, size=8))
             runs = groups.setdefault(hoods.tobytes(), (hoods, []))[1]
             runs.append((positions, q - shift * np.eye(len(keep))))
         for hoods, runs in groups.values():
@@ -649,50 +638,6 @@ class TestMedianWeights:
                 median_weights(np.zeros((1, 3, 2)), hoods, scale)
 
 
-class TestQMatrix:
-    def test_matches_monte_carlo_covariance(self):
-        # [Q]_mn is E[(L_m z) . (L_n z)] for z ~ N(0, diag(variances))
-        rng = np.random.default_rng(123)
-        n, k = 4, 12
-        ops = rng.normal(size=(n, 2, k))
-        variances = rng.uniform(0.5, 2.0, size=k)
-        q = build_q_matrix(ops, variances)
-        draws = 200_000
-        z = rng.normal(0.0, np.sqrt(variances)[:, None], size=(k, draws))
-        x = np.einsum("ndk,ks->nds", ops, z)
-        q_mc = np.einsum("mds,nds->mn", x, x) / draws
-        assert np.allclose(q, q_mc, rtol=0.03, atol=0.05)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_combining_operators_takes_q_to_a_t_q_a(self, data):
-        # operators combined by a column-stochastic A, G'_k = sum_l A_lk G_l,
-        # have the Gram matrix A.T @ Q @ A: diffuse follows Q alone
-        hoods = data.draw(networks(max_heads=12), label="hoods")
-        n, k = len(hoods), data.draw(st.integers(1, 30), label="k")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        operators = rng.normal(size=(n, 2, k))
-        variances = 10.0 ** rng.uniform(-3.0, 3.0, size=k)
-        q = build_q_matrix(operators, variances)
-        rule = data.draw(st.sampled_from(["con", "wei", "opt"]), label="rule")
-        if rule == "con":
-            a = connectivity_weights(hoods)
-        elif rule == "wei":
-            a = median_weights(rng.normal(0.0, 5.0, size=(1, n, 2)), hoods, 10.0)[0]
-        else:
-            a = optimal_weights(q[None], hoods)[0]
-        assert_combination_matrix(a, hoods)
-        combined = build_q_matrix(np.einsum("lk,ldi->kdi", a, operators), variances)
-        np.testing.assert_allclose(a.T @ q @ a, combined, rtol=0.0, atol=1e-9 * np.abs(q).max())
-
-    def test_symmetric_psd(self):
-        rng = np.random.default_rng(5)
-        ops = rng.normal(size=(5, 2, 20))
-        q = build_q_matrix(ops, np.ones(20))
-        assert np.allclose(q, q.T)
-        assert np.linalg.eigvalsh(q).min() > -1e-10
-
-
 def simplex_grid_minimum(q_sub, step=1e-3):
     """Dense scan of the probability simplex for a 3x3 objective; the first
     minimum in a-major order."""
@@ -796,7 +741,7 @@ class TestDiffuse:
         estimates = data.draw(spread_estimates(n), label="estimates")
         decay_scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]), label="decay_scale")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        q = build_q_matrix(rng.normal(size=(n, 2, 8)), rng.uniform(0.5, 2.0, size=8))
+        q = _gram(rng.normal(size=(n, 2, 8)), rng.uniform(0.5, 2.0, size=8))
         for scheme in ("con", "wei", "opt"):
             envelopes = [(estimates.min(axis=0), estimates.max(axis=0))]
 
@@ -842,9 +787,8 @@ class TestDiffuse:
         assert all(s > 1e-3 for s in steps[:-1])
         assert final.epoch.tolist() == [len(steps)]
 
-    def test_optimize_once_reuses_first_epoch_coefficients(self, monkeypatch):
+    def test_optimize_once_reuses_first_epoch_coefficients(self):
         hoods, positions, q = prepared_trial(10)
-        counts = count_q_builds(monkeypatch)
         seen = []
         diffuse(
             positions[None], "opt", hoods, 1e-4, 500, q=q[None],
@@ -853,22 +797,19 @@ class TestDiffuse:
         assert len(seen) >= 2
         for c in seen[1:]:
             assert np.array_equal(c, seen[0])
-        assert counts() == 0
 
-    def test_opt_updates_q(self, monkeypatch):
+    def test_opt_updates_q(self):
         # each epoch's weights come from the previous epoch's Q taken to
-        # A.T @ Q @ A by the previous epoch's weights and symmetrized; no Q
-        # is built from operators, and the caller's Q stays as it was
+        # A.T @ Q @ A by the previous epoch's weights and symmetrized, and
+        # the caller's Q stays as it was
         hoods, positions, q = prepared_trial(11)
         given_q = q.copy()
-        counts = count_q_builds(monkeypatch)
         seen = []
         final = diffuse(
             positions[None], "opt", hoods, 1e-4, 500, q=q[None],
             on_epoch=lambda r, e, x, c, s: seen.append(c.copy()),
         )
         assert final.converged.tolist() == [True] and len(seen) >= 3
-        assert counts() == 0
         assert np.array_equal(q, given_q)
         assert np.array_equal(seen[0], optimal_weights(q[None], hoods)[0])
         for previous, coeffs in zip(seen, seen[1:]):

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locbench import estimators
+from locbench.diffusion import connectivity_weights, median_weights, optimal_weights
 from locbench.estimators import (
     _INITIAL_DAMPING,
     _MAX_DAMPING,
     _MAX_ITERS,
     _STEP_TOL,
     EstimationError,
+    _gram,
     _range_differences,
     _solve_stack,
     build_selection_weights,
@@ -31,9 +33,10 @@ from locbench.signals import simulate_tdoa_measurements
 SOURCE = (60.0, 70.0)
 
 
-def fit(meas, selection, topo, init, with_global=True, with_operators=True):
-    """One run's wls_group fits: (position, heads, positions, operators)."""
-    return next(wls_group([(meas, selection, topo, init)], with_global, with_operators))
+def fit(meas, selection, topo, init, with_global=True, with_q=True):
+    """One run's wls_group fits: (position, heads, positions, q)."""
+    (fits,) = wls_group([(meas, selection, topo, init)], with_global, with_q)
+    return fits
 
 
 def same_position(have, want):
@@ -334,31 +337,35 @@ class TestSolveStack:
             assert np.flatnonzero(~inverse).tolist() == sorted(members.tolist())
 
 
-def fitted_heads(meas, selection, topo, init):
-    """{head: (position, operator)} of the heads whose fit succeeded."""
-    _, heads, positions, operators = fit(meas, selection, topo, init, with_global=False)
-    return {int(k): (x, op) for k, x, op in zip(heads, positions, operators)}
-
-
 class TestLocalWls:
     def test_operator_is_left_inverse_of_jacobian(self):
+        # seen through Q0: head 0 weights every row by 1 / (N M) over its
+        # variance, so its operator is the left inverse L of the jacobian J
+        # of least covariance, L W L^T = (J^T W^-1 J)^-1 for the noise
+        # covariance W, and its Q0 entry is the trace of the CRLB at its
+        # fitted point; every other head's operator, a left inverse of J
+        # that is zero outside its neighborhood, has a larger trace
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         selection = build_selection_weights(topo)
-        fits = fitted_heads(meas, selection, topo, deployment_center(topo))
-        for k in (0, 5, 15):
-            position, operator = fits[k]
-            _, jac = residual_and_jacobian(position, meas, topo)
-            assert np.allclose(operator @ jac, np.eye(2), atol=1e-8)
+        selection[:, 0] = 1.0 / 16
+        _, heads, positions, q = fit(meas, selection, topo, deployment_center(topo), False)
+        assert heads.tolist() == list(range(16))
+        bounds = [np.trace(crlb(topo, x, meas.variances)) for x in positions]
+        assert q[0, 0] == pytest.approx(bounds[0], rel=1e-9)
+        assert np.all(np.diagonal(q)[1:] > np.array(bounds[1:]) * (1 + 1e-9))
 
     def test_operator_support_is_local(self):
+        # head k's operator is zero outside the measurements of its
+        # neighborhood, so the Q0 entry of two heads whose neighborhoods
+        # share no head is exactly zero
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         selection = build_selection_weights(topo)
-        _, operator = fitted_heads(meas, selection, topo, deployment_center(topo))[0]
-        # measurement l * M + s belongs to head l
-        outside = np.repeat(~topo.neighborhoods[0], topo.sensors_per_head)
-        assert np.all(operator[:, outside] == 0.0)
+        _, heads, _, q = fit(meas, selection, topo, deployment_center(topo), False)
+        hoods = topo.neighborhoods.astype(int)
+        shared = (hoods @ hoods)[np.ix_(heads, heads)] > 0
+        assert not shared.all() and np.all(q[~shared] == 0.0) and np.all(q[shared] != 0.0)
 
     def test_starved_neighborhood_is_left_out(self):
         topo = build_grid_network(4, sensors_per_head=2, seed=1)
@@ -389,11 +396,11 @@ class TestLocalWls:
         starved[:, 0] = 0.0
         starved[0, 0] = 1.0
         with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
-            _, heads, positions, operators = fit(
+            _, heads, positions, q = fit(
                 meas, starved, topo, deployment_center(topo), with_global=False
             )
         assert heads.tolist() == [2, 6, 8]
-        assert positions.shape == (3, 2) and operators.shape == (3, 2, 18)
+        assert positions.shape == (3, 2) and q.shape == (3, 3)
         (line,) = [r.getMessage() for r in caplog.records]
         assert line == (
             "local WLS fitted 3 of 9 heads; stopped before the step tolerance: []; "
@@ -464,11 +471,13 @@ class TestBatchMatchesPerHeadOracle:
         # one run's global and local fits in one batch, and its global fit alone
         together = fit(meas, selection, topo, init)
         alone = fit(meas, None, topo, init, True, False)
-        got = {int(k): (x, op) for k, x, op in zip(*together[1:])}
+        got = dict(zip(together[1].tolist(), together[2]))
         assert sorted(got) == sorted(expected)
-        for k, (position, operator) in expected.items():
-            assert np.array_equal(got[k][0], position)
-            assert np.array_equal(got[k][1], operator)
+        for k, (position, _) in expected.items():
+            assert np.array_equal(got[k], position)
+        # Q0 of the oracle's operators, stacked in head order
+        operators = np.array([op for _, op in expected.values()]).reshape(-1, 2, meas.size)
+        assert np.array_equal(together[3], _gram(operators, meas.variances))
         assert alone[1].size == 0 and alone[3] is None
 
         try:
@@ -575,7 +584,7 @@ class TestLayoutRebuilds:
 
         monkeypatch.setattr(estimators, "_gauss_newton", watched_gauss_newton)
         monkeypatch.setattr(estimators, "_layout", watched_layout)
-        list(wls_group(runs, True, False))
+        wls_group(runs, True, False)
         x, outcome, hess = seen["out"]
         fits = list(batch_fits(runs, True))
         assert len(fits) == len(x) == layouts[0] and len(layouts) >= 3
@@ -615,7 +624,7 @@ class TestGroupMatchesPerRunFits:
             }[kind]
             runs.append((meas, build_selection_weights(topo), topo, init))
 
-        fits = list(wls_group(runs, with_global, True))
+        fits = wls_group(runs, with_global, True)
         assert len(fits) == len(runs)
         for (meas, selection, topo, init), (position, *local) in zip(runs, fits):
             # the run's global fit alone, then its heads' fits alone
@@ -630,7 +639,7 @@ class TestGroupWithoutOperators:
     @given(data=st.data())
     def test_group_fits_keep_their_bits_without_operators(self, data):
         # the rank-deficiency verdict comes from the normal matrix alone, so
-        # skipping the operators leaves every run's fitted heads, their
+        # skipping the operators and Q leaves every run's fitted heads, their
         # positions and its global fit as they are; odd grids start the
         # global fit and the centre's neighbours on a node
         n_heads = data.draw(st.sampled_from([4, 9, 16, 25]), label="n_heads")
@@ -650,13 +659,11 @@ class TestGroupWithoutOperators:
                 selection = starved(selection, rng)
             runs.append((meas, selection, topo, deployment_center(topo)))
 
-        bare = list(wls_group(runs, with_global, False))
-        full = list(wls_group(runs, with_global, True))
+        bare = wls_group(runs, with_global, False)
+        full = wls_group(runs, with_global, True)
         assert len(bare) == len(full) == len(runs)
-        for run, (position, heads, positions, operators), (want, *local) in zip(
-            runs, bare, full
-        ):
-            assert operators is None
+        for run, (position, heads, positions, q), (want, *local) in zip(runs, bare, full):
+            assert q is None
             assert same_position(position, want) and (want is None) != with_global
             assert np.array_equal(heads, local[0])
             assert np.array_equal(positions, local[1])
@@ -696,6 +703,52 @@ class TestChunkSize:
         assert isinstance(expected[0], np.ndarray) and np.array_equal(got[0], expected[0])
         for want, have in zip(expected[1:], got[1:]):
             assert np.array_equal(have, want)
+
+
+class TestGram:
+    def test_matches_monte_carlo_covariance(self):
+        # [Q]_mn is E[(L_m z) . (L_n z)] for z ~ N(0, diag(variances))
+        rng = np.random.default_rng(123)
+        n, k = 4, 12
+        ops = rng.normal(size=(n, 2, k))
+        variances = rng.uniform(0.5, 2.0, size=k)
+        q = _gram(ops, variances)
+        draws = 200_000
+        z = rng.normal(0.0, np.sqrt(variances)[:, None], size=(k, draws))
+        x = np.einsum("ndk,ks->nds", ops, z)
+        q_mc = np.einsum("mds,nds->mn", x, x) / draws
+        assert np.allclose(q, q_mc, rtol=0.03, atol=0.05)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_combining_operators_takes_q_to_a_t_q_a(self, data):
+        # operators combined by a rule's column-stochastic A, G'_k = sum_l
+        # A_lk G_l, have the Q0 A.T @ Q @ A: diffuse follows Q alone
+        n = data.draw(st.integers(1, 12), label="heads")
+        k = data.draw(st.integers(1, 30), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        upper = np.triu(rng.random((n, n)) < data.draw(st.floats(0.0, 1.0), label="density"), 1)
+        hoods = upper | upper.T | np.eye(n, dtype=bool)
+        operators = rng.normal(size=(n, 2, k))
+        variances = 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+        q = _gram(operators, variances)
+        rule = data.draw(st.sampled_from(["con", "wei", "opt"]), label="rule")
+        if rule == "con":
+            a = connectivity_weights(hoods)
+        elif rule == "wei":
+            a = median_weights(rng.normal(0.0, 5.0, size=(1, n, 2)), hoods, 10.0)[0]
+        else:
+            a = optimal_weights(q[None], hoods)[0]
+        assert np.allclose(a.sum(axis=0), 1.0) and not a[~hoods].any()
+        combined = _gram(np.einsum("lk,ldi->kdi", a, operators), variances)
+        np.testing.assert_allclose(a.T @ q @ a, combined, rtol=0.0, atol=1e-9 * np.abs(q).max())
+
+    def test_symmetric_psd(self):
+        rng = np.random.default_rng(5)
+        ops = rng.normal(size=(5, 2, 20))
+        q = _gram(ops, np.ones(20))
+        assert np.allclose(q, q.T)
+        assert np.linalg.eigvalsh(q).min() > -1e-10
 
 
 class TestCrlb:
