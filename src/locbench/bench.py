@@ -299,8 +299,8 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
     to (squared_error, epochs), or None where it failed, and trace_rows
     holds trace_scheme's (epoch, head, x1, x2, max_step) rows. Diffusion
     runs on the fitted heads, over their block of the neighborhood mask, in
-    one diffuse call per scheme and scale for the group's runs on that
-    block. A group logs its fit lines first, then each diffuse call's lines.
+    one diffuse call per scheme and scale for the group's runs that fitted
+    the same heads. A group logs its fit lines, then each diffuse call's.
     """
     source = np.asarray(cfg.source, dtype=float)
     n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
@@ -318,21 +318,21 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
         # the bounds come first, so a singular one stops the sweep before any fit
         bounds = [float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
                   for _, _, topology, _ in group]
-        runs, masks = [], {}  # each run's state; runs by mask
+        runs, stacks = [], {}  # each run's state; runs by fitted heads
         fits = zip(group, wls_group(group, with_global, "opt" in cfg.schemes))
         for r, ((_, _, topology, _), (position, heads, positions, q)) in enumerate(fits):
             fixed = dict.fromkeys(cfg.schemes)  # None where a scheme fails
             if isinstance(position, np.ndarray):
                 fixed["global"] = float(np.sum((position - source) ** 2)), None
-            hoods = topology.neighborhoods[np.ix_(heads, heads)]
             if "local" in fixed and heads.size:
                 fixed["local"] = float(np.sum((positions.mean(axis=0) - source) ** 2)), None
             runs.append(dict(heads=heads.tolist(), positions=positions, q=q, bound=bounds[r],
                              cells=[(dict(fixed), []) for _ in decay_scales]))
             if heads.size:
-                masks.setdefault(hoods.tobytes(), (hoods, []))[1].append(r)
+                hoods = topology.neighborhoods[np.ix_(heads, heads)]
+                stacks.setdefault(heads.tobytes(), (hoods, []))[1].append(r)
         schemes = [scheme for scheme in cfg.schemes if scheme in DIFFUSION_SCHEMES]
-        for hoods, members in masks.values():
+        for hoods, members in stacks.values():
             stack = [runs[r] for r in members]
             positions = np.stack([run["positions"] for run in stack])
             q = np.stack([run["q"] for run in stack]) if "opt" in cfg.schemes else None

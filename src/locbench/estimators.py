@@ -242,7 +242,8 @@ def build_selection_weights(topology: NetworkTopology) -> np.ndarray:
     the weight [l, k] / M.
     """
     degrees = topology.degrees
-    weights = topology.adjacency / np.maximum.outer(degrees, degrees)
+    weights = topology.neighborhoods / np.maximum.outer(degrees, degrees)
+    np.fill_diagonal(weights, 0.0)
     # the matrix is symmetric, and a row sum adds a column's entries in the
     # pairwise order that summing the column itself would (axis=0 does not)
     np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))

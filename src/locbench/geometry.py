@@ -14,10 +14,9 @@ __all__ = [
     "deployment_center",
 ]
 
-# the experiments' grid in meters; the cutoff reaches the 4 nearest heads
+# the experiments' grid in meters; a head's neighbors are the 4 nearest heads
 GRID_SPACING = 50.0
 PLACEMENT_RADIUS = 10.0
-NEIGHBOR_RADIUS = 55.0
 
 
 def as_position(point) -> np.ndarray:
@@ -32,19 +31,17 @@ def as_position(point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Immutable cluster-head / sensor layout with head adjacency.
+    """Immutable cluster-head / sensor layout with head neighborhoods.
 
     heads: (N, 2) cluster-head positions.
     sensors: (N, M, 2) sensor positions; row l belongs to head l.
-    adjacency: (N, N) boolean, symmetric, zero diagonal.
-
-    Neighborhoods consumed by the estimators are self-inclusive:
-    N_k = {k} plus the heads adjacent to k.
+    neighborhoods: (N, N) boolean mask of the self-inclusive neighborhoods:
+        row k, like column k, marks N_k, head k and the heads adjacent to it.
     """
 
     heads: np.ndarray
     sensors: np.ndarray
-    adjacency: np.ndarray
+    neighborhoods: np.ndarray
 
     def __post_init__(self):
         if self.heads.ndim != 2 or self.heads.shape[1] != 2:
@@ -54,12 +51,12 @@ class NetworkTopology:
         if self.sensors.shape[0] != self.heads.shape[0]:
             raise ValueError("sensors and heads disagree on head count")
         n = self.heads.shape[0]
-        if self.adjacency.shape != (n, n):
-            raise ValueError("adjacency must be (N, N)")
-        if self.adjacency.diagonal().any():
-            raise ValueError("adjacency diagonal must be zero")
-        if not np.array_equal(self.adjacency, self.adjacency.T):
-            raise ValueError("adjacency must be symmetric")
+        if self.neighborhoods.shape != (n, n):
+            raise ValueError("neighborhoods must be (N, N)")
+        if not self.neighborhoods.diagonal().all():
+            raise ValueError("every neighborhood must hold its own head")
+        if not np.array_equal(self.neighborhoods, self.neighborhoods.T):
+            raise ValueError("neighborhoods must be symmetric")
 
     @property
     def n_heads(self) -> int:
@@ -70,17 +67,9 @@ class NetworkTopology:
         return self.sensors.shape[1]
 
     @property
-    def neighborhoods(self) -> np.ndarray:
-        """(N, N) boolean mask of every self-inclusive neighborhood.
-
-        Symmetric: column k, like row k, marks the members of N_k.
-        """
-        return self.adjacency | np.eye(self.n_heads, dtype=bool)
-
-    @property
     def degrees(self) -> np.ndarray:
         """Self-inclusive neighborhood size of every head."""
-        return self.adjacency.sum(axis=1).astype(int) + 1
+        return self.neighborhoods.sum(axis=1)
 
     def measurement_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(K, 2) sensor and reference-head coordinates of every measurement.
@@ -96,10 +85,9 @@ def build_grid_network(n_heads: int, sensors_per_head: int = 10, seed=None) -> N
     """Place cluster heads on a square grid and scatter sensors around them.
 
     Heads sit on a sqrt(N) x sqrt(N) grid of pitch GRID_SPACING, head l at
-    (GRID_SPACING * (l // side), GRID_SPACING * (l % side)). Each head gets
-    sensors_per_head sensors drawn uniformly over a disk of
-    PLACEMENT_RADIUS around it. Two heads are adjacent when their distance
-    is at most NEIGHBOR_RADIUS.
+    (GRID_SPACING * (l // side), GRID_SPACING * (l % side)), adjacent to the
+    heads one step away along its row or column. Each head gets
+    sensors_per_head sensors drawn uniformly over a disk of PLACEMENT_RADIUS.
 
     Args:
         n_heads: perfect square number of cluster heads.
@@ -125,14 +113,15 @@ def build_grid_network(n_heads: int, sensors_per_head: int = 10, seed=None) -> N
     offsets = np.stack((radii * np.cos(angles), radii * np.sin(angles)), axis=-1)
     sensors = heads[:, None, :] + offsets
 
-    gaps = np.linalg.norm(heads[:, None, :] - heads[None, :, :], axis=-1)
-    adjacency = (gaps <= NEIGHBOR_RADIUS) & ~np.eye(n_heads, dtype=bool)
+    grid = idx.reshape(side, side)
+    hoods = np.eye(n_heads, dtype=bool)
+    hoods[grid[:, :-1], grid[:, 1:]] = True  # the next head along a row
+    hoods[grid[:-1], grid[1:]] = True  # the next head down a column
+    hoods |= hoods.T
 
-    return NetworkTopology(heads=heads, sensors=sensors, adjacency=adjacency)
+    return NetworkTopology(heads=heads, sensors=sensors, neighborhoods=hoods)
 
 
 def deployment_center(topology: NetworkTopology) -> np.ndarray:
     """Center of the deployment area: midpoint of the head bounding box."""
-    lo = topology.heads.min(axis=0)
-    hi = topology.heads.max(axis=0)
-    return 0.5 * (lo + hi)
+    return 0.5 * (topology.heads.min(axis=0) + topology.heads.max(axis=0))

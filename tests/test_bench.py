@@ -14,6 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -493,28 +494,74 @@ class TestLocalizationRuns:
                 rows = [r[1:] for r in swept_rows if int(r[0]) == s_idx * runs + run]
                 assert rows and rows == [r[1:] for r in alone_rows if int(r[0]) == run]
 
-    def test_decay_sweep_memory_does_not_grow_with_runs(self):
+    def test_decay_sweep_memory_does_not_grow_with_runs(self, monkeypatch):
         # each run is drawn, fitted and scored at every sweep value at once,
         # so only its outcomes, a few floats, wait for the later values;
         # keeping each run's operators (16 of 2 x 160 floats, some 43 KB)
-        # would add about 1 MB from 2 to 4 groups of runs
+        # would add about 1 MB from 2 to 4 groups of runs, and a kept fit
+        # (some 3 KB) is seen by its Q0 outliving its group
         group = estimators._GROUP_ROWS // 640  # 64 selection entries of 10 sensors
 
-        def peak(runs):
-            cfg = LocalizationExperiment(
+        def sweep(runs):
+            return run_localization_experiment(LocalizationExperiment(
                 n_heads=16, sensors_per_head=10, noise_std=1.0,
                 decay_scale=(0.5, 2.0), source=(60.0, 70.0), runs=runs,
                 schemes=("opt", "local"), seed=1,
-            )
+            ))
+
+        def peak(runs):
             tracemalloc.start()
             try:
-                run_localization_experiment(cfg)
+                sweep(runs)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(1)  # warm-up: a first run's one-time costs (caches, lazy imports) are not the runs'
         assert peak(4 * group) - peak(2 * group) < 150_000
+
+        qs, real_wls_group = [], bench.wls_group
+
+        def wls_group(runs, with_global, with_q):
+            assert [q() for q in qs] == [None] * len(qs)  # every earlier group's Q0 is gone
+            fits = real_wls_group(runs, with_global, with_q)
+            qs.extend(weakref.ref(q) for *_, q in fits)
+            return fits
+
+        monkeypatch.setattr(bench, "wls_group", wls_group)
+        sweep(3 * group)
+        assert len(qs) == 3 * group
+
+    def test_runs_that_fit_the_same_heads_share_each_diffuse_call(self, monkeypatch):
+        # a group's runs go to one diffuse call per scheme and scale for
+        # each set of fitted heads: here runs 0, 2 and 3 fit all 16 heads,
+        # and run 1 loses head 5
+        real_wls_group, real_diffuse = bench.wls_group, bench.diffusion.diffuse
+        calls = []
+
+        def wls_group(runs, with_global, with_q):
+            fits = real_wls_group(runs, with_global, with_q)
+            position, heads, positions, q = fits[1]
+            keep = heads != 5
+            fits[1] = position, heads[keep], positions[keep], q
+            return fits
+
+        def diffuse(estimates, scheme, hoods, *args, decay_scale, **kwargs):
+            calls.append((scheme, decay_scale, estimates.shape[:2]))
+            return real_diffuse(estimates, scheme, hoods, *args, decay_scale=decay_scale,
+                                **kwargs)
+
+        monkeypatch.setattr(bench, "wls_group", wls_group)
+        monkeypatch.setattr(bench.diffusion, "diffuse", diffuse)
+        cfg = LocalizationExperiment(
+            n_heads=16, sensors_per_head=10, noise_std=1.0, decay_scale=(0.5, 2.0),
+            source=(60.0, 70.0), runs=4, schemes=("con", "wei"), seed=6,
+        )
+        records = run_localization_experiment(cfg)
+        assert all(np.isfinite(r.rmse) and r.fail_count == 0 for r in records)
+        cells = [(0.5, "con"), (0.5, "wei"), (2.0, "con"), (2.0, "wei")]
+        assert calls == ([(scheme, scale, (3, 16)) for scale, scheme in cells]
+                         + [(scheme, scale, (1, 15)) for scale, scheme in cells])
 
     def test_five_scheme_run_never_imports_numpy_ma(self):
         # numpy.ma costs about 1.5 MB of a process's memory; np.median (in

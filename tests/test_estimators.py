@@ -254,7 +254,7 @@ def networks(draw):
     return NetworkTopology(
         heads=heads,
         sensors=heads[:, None, :] + np.array([0.0, 1.0]),
-        adjacency=upper | upper.T,
+        neighborhoods=upper | upper.T | np.eye(n, dtype=bool),
     )
 
 

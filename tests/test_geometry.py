@@ -1,6 +1,7 @@
 """Topology construction and geometric primitives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,20 +65,44 @@ class TestGridNetwork:
         radii = np.linalg.norm(topo.sensors - topo.heads[:, None, :], axis=2)
         assert radii.mean() == pytest.approx(20.0 / 3.0, rel=0.02)
 
-    def test_adjacency_is_symmetric_and_irreflexive(self):
+    def test_neighborhoods_are_symmetric_and_self_inclusive(self):
         topo = build_grid_network(16, seed=1)
-        adj = topo.adjacency
-        assert adj.dtype == bool
-        assert np.array_equal(adj, adj.T)
-        assert not adj.diagonal().any()
+        hoods = topo.neighborhoods
+        assert hoods.dtype == bool
+        assert np.array_equal(hoods, hoods.T)
+        assert hoods.diagonal().all()
 
-    def test_neighbor_radius_links_only_adjacent_grid_heads(self):
-        # 50 m axial gap is inside the 55 m radius, the 70.7 m diagonal is not
+    def test_only_row_and_column_steps_are_neighbors(self):
+        # the 50 m steps along a row or column link, the 70.7 m diagonal and
+        # the 100 m second step do not
         topo = build_grid_network(16, seed=1)
-        assert topo.adjacency[0, 1]
-        assert topo.adjacency[0, 4]
-        assert not topo.adjacency[0, 5]
-        assert not topo.adjacency[0, 2]
+        assert topo.neighborhoods[0, 1]
+        assert topo.neighborhoods[0, 4]
+        assert not topo.neighborhoods[0, 5]
+        assert not topo.neighborhoods[0, 2]
+
+    @pytest.mark.parametrize("side", range(1, 25))
+    def test_mask_equals_the_distance_rule(self, side):
+        # the earlier rule: heads at most 55 m apart on the 50 m grid, and
+        # every head in its own neighborhood; the last head of a row and the
+        # first of the next are 50 * sqrt(side**2 - 2 * side + 2) m apart
+        topo = build_grid_network(side * side, sensors_per_head=1, seed=0)
+        gaps = np.linalg.norm(topo.heads[:, None, :] - topo.heads[None, :, :], axis=-1)
+        expected = (gaps <= 55.0) | np.eye(side * side, dtype=bool)
+        np.testing.assert_array_equal(topo.neighborhoods, expected)
+
+    def test_large_grid_builds_no_pairwise_array_beyond_the_mask(self):
+        # the (N, N) boolean mask and its transpose take 2 N**2 bytes; an
+        # (N, N, 2) float gap array alone would take 16 N**2
+        n_heads = 2304
+        build_grid_network(4, seed=0)  # a first call's one-time costs are not the grid's
+        tracemalloc.start()
+        try:
+            build_grid_network(n_heads, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n_heads**2
 
     def test_degrees_count_self(self):
         topo = build_grid_network(16, seed=2)
@@ -117,10 +142,17 @@ def test_deployment_center_is_bounding_box_midpoint():
     assert np.allclose(deployment_center(topo), (75.0, 75.0))
 
 
+def two_heads(hoods):
+    heads = np.array([[0.0, 0.0], [10.0, 0.0]])
+    return NetworkTopology(heads=heads, sensors=heads[:, None, :] + 1.0, neighborhoods=hoods)
+
+
 def test_topology_validation_rejects_asymmetric_adjacency():
-    heads = np.zeros((2, 2))
-    heads[1] = (10.0, 0.0)
-    sensors = heads[:, None, :] + 1.0
-    adj = np.array([[False, True], [False, False]])
-    with pytest.raises(ValueError):
-        NetworkTopology(heads=heads, sensors=sensors, adjacency=adj)
+    with pytest.raises(ValueError, match="symmetric"):
+        two_heads(np.array([[True, True], [False, True]]))
+
+
+def test_topology_validation_rejects_a_head_outside_its_neighborhood():
+    two_heads(np.array([[True, True], [True, True]]))
+    with pytest.raises(ValueError, match="its own head"):
+        two_heads(np.array([[True, True], [True, False]]))
