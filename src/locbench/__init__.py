@@ -15,7 +15,6 @@ from .diffusion import (
 )
 from .estimators import (
     EstimationError,
-    build_selection_weights,
     crlb,
     wls_group,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "NetworkTopology",
     "WavelengthSet",
     "build_grid_network",
-    "build_selection_weights",
     "connectivity_weights",
     "crlb",
     "deployment_center",

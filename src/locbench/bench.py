@@ -20,7 +20,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import diffusion
 from .diffusion import SCHEMES as DIFFUSION_SCHEMES
-from .estimators import build_selection_weights, crlb, wls_group, wls_groups
+from .estimators import crlb, wls_group, wls_groups
 from .geometry import GRID_SPACING, build_grid_network, deployment_center
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
 from .signals import TWO_PI, phase_noise_std, simulate_phase_remainders
@@ -311,16 +311,15 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
         rng = np.random.default_rng(stream)
         topology = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
         meas = simulate_tdoa_measurements(topology, source, sigma, rng)
-        selection = build_selection_weights(topology) if with_local else None
-        return meas, selection, topology, deployment_center(topology)
+        return meas, topology, deployment_center(topology)
 
     def scored(group):  # a group's runs, whose fits go when it returns
         # the bounds come first, so a singular one stops the sweep before any fit
         bounds = [float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
-                  for _, _, topology, _ in group]
+                  for _, topology, _ in group]
         runs, stacks = [], {}  # each run's state; runs by fitted heads
-        fits = zip(group, wls_group(group, with_global, "opt" in cfg.schemes))
-        for r, ((_, _, topology, _), (position, heads, positions, q)) in enumerate(fits):
+        fits = zip(group, wls_group(group, with_global, with_local, "opt" in cfg.schemes))
+        for r, ((_, topology, _), (position, heads, positions, q)) in enumerate(fits):
             fixed = dict.fromkeys(cfg.schemes)  # None where a scheme fails
             if isinstance(position, np.ndarray):
                 fixed["global"] = float(np.sum((position - source) ** 2)), None
@@ -354,7 +353,7 @@ def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
         for run in runs:
             yield [(run["bound"], scores, rows) for scores, rows in run["cells"]]
 
-    for group in wls_groups(map(draw, streams), with_global):
+    for group in wls_groups(map(draw, streams), with_global, with_local):
         yield from scored(group)
 
 

@@ -64,9 +64,12 @@ def connectivity_weights(hoods: np.ndarray) -> np.ndarray:
     Column k holds head k's weights: each member l of its self-inclusive
     neighborhood gets degree_l, the size of l's neighborhood, normalized
     over k's neighborhood. It reads the mask alone, so every run shares it.
+    Each entry is one division by its column's exact integer total.
     """
-    weights = hoods * hoods.sum(axis=1)[:, None]
-    return weights / weights.sum(axis=0)
+    degrees, (rows, cols) = hoods.sum(axis=1), np.nonzero(hoods)
+    weights = np.zeros(hoods.shape)
+    weights[rows, cols] = degrees[rows] / np.bincount(cols, degrees[rows], len(hoods))[cols]
+    return weights
 
 
 def median_weights(estimates: np.ndarray, hoods: np.ndarray, decay_scale: float) -> np.ndarray:

@@ -19,7 +19,6 @@ from .geometry import NetworkTopology, as_position
 
 __all__ = [
     "EstimationError",
-    "build_selection_weights",
     "crlb",
     "wls_group",
     "wls_groups",
@@ -233,42 +232,41 @@ def _gauss_newton(x0, fit, rows, data, k: int):
     return x, outcome, hess
 
 
-def build_selection_weights(topology: NetworkTopology) -> np.ndarray:
-    """Metropolis-style (N, N) measurement selection weights.
-
-    For l adjacent to k the entry [l, k] is 1 / max(degree_l, degree_k)
-    with self-inclusive degrees; the diagonal absorbs the remainder so
-    every column sums to one. Head k gives each of head l's M measurements
-    the weight [l, k] / M.
+def _selection(topology: NetworkTopology):
+    """Metropolis-style selection weights (fit, owners, weights), one per
+    neighborhood mask entry, by fit, then owner: head k gives each other
+    head l of its neighborhood 1 / max(degree_l, degree_k), with
+    self-inclusive degrees, and itself the rest of one, summed in owner
+    order. A head splits its weight on head l evenly over l's M measurements.
     """
     degrees = topology.degrees
-    weights = topology.neighborhoods / np.maximum.outer(degrees, degrees)
-    np.fill_diagonal(weights, 0.0)
-    # the matrix is symmetric, and a row sum adds a column's entries in the
-    # pairwise order that summing the column itself would (axis=0 does not)
-    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
-    return weights
+    fit, owners = np.nonzero(topology.neighborhoods)  # the mask is symmetric
+    weights = 1.0 / np.maximum(degrees[fit], degrees[owners])
+    own = fit == owners
+    weights[own] = 1.0 - np.bincount(fit[~own], weights[~own], topology.n_heads)
+    return fit, owners, weights
 
 
-def wls_groups(runs, with_global: bool):
-    """Split the (meas, selection, topology, init) runs, in order, into lists
-    of as many as fit _GROUP_ROWS rows, at least one, sized by the first;
-    a run whose selection is None counts its global fit's rows alone."""
+def wls_groups(runs, with_global: bool, with_local: bool):
+    """Split the (meas, topology, init) runs, in order, into lists of as
+    many as fit _GROUP_ROWS rows, at least one, sized by the first; without
+    with_local a run counts its global fit's rows alone."""
     runs = iter(runs)
-    for meas, selection, topology, init in runs:
-        rows = meas.size * with_global + np.count_nonzero(selection) * topology.sensors_per_head
+    for meas, topology, init in runs:
+        local = np.count_nonzero(topology.neighborhoods) * topology.sensors_per_head
+        rows = meas.size * with_global + local * with_local
         more = itertools.islice(runs, max(1, _GROUP_ROWS // rows) - 1)
-        yield [(meas, selection, topology, init), *more]
+        yield [(meas, topology, init), *more]
 
 
-def wls_group(runs, with_global: bool, with_q: bool):
-    """Fit the (meas, selection, topology, init) runs, all of one K, in one
-    lockstep batch: with with_global each run's global fit, weighting every
-    measurement by its inverse variance, then every head's local fit unless
-    selection is None. Head k weights measurement l * M + s by
-    selection[l, k] / M over its variance and never evaluates a row it
-    weights zero. Each fit starts from its run's init and sums on its own
-    K-row layout, so no other fit moves its bits.
+def wls_group(runs, with_global: bool, with_local: bool, with_q: bool):
+    """Fit the (meas, topology, init) runs, all of one K, in one lockstep
+    batch: with with_global each run's global fit, weighting every
+    measurement by its inverse variance, and with with_local every head's
+    local fit. Head k weights measurement l * M + s of each head l of its
+    neighborhood by its _selection weight on l over M and the variance, and
+    evaluates no other row. Each fit starts from its run's init and sums on
+    its own K-row layout, so no other fit moves its bits.
 
     A fit fails on a singular or non-finite step (singular step) or where a
     point it evaluates lies on a node of its own rows (on a node); a head
@@ -285,17 +283,15 @@ def wls_group(runs, with_global: bool, with_q: bool):
     are made one run at a time and never leave this module.
     """
     k, parts, spans, n_fits, n_rows = runs[0][0].size, [], [], 0, 0
-    for meas, selection, topology, init in runs:
+    for meas, topology, init in runs:
         n, heads, fit, rows, w = 0, np.arange(0), np.arange(0), np.arange(0), np.ones(0)
-        if selection is not None:
+        if with_local:
             n, m = topology.n_heads, topology.sensors_per_head
-            # head k's rows: the measurements of every head l with a nonzero
-            # selection[l, k], in measurement order
-            fit, owners = np.nonzero(selection.T)
+            # head k's rows: the measurements of every head of its
+            # neighborhood, in measurement order
+            fit, owners, weights = _selection(topology)
             rows = (owners[:, None] * m + np.arange(m)).ravel()
-            w = np.repeat(selection[owners, fit] / m, m) / meas.variances[rows]
-            weighted = w != 0
-            fit, rows, w = np.repeat(fit, m)[weighted], rows[weighted], w[weighted]
+            w, fit = np.repeat(weights / m, m) / meas.variances[rows], np.repeat(fit, m)
             solvable = np.bincount(fit, minlength=n) >= 3
             on, fit, _ = _layout(solvable, fit, rows, k)
             rows, w, heads = rows[on], w[on], np.flatnonzero(solvable)

@@ -26,11 +26,7 @@ from locbench.bench import (
     run_ranging_experiment,
 )
 from locbench.diffusion import connectivity_weights, diffuse, optimal_weights
-from locbench.estimators import (
-    _range_differences,
-    build_selection_weights,
-    wls_group,
-)
+from locbench.estimators import _range_differences, wls_group
 from locbench.geometry import build_grid_network, deployment_center
 from locbench.rcrt import make_wavelength_set, reconstruct_batch, remainders_of
 from locbench.signals import simulate_tdoa_measurements
@@ -106,8 +102,8 @@ def diffusion_audit(operating_config, operating_point):
         rng = np.random.default_rng([cfg.seed, 0, run])
         topo = build_grid_network(cfg.n_heads, sensors_per_head=cfg.sensors_per_head, seed=rng)
         meas = simulate_tdoa_measurements(topo, src, noise_std, rng)
-        run = meas, build_selection_weights(topo), topo, deployment_center(topo)
-        ((_, heads, estimates, q),) = wls_group([run], False, True)
+        run = meas, topo, deployment_center(topo)
+        ((_, heads, estimates, q),) = wls_group([run], False, True, True)
         assert heads.size
         hoods = topo.neighborhoods[np.ix_(heads, heads)]
         outside = ~hoods

@@ -457,9 +457,9 @@ class TestLocalizationRuns:
         # fits give when they are made with with_q
         runs_with_q, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_q):
+        def wls_group(runs, with_global, with_local, with_q):
             runs_with_q.extend([with_q] * len(runs))
-            return real_wls_group(runs, with_global, with_q)
+            return real_wls_group(runs, with_global, with_local, with_q)
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
         cfg = LocalizationExperiment(
@@ -500,7 +500,7 @@ class TestLocalizationRuns:
         # keeping each run's operators (16 of 2 x 160 floats, some 43 KB)
         # would add about 1 MB from 2 to 4 groups of runs, and a kept fit
         # (some 3 KB) is seen by its Q0 outliving its group
-        group = estimators._GROUP_ROWS // 640  # 64 selection entries of 10 sensors
+        group = estimators._GROUP_ROWS // 640  # 64 mask entries of 10 sensors
 
         def sweep(runs):
             return run_localization_experiment(LocalizationExperiment(
@@ -522,9 +522,9 @@ class TestLocalizationRuns:
 
         qs, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_q):
+        def wls_group(runs, with_global, with_local, with_q):
             assert [q() for q in qs] == [None] * len(qs)  # every earlier group's Q0 is gone
-            fits = real_wls_group(runs, with_global, with_q)
+            fits = real_wls_group(runs, with_global, with_local, with_q)
             qs.extend(weakref.ref(q) for *_, q in fits)
             return fits
 
@@ -539,8 +539,8 @@ class TestLocalizationRuns:
         real_wls_group, real_diffuse = bench.wls_group, bench.diffusion.diffuse
         calls = []
 
-        def wls_group(runs, with_global, with_q):
-            fits = real_wls_group(runs, with_global, with_q)
+        def wls_group(runs, with_global, with_local, with_q):
+            fits = real_wls_group(runs, with_global, with_local, with_q)
             position, heads, positions, q = fits[1]
             keep = heads != 5
             fits[1] = position, heads[keep], positions[keep], q
@@ -615,9 +615,9 @@ class TestLocalizationRuns:
         )
         sizes, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_q):
+        def wls_group(runs, with_global, with_local, with_q):
             sizes.append(len(runs))
-            return real_wls_group(runs, with_global, with_q)
+            return real_wls_group(runs, with_global, with_local, with_q)
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
 
@@ -673,9 +673,9 @@ class TestLocalizationRuns:
         failed_head = 5
         real_wls_group = bench.wls_group
 
-        def wls_group(runs, with_global, with_q):
+        def wls_group(*args):
             fits = []
-            for position, heads, positions, q in real_wls_group(runs, with_global, with_q):
+            for position, heads, positions, q in real_wls_group(*args):
                 keep = heads != failed_head
                 q = None if q is None else q[np.ix_(keep, keep)]
                 fits.append((position, heads[keep], positions[keep], q))
@@ -703,8 +703,8 @@ class TestLocalizationRuns:
         calls = []
         real_wls_group = bench.wls_group
 
-        def wls_group(runs, with_global, with_q):
-            fits = real_wls_group(runs, with_global, with_q)
+        def wls_group(runs, with_global, with_local, with_q):
+            fits = real_wls_group(runs, with_global, with_local, with_q)
             calls.extend(None for fit in fits if fit[0] is not None)  # the runs' global fits
             return fits
 
@@ -718,24 +718,25 @@ class TestLocalizationRuns:
         assert all(np.isfinite(r.rmse) for r in records)
 
     def test_global_only_sweep_fits_no_heads(self, monkeypatch):
-        # no scheme but global reads a head's fit, so no run builds a
-        # selection matrix or fits a head, and the global records are those
+        # no scheme but global reads a head's fit, so no run takes its
+        # selection weights or fits a head, and the global records are those
         # of the same sweep with local; an odd grid's global fits all fail,
         # since they start on the middle head
         cfg = LocalizationExperiment(
             n_heads=(9, 16), sensors_per_head=10, noise_std=1.0, decay_scale=1.0,
             source=(60.0, 70.0), runs=4, schemes=("global",), seed=7,
         )
-        selections, real_wls_group = [], bench.wls_group
+        fitted, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_q):
-            selections.extend(selection for _, selection, _, _ in runs)
-            return real_wls_group(runs, with_global, with_q)
+        def wls_group(runs, with_global, with_local, with_q):
+            fits = real_wls_group(runs, with_global, with_local, with_q)
+            fitted.extend((with_local, heads.size) for _, heads, _, _ in fits)
+            return fits
 
         def scored(schemes):
-            selections.clear()
-            weights = mock.Mock(wraps=estimators.build_selection_weights)
-            monkeypatch.setattr(bench, "build_selection_weights", weights)
+            fitted.clear()
+            weights = mock.Mock(wraps=estimators._selection)
+            monkeypatch.setattr(estimators, "_selection", weights)
             records = run_localization_experiment(dataclasses.replace(cfg, schemes=schemes))
             rows = [(r.sweep_value, r.rmse, r.crlb_rmse, r.fail_count) for r in records
                     if r.scheme == "global"]
@@ -743,9 +744,10 @@ class TestLocalizationRuns:
 
         monkeypatch.setattr(bench, "wls_group", wls_group)
         alone, built = scored(("global",))
-        assert selections == [None] * 8 and built == 0
+        assert fitted == [(False, 0)] * 8 and built == 0
         both, built = scored(("global", "local"))
-        assert [s is None for s in selections] == [False] * 8 and built == 8
+        assert all(with_local and heads for with_local, heads in fitted)
+        assert len(fitted) == 8 and built == 8
         assert alone[:, 3].tolist() == [4, 0] and np.isnan(alone[0, 1])
         np.testing.assert_array_equal(alone, both)
 
@@ -755,8 +757,8 @@ class TestLocalizationRuns:
         # puts two in a group; only opt reads Q
         calls, real_wls_group = [], bench.wls_group
 
-        def wls_group(runs, with_global, with_q):
-            fits = real_wls_group(runs, with_global, with_q)
+        def wls_group(runs, with_global, with_local, with_q):
+            fits = real_wls_group(runs, with_global, with_local, with_q)
             calls.extend((len(runs), with_global, with_q, fit[3] is None) for fit in fits)
             return fits
 

@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -20,7 +21,7 @@ from locbench.diffusion import (
     median_weights,
     optimal_weights,
 )
-from locbench.estimators import _gram, build_selection_weights, wls_group
+from locbench.estimators import _gram, wls_group
 from locbench.geometry import build_grid_network, deployment_center
 from locbench.signals import simulate_tdoa_measurements
 
@@ -45,9 +46,8 @@ def prepared_trial(seed):
     rng = np.random.default_rng(seed)
     topo = build_grid_network(16, seed=rng)
     meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-    selection = build_selection_weights(topo)
     init = deployment_center(topo)
-    ((_, heads, positions, q),) = wls_group([(meas, selection, topo, init)], False, True)
+    ((_, heads, positions, q),) = wls_group([(meas, topo, init)], False, True, True)
     assert heads.tolist() == list(range(16))
     return topo.neighborhoods, positions, q
 
@@ -555,6 +555,25 @@ class TestConnectivityWeights:
         assert w[0] == pytest.approx(2.0 / 6.0)
         assert w[list(keep).index(4)] == pytest.approx(4.0 / 6.0)
         assert w.sum() == pytest.approx(1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_entries_equal_the_dense_expression_bit_for_bit(self, data):
+        # the matrix as it was built before it was built by entry
+        hoods = data.draw(networks(max_heads=24))
+        weights = hoods * hoods.sum(axis=1)[:, None]
+        assert np.array_equal(connectivity_weights(hoods), weights / weights.sum(axis=0))
+
+    def test_large_mask_peak_is_one_dense_matrix(self):
+        # at 2,304 heads the (N, N) float result alone is 42.5 MB
+        hoods = build_grid_network(2304, seed=0).neighborhoods
+        tracemalloc.start()
+        try:
+            connectivity_weights(hoods)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * hoods.size
 
 
 class TestMedianWeights:

@@ -1,6 +1,10 @@
 """WLS estimators: Jacobians, solver behavior, selection weights, CRLB."""
 
+import functools
+import itertools
 import logging
+import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +21,8 @@ from locbench.estimators import (
     EstimationError,
     _gram,
     _range_differences,
+    _selection,
     _solve_stack,
-    build_selection_weights,
     crlb,
     wls_group,
 )
@@ -33,9 +37,9 @@ from locbench.signals import simulate_tdoa_measurements
 SOURCE = (60.0, 70.0)
 
 
-def fit(meas, selection, topo, init, with_global=True, with_q=True):
+def fit(meas, topo, init, with_global=True, with_local=True, with_q=True):
     """One run's wls_group fits: (position, heads, positions, q)."""
-    (fits,) = wls_group([(meas, selection, topo, init)], with_global, with_q)
+    (fits,) = wls_group([(meas, topo, init)], with_global, with_local, with_q)
     return fits
 
 
@@ -110,11 +114,11 @@ def oracle_global_fit(meas, topo, init):
     return oracle_gauss_newton(meas, topo, init, 1.0 / meas.variances)[0]
 
 
-def oracle_local_wls(k, meas, selection, topo, init):
+def oracle_local_wls(k, meas, topo, init):
     """Head k's fit over all K rows, zero weight outside its neighborhood;
     raises EstimationError where the batch leaves head k out."""
     m = topo.sensors_per_head
-    combined = np.repeat(selection[:, k] / m, m) / meas.variances
+    combined = np.repeat(oracle_selection_weights(topo)[:, k] / m, m) / meas.variances
     if np.count_nonzero(combined) < 3:
         raise EstimationError(f"head {k} has fewer than 3 accessible measurements")
     x, _ = oracle_gauss_newton(meas, topo, init, combined)
@@ -169,7 +173,7 @@ class TestGlobalWls:
         topo = build_grid_network(16, seed=4)
         meas = simulate_tdoa_measurements(topo, SOURCE, 0.0, np.random.default_rng(0))
         init = deployment_center(topo)
-        est = fit(meas, None, topo, init)[0]
+        est = fit(meas, topo, init, with_local=False)[0]
         assert np.linalg.norm(est - SOURCE) < 1e-8
 
     def test_noisy_estimate_beats_grid_refinement(self):
@@ -178,7 +182,7 @@ class TestGlobalWls:
         topo = build_grid_network(16, seed=6)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(6))
         init = deployment_center(topo)
-        est = fit(meas, None, topo, init)[0]
+        est = fit(meas, topo, init, with_local=False)[0]
 
         def cost(p):
             res, _ = residual_and_jacobian(p, meas, topo)
@@ -197,7 +201,7 @@ class TestGlobalWls:
         for _ in range(30):
             topo = build_grid_network(16, seed=rng)
             meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-            est = fit(meas, None, topo, deployment_center(topo))[0]
+            est = fit(meas, topo, deployment_center(topo), with_local=False)[0]
             errors.append(np.linalg.norm(est - SOURCE))
         # CRLB-level accuracy is about 1.8 m at this operating point
         assert np.mean(errors) < 3.0
@@ -209,7 +213,7 @@ class TestGlobalWls:
         topo = build_grid_network(1, sensors_per_head=1, seed=rng)
         init = rng.uniform(-40.0, 40.0, size=2)
         meas = simulate_tdoa_measurements(topo, topo.sensors[0, 0], 0.0, rng)
-        position = fit(meas, None, topo, init)[0]
+        position = fit(meas, topo, init, with_local=False)[0]
         assert str(position) == "global WLS failed: singular step"
         with pytest.raises(EstimationError):
             oracle_global_fit(meas, topo, init)
@@ -222,24 +226,47 @@ class TestGlobalWls:
         sq = []
         for _ in range(400):
             meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-            est = fit(meas, None, topo, deployment_center(topo))[0]
+            est = fit(meas, topo, deployment_center(topo), with_local=False)[0]
             sq.append(np.sum((est - SOURCE) ** 2))
         bound = np.trace(crlb(topo, SOURCE, meas.variances))
         assert np.mean(sq) == pytest.approx(bound, rel=0.15)
 
 
 def oracle_selection_weights(topology):
-    """The earlier per-head double loop: an oracle for the one-expression
-    matrix, which must give the same bits."""
+    """The per-head double loop, summing each head's other entries one at
+    a time in column order: an oracle for _selection's bits on any mask."""
     n = topology.n_heads
     degrees = topology.degrees
     head_matrix = np.zeros((n, n))
     for k in range(n):
-        for l in np.flatnonzero(topology.neighborhoods[k]):
+        others = 0.0
+        for l in np.flatnonzero(topology.neighborhoods[:, k]):
             if l != k:
                 head_matrix[l, k] = 1.0 / max(degrees[l], degrees[k])
-        head_matrix[k, k] = 1.0 - head_matrix[:, k].sum()
+                others += head_matrix[l, k]
+        head_matrix[k, k] = 1.0 - others
     return head_matrix
+
+
+def dense_selection_weights(topology):
+    """The dense (N, N) matrix the run path once built for every run, whose
+    diagonal takes numpy's pairwise row sums: an oracle for _selection's
+    bits on a grid."""
+    degrees = topology.degrees
+    weights = topology.neighborhoods / np.maximum.outer(degrees, degrees)
+    np.fill_diagonal(weights, 0.0)
+    np.fill_diagonal(weights, 1.0 - weights.sum(axis=1))
+    return weights
+
+
+def selection_matrix(topology):
+    """_selection's weights as an (N, N) matrix: entry [l, k] is head k's
+    weight on head l, zero outside k's neighborhood."""
+    n = topology.n_heads
+    fit, owners, weights = _selection(topology)
+    matrix = np.zeros((n, n))
+    matrix[owners, fit] = weights
+    return matrix
 
 
 @st.composite
@@ -258,10 +285,15 @@ def networks(draw):
     )
 
 
+def with_mask(topo, hoods):
+    """topo's heads and sensors over another neighborhood mask."""
+    return NetworkTopology(heads=topo.heads, sensors=topo.sensors, neighborhoods=hoods)
+
+
 class TestSelectionWeights:
     def test_columns_sum_to_one(self):
         topo = build_grid_network(16, seed=3)
-        selection = build_selection_weights(topo)
+        selection = selection_matrix(topo)
         assert np.allclose(selection.sum(axis=0), 1.0)
         m = topo.sensors_per_head
         for k in range(16):
@@ -275,25 +307,57 @@ class TestSelectionWeights:
     def test_metropolis_values_on_grid(self):
         # corner head 0 (degree 3) with edge neighbors 1 and 4 (degree 4):
         # off-diagonal 1/4 each, diagonal absorbs the remainder
-        topo = build_grid_network(16, seed=3)
-        hm = build_selection_weights(topo)
-        assert hm[1, 0] == pytest.approx(0.25)
-        assert hm[4, 0] == pytest.approx(0.25)
-        assert hm[0, 0] == pytest.approx(0.5)
-        assert hm[5, 0] == 0.0
+        fit, owners, weights = _selection(build_grid_network(16, seed=3))
+        assert owners[fit == 0].tolist() == [0, 1, 4]
+        assert weights[fit == 0].tolist() == [0.5, 0.25, 0.25]
 
     def test_measurement_weights_split_head_mass(self):
         topo = build_grid_network(16, sensors_per_head=10, seed=3)
         # head 0's weight on each measurement, as wls_group applies it
-        column = np.repeat(build_selection_weights(topo)[:, 0] / 10, 10)
+        column = np.repeat(selection_matrix(topo)[:, 0] / 10, 10)
         assert column.shape == (160,)
         # head 1's ten sensors share its 1/4 mass
         assert np.allclose(column[10:20], 0.025)
 
     @settings(max_examples=300, deadline=None)
     @given(topo=networks())
-    def test_matrix_equals_the_loop_bit_for_bit(self, topo):
-        assert np.array_equal(build_selection_weights(topo), oracle_selection_weights(topo))
+    def test_entries_equal_the_loop_bit_for_bit(self, topo):
+        fit, owners, _ = _selection(topo)
+        assert np.array_equal(np.flatnonzero(topo.neighborhoods), fit * topo.n_heads + owners)
+        assert np.array_equal(selection_matrix(topo), oracle_selection_weights(topo))
+
+    def test_grid_entries_equal_the_dense_matrix_bit_for_bit(self):
+        # _selection sums a head's other entries in column order, the dense
+        # matrix in numpy's pairwise order, and the two agree on a grid: a
+        # grid head's off-diagonal weights are {1/4, 1/4} (corner), {1/3,
+        # 1/3} (side 2), {1/4, 1/4, 1/5} (edge) or {1/5 x 4} (interior),
+        # each multiset sums to one value in every order (a left fold of
+        # some permutation, or with four values also two pairs), and the
+        # zeros between them add nothing
+        multisets = ([1 / 4, 1 / 4], [1 / 3, 1 / 3], [1 / 4, 1 / 4, 1 / 5], [1 / 5] * 4)
+        for values in multisets:
+            sums = {functools.reduce(operator.add, p) for p in itertools.permutations(values)}
+            if len(values) == 4:
+                sums |= {(a + b) + (c + d) for a, b, c, d in itertools.permutations(values)}
+            assert len(sums) == 1
+        for side in range(2, 61):
+            topo = build_grid_network(side * side, sensors_per_head=1, seed=0)
+            fit, owners, weights = _selection(topo)
+            dense = dense_selection_weights(topo)
+            assert all(np.array_equal(a, b) for a, b in zip(np.nonzero(dense.T), (fit, owners)))
+            assert np.array_equal(weights, dense[owners, fit]), side
+
+    def test_peak_grows_with_the_nonzeros(self):
+        # a 2,304-head grid's mask has 11,328 true entries; one (N, N)
+        # float array would take 42.5 MB, the mask itself 5.3 MB
+        topo = build_grid_network(2304, sensors_per_head=1, seed=0)
+        tracemalloc.start()
+        try:
+            _selection(topo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * np.count_nonzero(topo.neighborhoods)
 
 
 class TestSolveStack:
@@ -339,17 +403,20 @@ class TestSolveStack:
 
 class TestLocalWls:
     def test_operator_is_left_inverse_of_jacobian(self):
-        # seen through Q0: head 0 weights every row by 1 / (N M) over its
-        # variance, so its operator is the left inverse L of the jacobian J
-        # of least covariance, L W L^T = (J^T W^-1 J)^-1 for the noise
-        # covariance W, and its Q0 entry is the trace of the CRLB at its
-        # fitted point; every other head's operator, a left inverse of J
-        # that is zero outside its neighborhood, has a larger trace
-        topo = build_grid_network(16, seed=5)
+        # seen through Q0: head 0, joined to every head, weights every row
+        # by 1 / (N M) over its variance (its degree is N, so each of its
+        # weights is 1 / N), so its operator is the left inverse L of the
+        # jacobian J of least covariance, L W L^T = (J^T W^-1 J)^-1 for the
+        # noise covariance W, and its Q0 entry is the trace of the CRLB at
+        # its fitted point; every other head's operator, a left inverse of
+        # J that is zero outside its neighborhood, has a larger trace
+        grid = build_grid_network(16, seed=5)
+        hoods = grid.neighborhoods.copy()
+        hoods[0] = hoods[:, 0] = True
+        topo = with_mask(grid, hoods)
+        assert np.all(selection_matrix(topo)[:, 0] == 1.0 / 16)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
-        selection = build_selection_weights(topo)
-        selection[:, 0] = 1.0 / 16
-        _, heads, positions, q = fit(meas, selection, topo, deployment_center(topo), False)
+        _, heads, positions, q = fit(meas, topo, deployment_center(topo), False)
         assert heads.tolist() == list(range(16))
         bounds = [np.trace(crlb(topo, x, meas.variances)) for x in positions]
         assert q[0, 0] == pytest.approx(bounds[0], rel=1e-9)
@@ -361,44 +428,36 @@ class TestLocalWls:
         # share no head is exactly zero
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
-        selection = build_selection_weights(topo)
-        _, heads, _, q = fit(meas, selection, topo, deployment_center(topo), False)
+        _, heads, _, q = fit(meas, topo, deployment_center(topo), False)
         hoods = topo.neighborhoods.astype(int)
         shared = (hoods @ hoods)[np.ix_(heads, heads)] > 0
         assert not shared.all() and np.all(q[~shared] == 0.0) and np.all(q[shared] != 0.0)
 
     def test_starved_neighborhood_is_left_out(self):
-        topo = build_grid_network(4, sensors_per_head=2, seed=1)
+        # head 0, cut from its neighbours, may use only its own 2 measurements
+        topo = isolated(build_grid_network(4, sensors_per_head=2, seed=1), 0)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
-        starved = np.zeros((4, 4))
-        starved[0, 0] = 1.0  # head 0 may use only its own 2 measurements
-        starved[:, 1] = 0.25  # head 1 sees all 8
-        assert np.count_nonzero(np.repeat(starved[:, 0] / 2, 2)) == 2
-        heads = fit(meas, starved, topo, deployment_center(topo), with_global=False)[1]
-        assert heads.tolist() == [1]
+        assert np.count_nonzero(np.repeat(selection_matrix(topo)[:, 0] / 2, 2)) == 2
+        heads = fit(meas, topo, deployment_center(topo), with_global=False)[1]
+        assert heads.tolist() == [1, 2, 3]
 
     @pytest.mark.parametrize("init", [(np.nan, 0.0), (0.0, np.inf), (1.0, 2.0, 3.0)])
     def test_start_point_must_be_a_finite_position(self, init):
         topo = build_grid_network(16, seed=5)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(5))
         with pytest.raises(ValueError):
-            fit(meas, None, topo, init)
+            fit(meas, topo, init, with_local=False)
         with pytest.raises(ValueError):
-            fit(meas, build_selection_weights(topo), topo, init, with_global=False)
+            fit(meas, topo, init, with_global=False)
 
     def test_one_debug_line_per_batch(self, caplog):
         # 9 heads: the deployment center is head 4, so the fits of head 4
-        # and its neighbours start on a node of their own rows; a starved
-        # column leaves head 0 too few rows
-        topo = build_grid_network(9, sensors_per_head=2, seed=1)
+        # and its neighbours start on a node of their own rows; cut from
+        # its neighbours, head 0 keeps too few rows
+        topo = isolated(build_grid_network(9, sensors_per_head=2, seed=1), 0)
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, np.random.default_rng(1))
-        starved = build_selection_weights(topo)
-        starved[:, 0] = 0.0
-        starved[0, 0] = 1.0
         with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
-            _, heads, positions, q = fit(
-                meas, starved, topo, deployment_center(topo), with_global=False
-            )
+            _, heads, positions, q = fit(meas, topo, deployment_center(topo), with_global=False)
         assert heads.tolist() == [2, 6, 8]
         assert positions.shape == (3, 2) and q.shape == (3, 3)
         (line,) = [r.getMessage() for r in caplog.records]
@@ -418,20 +477,30 @@ class TestLocalWls:
         (center,) = np.flatnonzero((topo.heads == init).all(axis=1))
         on_node = np.flatnonzero(topo.neighborhoods[center])
         with caplog.at_level(logging.DEBUG, logger="locbench.estimators"):
-            heads = fit(meas, build_selection_weights(topo), topo, init, with_global=False)[1]
+            heads = fit(meas, topo, init, with_global=False)[1]
         (line,) = [r.getMessage() for r in caplog.records]
         assert line.endswith(f"failed: on a node {on_node.tolist()}")
         assert heads.tolist() == np.setdiff1d(np.arange(n_heads), on_node).tolist()
         if n_heads == 9:
             assert on_node.tolist() == [1, 3, 4, 5, 7]
-        position = fit(meas, None, topo, init)[0]
+        position = fit(meas, topo, init, with_local=False)[0]
         assert isinstance(position, EstimationError) and "on a node" in str(position)
 
 
-def starved(selection, rng):
-    """Selection weights with a random share of head-level entries zeroed,
-    so that some heads keep fewer than 3 measurements."""
-    return selection * (rng.random(selection.shape) < 0.6)
+def isolated(topo, *heads):
+    """topo with heads cut from every neighborhood but their own: with at
+    most 2 sensors a head, each of them keeps fewer than 3 measurements."""
+    hoods, cut = topo.neighborhoods.copy(), list(heads)
+    hoods[cut] = hoods[:, cut] = False
+    hoods[cut, cut] = True
+    return with_mask(topo, hoods)
+
+
+def starved(topo, rng):
+    """topo with a random share of its links cut, so that with at most 2
+    sensors a head some heads keep fewer than 3 measurements."""
+    upper = np.triu(topo.neighborhoods & (rng.random(topo.neighborhoods.shape) < 0.6), 1)
+    return with_mask(topo, upper | upper.T | np.eye(topo.n_heads, dtype=bool))
 
 
 class TestBatchMatchesPerHeadOracle:
@@ -458,19 +527,18 @@ class TestBatchMatchesPerHeadOracle:
 
         source, init = point("source"), point("init")
         meas = simulate_tdoa_measurements(topo, source, noise, rng)
-        selection = build_selection_weights(topo)
         if data.draw(st.booleans(), label="starved"):
-            selection = starved(selection, rng)
+            topo = starved(topo, rng)
 
         expected = {}
         for k in range(n_heads):
             try:
-                expected[k] = oracle_local_wls(k, meas, selection, topo, init)
+                expected[k] = oracle_local_wls(k, meas, topo, init)
             except EstimationError:
                 pass
         # one run's global and local fits in one batch, and its global fit alone
-        together = fit(meas, selection, topo, init)
-        alone = fit(meas, None, topo, init, True, False)
+        together = fit(meas, topo, init)
+        alone = fit(meas, topo, init, True, False, False)
         got = dict(zip(together[1].tolist(), together[2]))
         assert sorted(got) == sorted(expected)
         for k, (position, _) in expected.items():
@@ -491,14 +559,13 @@ class TestBatchMatchesPerHeadOracle:
 
 
 def batch_fits(runs, with_global):
-    """(meas, topo, init, weights) of each fit of a wls_group batch, in
-    batch order: a run's global fit, then its heads of 3 or more rows."""
-    for meas, selection, topo, init in runs:
+    """(meas, topo, init, weights) of each fit of a wls_group batch with
+    local fits, in batch order: a run's global fit, then its heads of 3 or
+    more rows."""
+    for meas, topo, init in runs:
         if with_global:
             yield meas, topo, init, 1.0 / meas.variances
-        if selection is None:
-            continue
-        m = topo.sensors_per_head
+        m, selection = topo.sensors_per_head, oracle_selection_weights(topo)
         for k in range(topo.n_heads):
             weights = np.repeat(selection[:, k] / m, m) / meas.variances
             if np.count_nonzero(weights) >= 3:
@@ -527,7 +594,7 @@ def one_head_run(seed, kind):
     sensor = topo.sensors[0, 0]
     source = rng.uniform(-40.0, 40.0, size=2) if kind == "random" else sensor
     meas = simulate_tdoa_measurements(topo, source, 0.0, rng)
-    return meas, None, topo, sensor if kind == "node" else init
+    return meas, topo, sensor if kind == "node" else init
 
 
 def nine_head_runs(seed):
@@ -539,7 +606,7 @@ def nine_head_runs(seed):
         topo = build_grid_network(9, sensors_per_head=3, seed=rng)
         meas = simulate_tdoa_measurements(topo, rng.uniform(-40.0, 140.0, size=2), i % 3 * 1.5, rng)
         init = deployment_center(topo) if i % 2 == 0 else rng.uniform(-40.0, 140.0, size=2)
-        runs.append((meas, build_selection_weights(topo), topo, init))
+        runs.append((meas, topo, init))
     return runs
 
 
@@ -584,7 +651,7 @@ class TestLayoutRebuilds:
 
         monkeypatch.setattr(estimators, "_gauss_newton", watched_gauss_newton)
         monkeypatch.setattr(estimators, "_layout", watched_layout)
-        wls_group(runs, True, False)
+        wls_group(runs, True, True, False)
         x, outcome, hess = seen["out"]
         fits = list(batch_fits(runs, True))
         assert len(fits) == len(x) == layouts[0] and len(layouts) >= 3
@@ -622,15 +689,15 @@ class TestGroupMatchesPerRunFits:
                 "node": topo.sensors[rng.integers(n_heads), rng.integers(m)],
                 "random": rng.uniform(-40.0, span + 40.0, size=2),
             }[kind]
-            runs.append((meas, build_selection_weights(topo), topo, init))
+            runs.append((meas, topo, init))
 
-        fits = wls_group(runs, with_global, True)
+        fits = wls_group(runs, with_global, True, True)
         assert len(fits) == len(runs)
-        for (meas, selection, topo, init), (position, *local) in zip(runs, fits):
+        for (meas, topo, init), (position, *local) in zip(runs, fits):
             # the run's global fit alone, then its heads' fits alone
-            alone = fit(meas, None, topo, init, True, False)[0] if with_global else None
+            alone = fit(meas, topo, init, True, False, False)[0] if with_global else None
             assert same_position(position, alone)
-            for have, want in zip(local, fit(meas, selection, topo, init, False)[1:]):
+            for have, want in zip(local, fit(meas, topo, init, False)[1:]):
                 assert np.array_equal(have, want)
 
 
@@ -654,13 +721,12 @@ class TestGroupWithoutOperators:
             meas = simulate_tdoa_measurements(
                 topo, rng.uniform(-40.0, span + 40.0, size=2), noise, rng
             )
-            selection = build_selection_weights(topo)
             if data.draw(st.booleans(), label=f"starved {run}"):
-                selection = starved(selection, rng)
-            runs.append((meas, selection, topo, deployment_center(topo)))
+                topo = starved(topo, rng)
+            runs.append((meas, topo, deployment_center(topo)))
 
-        bare = wls_group(runs, with_global, False)
-        full = wls_group(runs, with_global, True)
+        bare = wls_group(runs, with_global, True, False)
+        full = wls_group(runs, with_global, True, True)
         assert len(bare) == len(full) == len(runs)
         for run, (position, heads, positions, q), (want, *local) in zip(runs, bare, full):
             assert q is None
@@ -678,28 +744,30 @@ class TestGroupWithoutOperators:
 
 
 class TestChunkSize:
-    # 16 heads of 10 sensors and the global fit: 17 fits of K = 160 rows,
-    # which the default chunk size packs into one chunk; 1 element gives
+    # clean: 16 heads of 10 sensors and the global fit, 17 fits of K = 160
+    # rows; starved: 36 heads of 2 sensors (K = 72) with a random share of
+    # their links cut, so that some heads keep too few rows. The default
+    # chunk size packs either run's fits into one chunk; 1 element gives
     # the floor of _CHUNK_FITS = 8 fits a chunk, and 9 * 160 chunks of 9
-    # and 8 fits
+    # and 8 fits at K = 160, of 20 fits at K = 72
     @pytest.mark.parametrize("elements", [1, 9 * 160])
     @pytest.mark.parametrize("starve", [False, True], ids=["clean", "starved"])
     def test_chunk_size_moves_no_bit(self, monkeypatch, elements, starve):
         rng = np.random.default_rng(21)
-        topo = build_grid_network(16, seed=rng)
+        topo = build_grid_network(36, sensors_per_head=2, seed=rng) if starve else (
+            build_grid_network(16, seed=rng))
         meas = simulate_tdoa_measurements(topo, SOURCE, 1.0, rng)
-        selection = build_selection_weights(topo)
         if starve:
-            selection = starved(selection, rng)
-        init = deployment_center(topo)
-        assert meas.size == 160 and estimators._CHUNK_ELEMENTS // meas.size >= 17
-        expected = fit(meas, selection, topo, init)
+            topo = starved(topo, rng)
+        n, init = topo.n_heads, deployment_center(topo)
+        assert estimators._CHUNK_ELEMENTS // meas.size >= n + 1
+        expected = fit(meas, topo, init)
         monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", elements)
         every = np.ones(17, dtype=bool), np.repeat(np.arange(17), 160), np.tile(np.arange(160), 17)
         chunks = estimators._layout(*every, 160)[2]
         assert [hi - lo for lo, hi, *_ in chunks] == {1: [8, 8, 1], 9 * 160: [9, 8]}[elements]
-        got = fit(meas, selection, topo, init)
-        assert 0 < len(expected[1]) < 16 if starve else len(expected[1]) == 16
+        got = fit(meas, topo, init)
+        assert 0 < len(expected[1]) < n if starve else len(expected[1]) == n
         assert isinstance(expected[0], np.ndarray) and np.array_equal(got[0], expected[0])
         for want, have in zip(expected[1:], got[1:]):
             assert np.array_equal(have, want)
