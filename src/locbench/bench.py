@@ -291,70 +291,73 @@ def _seed_words(seed: int, points: np.ndarray, trials: np.ndarray) -> np.ndarray
 # localization
 
 
-def _localize_runs(cfg, params, streams, decay_scales, trace_scheme):
-    """Draws each run's topology and noise from default_rng(stream), in
-    order; takes each wls_groups group's CRLB traces, then fits it, and
-    scores every scheme at each of decay_scales. Yields each run's
-    (crlb_trace, outcomes, trace_rows) per scale: outcomes maps each scheme
-    to (squared_error, epochs), or None where it failed, and trace_rows
-    holds trace_scheme's (epoch, head, x1, x2, max_step) rows. Diffusion
-    runs on the fitted heads, over their block of the neighborhood mask, in
-    one diffuse call per scheme and scale for the group's runs that fitted
-    the same heads. A group logs its fit lines, then each diffuse call's.
+def _score_group(cfg, sigma, group, scales, trace_scheme):
+    """Fit a wls_groups group of R runs and score the C cfg.schemes at the S
+    scales. Returns the (R,) CRLB traces, taken first so that a singular
+    one stops the sweep before any fit; (S, R, C) tables of done (False
+    where the scheme failed), squared errors and epochs (0 for global and
+    local); and each scale's list of each run's trace_scheme (epoch, head,
+    x1, x2, max_step) rows. Diffusion runs on the fitted heads' block of
+    the mask, in one diffuse call per scheme and scale for the runs that
+    fitted the same heads. The fit lines log before each diffuse call's,
+    and the fits go when the function returns.
     """
     source = np.asarray(cfg.source, dtype=float)
-    n_heads, m, sigma = params["n_heads"], params["sensors_per_head"], params["noise_std"]
-    with_global = "global" in cfg.schemes
-    with_local = set(cfg.schemes) != {"global"}  # every other scheme reads the heads' fits
+    column = {scheme: c for c, scheme in enumerate(cfg.schemes)}
+    bounds = np.array([np.trace(crlb(topology, source, sigma * sigma)) if sigma else 0.0
+                       for _, topology, _ in group])
+    fits = wls_group(group, "global" in column, set(column) != {"global"}, "opt" in column)
+    shape = (len(scales), len(group), len(column))
+    done, errors, epochs = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape, int)
+    rows = [[[] for _ in group] for _ in scales]
+    stacks = {}  # the runs by their fitted heads, with those heads' block of the mask
+    for r, ((_, topology, _), (position, heads, positions, _)) in enumerate(zip(group, fits)):
+        fixed = {}  # the errors that no decay scale changes
+        if isinstance(position, np.ndarray):
+            fixed["global"] = np.sum((position - source) ** 2)
+        if heads.size:
+            fixed["local"] = np.sum((positions.mean(axis=0) - source) ** 2)
+            hoods = topology.neighborhoods[np.ix_(heads, heads)]
+            stacks.setdefault(heads.tobytes(), (hoods, []))[1].append(r)
+        for scheme in fixed.keys() & column.keys():
+            done[:, r, column[scheme]], errors[:, r, column[scheme]] = True, fixed[scheme]
+    schemes = [scheme for scheme in cfg.schemes if scheme in DIFFUSION_SCHEMES]
+    for hoods, members in stacks.values():
+        _, heads, positions, q = zip(*(fits[r] for r in members))
+        positions, q = np.stack(positions), np.stack(q) if "opt" in column else None
+        for (s, scale), scheme in itertools.product(enumerate(scales), schemes):
 
-    def draw(stream):
-        rng = np.random.default_rng(stream)
-        topology = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
-        meas = simulate_tdoa_measurements(topology, source, sigma, rng)
-        return meas, topology, deployment_center(topology)
+            def on_epoch(i, epoch, estimates, _coeffs, max_step):
+                points = zip(heads[i].tolist(), estimates.tolist())
+                rows[s][members[i]].extend((epoch, head, *x, max_step) for head, x in points)
 
-    def scored(group):  # a group's runs, whose fits go when it returns
-        # the bounds come first, so a singular one stops the sweep before any fit
-        bounds = [float(np.trace(crlb(topology, source, sigma * sigma))) if sigma else 0.0
-                  for _, topology, _ in group]
-        runs, stacks = [], {}  # each run's state; runs by fitted heads
-        fits = zip(group, wls_group(group, with_global, with_local, "opt" in cfg.schemes))
-        for r, ((_, topology, _), (position, heads, positions, q)) in enumerate(fits):
-            fixed = dict.fromkeys(cfg.schemes)  # None where a scheme fails
-            if isinstance(position, np.ndarray):
-                fixed["global"] = float(np.sum((position - source) ** 2)), None
-            if "local" in fixed and heads.size:
-                fixed["local"] = float(np.sum((positions.mean(axis=0) - source) ** 2)), None
-            runs.append(dict(heads=heads.tolist(), positions=positions, q=q, bound=bounds[r],
-                             cells=[(dict(fixed), []) for _ in decay_scales]))
-            if heads.size:
-                hoods = topology.neighborhoods[np.ix_(heads, heads)]
-                stacks.setdefault(heads.tobytes(), (hoods, []))[1].append(r)
-        schemes = [scheme for scheme in cfg.schemes if scheme in DIFFUSION_SCHEMES]
-        for hoods, members in stacks.values():
-            stack = [runs[r] for r in members]
-            positions = np.stack([run["positions"] for run in stack])
-            q = np.stack([run["q"] for run in stack]) if "opt" in cfg.schemes else None
-            for (s, scale), scheme in itertools.product(enumerate(decay_scales), schemes):
+            result = diffusion.diffuse(
+                positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
+                q=q, decay_scale=scale, optimize_once=cfg.optimize_once,
+                on_epoch=on_epoch if scheme == trace_scheme else None,
+            )
+            cell = s, members, column[scheme]
+            done[cell], epochs[cell] = True, result.epoch
+            errors[cell] = np.mean(np.sum((result.estimates - source) ** 2, axis=2), axis=1)
+    return bounds, done, errors, epochs, rows
 
-                def on_epoch(i, epoch, estimates, _coeffs, max_step):
-                    points = zip(stack[i]["heads"], estimates.tolist())
-                    rows = stack[i]["cells"][s][1]
-                    rows.extend((epoch, head, *x, max_step) for head, x in points)
 
-                result = diffusion.diffuse(
-                    positions, scheme, hoods, cfg.epsilon, cfg.max_epochs,
-                    q=q, decay_scale=scale, optimize_once=cfg.optimize_once,
-                    on_epoch=on_epoch if scheme == trace_scheme else None,
-                )
-                for run, estimates, epochs in zip(stack, result.estimates, result.epoch):
-                    err = float(np.mean(np.sum((estimates - source) ** 2, axis=1)))
-                    run["cells"][s][0][scheme] = err, int(epochs)
-        for run in runs:
-            yield [(run["bound"], scores, rows) for scores, rows in run["cells"]]
+def _records(cfg, values, bounds, done, errors, epochs):
+    """A draw's records from its joined tables: np.means over unfailed runs, in run order."""
+    crlb_rmse, records = float(math.sqrt(np.mean(bounds))), []
+    for (s, value), (c, scheme) in itertools.product(enumerate(values), enumerate(cfg.schemes)):
+        errs, n = errors[s, done[s, :, c], c], epochs[s, done[s, :, c], c]
+        rmse = float(math.sqrt(np.mean(errs))) if errs.size else math.nan
+        mean_epochs = float(np.mean(n)) if n.size and scheme in DIFFUSION_SCHEMES else None
+        fails = cfg.runs - errs.size
+        records.append(MetricsRecord(value, scheme, rmse, None, mean_epochs, crlb_rmse, fails))
+    return records
 
-    for group in wls_groups(map(draw, streams), with_global, with_local):
-        yield from scored(group)
+
+def _write_trace(trace, first, runs):
+    """Write each run's trace rows under its trial index, from first on."""
+    for index, rows in enumerate(runs, first):
+        trace.writerows([_format_cell(c) for c in (index, *row)] for row in rows)
 
 
 def run_localization_experiment(
@@ -362,61 +365,51 @@ def run_localization_experiment(
 ) -> list[MetricsRecord]:
     """Run the configured sweep and aggregate per-scheme metrics.
 
-    Every run rebuilds topology and noise from the stream
-    (seed, sweep index, run). A decay_scale sweep is the exception: its
-    runs derive from (seed, run) alone, and each is drawn and fitted once
-    and scored at every sweep value, so the combination-weight scale is
-    compared on frozen noise.
+    A draw of cfg.runs runs is fitted and scored a wls_groups group at a
+    time (_score_group); its tables are joined along the run axis and
+    reduced to records (_records). A draw is one sweep value, whose runs
+    rebuild topology and noise from the stream (seed, sweep index, run), or
+    a whole decay_scale sweep, whose runs derive from (seed, run) alone and
+    are scored at every value, so the weight scale is compared on frozen noise.
 
     trace, a csv.writer when given, receives a header and then one
-    (trial, epoch, head, x1, x2, max_step) row per epoch and per head whose
-    local fit succeeded, for the first diffusion scheme in cfg.schemes.
+    (trial = sweep index * runs + run, epoch, head, x1, x2, max_step) row
+    per epoch and per head whose local fit succeeded, for the first
+    diffusion scheme in cfg.schemes: the first scale's rows group by group,
+    a decay_scale sweep's later ones as it ends.
     """
-    sweep_name = cfg.sweep_field
-    frozen = sweep_name == "decay_scale"
+    frozen = cfg.sweep_field == "decay_scale"
+    with_global, with_local = "global" in cfg.schemes, set(cfg.schemes) != {"global"}
     trace_scheme = None
     if trace is not None:
         trace.writerow(["trial", "epoch", "head", "x1", "x2", "max_step"])
         trace_scheme = next((s for s in cfg.schemes if s in DIFFUSION_SCHEMES), None)
 
     records = []
-    # _localize_runs' results keyed by (sweep index, run); a decay_scale
-    # sweep's run scores the later sweep values ahead of the loop
-    pending: dict[tuple[int, int], tuple] = {}
-    for s_idx, value in enumerate(cfg.sweep_values):
-        params = {n: value if n == sweep_name else getattr(cfg, n) for n in _SWEEP_AXES}
-        if not (frozen and s_idx):
-            streams = ([cfg.seed, r] if frozen else [cfg.seed, s_idx, r] for r in range(cfg.runs))
-            scales = cfg.decay_scale if frozen else (params["decay_scale"],)
-            drawn = _localize_runs(cfg, params, streams, scales, trace_scheme)
-        crlb_traces, scored = [], []  # each run's CRLB trace and outcomes
-        for run in range(cfg.runs):
-            if (s_idx, run) not in pending:
-                pending.update(((s_idx + i, run), r) for i, r in enumerate(next(drawn)))
-            crlb_trace, outcomes, rows = pending.pop((s_idx, run))
-            crlb_traces.append(crlb_trace)
-            scored.append(outcomes)
+    for d, value in enumerate((None,) if frozen else cfg.sweep_values):
+        n_heads, m, sigma, _ = (value if n == cfg.sweep_field else getattr(cfg, n)
+                                for n in _SWEEP_AXES)
+        values, scales = (cfg.decay_scale,) * 2 if frozen else ((value,), (cfg.decay_scale,))
+
+        def draw(run):
+            rng = np.random.default_rng([cfg.seed, run] if frozen else [cfg.seed, d, run])
+            topology = build_grid_network(n_heads, sensors_per_head=m, seed=rng)
+            meas = simulate_tdoa_measurements(topology, cfg.source, sigma, rng)
+            return meas, topology, deployment_center(topology)
+
+        tables, held, first = [], [], d * cfg.runs  # held: each group's later scales' rows
+        for group in wls_groups(map(draw, range(cfg.runs)), with_global, with_local):
+            *table, rows = _score_group(cfg, sigma, group, scales, trace_scheme)
+            tables.append(table)
             if trace is not None:
-                index = s_idx * cfg.runs + run
-                trace.writerows([_format_cell(c) for c in (index, *row)] for row in rows)
-        crlb_rmse = float(math.sqrt(np.mean(crlb_traces)))
-        for scheme in cfg.schemes:
-            done = [o[scheme] for o in scored if o[scheme] is not None]
-            errs = [err for err, _ in done]
-            epochs = [n for _, n in done if n is not None]
-            rmse = float(math.sqrt(np.mean(errs))) if errs else math.nan
-            mean_epochs = float(np.mean(epochs)) if epochs else None
-            records.append(
-                MetricsRecord(
-                    sweep_value=value,
-                    scheme=scheme,
-                    rmse=rmse,
-                    cpu_time=None,
-                    mean_epochs=mean_epochs,
-                    crlb_rmse=crlb_rmse,
-                    fail_count=cfg.runs - len(done),
-                )
-            )
+                _write_trace(trace, first, rows.pop(0))
+                held.append((first, rows))
+            first += len(group)
+        for s, (first, rows) in itertools.product(range(1, len(scales)), held):
+            _write_trace(trace, first + s * cfg.runs, rows[s - 1])
+        bounds, *per_group = zip(*tables)
+        joined = (np.concatenate(table, axis=1) for table in per_group)
+        records += _records(cfg, values, np.concatenate(bounds), *joined)
     return records
 
 

@@ -380,8 +380,8 @@ def crlb(topology: NetworkTopology, source, variances) -> np.ndarray:
         raise EstimationError("evaluation point coincides with a network node")
     jac = np.column_stack((jac0, jac1))
     var = np.broadcast_to(np.asarray(variances, dtype=float), (jac.shape[0],))
-    if np.any(var <= 0):
-        raise ValueError("variances must be positive")
+    if not np.all(np.isfinite(var) & (var > 0)):
+        raise ValueError("variances must be positive and finite")
     fisher = (jac / var[:, None]).T @ jac
     try:
         bound = np.linalg.inv(fisher)

@@ -69,8 +69,8 @@ class MeasurementSet:
         k = self.values.shape[0]
         if self.variances.shape != (k,):
             raise ValueError(f"variances must match values, shape ({k},)")
-        if np.any(self.variances <= 0):
-            raise ValueError("variances must be positive")
+        if not np.all(np.isfinite(self.variances) & (self.variances > 0)):
+            raise ValueError("variances must be positive and finite")
 
     @property
     def size(self) -> int:

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -531,6 +532,101 @@ class TestLocalizationRuns:
         monkeypatch.setattr(bench, "wls_group", wls_group)
         sweep(3 * group)
         assert len(qs) == 3 * group
+
+    def test_traced_sweep_memory_does_not_grow_with_runs(self):
+        # a group's trace rows are written before the next group is scored,
+        # so the peak holds one group's rows (some 1.3 MB of 16-head con
+        # rows); holding a whole draw's rows would add about 2.6 MB from 2
+        # to 4 groups of runs, and holding the last group's rows while the
+        # next is scored some 0.2 to 0.3 MB
+        group = estimators._GROUP_ROWS // 640  # 64 mask entries of 10 sensors
+
+        class Sink:  # a file that keeps nothing but its line count
+            lines = 0
+
+            def write(self, line):
+                self.lines += 1
+
+        def peak(runs):
+            sink = Sink()
+            cfg = LocalizationExperiment(
+                n_heads=16, sensors_per_head=10, noise_std=(1.0,), decay_scale=1.0,
+                source=(60.0, 70.0), runs=runs, schemes=("con",), seed=1,
+            )
+            tracemalloc.start()
+            try:
+                run_localization_experiment(cfg, csv.writer(sink))
+                return tracemalloc.get_traced_memory()[1], sink.lines
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up, as in the decay sweep's memory test
+        (two, two_lines), (four, four_lines) = peak(2 * group), peak(4 * group)
+        assert two_lines > 2 * group * 16 and four_lines > 1.8 * two_lines
+        assert four - two < 150_000
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"noise_std": (20.0, 60.0), "decay_scale": 1.0, "sensors_per_head": 3},
+            {"noise_std": 1.0, "decay_scale": (0.05, 1.0, 20.0), "sensors_per_head": 10},
+        ],
+        ids=["traced-noise", "frozen-decay"],
+    )
+    def test_groups_scored_out_of_order_give_the_in_order_sweep(self, monkeypatch, sweep):
+        # a pool may score a draw's groups in any order: placing each
+        # group's tables and trace rows by its runs' indices and reducing
+        # them gives the records and trace of the in-order sweep
+        cfg = LocalizationExperiment(
+            n_heads=16, source=(60.0, 70.0), runs=10,
+            schemes=("global", "con", "wei", "opt", "local"), seed=3, **sweep,
+        )
+        # groups of 4, 4 and 2 three-sensor runs, or ten of one ten-sensor run
+        monkeypatch.setattr(estimators, "_GROUP_ROWS", 1000)
+        draws, real_wls_groups = [], bench.wls_groups
+
+        def wls_groups(runs, with_global, with_local):
+            draws.append([])
+            for group in real_wls_groups(runs, with_global, with_local):
+                draws[-1].append(group)
+                yield group
+
+        monkeypatch.setattr(bench, "wls_groups", wls_groups)
+        trace = io.StringIO()
+        records = run_localization_experiment(cfg, csv.writer(trace))
+
+        frozen = cfg.sweep_field == "decay_scale"
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(["trial", "epoch", "head", "x1", "x2", "max_step"])
+        placed = []
+        for d, groups in enumerate(draws):
+            assert len(groups) > 1
+            values = cfg.decay_scale if frozen else (cfg.noise_std[d],)
+            scales = values if frozen else (cfg.decay_scale,)
+            sigma = cfg.noise_std if frozen else values[0]
+            # filled so that a slot that no group fills would show in the records
+            shape = (len(scales), cfg.runs, len(cfg.schemes))
+            bounds = np.full(cfg.runs, np.nan)
+            done, epochs = np.ones(shape, bool), np.ones(shape, int)
+            errors = np.full(shape, np.nan)
+            rows = [[None] * cfg.runs for _ in scales]
+            starts = np.cumsum([0] + [len(group) for group in groups])
+            for g in reversed(range(len(groups))):
+                tables = bench._score_group(cfg, sigma, groups[g], scales, "con")
+                runs = slice(starts[g], starts[g + 1])
+                bounds[runs] = tables[0]
+                for table, part in zip((done, errors, epochs), tables[1:4]):
+                    table[:, runs] = part
+                for s, part in enumerate(tables[4]):
+                    rows[s][runs] = part
+            placed += bench._records(cfg, values, bounds, done, errors, epochs)
+            for s, r in itertools.product(range(len(scales)), range(cfg.runs)):
+                index = (d + s) * cfg.runs + r
+                writer.writerows([bench._format_cell(c) for c in (index, *row)]
+                                 for row in rows[s][r])
+        assert placed == records
+        assert out.getvalue() == trace.getvalue()
 
     def test_runs_that_fit_the_same_heads_share_each_diffuse_call(self, monkeypatch):
         # a group's runs go to one diffuse call per scheme and scale for

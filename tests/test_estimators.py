@@ -842,6 +842,17 @@ class TestCrlb:
         scaled = np.trace(crlb(topo, SOURCE, 4.0 * np.ones(k)))
         assert scaled == pytest.approx(4.0 * base)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("per_measurement", [False, True], ids=["scalar", "vector"])
+    def test_variances_must_be_positive_and_finite(self, bad, per_measurement):
+        # an inf variance would count as zero information, and a NaN one
+        # would read as a singular Fisher information
+        topo = build_grid_network(16, seed=9)
+        variances = np.ones(topo.n_heads * topo.sensors_per_head)
+        variances[3] = bad
+        with pytest.raises(ValueError, match="variances must be positive and finite"):
+            crlb(topo, SOURCE, variances if per_measurement else bad)
+
     def test_raises_on_coincident_node(self):
         topo = build_grid_network(4, seed=0)
         at_sensor = topo.sensors[0, 0]

@@ -117,5 +117,8 @@ class TestTdoaMeasurements:
             assert meas.values[r] == pytest.approx(clean + noise[r], abs=1e-12)
 
     def test_variance_invariant(self):
-        with pytest.raises(ValueError):
-            MeasurementSet(values=np.array([1.0]), variances=np.array([0.0]))
+        # a NaN variance would make its row's fit weight NaN, and an inf one
+        # a zero weight
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="variances must be positive and finite"):
+                MeasurementSet(values=np.zeros(2), variances=np.array([1.0, bad]))
