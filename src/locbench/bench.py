@@ -9,9 +9,11 @@ reading, so replaying a (config, seed) pair reproduces it byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
+import tempfile
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence, Union
 
@@ -376,7 +378,8 @@ def run_localization_experiment(
     (trial = sweep index * runs + run, epoch, head, x1, x2, max_step) row
     per epoch and per head whose local fit succeeded, for the first
     diffusion scheme in cfg.schemes: the first scale's rows group by group,
-    a decay_scale sweep's later ones as it ends.
+    a decay_scale sweep's later ones as it ends, spooled to a temporary
+    file per scale until then.
     """
     frozen = cfg.sweep_field == "decay_scale"
     with_global, with_local = "global" in cfg.schemes, set(cfg.schemes) != {"global"}
@@ -397,16 +400,22 @@ def run_localization_experiment(
             meas = simulate_tdoa_measurements(topology, cfg.source, sigma, rng)
             return meas, topology, deployment_center(topology)
 
-        tables, held, first = [], [], d * cfg.runs  # held: each group's later scales' rows
-        for group in wls_groups(map(draw, range(cfg.runs)), with_global, with_local):
-            *table, rows = _score_group(cfg, sigma, group, scales, trace_scheme)
-            tables.append(table)
-            if trace is not None:
-                _write_trace(trace, first, rows.pop(0))
-                held.append((first, rows))
-            first += len(group)
-        for s, (first, rows) in itertools.product(range(1, len(scales)), held):
-            _write_trace(trace, first + s * cfg.runs, rows[s - 1])
+        tables, first = [], d * cfg.runs
+        with contextlib.ExitStack() as spooled:
+            # each later scale's trace rows wait as CSV text until the draw ends
+            spools = [spooled.enter_context(tempfile.TemporaryFile("w+", newline=""))
+                      for _ in scales[1:] if trace is not None]
+            for group in wls_groups(map(draw, range(cfg.runs)), with_global, with_local):
+                *table, rows = _score_group(cfg, sigma, group, scales, trace_scheme)
+                tables.append(table)
+                if trace is not None:
+                    for s, out in enumerate([trace, *map(csv.writer, spools)]):
+                        _write_trace(out, first + s * cfg.runs, rows[s])
+                    rows.clear()  # written: the next group is scored without them
+                first += len(group)
+            for spool in spools:
+                spool.seek(0)
+                trace.writerows(csv.reader(spool))
         bounds, *per_group = zip(*tables)
         joined = (np.concatenate(table, axis=1) for table in per_group)
         records += _records(cfg, values, np.concatenate(bounds), *joined)

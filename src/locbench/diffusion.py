@@ -105,14 +105,13 @@ def median_weights(estimates: np.ndarray, hoods: np.ndarray, decay_scale: float)
 
 
 def _equality_solutions(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize a'Qa subject to sum(a) = 1 for each (..., m, m) Q.
+    """Minimize a'Qa subject to sum(a) = 1 for each (..., m, m) Q, m >= 2.
 
     Returns the (..., m) minimizers and a mask of those inside the simplex;
-    a singular or non-finite system counts as outside.
+    a singular or non-finite system counts as outside. A one-point support
+    needs no solve (_simplex_weights sets its weight to 1).
     """
     m = qs.shape[-1]
-    if m == 1:
-        return np.ones(qs.shape[:-1]), np.ones(qs.shape[:-2], dtype=bool)
     kkt = np.zeros(qs.shape[:-2] + (m + 1, m + 1))
     kkt[..., :m, :m] = 2.0 * qs
     kkt[..., :m, m] = -1.0
@@ -166,31 +165,52 @@ def _support_table(hoods: np.ndarray) -> tuple:
 def _record_walk(objs: np.ndarray) -> np.ndarray:
     """Column each row's left-to-right walk keeps (-1 if none is below inf):
     an entry replaces the best only when lower by more than 1e-15, so a tie
-    keeps the earlier one and NaN never wins. A row's next record is its
-    first entry below best - 1e-15; no earlier entry can be."""
-    best, winner = np.full(len(objs), np.inf), np.full(len(objs), -1)
-    while (below := objs < best[:, None] - 1e-15).any():
-        moved = below.any(axis=1)
-        winner[moved] = below[moved].argmax(axis=1)
-        best[moved] = objs[moved, winner[moved]]
+    keeps the earlier one and NaN never wins.
+
+    With NaN read as +inf, a row's first minimum m is the walk's winner when
+    it lies more than 1e-15 below p, the least entry before it: every record
+    before m is at least p, and no later entry lies below the minimum. Only
+    the other rows, near-ties, walk their records in turn: a row's next
+    record is its first entry below best - 1e-15, and no earlier entry can be.
+    """
+    objs = np.where(np.isnan(objs), np.inf, objs)
+    first = objs.argmin(axis=1)
+    low = objs.min(axis=1)
+    before = np.where(np.arange(objs.shape[1]) < first[:, None], objs, np.inf).min(axis=1)
+    winner = np.where(low < before - 1e-15, first, -1)
+    ties = np.flatnonzero((winner < 0) & (low < np.inf))
+    if ties.size:
+        near, best, record = objs[ties], np.full(len(ties), np.inf), np.full(len(ties), -1)
+        while (below := near < best[:, None] - 1e-15).any():
+            moved = below.any(axis=1)
+            record[moved] = below[moved].argmax(axis=1)
+            best[moved] = near[moved, record[moved]]
+        winner[ties] = record
     return winner
 
 
 def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
     """(weights, bad, loose) per run of the (R, N, N) q: column k of the
     weights minimizes a'Qa over head k's neighborhood simplex; per head, is
-    a' base a < -_KKT_TOL, and do its KKT conditions under base hold loosely."""
+    a' base a < -_KKT_TOL, and do its KKT conditions under base hold loosely.
+    A one-point support {l} is not solved: its weight is 1 and its objective
+    Q[l, l], read from q, the value a 1x1 solve gives up to the sign of a
+    zero, which no comparison of the walk sees."""
     stacks, (heads, slots, cols), whole = supports
     count, n = q.shape[:2]
     q, base = q.reshape(count, -1), base.reshape(count, -1)
     objs, values = np.full((count, n, cols.max() + 1), np.inf), []
     for stack_heads, pairs, stack_cols in stacks:
         qs = q.take(pairs, axis=1)
-        sol, ok = _equality_solutions(qs)
-        cands = np.maximum(np.where(ok[..., None], sol, 1.0), 0.0)  # np.clip's own call
-        cands /= cands.sum(axis=-1, keepdims=True)
+        if pairs.shape[-1] == 1:  # a one-point support: weight 1, objective Q[l, l]
+            cands, ok, forms = np.ones(qs.shape[:-1]), True, qs[..., 0, 0]
+        else:
+            sol, ok = _equality_solutions(qs)
+            cands = np.maximum(np.where(ok[..., None], sol, 1.0), 0.0)  # np.clip's own call
+            cands /= cands.sum(axis=-1, keepdims=True)
+            forms = _quadratic_forms(cands, qs)
         # a feasible whole neighborhood ends the walk where it starts
-        forms = np.where(stack_cols == 0, -np.inf, _quadratic_forms(cands, qs))
+        forms = np.where(stack_cols == 0, -np.inf, forms)
         objs[:, stack_heads, stack_cols] = np.where(ok, forms, np.inf)
         values.append(cands.reshape(count, -1))
     take = _record_walk(objs.reshape(count * n, -1)).reshape(count, n)[:, heads] == cols

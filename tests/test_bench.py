@@ -565,6 +565,44 @@ class TestLocalizationRuns:
         assert two_lines > 2 * group * 16 and four_lines > 1.8 * two_lines
         assert four - two < 150_000
 
+    def test_traced_decay_sweep_memory_does_not_grow_with_runs(self):
+        # a frozen decay_scale sweep writes its first scale's rows group by
+        # group and spools each later scale's rows to a file until the draw
+        # ends; holding them as tuples would add about 4.6 MB from 2 to 4
+        # groups of runs at three scales
+        group = estimators._GROUP_ROWS // 640  # 64 mask entries of 10 sensors
+
+        class Sink:  # a file that keeps its line count and whether trials ascend
+            lines, trial, ascending = 0, -1, True
+
+            def write(self, line):
+                trial = int(line.split(",")[0]) if self.lines else -1
+                self.lines += 1
+                self.ascending &= trial >= self.trial
+                self.trial = trial
+
+        def peak(runs):
+            sink = Sink()
+            cfg = LocalizationExperiment(
+                n_heads=16, sensors_per_head=10, noise_std=1.0, decay_scale=(0.5, 1.0, 2.0),
+                source=(60.0, 70.0), runs=runs, schemes=("con",), seed=1,
+            )
+            tracemalloc.start()
+            try:
+                run_localization_experiment(cfg, csv.writer(sink))
+                return tracemalloc.get_traced_memory()[1], sink
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up, as in the decay sweep's memory test
+        (two, two_sink), (four, four_sink) = peak(2 * group), peak(4 * group)
+        # every scale's rows reach the trace in trial order, the last trial
+        # being the last scale's last run
+        assert two_sink.ascending and four_sink.ascending
+        assert (two_sink.trial, four_sink.trial) == (3 * 2 * group - 1, 3 * 4 * group - 1)
+        assert two_sink.lines > 3 * 2 * group * 16 and four_sink.lines > 1.8 * two_sink.lines
+        assert four - two < 150_000
+
     @pytest.mark.parametrize(
         "sweep",
         [

@@ -533,6 +533,40 @@ class TestRecordWalk:
         objs = np.array([[np.inf, np.nan, np.inf], [np.nan, 3.0, 3.0], [2.0, np.nan, -np.inf]])
         assert _record_walk(objs).tolist() == [-1, 1, 2]
 
+    def test_a_minimum_exactly_1e_15_below_an_earlier_entry_loses(self):
+        # 1 - 1e-15 rounds to the threshold itself, which is not below it
+        low = 1.0 - 1e-15
+        objs = np.array([[1.0, low, 3.0], [2.0, 1.0, low]])
+        assert objs[0, 1] == objs[0, 0] - 1e-15 and objs[1, 2] == objs[1, 1] - 1e-15
+        assert _record_walk(objs).tolist() == [sequential_walk(row) for row in objs] == [0, 1]
+
+    def test_nan_before_the_minimum_and_minus_inf_after_a_finite_entry(self):
+        objs = np.array([
+            [np.nan, 2.0, 1.0, 4.0],
+            [3.0, np.nan, 1.0, np.nan],
+            [np.nan, np.nan, np.nan, 5.0],
+            [2.0, -np.inf, 3.0, -np.inf],
+            [np.nan, 2.0, -np.inf, np.inf],
+        ])
+        walked = _record_walk(objs).tolist()
+        assert walked == [sequential_walk(row) for row in objs] == [2, 2, 3, 1, 2]
+
+    def test_one_table_mixes_first_minima_and_near_ties(self):
+        low = 1.0 - 1e-15
+        objs = np.array([
+            [1.0, 0.5, 0.7, 0.9],  # first minimum, clear
+            [1.0, 1.0 - 1.5e-15, 1.0 - 2e-15, 2.0],  # near-tie: the earlier record stays
+            [1.0, low, 0.2, 0.2],  # first minimum after an exact-threshold entry
+            [np.inf, np.nan, np.inf, np.inf],  # none
+            [0.3, 0.3 - 1e-16, 0.3, 0.1],  # first minimum after a near-tie
+            [1.0, low, low, 1.0],  # exact-threshold minimum: loop
+            [np.nan, 3.0, 3.0 - 1e-15, np.nan],  # near-tie after NaN
+        ])
+        walked = _record_walk(objs).tolist()
+        assert walked == [sequential_walk(row) for row in objs] == [1, 1, 2, -1, 3, 0, 1]
+        minima = np.where(np.isnan(objs), np.inf, objs).argmin(axis=1)
+        assert {w == m for w, m in zip(walked, minima.tolist()) if w >= 0} == {True, False}
+
 
 class TestConnectivityWeights:
     def test_degree_proportional_on_grid(self):
