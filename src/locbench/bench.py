@@ -23,7 +23,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import diffusion
 from .diffusion import SCHEMES as DIFFUSION_SCHEMES
 from .estimators import crlb, wls_group, wls_groups
-from .geometry import GRID_SPACING, build_grid_network, deployment_center
+from .geometry import build_grid_network, deployment_center, grid_heads
 from .rcrt import WavelengthSet, make_wavelength_set, reconstruct_batch
 from .signals import TWO_PI, phase_noise_std, simulate_phase_remainders
 from .signals import simulate_tdoa_measurements
@@ -132,6 +132,7 @@ class LocalizationExperiment:
     epsilon: float = 1e-4
     max_epochs: int = 500
     optimize_once: bool = False
+    sweep_field: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "source", tuple(float(c) for c in self.source))
@@ -143,24 +144,15 @@ class LocalizationExperiment:
                 f"exactly one of {_SWEEP_AXES} must be a sweep list, "
                 f"got {swept or 'none'}"
             )
+        object.__setattr__(self, "sweep_field", swept[0])
         if not self.sweep_values:
             raise ValueError(f"{swept[0]} must not be an empty sweep list")
-        # every run fails on a source whose squared distance to a head (l at
-        # GRID_SPACING * (l // side, l % side)) is 0, exact or underflowed
-        row, col = (round(c / GRID_SPACING) for c in self.source)
-        dx, dy = self.source[0] - GRID_SPACING * row, self.source[1] - GRID_SPACING * col
-        if min(row, col) >= 0 and dx * dx + dy * dy == 0:
-            for n in self.n_heads if swept == ["n_heads"] else (self.n_heads,):
-                if max(row, col) < (side := math.isqrt(n)):
-                    head = row * side + col
-                    raise ValueError(f"source {self.source} is head {head} of the {n}-head grid")
-
-    @property
-    def sweep_field(self) -> str:
-        for name in _SWEEP_AXES:
-            if isinstance(getattr(self, name), tuple):
-                return name
-        raise AssertionError("validated at construction")
+        # every run fails on a source at squared distance 0 from a head, exact or underflowed
+        for n in self.n_heads if swept == ["n_heads"] else (self.n_heads,):
+            gaps = np.sum((grid_heads(n) - self.source) ** 2, axis=1)
+            if not gaps.all():
+                head = gaps.argmin()
+                raise ValueError(f"source {self.source} is head {head} of the {n}-head grid")
 
     @property
     def sweep_values(self) -> tuple:
@@ -356,12 +348,6 @@ def _records(cfg, values, bounds, done, errors, epochs):
     return records
 
 
-def _write_trace(trace, first, runs):
-    """Write each run's trace rows under its trial index, from first on."""
-    for index, rows in enumerate(runs, first):
-        trace.writerows([_format_cell(c) for c in (index, *row)] for row in rows)
-
-
 def run_localization_experiment(
     cfg: LocalizationExperiment, trace=None
 ) -> list[MetricsRecord]:
@@ -410,7 +396,8 @@ def run_localization_experiment(
                 tables.append(table)
                 if trace is not None:
                     for s, out in enumerate([trace, *map(csv.writer, spools)]):
-                        _write_trace(out, first + s * cfg.runs, rows[s])
+                        for index, run in enumerate(rows[s], first + s * cfg.runs):
+                            out.writerows([_format_cell(c) for c in (index, *row)] for row in run)
                     rows.clear()  # written: the next group is scored without them
                 first += len(group)
             for spool in spools:

@@ -12,6 +12,7 @@ __all__ = [
     "as_position",
     "build_grid_network",
     "deployment_center",
+    "grid_heads",
 ]
 
 # the experiments' grid in meters; a head's neighbors are the 4 nearest heads
@@ -81,13 +82,20 @@ class NetworkTopology:
         return self.sensors.reshape(-1, 2), np.repeat(self.heads, m, axis=0)
 
 
+def grid_heads(n_heads: int) -> np.ndarray:
+    """(N, 2) head positions of the N-head grid, N a perfect square: head l
+    at (GRID_SPACING * (l // side), GRID_SPACING * (l % side)), side = sqrt(N)."""
+    idx = np.arange(n_heads)
+    return GRID_SPACING * np.column_stack(divmod(idx, math.isqrt(n_heads))).astype(float)
+
+
 def build_grid_network(n_heads: int, sensors_per_head: int = 10, seed=None) -> NetworkTopology:
     """Place cluster heads on a square grid and scatter sensors around them.
 
-    Heads sit on a sqrt(N) x sqrt(N) grid of pitch GRID_SPACING, head l at
-    (GRID_SPACING * (l // side), GRID_SPACING * (l % side)), adjacent to the
-    heads one step away along its row or column. Each head gets
-    sensors_per_head sensors drawn uniformly over a disk of PLACEMENT_RADIUS.
+    Heads sit where grid_heads places them, on a sqrt(N) x sqrt(N) grid of
+    pitch GRID_SPACING, each adjacent to the heads one step away along its
+    row or column. Each head gets sensors_per_head sensors drawn uniformly
+    over a disk of PLACEMENT_RADIUS.
 
     Args:
         n_heads: perfect square number of cluster heads.
@@ -104,8 +112,7 @@ def build_grid_network(n_heads: int, sensors_per_head: int = 10, seed=None) -> N
         raise ValueError("sensors_per_head must be positive")
 
     rng = np.random.default_rng(seed)
-    idx = np.arange(n_heads)
-    heads = GRID_SPACING * np.column_stack((idx // side, idx % side)).astype(float)
+    heads = grid_heads(n_heads)
 
     # uniform over the disk: radius scales with sqrt of a uniform draw
     radii = PLACEMENT_RADIUS * np.sqrt(rng.random((n_heads, sensors_per_head)))
@@ -113,7 +120,7 @@ def build_grid_network(n_heads: int, sensors_per_head: int = 10, seed=None) -> N
     offsets = np.stack((radii * np.cos(angles), radii * np.sin(angles)), axis=-1)
     sensors = heads[:, None, :] + offsets
 
-    grid = idx.reshape(side, side)
+    grid = np.arange(n_heads).reshape(side, side)
     hoods = np.eye(n_heads, dtype=bool)
     hoods[grid[:, :-1], grid[:, 1:]] = True  # the next head along a row
     hoods[grid[:-1], grid[1:]] = True  # the next head down a column

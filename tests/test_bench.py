@@ -215,6 +215,31 @@ class TestExperimentValidation:
                 schemes=("global",), seed=0,
             )
 
+    @pytest.mark.parametrize("axis", bench._SWEEP_AXES)
+    def test_the_sweep_field_is_stored_at_construction(self, tmp_path, axis):
+        # found once with the exactly-one check; perfbench builds every
+        # rep's config with dataclasses.replace, which must find it again
+        values = {"n_heads": (4, 16), "sensors_per_head": (3, 10),
+                  "noise_std": (0.5, 1.0), "decay_scale": (0.5, 2.0)}
+        scalars = {"n_heads": 16, "sensors_per_head": 10, "noise_std": 1.0, "decay_scale": 1.0}
+        cfg = LocalizationExperiment(
+            **{**scalars, axis: values[axis]}, source=(60.0, 70.0), runs=2,
+            schemes=("global",), seed=0,
+        )
+        for again in (cfg, dataclasses.replace(cfg, seed=7)):
+            assert again.sweep_field == axis and again.sweep_values == values[axis]
+        # not an init field, so not a config key
+        assert "sweep_field" not in {f.name for f in dataclasses.fields(cfg) if f.init}
+        path = tmp_path / "sweep.cfg"
+        path.write_text(LOCALIZE_CFG + f"sweep_field = {axis}\n")
+        with pytest.raises(ValueError, match="^unknown config keys: sweep_field$"):
+            load_localization_experiment(path)
+        # left out of repr and ==
+        assert "sweep_field" not in repr(cfg)
+        other = dataclasses.replace(cfg)
+        object.__setattr__(other, "sweep_field", "elsewhere")
+        assert other == cfg and hash(other) == hash(cfg)
+
     # 64 heads, 10 sensors, 200 runs, five schemes: head 9 sits at (50, 50)
     HEAD_CFG = (
         LOCALIZE_CFG.replace("n_heads = 16", "n_heads = 64")
@@ -1039,7 +1064,8 @@ class TestCli:
     def test_sizes_beyond_the_address_space_exit_two(self, tmp_path, kind, config):
         # a (10**15,) float array or a (10**16,) index array needs more than
         # a 48-bit address space, so numpy's allocation fails at once and
-        # takes no memory; the 4-head cell of the sweep runs before it. A
+        # takes no memory; the (10**16,) one fails at load, in the head
+        # check, as it would in the first run of that cell. A
         # ranging run that allocated its errors block by block would draw
         # trials for hours before failing, hence the time bound
         cfg = tmp_path / "huge.cfg"

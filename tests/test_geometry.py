@@ -8,10 +8,12 @@ import pytest
 
 from locbench.estimators import _range_differences
 from locbench.geometry import (
+    GRID_SPACING,
     NetworkTopology,
     as_position,
     build_grid_network,
     deployment_center,
+    grid_heads,
 )
 
 
@@ -48,6 +50,15 @@ class TestGridNetwork:
         assert np.allclose(topo.heads[1], (0.0, 50.0))
         assert np.allclose(topo.heads[4], (50.0, 0.0))
         assert np.allclose(topo.heads[15], (150.0, 150.0))
+
+    def test_grid_heads_equal_the_placement_rule_bit_for_bit(self):
+        # the rule one head at a time: head l in row l // side, column l % side
+        for side in range(1, 61):
+            n = side * side
+            rule = [[GRID_SPACING * (h // side), GRID_SPACING * (h % side)] for h in range(n)]
+            heads = grid_heads(n)
+            assert heads.shape == (n, 2) and heads.dtype == np.float64
+            assert heads.tobytes() == np.array(rule).tobytes(), side
 
     def test_rejects_non_square_head_count(self):
         with pytest.raises(ValueError):
