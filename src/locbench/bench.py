@@ -292,18 +292,22 @@ def _score_group(cfg, sigma, group, scales, trace_scheme):
     where the scheme failed), squared errors and epochs (0 for global and
     local); and each scale's list of each run's trace_scheme (epoch, head,
     x1, x2, max_step) rows. Diffusion runs on the fitted heads' block of
-    the mask, in one diffuse call per scheme and scale for the runs that
-    fitted the same heads. The fit lines log before each diffuse call's,
-    and the fits go when the function returns.
+    the mask, in one diffuse call per scheme for the runs that fitted the
+    same heads, and for wei, the one scheme that reads the scale, one per
+    scale: the others' cells and trace rows hold at every scale. The fit
+    lines log before each diffuse call's, and the fits go when the
+    function returns.
     """
     source = np.asarray(cfg.source, dtype=float)
     column = {scheme: c for c, scheme in enumerate(cfg.schemes)}
-    bounds = np.array([np.trace(crlb(topology, source, sigma * sigma)) if sigma else 0.0
-                       for _, topology, _ in group])
+    bounds = np.array([np.trace(crlb(topology, source, meas.variances)) if sigma else 0.0
+                       for meas, topology, _ in group])
     fits = wls_group(group, "global" in column, set(column) != {"global"}, "opt" in column)
     shape = (len(scales), len(group), len(column))
     done, errors, epochs = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape, int)
     rows = [[[] for _ in group] for _ in scales]
+    if trace_scheme != "wei":  # a scheme that reads no scale traces one list per run
+        rows = rows[:1] * len(scales)
     stacks = {}  # the runs by their fitted heads, with those heads' block of the mask
     for r, ((_, topology, _), (position, heads, positions, _)) in enumerate(zip(group, fits)):
         fixed = {}  # the errors that no decay scale changes
@@ -320,6 +324,8 @@ def _score_group(cfg, sigma, group, scales, trace_scheme):
         _, heads, positions, q = zip(*(fits[r] for r in members))
         positions, q = np.stack(positions), np.stack(q) if "opt" in column else None
         for (s, scale), scheme in itertools.product(enumerate(scales), schemes):
+            if s and scheme != "wei":
+                continue  # only wei reads the scale: the first scale's cell holds for all
 
             def on_epoch(i, epoch, estimates, _coeffs, max_step):
                 points = zip(heads[i].tolist(), estimates.tolist())
@@ -330,7 +336,7 @@ def _score_group(cfg, sigma, group, scales, trace_scheme):
                 q=q, decay_scale=scale, optimize_once=cfg.optimize_once,
                 on_epoch=on_epoch if scheme == trace_scheme else None,
             )
-            cell = s, members, column[scheme]
+            cell = s if scheme == "wei" else slice(None), members, column[scheme]
             done[cell], epochs[cell] = True, result.epoch
             errors[cell] = np.mean(np.sum((result.estimates - source) ** 2, axis=2), axis=1)
     return bounds, done, errors, epochs, rows

@@ -26,7 +26,8 @@ from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+
+from .estimators import _solve_stack
 
 __all__ = [
     "Diffused",
@@ -116,12 +117,9 @@ def _equality_solutions(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kkt[..., :m, :m] = 2.0 * qs
     kkt[..., :m, m] = -1.0
     kkt[..., m, :m] = 1.0
-    rhs = np.zeros(m + 1)
+    rhs = np.zeros((m + 1, 1))
     rhs[m] = 1.0
-    # np.linalg.solve raises for the whole stack when one matrix is
-    # singular; its (private) gufunc gives NaN rows for that matrix alone
-    with np.errstate(all="ignore"):
-        sol = _umath_linalg.solve1(kkt, rhs, signature="dd->d")
+    sol = _solve_stack(kkt, rhs)[..., 0]  # NaN where a system is singular
     inside = np.isfinite(sol).all(axis=-1) & (sol[..., :m] >= -1e-12).all(axis=-1)
     return sol[..., :m], inside
 

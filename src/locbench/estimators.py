@@ -82,7 +82,7 @@ def _range_differences(x0, x1, xi0, xi1, xj0, xj1):
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over a stack of (2, 2) systems with (2, c) sides.
+    """np.linalg.solve over a stack of (n, n) systems with (n, c) sides.
 
     Calls the gufunc behind np.linalg.solve, which fills the solution of a
     singular a[i] with NaN instead of raising for the whole stack; every

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _range_differences
 from .geometry import NetworkTopology, as_position
 from .rcrt import WavelengthSet, remainders_of
 
@@ -82,17 +83,17 @@ def simulate_tdoa_measurements(
 ) -> MeasurementSet:
     """Draw one noisy range difference per sensor, referenced to its head.
 
-    sigma is the additive noise standard deviation in meters; sigma = 0
-    produces exact differences and unit variances are stored so weighted
-    solvers stay defined (weights are scale-free).
+    The clean differences come from the model the fits and crlb use. sigma
+    is the additive noise standard deviation in meters; sigma = 0 produces
+    exact differences and unit variances are stored so weighted solvers
+    stay defined (weights are scale-free).
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     src = as_position(source)
     xi, xj = topology.measurement_nodes()
-    clean = np.linalg.norm(src - xi, axis=1) - np.linalg.norm(src - xj, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the jacobian on a node
+        clean = _range_differences(*src, *xi.T, *xj.T)[0]
     values = clean if sigma == 0 else clean + sigma * rng.standard_normal(clean.size)
     var = 1.0 if sigma == 0 else sigma * sigma
-    return MeasurementSet(
-        values=np.asarray(values, dtype=float), variances=np.full(clean.size, var)
-    )
+    return MeasurementSet(values=values, variances=np.full(clean.size, var))

@@ -692,9 +692,9 @@ class TestLocalizationRuns:
         assert out.getvalue() == trace.getvalue()
 
     def test_runs_that_fit_the_same_heads_share_each_diffuse_call(self, monkeypatch):
-        # a group's runs go to one diffuse call per scheme and scale for
-        # each set of fitted heads: here runs 0, 2 and 3 fit all 16 heads,
-        # and run 1 loses head 5
+        # a group's runs go to one diffuse call per scheme, and for wei per
+        # scale, for each set of fitted heads: here runs 0, 2 and 3 fit all
+        # 16 heads, and run 1 loses head 5
         real_wls_group, real_diffuse = bench.wls_group, bench.diffusion.diffuse
         calls = []
 
@@ -718,7 +718,7 @@ class TestLocalizationRuns:
         )
         records = run_localization_experiment(cfg)
         assert all(np.isfinite(r.rmse) and r.fail_count == 0 for r in records)
-        cells = [(0.5, "con"), (0.5, "wei"), (2.0, "con"), (2.0, "wei")]
+        cells = [(0.5, "con"), (0.5, "wei"), (2.0, "wei")]
         assert calls == ([(scheme, scale, (3, 16)) for scale, scheme in cells]
                          + [(scheme, scale, (1, 15)) for scale, scheme in cells])
 
@@ -1424,6 +1424,22 @@ class TestReplayDigests:
         for name, path in (("test_traced_odd_grid_sweep", out),
                            ("test_traced_odd_grid_sweep.trace", trace)):
             assert_pinned(name, hashlib.sha256(path.read_bytes()).hexdigest())
+
+    def test_traced_frozen_decay_sweep(self, tmp_path):
+        # the trace follows con, which reads no decay scale: every later
+        # scale's rows repeat the first scale's, trial for trial
+        cfg = LocalizationExperiment(
+            n_heads=16, sensors_per_head=3, noise_std=1.0, decay_scale=(0.05, 1.0, 20.0),
+            source=(60.0, 70.0), runs=4, schemes=("con", "wei", "opt"), seed=3,
+        )
+        sink = io.StringIO()
+        records = run_localization_experiment(cfg, csv.writer(sink, lineterminator="\n"))
+        rows = [line.split(",", 1) for line in sink.getvalue().splitlines()[1:]]
+        by_trial = [[rest for trial, rest in rows if int(trial) == t] for t in range(12)]
+        assert all(by_trial[t] and by_trial[t] == by_trial[t % 4] for t in range(12))
+        assert_pinned("test_traced_frozen_decay_sweep", csv_digest(records, tmp_path))
+        trace = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+        assert_pinned("test_traced_frozen_decay_sweep.trace", trace)
 
     def test_ranging_sweep(self, tmp_path):
         cfg = RangingExperiment(

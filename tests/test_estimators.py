@@ -1,10 +1,12 @@
 """WLS estimators: Jacobians, solver behavior, selection weights, CRLB."""
 
+import ast
 import functools
 import itertools
 import logging
 import operator
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,22 +363,28 @@ class TestSelectionWeights:
 
 
 class TestSolveStack:
-    def test_equals_per_matrix_solve_with_nan_at_singular_members(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_per_matrix_solve_with_nan_at_singular_members(self, n):
+        # n = 2 is a fit's normal matrix; n = m + 1 for m = 2..5 is the
+        # KKT system of an m-point simplex QP, whose one (m + 1, 1) side
+        # broadcasts over the stack
         rng = np.random.default_rng(8)
-        a = rng.normal(size=(200, 2, 2))
+        a = rng.normal(size=(200, n, n))
         members = np.flatnonzero(rng.random(200) < 0.3)
         a[members[0::4], :, 0] = 0.0  # a zero column
         a[members[1::4], 1] = 0.0  # a zero row
         a[members[2::4]] = 0.0
         a[members[3::4], 1] = 2.0 * a[members[3::4], 0]  # rank one, up to rounding
         exact = np.concatenate((members[0::4], members[1::4], members[2::4]))
-        for width in (1, 640):
-            b = rng.normal(size=(200, 2, width))
+        kkt_side = np.zeros((n, 1))
+        kkt_side[-1] = 1.0
+        for b in (rng.normal(size=(200, n, 1)), rng.normal(size=(200, n, 640)), kkt_side):
             got = _solve_stack(a, b)
+            assert got.shape == (200, n, b.shape[-1])
             singular = np.zeros(200, dtype=bool)
             for i in range(200):
                 try:
-                    expected = np.linalg.solve(a[i], b[i])
+                    expected = np.linalg.solve(a[i], b if b.ndim == 2 else b[i])
                 except np.linalg.LinAlgError:
                     singular[i] = True
                     assert np.all(np.isnan(got[i]))
@@ -399,6 +407,23 @@ class TestSolveStack:
             solved = np.isfinite(_solve_stack(a, b)).all(axis=(1, 2))
             assert np.array_equal(inverse, solved)
             assert np.flatnonzero(~inverse).tolist() == sorted(members.tolist())
+
+    def test_only_estimators_imports_the_private_gufuncs(self):
+        # numpy.linalg._umath_linalg is private numpy API; _solve_stack is
+        # its one wrapper, so dropping it is one import to delete
+        def imported(node):
+            if isinstance(node, ast.Import):
+                return [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                return [f"{node.module}.{alias.name}" for alias in node.names]
+            return []
+
+        importers = [
+            path.name for path in sorted(Path(estimators.__file__).parent.glob("*.py"))
+            if any("_umath_linalg" in name
+                   for node in ast.walk(ast.parse(path.read_text())) for name in imported(node))
+        ]
+        assert importers == ["estimators.py"]
 
 
 class TestLocalWls:
