@@ -106,11 +106,11 @@ def median_weights(estimates: np.ndarray, hoods: np.ndarray, decay_scale: float)
 
 
 def _equality_solutions(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize a'Qa subject to sum(a) = 1 for each (..., m, m) Q, m >= 2.
+    """Minimize a'Qa subject to sum(a) = 1 for each (..., m, m) Q, m >= 1.
 
     Returns the (..., m) minimizers and a mask of those inside the simplex;
-    a singular or non-finite system counts as outside. A one-point support
-    needs no solve (_simplex_weights sets its weight to 1).
+    a singular or non-finite system counts as outside. A one-point support's
+    [[2q, -1], [1, 0]] is never singular: for a finite 2q its minimizer is 1.
     """
     m = qs.shape[-1]
     kkt = np.zeros(qs.shape[:-2] + (m + 1, m + 1))
@@ -191,22 +191,17 @@ def _simplex_weights(q: np.ndarray, supports: tuple, base: np.ndarray) -> tuple:
     """(weights, bad, loose) per run of the (R, N, N) q: column k of the
     weights minimizes a'Qa over head k's neighborhood simplex; per head, is
     a' base a < -_KKT_TOL, and do its KKT conditions under base hold loosely.
-    A one-point support {l} is not solved: its weight is 1 and its objective
-    Q[l, l], read from q, the value a 1x1 solve gives up to the sign of a
-    zero, which no comparison of the walk sees."""
+    Every support size takes the same solve, a one-point support too."""
     stacks, (heads, slots, cols), whole = supports
     count, n = q.shape[:2]
     q, base = q.reshape(count, -1), base.reshape(count, -1)
     objs, values = np.full((count, n, cols.max() + 1), np.inf), []
     for stack_heads, pairs, stack_cols in stacks:
         qs = q.take(pairs, axis=1)
-        if pairs.shape[-1] == 1:  # a one-point support: weight 1, objective Q[l, l]
-            cands, ok, forms = np.ones(qs.shape[:-1]), True, qs[..., 0, 0]
-        else:
-            sol, ok = _equality_solutions(qs)
-            cands = np.maximum(np.where(ok[..., None], sol, 1.0), 0.0)  # np.clip's own call
-            cands /= cands.sum(axis=-1, keepdims=True)
-            forms = _quadratic_forms(cands, qs)
+        sol, ok = _equality_solutions(qs)
+        cands = np.maximum(np.where(ok[..., None], sol, 1.0), 0.0)  # np.clip's own call
+        cands /= cands.sum(axis=-1, keepdims=True)
+        forms = _quadratic_forms(cands, qs)
         # a feasible whole neighborhood ends the walk where it starts
         forms = np.where(stack_cols == 0, -np.inf, forms)
         objs[:, stack_heads, stack_cols] = np.where(ok, forms, np.inf)

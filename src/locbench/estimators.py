@@ -66,7 +66,8 @@ def _range_differences(x0, x1, xi0, xi1, xj0, xj1):
     Returns (predicted, jac0, jac1, di, dj): ||x - xi|| - ||x - xj||, the
     two jacobian columns of (x - xi)/||x - xi|| - (x - xj)/||x - xj||, and
     both distances. A distance is sqrt(dx*dx + dy*dy), the same bits as
-    np.linalg.norm along an axis of two.
+    np.linalg.norm along an axis of two. A zero distance (on a node, or
+    underflowed) warns nowhere: callers test di and dj for zero instead.
     """
     a0, a1, b0, b1 = x0 - xi0, x1 - xi1, x0 - xj0, x1 - xj1
     # the operations of sqrt(a0 * a0 + a1 * a1) and a0 / di - b0 / dj, partly in place
@@ -74,11 +75,12 @@ def _range_differences(x0, x1, xi0, xi1, xj0, xj1):
     di += a1 * a1
     dj += b1 * b1
     di, dj = np.sqrt(di), np.sqrt(dj)
-    a0 /= di
-    b0 /= dj
-    a1 /= di
-    b1 /= dj
-    return di - dj, a0 - b0, a1 - b1, di, dj
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a0 /= di
+        b0 /= dj
+        a1 /= di
+        b1 /= dj
+        return di - dj, a0 - b0, a1 - b1, di, dj
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,10 +181,9 @@ def _gauss_newton(x0, fit, rows, data, k: int):
                 live &= solved
                 step[~live] = 0.0  # a finished fit stays at its last point
                 trial = px + step
-            with np.errstate(divide="ignore", invalid="ignore"):  # on a node
-                predicted, jac0, jac1, di, dj = _range_differences(
-                    trial[:, 0][slot], trial[:, 1][slot], xi0, xi1, xj0, xj1
-                )
+            predicted, jac0, jac1, di, dj = _range_differences(
+                trial[:, 0][slot], trial[:, 1][slot], xi0, xi1, xj0, xj1
+            )
             on_node = np.zeros(len(ids), dtype=bool)
             on_node[slot[(di == 0.0) | (dj == 0.0)]] = True
             on_node &= live
@@ -329,8 +330,7 @@ def wls_group(runs, with_global: bool, with_local: bool, with_q: bool):
             operators = np.empty((len(fitted), 2, k))
             for lo, hi, a, b, at in chunks:
                 nodes, w = data[:4, on[a:b]], data[5, on[a:b]]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    _, j0, j1, _, _ = _range_differences(*x[fitted[slot[a:b]]].T, *nodes)
+                _, j0, j1, _, _ = _range_differences(*x[fitted[slot[a:b]]].T, *nodes)
                 wjac_k = _padded((j0 * w, j1 * w), at, hi - lo, k)
                 operators[lo:hi] = _solve_stack(normal[fitted[lo:hi]], wjac_k.transpose(0, 2, 1))
             q = _gram(operators[solved], variances)
@@ -374,8 +374,7 @@ def crlb(topology: NetworkTopology, source, variances) -> np.ndarray:
     not finite or its trace not positive (an underflowed information).
     """
     xi, xj = topology.measurement_nodes()
-    with np.errstate(divide="ignore", invalid="ignore"):  # raised on below
-        _, jac0, jac1, di, dj = _range_differences(*as_position(source), *xi.T, *xj.T)
+    _, jac0, jac1, di, dj = _range_differences(*as_position(source), *xi.T, *xj.T)
     if np.any(di == 0.0) or np.any(dj == 0.0):
         raise EstimationError("evaluation point coincides with a network node")
     jac = np.column_stack((jac0, jac1))

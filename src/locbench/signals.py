@@ -92,8 +92,7 @@ def simulate_tdoa_measurements(
         raise ValueError("sigma must be non-negative")
     src = as_position(source)
     xi, xj = topology.measurement_nodes()
-    with np.errstate(divide="ignore", invalid="ignore"):  # the jacobian on a node
-        clean = _range_differences(*src, *xi.T, *xj.T)[0]
+    clean = _range_differences(*src, *xi.T, *xj.T)[0]
     values = clean if sigma == 0 else clean + sigma * rng.standard_normal(clean.size)
     var = 1.0 if sigma == 0 else sigma * sigma
     return MeasurementSet(values=values, variances=np.full(clean.size, var))

@@ -9,6 +9,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -961,10 +962,10 @@ class TestEmitCsv:
         assert "0.666666667" in path.read_text()
 
 
-def run_cli(args, timeout=None):
+def run_cli(args, timeout=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "locbench", *args], capture_output=True, text=True,
-        timeout=timeout,
+        timeout=timeout, env=env,
     )
 
 
@@ -1367,6 +1368,33 @@ class TestReplayDigests:
             for r in caplog.records
         )
         assert_pinned("test_decay_scale_sweep", csv_digest(records, tmp_path))
+
+    def test_decay_scale_sweep_without_simd_dispatch(self, tmp_path):
+        # median_weights' np.exp is the one call on the run path that numpy
+        # dispatches by CPU; the underflow sweep above, run by the CLI with
+        # the AVX-512 groups off and then AVX2 (X86_V3) off too, keeps its digest
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath as umath
+        found = [g for g in umath.__cpu_dispatch__ if umath.__cpu_features__.get(g)]
+        cfg = tmp_path / "decay.cfg"
+        cfg.write_text(
+            "n_heads = 16\nsensors_per_head = 10\nnoise_std = 1.0\n"
+            "decay_scale = 0.01, 1.0, 100.0\nsource = 60, 70\nruns = 3\n"
+            "schemes = global, con, wei, opt, local\nseed = 1\n"
+        )
+        avx512 = ["X86_V4", "AVX512_ICL", "AVX512_SPR"]
+        runs = [[g for g in groups if g in found] for groups in (avx512, ["X86_V3", *avx512])]
+        if not runs[-1]:
+            pytest.skip(f"numpy dispatches none of X86_V3, {', '.join(avx512)} on this CPU")
+        out = tmp_path / "out.csv"
+        for off in filter(None, runs):
+            proc = run_cli(["localize", "--config", str(cfg), "--out", str(out)], timeout=120,
+                           env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off)})
+            assert proc.returncode == 0, proc.stderr
+            assert "median weights underflowed" in proc.stderr
+            assert_pinned("test_decay_scale_sweep", hashlib.sha256(out.read_bytes()).hexdigest())
 
     def test_sixty_four_head_sweep(self, tmp_path):
         # at 64 heads some far-field local fits walk out along a bearing,

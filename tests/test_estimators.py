@@ -425,6 +425,26 @@ class TestSolveStack:
         ]
         assert importers == ["estimators.py"]
 
+    def test_only_the_model_silences_divide_and_invalid(self):
+        # _range_differences owns the on-node warning policy of its own
+        # arithmetic; a caller wrapping it again, or another silenced
+        # division, shows here (all= and over= guard other rules)
+        def silenced(node, function):
+            if isinstance(node, ast.FunctionDef):
+                function = node.name
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate"
+                    and {kw.arg for kw in node.keywords} & {"divide", "invalid"}):
+                yield function
+            for child in ast.iter_child_nodes(node):
+                yield from silenced(child, function)
+
+        owners = [
+            (path.name, function)
+            for path in sorted(Path(estimators.__file__).parent.glob("*.py"))
+            for function in silenced(ast.parse(path.read_text()), None)
+        ]
+        assert owners == [("estimators.py", "_range_differences")]
+
 
 class TestLocalWls:
     def test_operator_is_left_inverse_of_jacobian(self):
