@@ -44,7 +44,8 @@ __all__ = [
 
 ALL_SCHEMES = ("global",) + DIFFUSION_SCHEMES + ("local",)
 
-# the localization fields of which exactly one is a sweep list
+# the localization keys whose value may be a comma list of sweep values;
+# exactly one of them must be
 _SWEEP_AXES = ("n_heads", "sensors_per_head", "noise_std", "decay_scale")
 
 # the remainder errors, wavelength / 2pi times a phase error, must stay far
@@ -65,16 +66,46 @@ _SEED_BLOCK = 4096
 # experiment descriptions
 
 
+def _listed(convert):
+    """A reader of a comma list of convert's values; empty items are dropped."""
+    return lambda value: tuple(convert(p) for p in map(str.strip, value.split(",")) if p)
+
+
+def _parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
+
+
+def _key(read, rule=None, admits=None, **default):
+    """A config key's field: read parses its text (a comma list of read's
+    values on a _SWEEP_AXES key), and every value must meet its rule, a text
+    and a predicate (None where the reader or make_wavelength_set checks the
+    value); the key is required unless default gives its default."""
+    return field(**default, metadata={"read": read, "rule": rule, "admits": admits})
+
+
 @dataclass(frozen=True)
 class RangingExperiment:
     """Reconstruction error sweep over signal-to-noise ratios; the
     wavelength set is built at construction, so bad factors fail there."""
 
-    common_factor: float
-    coprime_factors: tuple[int, ...]
-    snr_grid_db: tuple[float, ...]
-    trials_per_point: int
-    seed: int
+    common_factor: float = _key(float)
+    coprime_factors: tuple[int, ...] = _key(_listed(int))
+    # a finite point must keep its linear SNR 10**(s/10), and twice that,
+    # inside the float range (up to about 3080 dB each way); inf is noiseless
+    snr_grid_db: tuple[float, ...] = _key(
+        _listed(float),
+        "a non-empty, strictly increasing list of points in [-3000, 3000] dB or inf",
+        lambda v: bool(v)
+        and all(-3000.0 <= s <= 3000.0 or s == math.inf for s in v)
+        and all(a < b for a, b in zip(v, v[1:])),
+    )
+    trials_per_point: int = _key(int, "at least 1", lambda v: v >= 1)
+    seed: int = _key(int, "at least 0", lambda v: v >= 0)
     wavelength_set: WavelengthSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,17 +152,35 @@ class LocalizationExperiment:
     sensors_per_head, noise_std and decay_scale must be a tuple of sweep
     values, the rest stay scalar."""
 
-    n_heads: Union[int, tuple[int, ...]]
-    sensors_per_head: Union[int, tuple[int, ...]]
-    noise_std: Union[float, tuple[float, ...]]
-    decay_scale: Union[float, tuple[float, ...]]
-    source: tuple[float, float]
-    runs: int
-    schemes: tuple[str, ...]
-    seed: int
-    epsilon: float = 1e-4
-    max_epochs: int = 500
-    optimize_once: bool = False
+    # one head's only start point, the deployment center, is that head,
+    # a node of its own rows: every scheme would fail every run
+    n_heads: Union[int, tuple[int, ...]] = _key(
+        int, "a perfect square of at least 4", lambda v: v >= 4 and math.isqrt(int(v)) ** 2 == v
+    )
+    sensors_per_head: Union[int, tuple[int, ...]] = _key(int, "at least 1", lambda v: v >= 1)
+    # the fits sum the reciprocal of the variance noise_std**2 over every
+    # measurement, so a nonzero one must stay far inside the float range
+    noise_std: Union[float, tuple[float, ...]] = _key(
+        float, "0 or between 1e-150 and 1e150", lambda v: v == 0 or 1e-150 <= v <= 1e150
+    )
+    decay_scale: Union[float, tuple[float, ...]] = _key(float, "above 0", lambda v: v > 0)
+    # from about 1e10 out, some 4- to 16-head runs' Fisher information is singular
+    source: tuple[float, float] = _key(
+        _listed(float),
+        "two coordinates at most 1e9 in magnitude (a farther one is too far:"
+        " a fit gets a bearing but no range)",
+        lambda v: len(v) == 2 and all(abs(c) <= 1e9 for c in v),
+    )
+    runs: int = _key(int, "at least 1", lambda v: v >= 1)
+    schemes: tuple[str, ...] = _key(
+        _listed(str),
+        f"a non-empty list of distinct names from {ALL_SCHEMES}",
+        lambda v: bool(v) and len(set(v)) == len(v) and set(v) <= set(ALL_SCHEMES),
+    )
+    seed: int = _key(int, "at least 0", lambda v: v >= 0)
+    epsilon: float = _key(float, "above 0 and finite", lambda v: 0 < v < math.inf, default=1e-4)
+    max_epochs: int = _key(int, "at least 1", lambda v: v >= 1, default=500)
+    optimize_once: bool = _key(_parse_bool, default=False)
     sweep_field: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -469,95 +518,20 @@ def parse_flat_config(text: str) -> dict[str, str]:
     return entries
 
 
-def _listed(convert):
-    """A reader of a comma list of convert's values; empty items are dropped."""
-    return lambda value: tuple(convert(p) for p in map(str.strip, value.split(",")) if p)
-
-
-def _sweepable(convert):
-    """A reader of one value, or of a comma list: the sweep axis."""
-    return lambda value: _listed(convert)(value) if "," in value else convert(value)
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-# every config key with its reader and the rule its values must meet, a
-# text and a predicate (None where the reader or make_wavelength_set checks
-# the value), one table per experiment; a key is required unless its field
-# has a default, and every value is checked at construction
-_KEYS = {
-    RangingExperiment: {
-        "common_factor": (float, None, None),
-        "coprime_factors": (_listed(int), None, None),
-        # a finite point must keep its linear SNR 10**(s/10), and twice that,
-        # inside the float range (up to about 3080 dB each way); inf is noiseless
-        "snr_grid_db": (
-            _listed(float),
-            "a non-empty, strictly increasing list of points in [-3000, 3000] dB or inf",
-            lambda v: bool(v)
-            and all(-3000.0 <= s <= 3000.0 or s == math.inf for s in v)
-            and all(a < b for a, b in zip(v, v[1:])),
-        ),
-        "trials_per_point": (int, "at least 1", lambda v: v >= 1),
-        "seed": (int, "at least 0", lambda v: v >= 0),
-    },
-    LocalizationExperiment: {
-        # one head's only start point, the deployment center, is that head,
-        # a node of its own rows: every scheme would fail every run
-        "n_heads": (
-            _sweepable(int),
-            "a perfect square of at least 4",
-            lambda v: v >= 4 and math.isqrt(int(v)) ** 2 == v,
-        ),
-        "sensors_per_head": (_sweepable(int), "at least 1", lambda v: v >= 1),
-        # the fits sum the reciprocal of the variance noise_std**2 over every
-        # measurement, so a nonzero one must stay far inside the float range
-        "noise_std": (
-            _sweepable(float),
-            "0 or between 1e-150 and 1e150",
-            lambda v: v == 0 or 1e-150 <= v <= 1e150,
-        ),
-        "decay_scale": (_sweepable(float), "above 0", lambda v: v > 0),
-        # from about 1e10 out, some 4- to 16-head runs' Fisher information is singular
-        "source": (
-            _listed(float),
-            "two coordinates at most 1e9 in magnitude (a farther one is too far:"
-            " a fit gets a bearing but no range)",
-            lambda v: len(v) == 2 and all(abs(c) <= 1e9 for c in v),
-        ),
-        "runs": (int, "at least 1", lambda v: v >= 1),
-        "schemes": (
-            _listed(str),
-            f"a non-empty list of distinct names from {ALL_SCHEMES}",
-            lambda v: bool(v) and len(set(v)) == len(v) and set(v) <= set(ALL_SCHEMES),
-        ),
-        "seed": (int, "at least 0", lambda v: v >= 0),
-        "epsilon": (float, "above 0 and finite", lambda v: 0 < v < math.inf),
-        "max_epochs": (int, "at least 1", lambda v: v >= 1),
-        "optimize_once": (_parse_bool, None, None),
-    },
-}
-
-
 def _check(cfg) -> None:
     """Hold every value of cfg to its key's rule, each sweep value on its own."""
-    for name, (_, rule, admits) in _KEYS[type(cfg)].items():
-        value = getattr(cfg, name)
-        swept = name in _SWEEP_AXES and isinstance(value, tuple)
-        for v in value if swept else (value,):
-            if rule is not None and not admits(v):
-                raise ValueError(f"{name} must be {rule}, got {v}")
+    for f in fields(cfg):
+        if f.init and f.metadata["rule"] is not None:
+            value = getattr(cfg, f.name)
+            swept = f.name in _SWEEP_AXES and isinstance(value, tuple)
+            for v in value if swept else (value,):
+                if not f.metadata["admits"](v):
+                    raise ValueError(f"{f.name} must be {f.metadata['rule']}, got {v}")
 
 
 def _load(cls, path, seed_override: Optional[int]):
-    """Read the keys in field order, construct (which validates), then
+    """Read the keys in field order, each with its field's reader (a comma
+    list on a sweep axis), construct (which checks every rule), then
     reject the keys left over. A seed override replaces the file's seed
     before anything is read."""
     with open(path) as fh:
@@ -567,8 +541,11 @@ def _load(cls, path, seed_override: Optional[int]):
     values = {}
     for f in (f for f in fields(cls) if f.init):
         if f.name in entries:
+            text, read = entries.pop(f.name), f.metadata["read"]
+            if f.name in _SWEEP_AXES and "," in text:
+                read = _listed(read)
             try:
-                values[f.name] = _KEYS[cls][f.name][0](entries.pop(f.name))
+                values[f.name] = read(text)
             except ValueError as exc:
                 raise ValueError(f"config key {f.name!r}: {exc}") from exc
         elif f.default is MISSING:

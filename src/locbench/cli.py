@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import os
 import sys
 
 from .bench import (
@@ -44,16 +46,16 @@ def main(argv=None) -> int:
         if args.command == "ranging":
             cfg = load_ranging_experiment(args.config, seed_override=args.seed)
             records = run_ranging_experiment(cfg)
-            emit_csv(records, args.out)
         else:
+            if args.trace is not None and os.path.realpath(args.trace) == os.path.realpath(args.out):
+                raise ValueError(f"--trace {args.trace!r} and --out {args.out!r} name one file")
             cfg = load_localization_experiment(args.config, seed_override=args.seed)
-            if args.trace is None:
-                records = run_localization_experiment(cfg)
-            else:
-                with open(args.trace, "w", newline="") as fh:
-                    trace = csv.writer(fh, lineterminator="\n")
-                    records = run_localization_experiment(cfg, trace)
-            emit_csv(records, args.out)
+            trace_file = (contextlib.nullcontext() if args.trace is None
+                          else open(args.trace, "w", newline=""))
+            with trace_file as fh:
+                trace = None if fh is None else csv.writer(fh, lineterminator="\n")
+                records = run_localization_experiment(cfg, trace)
+        emit_csv(records, args.out)
     except (ValueError, OSError, EstimationError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2

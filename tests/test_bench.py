@@ -177,13 +177,13 @@ class TestExperimentValidation:
     @pytest.mark.parametrize("kind, key, value", RULE_CASES)
     def test_every_rule_fails_at_load(self, tmp_path, capsys, kind, key, value):
         classes = {"ranging": RangingExperiment, "localize": LocalizationExperiment}
-        ruled = {
-            (name, k)
+        rules = {
+            (name, f.name): f.metadata["rule"]
             for name, cls in classes.items()
-            for k, (_, rule, _) in bench._KEYS[cls].items()
-            if rule is not None
+            for f in dataclasses.fields(cls)
+            if f.init and f.metadata["rule"] is not None
         }
-        assert {(name, k) for name, k, _ in RULE_CASES} == ruled
+        assert {(name, k) for name, k, _ in RULE_CASES} == rules.keys()
         text = RANGING_CFG if kind == "ranging" else LOCALIZE_CFG
         if key in bench._SWEEP_AXES:
             text = text.replace("noise_std = 1.0,", "noise_std = 1.0")
@@ -194,7 +194,7 @@ class TestExperimentValidation:
         path = tmp_path / "rule.cfg"
         path.write_text(text)
         load = load_ranging_experiment if kind == "ranging" else load_localization_experiment
-        message = f"{key} must be {bench._KEYS[classes[kind]][key][1]}, got "
+        message = f"{key} must be {rules[kind, key]}, got "
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load(path)
         out = tmp_path / "out.csv"
@@ -202,6 +202,16 @@ class TestExperimentValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_each_key_is_declared_once(self):
+        # a key's field holds its reader and rule; _SWEEP_AXES alone marks the sweep axes
+        assert not hasattr(bench, "_KEYS") and not hasattr(bench, "_sweepable")
+        for cls in (RangingExperiment, LocalizationExperiment):
+            for f in (f for f in dataclasses.fields(cls) if f.init):
+                assert callable(f.metadata["read"]), f.name
+                assert (f.metadata["rule"] is None) == (f.metadata["admits"] is None), f.name
+        init = [f.name for f in dataclasses.fields(LocalizationExperiment) if f.init]
+        assert [name for name in init if name in bench._SWEEP_AXES] == list(bench._SWEEP_AXES)
 
     def test_exactly_one_sweep_required(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -993,6 +1003,27 @@ class TestCli:
         head = trace.read_text().splitlines()
         assert head[0] == "trial,epoch,head,x1,x2,max_step"
         assert len(head) > 1
+
+    def test_empty_trace_path_exits_two(self, tmp_path, capsys):
+        # "" is a path that cannot be opened, not a trace left off
+        cfg, out = tmp_path / "l.cfg", tmp_path / "l.csv"
+        cfg.write_text(LOCALIZE_CFG)
+        assert cli.main(["localize", "--config", str(cfg), "--out", str(out), "--trace", ""]) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trace", ["x.csv", "./x.csv", "link.csv"])
+    def test_trace_and_out_naming_one_file_exit_two(self, tmp_path, monkeypatch, capsys, trace):
+        # the records would overwrite the trace: stopped before either file is opened
+        monkeypatch.chdir(tmp_path)
+        Path("l.cfg").write_text(LOCALIZE_CFG)
+        Path("link.csv").symlink_to("x.csv")
+        with mock.patch.object(cli, "run_localization_experiment") as run:
+            code = cli.main(["localize", "--config", "l.cfg", "--out", "x.csv", "--trace", trace])
+        assert code == 2 and not run.called
+        err = f"error: --trace {trace!r} and --out 'x.csv' name one file\n"
+        assert capsys.readouterr().err == err
+        assert not Path("x.csv").exists()
 
     def test_bad_config_exits_two(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
